@@ -26,13 +26,15 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _load_cfg(args) -> scenario.ScenarioConfig:
+def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
+    """Scenario file (if any) plus the `--set` overrides, then `extra`."""
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise SystemExit(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         overrides[key.strip()] = val.strip()
+    overrides.update(extra)
     if args.scenario:
         return scenario.load_scenario(args.scenario, overrides)
     return scenario.validate_config(scenario.parse_overrides(overrides))
@@ -61,11 +63,8 @@ def cmd_sweep(args) -> int:
     schemes = [SCHEMES[s] for s in args.schemes.split(",")]
     seeds = parse_seeds(args.seeds)
     for k in ks:
+        cfg = _load_cfg(args, num_users=str(k))
         for scheme in schemes:
-            sub = dict(s.split("=", 1) for s in (args.set or []))
-            sub["num_users"] = str(k)
-            cfg = scenario.load_scenario(args.scenario, sub) if args.scenario \
-                else scenario.validate_config(scenario.parse_overrides(sub))
             out = os.path.join(args.out, f"k{k}")
             summary = harness.run_experiment(cfg, scheme, seeds, out,
                                              trace_level=args.trace_level)

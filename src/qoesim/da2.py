@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .da1 import ResourceDemand
-from .errors import UnlabeledDemand
+from .errors import PotentialDecrease, UnlabeledDemand
 
 POSITION_SCALE_M = 10.0  # meters of per-slot displacement treated as one unit
 WINDOW_LADDER_MIN = (15.0, 12.0, 9.0, 6.0, 3.0)
@@ -205,8 +205,9 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
 
     Group utility: summed marginal gains of its reserved quanta minus price
     per quantum.  With a uniform price the summed utility is an exact
-    potential, asserted nondecreasing across accepted moves.  Stops at a
-    full quiet round (Nash certificate) or flags non-convergence.
+    potential, checked nondecreasing across accepted moves (PotentialDecrease
+    otherwise).  Stops at a full quiet round (Nash certificate) or flags
+    non-convergence.
     """
     q_bw, q_cpu = dist.quantum_bw_hz, dist.quantum_cpu_cps
     groups = dist.groups()
@@ -259,7 +260,12 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
             if moved:
                 round_changed = True
                 new_pot = potential()
-                assert new_pot >= trace[-1] - 1e-9, "potential decreased"
+                if new_pot < trace[-1] - 1e-9:
+                    # only a marginal curve that increases somewhere can
+                    # make a best response lower the potential
+                    raise PotentialDecrease(
+                        f"group {g} move lowered the potential "
+                        f"{trace[-1]!r} -> {new_pot!r}")
                 trace.append(new_pot)
         if not round_changed:
             converged = True

@@ -41,6 +41,10 @@ class InsufficientData(QoesimError):
     """Too few (or uninformative) samples for the requested fit."""
 
 
+class PotentialDecrease(QoesimError):
+    """A best-response move lowered the slicing game's potential."""
+
+
 class UnlabeledDemand(QoesimError):
     """Resource demand lacks a (group, base station) membership label."""
 

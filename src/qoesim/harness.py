@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netsim, runner, scenario
 from .bench import SchemeId
-from .errors import EmptyInput, EmptyWindow, TooFewSamples
+from .errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples
 
 SCHEMA_NAME = "summary.schema.json"
 
@@ -167,8 +167,12 @@ def run_experiment(cfg: scenario.ScenarioConfig, scheme: SchemeId,
     """Run one scheme over a seed list and emit artifacts + summary.json.
 
     Seeds fan out to a process pool (capped by SIMCTL_THREADS); results
-    merge deterministically in seed order.
+    merge deterministically in seed order.  `policy_out` names one file, so
+    it takes a single seed.
     """
+    if policy_out is not None and len(seeds) != 1:
+        raise ConfigError(f"policy_out saves one seed's policy; got {len(seeds)} "
+                          f"seeds {list(seeds)}")
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(cfg, scheme, seed, out_dir, trace_level, train_epochs,
              policy_in, policy_out) for seed in seeds]

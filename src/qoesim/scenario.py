@@ -365,6 +365,27 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("playback.eval_period_s must span at least one slot")
     if cfg.agent.epoch_slots < 1:
         raise ValidationError("agent.epoch_slots must be >= 1")
+    # the planning utility divides by the tier span, the lowest tier, both
+    # compute-cost coefficients and both demand headrooms
+    cat = cfg.catalog
+    if len(cat.quality_levels_bps) < 2:
+        raise ValidationError("catalog.quality_levels_bps needs at least two tiers")
+    if cat.quality_levels_bps[0] <= 0:
+        raise ValidationError("catalog.quality_levels_bps must be > 0")
+    if cat.compute_cost_c0_cps <= 0:
+        raise ValidationError("catalog.compute_cost_c0_cps must be > 0")
+    if cat.compute_cost_c1_cps <= 0:
+        raise ValidationError("catalog.compute_cost_c1_cps must be > 0")
+    if cfg.agent.demand_headroom <= 0:
+        raise ValidationError("agent.demand_headroom must be > 0")
+    if cfg.agent.demand_cpu_headroom <= 0:
+        raise ValidationError("agent.demand_cpu_headroom must be > 0")
+    if cfg.train.batch_size <= 0:
+        raise ValidationError("train.batch_size must be > 0")
+    if cfg.slicing.quantum_bw_hz <= 0:
+        raise ValidationError("slicing.quantum_bw_hz must be > 0")
+    if cfg.slicing.quantum_cpu_cps <= 0:
+        raise ValidationError("slicing.quantum_cpu_cps must be > 0")
     th = cfg.slicing.dynamics_thresholds
     if any(b < a for a, b in zip(th, th[1:])):
         raise ValidationError("slicing.dynamics_thresholds must be nondecreasing")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesim import da1, learn, netsim, qoe, scenario
 from qoesim.errors import ShapeMismatch
@@ -226,20 +230,22 @@ class TestUserAllocate:
 
     def test_grid_search_oracle_two_users(self):
         rng = np.random.default_rng(10)
+        params = da1.DemandParams()
         for _ in range(10):
             mems = [member(user=i, struct=int(rng.integers(1, 4)),
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.5, 4.0)) for i in range(2)]
             bw, cpu = rng.uniform(5e5, 1e7), rng.uniform(2e8, 2e9)
             alloc, rep = da1.user_allocate(mems, bw, cpu, CAT)
-            util = da1._UtilityModel(mems, CAT, da1.DemandParams())
+            c0, c1 = (da1.utility_consts(m, CAT, params) for m in mems)
             best = -np.inf
             fracs = np.linspace(0, 1, 101)
             for fb in fracs:
-                bws = np.array([fb * bw, (1 - fb) * bw])
-                vals = [util.value_grad(bws, np.array([fc * cpu, (1 - fc) * cpu]))[0]
-                        for fc in fracs]
-                best = max(best, max(vals))
+                for fc in fracs:
+                    val = (da1.utility_value_grad(c0, fb * bw, fc * cpu)[0]
+                           + da1.utility_value_grad(c1, (1 - fb) * bw,
+                                                    (1 - fc) * cpu)[0])
+                    best = max(best, val)
             assert rep.objective >= best - 1e-3 * abs(best)
 
     def test_zero_budget(self):
@@ -253,3 +259,163 @@ class TestUserAllocate:
         _, warm = da1.user_allocate(mems, 5e6, 1e9, CAT, warm_start=alloc)
         assert warm.iterations <= max(cold.iterations // 2, 10)
         assert warm.objective >= cold.objective - 1e-9
+
+
+# --- numpy reference of the planning utility and the projection ---------------
+# The array formulation the scalar kernel replaced; kept here as an
+# independent route to the same objective.
+
+def _ref_softplus(x, tau):
+    return tau * (np.log1p(np.exp(-np.abs(x / tau))) + np.maximum(x / tau, 0.0))
+
+
+def _ref_smooth_cap1(x, tau=da1._CORNER_TAU):
+    val = 1.0 - _ref_softplus(1.0 - x, tau)
+    z = np.clip((1.0 - x) / tau, -60, 60)
+    return val, 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_smooth_min(a, b, tau=da1._CORNER_TAU):
+    lo = np.minimum(a, b)
+    wa = np.exp(-(a - lo) / tau)
+    wb = np.exp(-(b - lo) / tau)
+    tot = wa + wb
+    return lo - tau * np.log(0.5 * tot), wa / tot, wb / tot
+
+
+def ref_value_grad(members, bw, cpu, catalog, params):
+    """Per-user utilities and (bw, cpu) gradients over member arrays."""
+    struct = np.array([m.structure_index for m in members])
+    ibar = np.array([m.mean_impact for m in members])
+    ela = np.array([m.ela for m in members]) + params.margin_mos
+    shortfall_w = np.where(ela <= qoe.MOS_HI * ibar + 1e-9, da1.SHORTFALL_WEIGHT, 0.0)
+    eff = np.array([max(m.eff_bps_per_hz, 1e-3) for m in members])
+    r_lo = catalog.min_bitrate
+    r_span = catalog.max_bitrate - r_lo
+    c0, c1 = catalog.compute_cost_coeffs
+    hb, hc = params.headroom, params.cpu_headroom
+    arrivals = params.arrival_rate_per_min / 60.0 * params.eval_period_s
+    stall_bits = arrivals * catalog.segment_duration_s * r_lo
+    stall_floor = stall_bits / params.eval_period_s
+    is_q, has_stall = struct != 1, struct != 2
+
+    q_bw, dclip_bw = _ref_smooth_cap1((eff * bw / hb - r_lo) / r_span)
+    q_cpu, dclip_cpu = _ref_smooth_cap1((cpu / hc - c0) / c1)
+    q_join, w_bw, w_cpu = _ref_smooth_min(q_bw, q_cpu)
+    dq_bw = w_bw * dclip_bw * eff / (hb * r_span)
+    dq_cpu = w_cpu * dclip_cpu / (hc * c1)
+    service, v_bw, v_cpu = _ref_smooth_min(eff * bw / r_lo, cpu * r_lo / c0 / r_lo)
+    denom = service * r_lo + stall_floor
+    stall = stall_bits / denom
+    dserv = -stall_bits / denom ** 2
+    dstall_bw = dserv * v_bw * eff
+    dstall_cpu = dserv * v_cpu * r_lo / c0
+
+    s = np.where(struct == 1, qoe.MOS_HI, 1.0 + qoe.QUALITY_SLOPE * q_join)
+    ds_bw = np.where(is_q, qoe.QUALITY_SLOPE * dq_bw, 0.0)
+    ds_cpu = np.where(is_q, qoe.QUALITY_SLOPE * dq_cpu, 0.0)
+    s = s - np.where(has_stall, qoe.REBUFFER_SLOPE * stall, 0.0)
+    ds_bw = ds_bw - np.where(has_stall, qoe.REBUFFER_SLOPE * dstall_bw, 0.0)
+    ds_cpu = ds_cpu - np.where(has_stall, qoe.REBUFFER_SLOPE * dstall_cpu, 0.0)
+
+    e = ibar * s
+    z = (ela - e) / da1._HINGE_TAU
+    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+    soft = da1._HINGE_TAU * np.log1p(np.exp(-np.abs(z))) + np.maximum(ela - e, 0.0)
+    util = e - shortfall_w * soft + 0.02 * (q_bw + q_cpu)
+    scale = 1.0 + shortfall_w * sig
+    gb = ibar * ds_bw * scale + 0.02 * dclip_bw * eff / (hb * r_span)
+    gc = ibar * ds_cpu * scale + 0.02 * dclip_cpu / (hc * c1)
+    return util, gb, gc
+
+
+def ref_project_capped_simplex(x, total=1.0):
+    x = np.asarray(x, dtype=float)
+    clipped = np.maximum(x, 0.0)
+    if clipped.sum() <= total:
+        return clipped
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - total
+    ind = np.arange(1, x.size + 1)
+    rho = ind[u - css / ind > 0][-1]
+    return np.maximum(x - css[rho - 1] / rho, 0.0)
+
+
+members_st = st.lists(st.builds(
+    da1.AllocMember,
+    user=st.just(0),
+    structure_index=st.integers(1, 3),
+    alpha=st.just(0.5), beta=st.just(0.5),
+    ela=st.floats(3.0, 5.0),
+    mean_impact=st.floats(0.2, 1.0),
+    eff_bps_per_hz=st.floats(1e-4, 8.0)), min_size=1, max_size=7)
+params_st = st.builds(da1.DemandParams, headroom=st.floats(1.0, 2.0),
+                      cpu_headroom=st.floats(1.0, 2.0),
+                      margin_mos=st.floats(0.0, 0.5))
+bw_st = st.floats(0.0, 3e7)
+cpu_st = st.floats(0.0, 6e9)
+
+
+class TestUtilityKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(members_st, params_st, st.data())
+    def test_matches_numpy_reference(self, mems, params, data):
+        bws = data.draw(st.lists(bw_st, min_size=len(mems), max_size=len(mems)))
+        cpus = data.draw(st.lists(cpu_st, min_size=len(mems), max_size=len(mems)))
+        util, gb, gc = ref_value_grad(mems, np.array(bws), np.array(cpus), CAT, params)
+        for i, m in enumerate(mems):
+            c = da1.utility_consts(m, CAT, params)
+            got = da1.utility_value_grad(c, bws[i], cpus[i])
+            for a, b in zip(got, (util[i], gb[i], gc[i])):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(members_st, params_st, bw_st, cpu_st)
+    def test_gradient_matches_central_differences(self, mems, params, bw, cpu):
+        m = mems[0]
+        c = da1.utility_consts(m, CAT, params)
+        _, d_bw, d_cpu = da1.utility_value_grad(c, bw, cpu)
+        # steps of 1e-5 in normalized quality units; the corner rounding
+        # (tau = 0.02) keeps the third derivative small at that scale
+        unit_bw = c.eff / (c.bw_headroom * c.r_span)
+        unit_cpu = 1.0 / (c.cpu_headroom * c.c1)
+        h_bw, h_cpu = 1e-5 / unit_bw, 1e-5 / unit_cpu
+        fd_bw = (da1.utility_value_grad(c, bw + h_bw, cpu)[0]
+                 - da1.utility_value_grad(c, bw - h_bw, cpu)[0]) / (2 * h_bw)
+        fd_cpu = (da1.utility_value_grad(c, bw, cpu + h_cpu)[0]
+                  - da1.utility_value_grad(c, bw, cpu - h_cpu)[0]) / (2 * h_cpu)
+        assert fd_bw == pytest.approx(d_bw, rel=1e-4, abs=1e-6 * unit_bw)
+        assert fd_cpu == pytest.approx(d_cpu, rel=1e-4, abs=1e-6 * unit_cpu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(members_st, params_st, bw_st, cpu_st)
+    def test_planning_qoe_matches_reference_terms(self, mems, params, bw, cpu):
+        # planning QoE: same quality support, hard min of the stall service
+        m = mems[0]
+        c = da1.utility_consts(m, CAT, params)
+        q_bw = _ref_smooth_cap1(np.array((c.eff * bw / c.bw_headroom - c.r_lo) / c.r_span))[0]
+        q_cpu = _ref_smooth_cap1(np.array((cpu / c.cpu_headroom - c.c0) / c.c1))[0]
+        q_join = float(_ref_smooth_min(q_bw, q_cpu)[0])
+        stall = c.stall_bits / (min(c.eff * bw, cpu * c.r_lo / c.c0) + c.stall_floor)
+        s = {1: qoe.MOS_HI - qoe.REBUFFER_SLOPE * stall,
+             2: 1.0 + qoe.QUALITY_SLOPE * q_join,
+             3: 1.0 + qoe.QUALITY_SLOPE * q_join - qoe.REBUFFER_SLOPE * stall}
+        assert math.isclose(da1.planning_qoe(m, bw, cpu, CAT, params),
+                             m.mean_impact * s[m.structure_index], rel_tol=1e-12)
+
+
+class TestProjectCappedSimplex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9),
+           st.floats(0.05, 4.0))
+    def test_matches_numpy_reference(self, x, total):
+        got = da1.project_capped_simplex(x, total)
+        assert got == pytest.approx(list(ref_project_capped_simplex(x, total)),
+                                    rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9))
+    def test_feasible_and_idempotent(self, x):
+        p = da1.project_capped_simplex(x)
+        assert min(p) >= 0.0 and sum(p) <= 1.0 + 1e-12
+        assert da1.project_capped_simplex(p) == pytest.approx(p, abs=1e-12)

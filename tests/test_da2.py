@@ -5,7 +5,7 @@ import pytest
 
 from qoesim import da2
 from qoesim.da1 import ResourceDemand
-from qoesim.errors import UnlabeledDemand
+from qoesim.errors import PotentialDecrease, UnlabeledDemand
 
 Q_BW = 1e6
 Q_CPU = 0.5e9
@@ -264,3 +264,12 @@ class TestBestResponseAdjust:
                                           5 * Q_CPU, price=0.1)
         tr = rep.potential_trace
         assert all(b >= a - 1e-9 for a, b in zip(tr, tr[1:]))
+
+    def test_increasing_curve_raises_potential_decrease(self):
+        # an increasing marginal curve breaks the potential-game premise: the
+        # best response drops both quanta and loses the large second gain
+        dist = make_dist({(1, 0): ([0.1, 5.0], [])})
+        init = da2.SliceConfig(9.0, {(1, 0): 2 * Q_BW}, {1: 0.0})
+        with pytest.raises(PotentialDecrease, match="potential"):
+            da2.best_response_adjust(init, dist, {0: 4 * Q_BW}, 4 * Q_CPU,
+                                     price=1.0)

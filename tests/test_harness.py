@@ -6,7 +6,7 @@ import pytest
 
 from qoesim import harness, runner, scenario
 from qoesim.bench import SchemeId
-from qoesim.errors import EmptyInput, EmptyWindow, TooFewSamples
+from qoesim.errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
         "catalog.segment_duration_s": "0.5"}
@@ -117,6 +117,13 @@ class TestRunExperiment:
         assert pairs
         for recomputed, stored in pairs:
             assert recomputed == pytest.approx(stored)
+
+    def test_policy_out_rejects_several_seeds(self, tmp_path):
+        # one file cannot hold one policy per seed
+        with pytest.raises(ConfigError, match="policy_out"):
+            harness.run_experiment(fast_cfg(), SchemeId.PROPOSED, [1, 2],
+                                   str(tmp_path), policy_out=str(tmp_path / "p.json"))
+        assert not (tmp_path / "p.json").exists()
 
     def test_aggregate_trace_level_skips_slots(self, tmp_path):
         cfg = fast_cfg()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestLoadScenario:
             load_text(tmp_path, "num_users = 17\n")
         cfg = load_text(tmp_path, "num_users = 17\npreset_mode = free\n")
         assert cfg.num_users == 17
+
+    @pytest.mark.parametrize("key,value", [
+        ("catalog.quality_levels_bps", "1000000"),
+        ("catalog.quality_levels_bps", "0, 1000000"),
+        ("catalog.compute_cost_c0_cps", "0"),
+        ("catalog.compute_cost_c1_cps", "0"),
+        ("agent.demand_headroom", "0"),
+        ("agent.demand_cpu_headroom", "0"),
+        ("slicing.quantum_bw_hz", "0"),
+        ("slicing.quantum_bw_hz", "-1e6"),
+        ("slicing.quantum_cpu_cps", "0"),
+        ("train.batch_size", "0"),
+        ("train.batch_size", "-4"),
+    ])
+    def test_rejects_field(self, key, value):
+        cfg = scenario.parse_overrides({key: value})
+        with pytest.raises(ValidationError, match=re.escape(key)):
+            scenario.validate_config(cfg)
 
     def test_roundtrip(self, tmp_path):
         cfg = scenario.validate_config(scenario.ScenarioConfig())
