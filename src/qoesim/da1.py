@@ -98,13 +98,12 @@ def emulate_context(profile: UserProfile, horizon_slots: int,
                     complexity_increases_with_speed: bool = True,
                     noise: float = 0.0) -> np.ndarray:
     """Predicted (B, C) trajectory over the horizon, bounded noise included."""
-    out = np.empty((horizon_slots, 2))
-    for i in range(horizon_slots):
-        b, c = netsim.behavior_env_trace(profile, (t0_slot + i) * slot_s,
-                                         max_swipe_rate_per_min,
-                                         complexity_increases_with_speed)
-        out[i, 0] = b
-        out[i, 1] = c
+    # netsim.behavior_env_trace per slot, with the speed-only C taken once
+    params = profile.swipe_rate_params
+    c = netsim.complexity_of_speed(profile.speed_kmh, complexity_increases_with_speed)
+    out = np.array([(netsim.behavior_of_rate(
+        netsim.swipe_rate(params, (t0_slot + i) * slot_s), max_swipe_rate_per_min), c)
+        for i in range(horizon_slots)], dtype=float).reshape(horizon_slots, 2)
     if noise > 0.0:
         out += rng.uniform(-noise, noise, out.shape)
         np.clip(out, 1.0, 2.0, out=out)

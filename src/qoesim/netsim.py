@@ -7,6 +7,30 @@ All randomness flows through one generator so the traffic stream is
 byte-identical across schemes: every slot draws shadowing for every
 (user, BS) pair plus one arrival uniform and one MOS uniform per user,
 regardless of the allocation decisions.
+
+The world step (`advance_slots`) is one scalar kernel on Python floats.
+Each slot it
+  1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
+     turns both into lists;
+  2. moves every user and attaches it to the BS of least mean path loss
+     (`_attach`, which `run_window` also uses at window start);
+  3. calls the orchestrator, then per user in id order clips the request to
+     what the slice caps have left, and steps the radio rate, the swipe
+     arrival, the tier pick, the segment download, playback and the MOS mean.
+The truncated-normal MOS map runs once per evaluation period (and at the end
+of the call) over the sampled slots since the last map: the uniforms are
+drawn per slot as before, and only the records and period samples, which
+no orchestrator reads, hold the samples.  Mapping once per call would hold
+a whole window's pending rows at once (+2 MB peak on a 12-minute traced run).
+Per-user, per-BS and per-tier constants (swipe parameters, complexity, true
+alpha/beta, structure, MOS sigma, BS positions, tier qualities and costs)
+are built once by `SimState`.
+
+The kernel is scalar because a slot holds 16 users and 2 base stations at
+the paper presets, where numpy's per-call overhead outweighs its arithmetic,
+and because numpy's `log10`, `sin` and `exp` may differ from `math` in the
+last bit, which would move every artifact.  An array step belongs with a
+user-count axis far above 24 users.
 """
 from __future__ import annotations
 
@@ -85,21 +109,43 @@ def step_playback(buffer_s: float, downloaded_playtime_s: float, slot_s: float,
     return new_buffer, rebuffer
 
 
-def swipe_rate(profile: UserProfile, t_s: float) -> float:
-    """Instantaneous swipe/request rate (per minute) of the sinusoid process."""
-    mean, amp, period = profile.swipe_rate_params
+def swipe_rate(params: tuple[float, float, float], t_s: float) -> float:
+    """Instantaneous swipe/request rate (per minute) of the sinusoid process
+    with (mean, amplitude, period_s) parameters."""
+    mean, amp, period = params
     return max(mean + amp * math.sin(2.0 * math.pi * t_s / period), 0.0)
+
+
+def behavior_of_rate(rate_per_min: float, max_swipe_rate_per_min: float) -> float:
+    """Behavioral dynamics B of a swipe rate, clamped into [1, 2]."""
+    return 1.0 + min(max(rate_per_min / max_swipe_rate_per_min, 0.0), 1.0)
+
+
+def complexity_of_speed(speed_kmh: float,
+                        complexity_increases_with_speed: bool = True) -> float:
+    """Environmental complexity C of a walking/driving speed, clamped into [1, 2]."""
+    v = speed_kmh
+    frac = (v - 2.0) / 38.0 if complexity_increases_with_speed else (40.0 - v) / 38.0
+    return 1.0 + min(max(frac, 0.0), 1.0)
 
 
 def behavior_env_trace(profile: UserProfile, t_s: float,
                        max_swipe_rate_per_min: float = 18.0,
                        complexity_increases_with_speed: bool = True) -> tuple[float, float]:
     """Ground-truth (B, C) at time t; both clamped into [1, 2]."""
-    b = 1.0 + min(max(swipe_rate(profile, t_s) / max_swipe_rate_per_min, 0.0), 1.0)
-    v = profile.speed_kmh
-    frac = (v - 2.0) / 38.0 if complexity_increases_with_speed else (40.0 - v) / 38.0
-    c = 1.0 + min(max(frac, 0.0), 1.0)
-    return b, c
+    return (behavior_of_rate(swipe_rate(profile.swipe_rate_params, t_s),
+                             max_swipe_rate_per_min),
+            complexity_of_speed(profile.speed_kmh, complexity_increases_with_speed))
+
+
+def pick_tier(rate_budget_bps: float, cpu_cps: float, levels_bps, costs_cps) -> int:
+    """Highest tier whose bitrate fits the rate budget and whose transcode
+    cost fits the compute grant; tier 0 when none does."""
+    tier = 0
+    for i, bitrate in enumerate(levels_bps):
+        if bitrate <= rate_budget_bps and costs_cps[i] <= cpu_cps:
+            tier = i
+    return tier
 
 
 class PathWalker:
@@ -152,6 +198,16 @@ class PeriodSample(NamedTuple):
     sample: qoe.FactorSample
 
 
+class _UserConsts(NamedTuple):
+    """Per-user constants of the world step, built once per `SimState`."""
+    swipe: tuple[float, float, float]  # (mean, amplitude, period_s) per minute
+    complexity: float  # C depends on the speed only
+    structure: int
+    alpha: float  # true impact parameters
+    beta: float
+    mos_sigma: float
+
+
 class SimState:
     """Mutable world state for one simulation run."""
 
@@ -176,14 +232,22 @@ class SimState:
         self.reserved_cpu_detail: dict[int, float] = {}
         self.period_samples: list[PeriodSample] = []
         self.arrival_log: list[tuple[int, int]] = []  # (slot, user) swipe events
+        # grants are clipped to the caps, so the world step counts none; the
+        # independent slot-vs-slice check is `harness.capacity_violations`
         self.capacity_violations = 0
-        # pre-computed per-BS and per-user constants
+        # pre-computed per-BS, per-tier and per-user constants
+        self._bs_xy = [b.position for b in self.base_stations]
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
                             for b in self.base_stations]
-        self._costs = [self.catalog.compute_cost_cps(r)
-                       for r in self.catalog.quality_levels_bps]
-        self._mos_sigmas = np.array([math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index])
-                                     for p in profiles])
+        levels = self.catalog.quality_levels_bps
+        self._qualities = [self.catalog.quality_of(r) for r in levels]
+        self._costs = [self.catalog.compute_cost_cps(r) for r in levels]
+        pos_c = cfg.users.complexity_increases_with_speed
+        self._users = [
+            _UserConsts(p.swipe_rate_params, complexity_of_speed(p.speed_kmh, pos_c),
+                        p.structure_index, *p.true_impact_params,
+                        math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index]))
+            for p in profiles]
 
     # -- slice application ----------------------------------------------------
 
@@ -219,144 +283,140 @@ class SimState:
             if (g, bs) not in self.reserved_pairs:
                 raise ConfigError(f"slice omits active pair (group={g}, bs={bs})")
 
-    # -- per-user helpers ------------------------------------------------------
 
-    def positions(self, t_s: float) -> list[tuple[float, float]]:
-        return [w.position(t_s) for w in self.walkers]
-
-    def pick_tier(self, user: int, cpu_cps: float) -> int:
-        """Highest tier sustainable by the recent rate and the compute grant."""
-        rt = self.runtime[user]
-        budget = self.cfg.playback.abr_safety * rt.rate_ewma
-        tier = 0
-        for i, bitrate in enumerate(self.catalog.quality_levels_bps):
-            if bitrate <= budget and self._costs[i] <= cpu_cps:
-                tier = i
-        return tier
-
-
-def _enforce_caps(state: SimState, alloc: dict[int, tuple[float, float]]):
-    """Clip requested allocations to slice caps, granting in user-id order."""
-    bw_left = dict(state.bw_caps)
-    cpu_left = state.cpu_cap
-    out = {}
-    for p in state.profiles:
-        bw_req, cpu_req = alloc.get(p.id, (0.0, 0.0))
-        bs = state.runtime[p.id].serving_bs
-        bw = min(bw_req, bw_left[bs])
-        cpu = min(cpu_req, cpu_left)
-        bw_left[bs] -= bw
-        cpu_left -= cpu
-        out[p.id] = (bw, cpu, bs)
-    # conservation invariant: post-enforcement sums never exceed reservations
-    used_bw: dict[int, float] = {b: 0.0 for b in state.bw_caps}
-    used_cpu = 0.0
-    for uid, (bw, cpu, bs) in out.items():
-        used_bw[bs] += bw
-        used_cpu += cpu
-    for bs, used in used_bw.items():
-        if used > state.bw_caps[bs] * (1 + 1e-9) + 1e-6:
-            state.capacity_violations += 1
-    if used_cpu > state.cpu_cap * (1 + 1e-9) + 1e-3:
-        state.capacity_violations += 1
-    return out
+def _attach(state: SimState, t_s: float) -> list[float]:
+    """Serve every user from the BS of least mean path loss at time t_s (the
+    lowest BS index on ties); returns each user's loss to it, in dB."""
+    channel = state.channel
+    losses = []
+    for walker, rt in zip(state.walkers, state.runtime):
+        x, y = walker.position(t_s)
+        best, best_loss = 0, math.inf
+        for j, (bx, by) in enumerate(state._bs_xy):
+            loss = mean_path_loss(max(math.hypot(x - bx, y - by), 1.0), channel)
+            if loss < best_loss:
+                best, best_loss = j, loss
+        rt.serving_bs = best
+        losses.append(best_loss)
+    return losses
 
 
 def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                   rng: np.random.Generator,
                   records: list[SlotRecord] | None = None,
                   window_slot0: int = 0) -> None:
-    """Advance the world n_slots, drawing all stochastic inputs in fixed order."""
+    """Advance the world n_slots, drawing all stochastic inputs in fixed order.
+
+    Grants are clipped to the slice caps in user-id order.  `records` (when
+    given) gets one row per user and slot; `state.period_samples` gets one
+    per user at each evaluation-period end.  Both are filled at each period
+    end and when the call returns, after the MOS draws of the slots since
+    the last fill are mapped at once.
+    """
     k = len(state.profiles)
     n_bs = len(state.base_stations)
-    cat = state.catalog
     slot = state.slot_s
     sigma = state.channel.shadowing_sigma_db
     noise = state.channel.noise_density_dbm_hz
-    seg = cat.segment_duration_s
+    seg = state.catalog.segment_duration_s
+    levels = state.catalog.quality_levels_bps
+    costs = state._costs
+    qualities = state._qualities
+    psd = state._psd_dbm_hz
     max_buf = state.cfg.playback.max_buffer_s
     max_swipe = state.cfg.users.max_swipe_rate_per_min
-    pos_c = state.cfg.users.complexity_increases_with_speed
+    abr = state.cfg.playback.abr_safety
     period = state.period_slots
+    users = list(zip(state._users, state.runtime))
+    # MOS draws awaiting the truncated-normal map, in draw order
+    mus: list[float] = []
+    sigmas: list[float] = []
+    mos_unis: list[float] = []
+    pending: list[tuple[tuple, bool]] = []  # (record row, period end)
 
     for step in range(n_slots):
         t = state.t
         t_s = t * slot
         # fixed-order stochastic inputs (scheme-independent)
-        shadow = rng.normal(0.0, 1.0, (k, n_bs))
-        uni = rng.random((k, 2))
-
-        # mobility + attachment on the deterministic loss component
-        positions = state.positions(t_s)
-        pl = np.empty((k, n_bs))
-        for i, p in enumerate(state.profiles):
-            x, y = positions[i]
-            for j, bs in enumerate(state.base_stations):
-                d = max(math.hypot(x - bs.position[0], y - bs.position[1]), 1.0)
-                pl[i, j] = mean_path_loss(d, state.channel)
-            state.runtime[i].serving_bs = int(np.argmin(pl[i]))
-
+        shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
+        uni = rng.random((k, 2)).tolist()
+        loss = _attach(state, t_s)
         alloc = orchestrator(state, window_slot0 + step)
-        granted = _enforce_caps(state, alloc)
+        bw_left = dict(state.bw_caps)
+        cpu_left = state.cpu_cap
+        period_end = (t + 1) % period == 0
+        sampled = records is not None or period_end
 
-        mus = np.empty(k)
-        row_cache = []
-        for i, p in enumerate(state.profiles):
-            rt = state.runtime[i]
-            bw, cpu, bs = granted[i]
-            snr_db = (state._psd_dbm_hz[bs] - (pl[i, bs] + sigma * shadow[i, bs])
-                      - noise)
+        for i, (uc, rt) in enumerate(users):
+            # grant in user-id order from what the slice caps have left
+            bw_req, cpu_req = alloc.get(i, (0.0, 0.0))
+            bs = rt.serving_bs
+            bw = min(bw_req, bw_left[bs])
+            cpu = min(cpu_req, cpu_left)
+            bw_left[bs] -= bw
+            cpu_left -= cpu
+
+            snr_db = psd[bs] - (loss[i] + sigma * shadow[i][bs]) - noise
             snr = 10.0 ** (snr_db / 10.0)
-            eff = math.log2(1.0 + snr)
             rate = achievable_rate(bw, snr)
-            rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * eff
+            rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * math.log2(1.0 + snr)
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
             # swipe arrival: abandon current video, fresh startup
-            p_arrival = 1.0 - math.exp(-swipe_rate(p, t_s) / 60.0 * slot)
-            if uni[i, 0] < p_arrival:
+            swipe = swipe_rate(uc.swipe, t_s)
+            if uni[i][0] < 1.0 - math.exp(-swipe / 60.0 * slot):
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
-                rt.tier = state.pick_tier(i, cpu)
+                rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
                 state.arrival_log.append((t, i))
 
-            bitrate = cat.quality_levels_bps[rt.tier]
-            cost = state._costs[rt.tier]
-            f = min(rate / bitrate, cpu / cost)  # playtime downloadable per second
+            tier = rt.tier
+            f = min(rate / levels[tier], cpu / costs[tier])  # playtime per second
             headroom = max(max_buf - rt.buffer - rt.seg_fluid, 0.0)
-            inflow = min(f * slot, slot + seg, headroom)
-            rt.seg_fluid += inflow
+            rt.seg_fluid += min(f * slot, slot + seg, headroom)
             completed = math.floor(rt.seg_fluid / seg + 1e-12) * seg
-            downloaded = completed
             if completed > 0.0:
                 rt.seg_fluid -= completed
-                rt.tier = state.pick_tier(i, cpu)  # re-decide at segment boundary
-            rt.buffer, rebuf = step_playback(rt.buffer, downloaded, slot, max_buf)
+                # re-decide at the segment boundary
+                rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
+            rt.buffer, rebuf = step_playback(rt.buffer, completed, slot, max_buf)
             rt.period_rebuffer += rebuf
 
-            b, c = behavior_env_trace(p, t_s, max_swipe, pos_c)
-            q = cat.quality_of(bitrate)
-            mus[i] = (qoe.qos_score(p.structure_index, rt.period_rebuffer, q)
-                      * qoe.impact(b, c, *p.true_impact_params))
-            row_cache.append((bs, rate, bw, cpu, rt.buffer, rt.period_rebuffer, q, b, c))
-
-        period_end = (t + 1) % period == 0
-        if records is not None or period_end:
-            # one uniform per user per slot; inverse-CDF keeps draw count fixed
-            samples = qoe.truncated_normal_from_uniform(
-                mus, state._mos_sigmas, uni[:, 1])
-        if records is not None:
-            for i in range(k):
-                bs, rate, bw, cpu, buf, rb, q, b, c = row_cache[i]
-                records.append(SlotRecord(t, i, bs, rate, bw, cpu, buf, rb, q,
-                                          b, c, float(samples[i])))
-        if period_end:
-            for i in range(k):
-                _, _, _, _, _, rb, q, b, c = row_cache[i]
-                state.period_samples.append(PeriodSample(
-                    t, i, qoe.FactorSample(float(samples[i]), rb, q, b, c)))
-                state.runtime[i].period_rebuffer = 0.0
+            if sampled:
+                b = behavior_of_rate(swipe, max_swipe)
+                c = uc.complexity
+                q = qualities[tier]
+                rb = rt.period_rebuffer
+                mus.append(qoe.qos_score(uc.structure, rb, q)
+                           * qoe.impact(b, c, uc.alpha, uc.beta))
+                sigmas.append(uc.mos_sigma)
+                mos_unis.append(uni[i][1])
+                pending.append(((t, i, bs, rate, bw, cpu, rt.buffer, rb, q, b, c),
+                                period_end))
+                if period_end:
+                    rt.period_rebuffer = 0.0
         state.t += 1
+        if pending and (period_end or step == n_slots - 1):
+            _emit_samples(state, records, pending, mus, sigmas, mos_unis)
+
+
+def _emit_samples(state: SimState, records: list[SlotRecord] | None,
+                  pending: list[tuple[tuple, bool]], mus: list[float],
+                  sigmas: list[float], unis: list[float]) -> None:
+    """Map the pending MOS uniforms to truncated-normal samples in one call,
+    append the records and period samples they complete, and empty the
+    pending lists."""
+    # one uniform per user per slot; inverse-CDF keeps the draw count fixed
+    draws = qoe.truncated_normal_from_uniform(mus, sigmas, unis).tolist()
+    for (row, period_end), mos in zip(pending, draws):
+        rec = SlotRecord(*row, mos)
+        if records is not None:
+            records.append(rec)
+        if period_end:
+            state.period_samples.append(PeriodSample(rec.t, rec.user, qoe.FactorSample(
+                mos, rec.rebuffer_period_s, rec.quality, rec.behavior, rec.complexity)))
+    for pending_list in (pending, mus, sigmas, unis):
+        pending_list.clear()
 
 
 def run_window(state: SimState, slice_cfg, orchestrator: Callable,
@@ -369,14 +429,7 @@ def run_window(state: SimState, slice_cfg, orchestrator: Callable,
     ConfigError when the slice omits an active (group, BS) pair.
     """
     state.apply_slice(slice_cfg)
-    # attachment for coverage check at window start
-    positions = state.positions(state.t * state.slot_s)
-    for i, p in enumerate(state.profiles):
-        x, y = positions[i]
-        dists = [max(math.hypot(x - b.position[0], y - b.position[1]), 1.0)
-                 for b in state.base_stations]
-        state.runtime[i].serving_bs = int(np.argmin(
-            [mean_path_loss(d, state.channel) for d in dists]))
+    _attach(state, state.t * state.slot_s)  # coverage check at window start
     state.check_coverage()
     records: list[SlotRecord] | None = [] if collect_records else None
     advance_slots(state, orchestrator, n_slots, rng, records)

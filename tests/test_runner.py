@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qoesim import runner, scenario
+from qoesim import harness, runner, scenario
 from qoesim.bench import SchemeId
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
@@ -12,6 +14,11 @@ def fast_cfg(**extra):
     over = dict(FAST)
     over.update({k: str(v) for k, v in extra.items()})
     return scenario.parse_overrides(over)
+
+
+@pytest.fixture(scope="module")
+def proposed_run():
+    return runner.run_scheme(fast_cfg(), SchemeId.PROPOSED, 3, train_epochs=20)
 
 
 class TestSchemeRun:
@@ -32,24 +39,21 @@ class TestSchemeRun:
                                     train_epochs=20)
             assert res.capacity_violations == 0
 
-    def test_slot_conservation_against_slices(self):
+    def test_slot_conservation_against_slices(self, proposed_run):
+        # per (window, slot, bs): allocated bw never exceeds the summed
+        # reservations recorded in the slice rows; per slot, nor does compute
+        assert proposed_run.slot_records
+        assert harness.capacity_violations(proposed_run) == 0
+
+    @pytest.mark.parametrize("field", ["allocated_bw_hz", "allocated_compute_cps"])
+    def test_capacity_check_counts_a_tampered_record(self, proposed_run, field):
         cfg = fast_cfg()
-        res = runner.run_scheme(cfg, SchemeId.PROPOSED, 3, train_epochs=20)
-        # per (window, bs): per-slot allocated bw never exceeds the summed
-        # reservations recorded in the slice rows
-        caps = {}
-        for (w, wm, g, bs, bw, cpu, mech) in res.slice_rows:
-            caps[(w, bs)] = caps.get((w, bs), 0.0) + bw
-        bounds = {}
-        for w in res.windows:
-            bounds[w.index] = (w.start_slot, w.end_slot)
-        per_slot = {}
-        for r in res.slot_records:
-            w_idx = next(i for i, (s, e) in bounds.items() if s <= r.t < e)
-            key = (w_idx, r.serving_bs, r.t)
-            per_slot[key] = per_slot.get(key, 0.0) + r.allocated_bw_hz
-        for (w_idx, bs, t), used in per_slot.items():
-            assert used <= caps[(w_idx, bs)] * (1 + 1e-9) + 1e-6
+        over = {"allocated_bw_hz": 2.0 * cfg.radio.dl_bandwidth_hz,
+                "allocated_compute_cps": 2.0 * cfg.edge.capacity_cps}[field]
+        recs = list(proposed_run.slot_records)
+        recs[len(recs) // 2] = recs[len(recs) // 2]._replace(**{field: over})
+        tampered = dataclasses.replace(proposed_run, slot_records=recs)
+        assert harness.capacity_violations(tampered) == 1
 
     def test_wo_da_fixed_window(self):
         cfg = fast_cfg()
