@@ -30,45 +30,25 @@ class SchemeId(enum.Enum):
 PDRL_USER_FEATURES = 8  # buffer, quality, eff, ela + 3 structure one-hot + load
 
 
-def round_robin_allocate(users: list[int], budget: float,
-                         quantum: float | None = None,
-                         rotation: int = 0) -> dict[int, float]:
-    """Equal split of a budget; indivisible quanta rotate their remainder."""
+def round_robin_allocate(users: list[int], budget: float) -> dict[int, float]:
+    """Equal split of a budget."""
     if not users:
         return {}
-    if quantum is None:
-        share = budget / len(users)
-        return {u: share for u in users}
-    total_q = int(budget / quantum + 1e-9)
-    base, extra = divmod(total_q, len(users))
-    out = {}
-    for i, u in enumerate(users):
-        bonus = 1 if (i - rotation) % len(users) < extra else 0
-        out[u] = (base + bonus) * quantum
-    return out
+    share = budget / len(users)
+    return {u: share for u in users}
 
 
 class RoundRobinOrchestrator:
     """Per-slot equal split of each BS pool and the compute pool."""
 
-    def __init__(self, rotation_step: bool = True):
-        self.rotation = 0
-        self.rotation_step = rotation_step
-
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        by_bs: dict[int, list[int]] = {}
-        for p in state.profiles:
-            by_bs.setdefault(state.runtime[p.id].serving_bs, []).append(p.id)
-        cpu_share = round_robin_allocate([p.id for p in state.profiles],
-                                         state.cpu_cap)
+        users = [p.id for p in state.profiles]
+        cpu_share = round_robin_allocate(users, state.cpu_cap)
         out = {}
-        for bs, users in by_bs.items():
-            bw_share = round_robin_allocate(users, state.bw_caps.get(bs, 0.0),
-                                            rotation=self.rotation)
-            for u in users:
+        for bs, bs_users in netsim.users_by_bs(state, users).items():
+            bw_share = round_robin_allocate(bs_users, state.bw_caps.get(bs, 0.0))
+            for u in bs_users:
                 out[u] = (bw_share[u], cpu_share[u])
-        if self.rotation_step:
-            self.rotation += 1
         return out
 
 
@@ -83,13 +63,12 @@ class ExplorationOrchestrator:
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
         if slot % self.epoch_slots == 0 or not self.cached:
-            by_bs: dict[int, list[int]] = {}
-            for p in state.profiles:
-                by_bs.setdefault(state.runtime[p.id].serving_bs, []).append(p.id)
             k = len(state.profiles)
             w_cpu = self.rng.uniform(0.05, 1.0, k) ** 2
             cpu_tot = w_cpu.sum()
             out = {}
+            # one weight draw per BS, in first-seen BS order
+            by_bs = netsim.users_by_bs(state, (p.id for p in state.profiles))
             for bs, users in by_bs.items():
                 w_bw = self.rng.uniform(0.05, 1.0, len(users)) ** 2
                 bw_tot = w_bw.sum()
@@ -166,6 +145,10 @@ class PdrlOrchestrator:
         self.cached: dict[int, tuple[float, float]] = {}
         self._last_cpu: dict[int, float] = {}
 
+    def force(self, actions) -> None:
+        """Replan from these branch actions instead of the policy's."""
+        self.forced_actions = np.asarray(actions, dtype=int)
+
     def state_vector(self, state) -> np.ndarray:
         return pdrl_state_vector(state, self.models, self._last_cpu)
 
@@ -183,14 +166,12 @@ class PdrlOrchestrator:
             actions = learn.greedy_actions(self.policy, vec)
         raw_bw = actions[:k] / (da1.SHARE_LEVELS - 1)
         raw_cpu = actions[k:] / (da1.SHARE_LEVELS - 1)
-        by_bs: dict[int, list[int]] = {}
-        for p in state.profiles:
-            by_bs.setdefault(state.runtime[p.id].serving_bs, []).append(p.id)
         alloc = {}
         cpu_total = raw_cpu.sum()
         for p in state.profiles:
             frac = raw_cpu[p.id] / cpu_total if cpu_total > 0 else 1.0 / k
             alloc[p.id] = [0.0, frac * state.cpu_cap]
+        by_bs = netsim.users_by_bs(state, (p.id for p in state.profiles))
         for bs, users in by_bs.items():
             tot = sum(raw_bw[u] for u in users)
             for u in users:

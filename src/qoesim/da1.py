@@ -91,6 +91,14 @@ class DemandParams:
     # clears the threshold despite generator noise (0 = aim exactly at ELA)
     margin_mos: float = 0.0
 
+    @classmethod
+    def from_config(cls, cfg: ScenarioConfig) -> "DemandParams":
+        return cls(headroom=cfg.agent.demand_headroom,
+                   cpu_headroom=cfg.agent.demand_cpu_headroom,
+                   arrival_rate_per_min=cfg.arrival_rate_per_min,
+                   eval_period_s=cfg.playback.eval_period_s,
+                   margin_mos=cfg.agent.demand_margin_mos)
+
 
 def emulate_context(profile: UserProfile, horizon_slots: int,
                     rng: np.random.Generator, *, t0_slot: int = 0,
@@ -455,30 +463,31 @@ class Orchestrator:
 
     Serves as the per-slot allocation callback for the simulator; replans
     every `epoch_slots` slots and caches the result in between.  Group
-    shares come from the policy network unless `forced_shares` is set
-    (used by the training environment to inject exploratory actions).
+    shares come from the policy network unless `force` has set them (the
+    training environment injects exploratory actions this way).
     """
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
-                 catalog: VideoCatalog, cfg: ScenarioConfig,
-                 params: DemandParams | None = None):
+                 catalog: VideoCatalog, cfg: ScenarioConfig, params: DemandParams):
         self.models = models
         self.policy = policy
         self.catalog = catalog
         self.cfg = cfg
-        self.params = params or DemandParams(
-            headroom=cfg.agent.demand_headroom,
-            cpu_headroom=cfg.agent.demand_cpu_headroom,
-            arrival_rate_per_min=cfg.arrival_rate_per_min,
-            eval_period_s=cfg.playback.eval_period_s,
-            margin_mos=cfg.agent.demand_margin_mos)
+        self.params = params
         self.epoch_slots = cfg.agent.epoch_slots
         self.forced_shares: dict[int, tuple[float, float]] | None = None
         self.cached: dict[int, tuple[float, float]] = {}
-        self.last_states: list[GroupState] = []
-        self.last_shares: dict[int, tuple[float, float]] = {}
         self._warm: dict[tuple[int, int], dict] = {}
         self._last_cpu: dict[int, float] = {}
+
+    def force(self, actions) -> None:
+        """Replan from the group shares these branch actions encode instead
+        of the policy's."""
+        self.forced_shares = shares_from_actions(actions, sorted(cluster_users(self.models)))
+
+    def state_vector(self, state) -> np.ndarray:
+        return group_state_vector(self.group_states(state),
+                                  self.cfg.playback.max_buffer_s)
 
     def group_states(self, state) -> list[GroupState]:
         groups = cluster_users(self.models)
@@ -509,21 +518,19 @@ class Orchestrator:
 
     def replan(self, state) -> None:
         states = self.group_states(state)
-        self.last_states = states
         if self.forced_shares is not None:
             shares = self.forced_shares
         else:
             shares = group_allocate(states, self.policy,
                                     self.cfg.playback.max_buffer_s)
-        self.last_shares = shares
         groups = cluster_users(self.models)
         # group budgets anchor on the slice reservations; the policy's shares
         # redistribute the unreserved slack plus a bounded fraction of the
         # reserved pool, so learned corrections matter even when slices are
         # saturated but never strip a group of most of its reservation
         lam = self.cfg.agent.share_pool_frac
-        res_bw = getattr(state, "reserved_bw_detail", {})
-        res_cpu = getattr(state, "reserved_cpu_detail", {})
+        res_bw = state.slice.reserved_bw
+        res_cpu = state.slice.reserved_cpu
         pool_bw = {}
         for bs, cap in state.bw_caps.items():
             reserved = sum(v for (g, b), v in res_bw.items() if b == bs)
@@ -535,10 +542,7 @@ class Orchestrator:
         for g, members in groups.items():
             share_bw, share_cpu = shares.get(g, (0.0, 0.0))
             cpu_budget_g = (1.0 - lam) * res_cpu.get(g, 0.0) + share_cpu * pool_cpu
-            by_bs: dict[int, list[int]] = {}
-            for u in members:
-                by_bs.setdefault(state.runtime[u].serving_bs, []).append(u)
-            for bs, cell_users in by_bs.items():
+            for bs, cell_users in netsim.users_by_bs(state, members).items():
                 bw_budget = ((1.0 - lam) * res_bw.get((g, bs), 0.0)
                              + share_bw * pool_bw.get(bs, 0.0))
                 cpu_budget = cpu_budget_g * len(cell_users) / len(members)

@@ -20,7 +20,6 @@ from .da1 import ResourceDemand
 from .errors import PotentialDecrease, UnlabeledDemand
 
 POSITION_SCALE_M = 10.0  # meters of per-slot displacement treated as one unit
-WINDOW_LADDER_MIN = (15.0, 12.0, 9.0, 6.0, 3.0)
 
 
 @dataclass
@@ -107,12 +106,13 @@ def abstract_demand(demands: list[ResourceDemand],
 
 def dynamics_to_window(traces: list[np.ndarray],
                        thresholds: tuple[float, float, float, float],
-                       windows: tuple[float, ...] = WINDOW_LADDER_MIN) -> float:
+                       windows: tuple[float, ...]) -> float:
     """Map context volatility to a slice window length in minutes.
 
     Each trace is an (n, 4) array of per-slot (B, C, x, y).  The dynamics
     score averages the slot-to-slot delta spreads over users; higher scores
-    land in later stages, which map to shorter windows.
+    land in later stages, which index later (shorter) entries of the
+    `windows` ladder.
     """
     scores = []
     for tr in traces:

@@ -25,14 +25,6 @@ class ShapeMismatch(QoesimError):
     """Tensor or state dimensions disagree with the network layout."""
 
 
-class LengthMismatch(QoesimError):
-    """Paired vectors have different lengths."""
-
-
-class DegenerateInput(QoesimError):
-    """Statistic undefined for the given data (e.g. constant vector)."""
-
-
 class UnknownStructure(QoesimError):
     """QoE model structure index outside {1, 2, 3}."""
 

@@ -179,11 +179,9 @@ def _seed_job(args) -> tuple[dict, list[float]]:
                           collect_slots=(trace_level == "full"),
                           train_epochs=train_epochs, policy_in=policy_in)
     res = sr.execute()
-    if policy_out is not None:
+    if policy_out is not None and sr.policy is not None:
         from . import learn
-        net = sr.user_policy if scheme is SchemeId.PDRL_L1 else sr.group_policy
-        if net is not None:
-            learn.save_network(net, policy_out)
+        learn.save_network(sr.policy, policy_out)
     frag = emit_run(out_dir, cfg, res, sr.elas, trace_level)
     qoe_values = frag.pop("_qoe_values")
     return frag, qoe_values

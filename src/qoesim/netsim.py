@@ -219,22 +219,18 @@ class SimState:
         self.catalog = cfg.video_catalog()
         self.base_stations = cfg.base_stations()
         self.channel = ChannelModel.from_config(cfg.channel)
-        self.edge_capacity = cfg.edge.capacity_cps
         self.slot_s = cfg.slot_s
         self.period_slots = max(int(round(cfg.playback.eval_period_s / cfg.slot_s)), 1)
         self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]
         self.runtime = [_UserRuntime() for _ in profiles]
         self.t = 0
+        # the applied slice config and the per-BS bandwidth and total compute
+        # caps it installs (the hardware until a slice is applied)
+        self.slice = None
         self.bw_caps: dict[int, float] = {b.id: b.dl_bandwidth_hz for b in self.base_stations}
-        self.cpu_cap: float = self.edge_capacity
-        self.reserved_pairs: set[tuple[int, int]] | None = None
-        self.reserved_bw_detail: dict[tuple[int, int], float] = {}
-        self.reserved_cpu_detail: dict[int, float] = {}
+        self.cpu_cap: float = cfg.edge.capacity_cps
         self.period_samples: list[PeriodSample] = []
         self.arrival_log: list[tuple[int, int]] = []  # (slot, user) swipe events
-        # grants are clipped to the caps, so the world step counts none; the
-        # independent slot-vs-slice check is `harness.capacity_violations`
-        self.capacity_violations = 0
         # pre-computed per-BS, per-tier and per-user constants
         self._bs_xy = [b.position for b in self.base_stations]
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
@@ -252,36 +248,42 @@ class SimState:
     # -- slice application ----------------------------------------------------
 
     def apply_slice(self, slice_cfg) -> None:
-        """Install per-BS bandwidth and total compute caps from a slice config."""
+        """Install a slice config and its per-BS bandwidth and total compute
+        caps.  The state keeps the config itself, which is not changed once
+        applied."""
         caps = {b.id: 0.0 for b in self.base_stations}
         for (group, bs), bw in slice_cfg.reserved_bw.items():
             if bs not in caps:
                 raise ConfigError(f"slice references unknown base station {bs}")
             caps[bs] += bw
         for bs_id, cap in caps.items():
-            hw = self.bw_caps_hw(bs_id)
-            if cap > hw * (1 + 1e-9):
+            if cap > self.base_stations[bs_id].dl_bandwidth_hz * (1 + 1e-9):
                 raise ConfigError(f"slice bandwidth {cap:.0f} exceeds BS {bs_id} capacity")
+        edge = self.cfg.edge.capacity_cps
         total_cpu = sum(slice_cfg.reserved_cpu.values())
-        if total_cpu > self.edge_capacity * (1 + 1e-9):
+        if total_cpu > edge * (1 + 1e-9):
             raise ConfigError("slice compute exceeds edge capacity")
+        self.slice = slice_cfg
         self.bw_caps = caps
-        self.cpu_cap = min(total_cpu, self.edge_capacity)
-        self.reserved_pairs = set(slice_cfg.reserved_bw.keys())
-        self.reserved_bw_detail = dict(slice_cfg.reserved_bw)
-        self.reserved_cpu_detail = dict(slice_cfg.reserved_cpu)
-
-    def bw_caps_hw(self, bs_id: int) -> float:
-        return self.base_stations[bs_id].dl_bandwidth_hz
+        self.cpu_cap = min(total_cpu, edge)
 
     def check_coverage(self) -> None:
-        if self.reserved_pairs is None:
+        if self.slice is None:
             return
         for p in self.profiles:
             g = self.group_of[p.id]
             bs = self.runtime[p.id].serving_bs
-            if (g, bs) not in self.reserved_pairs:
+            if (g, bs) not in self.slice.reserved_bw:
                 raise ConfigError(f"slice omits active pair (group={g}, bs={bs})")
+
+
+def users_by_bs(state: SimState, users) -> dict[int, list[int]]:
+    """Group user ids by serving BS, keeping the first-seen order of both
+    the base stations and the users within each."""
+    out: dict[int, list[int]] = {}
+    for u in users:
+        out.setdefault(state.runtime[u].serving_bs, []).append(u)
+    return out
 
 
 def _attach(state: SimState, t_s: float) -> list[float]:

@@ -1,4 +1,4 @@
-"""Statistical core: MOS generation, factor analysis, QoE model fitting.
+"""Statistical core: MOS generation and QoE model fitting.
 
 A user's experience score is modeled as a QoS base score (one of three
 structures) scaled by a context impact factor:
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import (
-    DegenerateInput,
-    DomainError,
-    InsufficientData,
-    LengthMismatch,
-    UnknownStructure,
-)
+from .errors import DomainError, InsufficientData, UnknownStructure
 
 MOS_LO = 1.0
 MOS_HI = 5.0
@@ -34,8 +28,6 @@ QUALITY_SLOPE = 4.0
 # Generator variance per structure: rebuffer-based, quality-based, combined.
 STRUCTURE_VARIANCE = {1: 8.0, 2: 1.0, 3: 0.8}
 STRUCTURES = (1, 2, 3)
-
-_FACTOR_NAMES = ("R", "Q", "B", "C")
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class QoEModel:
 
 @dataclass(frozen=True)
 class FactorSample:
-    """One observed (MOS, QoS, context) tuple used for factor analysis."""
+    """One observed (MOS, QoS, context) tuple used for model fitting."""
 
     qoe: float
     r: float  # rebuffer seconds in the evaluation period
@@ -135,71 +127,6 @@ def sample_truncated_normal(mu: float, sigma2: float, lo: float = MOS_LO,
         raise DomainError("variance must be nonnegative")
     u = rng.random()
     return float(truncated_normal_from_uniform(mu, math.sqrt(sigma2), u, lo, hi))
-
-
-def mos_sample(structure_index: int, r: float, q: float, b: float, c: float,
-               true_params: tuple[float, float], *, rng: np.random.Generator) -> float:
-    """Ground-truth MOS draw: truncated normal around S(R,Q) * I(B,C)."""
-    alpha, beta = true_params
-    mean = qos_score(structure_index, r, q) * impact(b, c, alpha, beta)
-    return sample_truncated_normal(mean, STRUCTURE_VARIANCE[structure_index], rng=rng)
-
-
-def distance_correlation(x, y) -> float:
-    """Sample distance correlation of two equal-length real vectors.
-
-    Computed from double-centered pairwise distance matrices:
-    dCor = dCov / sqrt(dVar_x * dVar_y), in [0, 1].
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise LengthMismatch(f"{x.shape} vs {y.shape}")
-    n = x.size
-    if n < 4:
-        raise DegenerateInput("need at least 4 samples")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise DegenerateInput("constant vector has zero distance variance")
-    a = np.abs(x[:, None] - x[None, :])
-    b = np.abs(y[:, None] - y[None, :])
-    a_c = a - a.mean(axis=0)[None, :] - a.mean(axis=1)[:, None] + a.mean()
-    b_c = b - b.mean(axis=0)[None, :] - b.mean(axis=1)[:, None] + b.mean()
-    dcov2 = max((a_c * b_c).mean(), 0.0)
-    dvar_x = (a_c * a_c).mean()
-    dvar_y = (b_c * b_c).mean()
-    return min(math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y)), 1.0)
-
-
-def factor_correlations(samples: list[FactorSample]) -> dict[str, float]:
-    """Distance correlation of each factor column against the MOS column.
-
-    Constant columns are assigned 0 so pipeline runs degrade gracefully.
-    """
-    qoe = np.array([s.qoe for s in samples])
-    cols = {
-        "R": np.array([s.r for s in samples]),
-        "Q": np.array([s.q for s in samples]),
-        "B": np.array([s.b for s in samples]),
-        "C": np.array([s.c for s in samples]),
-    }
-    out = {}
-    for name, col in cols.items():
-        if np.ptp(col) == 0.0 or np.ptp(qoe) == 0.0:
-            out[name] = 0.0
-        else:
-            out[name] = distance_correlation(col, qoe)
-    return out
-
-
-def select_factors(samples: list[FactorSample], threshold: float = 0.1) -> list[str]:
-    """Factors whose dCor with MOS reaches the threshold, strongest first."""
-    if len(samples) < 20:
-        raise InsufficientData(f"need >= 20 samples, got {len(samples)}")
-    dcors = factor_correlations(samples)
-    picked = [n for n in _FACTOR_NAMES
-              if np.ptp([getattr(s, n.lower()) for s in samples]) > 0.0
-              and dcors[n] >= threshold]
-    return sorted(picked, key=lambda n: -dcors[n])
 
 
 def _predictions(structure_index, params, r, q, b, c):
@@ -319,15 +246,11 @@ def structure_log_likelihood(model: QoEModel, samples: list[FactorSample]) -> fl
     return float(ll.sum())
 
 
-def fit_best_structure(samples: list[FactorSample],
-                       threshold: float = 0.1) -> tuple[QoEModel, list[str]]:
-    """Construct a model from raw feedback: screen factors, fit each
-    structure, keep the hypothesis with the highest truncated-normal
-    log-likelihood under its own generator variance.
-
-    Returns the chosen model and the dCor-selected factor names.
+def fit_best_structure(samples: list[FactorSample]) -> QoEModel:
+    """Construct a model from raw feedback: fit each structure, keep the
+    hypothesis with the highest truncated-normal log-likelihood under its
+    own generator variance.  The model uses all four factors (R, Q, B, C).
     """
-    selected = select_factors(samples, threshold) if len(samples) >= 20 else []
     best, best_ll = None, -np.inf
     for idx in STRUCTURES:
         try:
@@ -339,4 +262,4 @@ def fit_best_structure(samples: list[FactorSample],
             best, best_ll = m, ll
     if best is None:
         raise InsufficientData("no structure could be fitted")
-    return best, selected
+    return best

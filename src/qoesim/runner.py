@@ -8,9 +8,7 @@ traffic and all schemes consume identical scenario/traffic streams.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +47,6 @@ class RunResult:
     slot_records: list[netsim.SlotRecord]
     demand_rows: list[tuple]   # (window, user, bw, cpu, feasible)
     slice_rows: list[tuple]    # (window, minutes, group, bs, bw, cpu, mechanism)
-    capacity_violations: int
     models: dict[int, qoe.QoEModel]
     reward_curve: list[float] = field(default_factory=list)
     eval_arrivals: list[tuple[int, int]] = field(default_factory=list)
@@ -79,17 +76,12 @@ class SchemeRun:
         self.train_epochs = cfg.train.epochs if train_epochs is None else train_epochs
         self.policy_in = policy_in
         self.catalog = cfg.video_catalog()
-        self.params = da1.DemandParams(
-            headroom=cfg.agent.demand_headroom,
-            cpu_headroom=cfg.agent.demand_cpu_headroom,
-            arrival_rate_per_min=cfg.arrival_rate_per_min,
-            eval_period_s=cfg.playback.eval_period_s,
-            margin_mos=cfg.agent.demand_margin_mos)
+        self.params = da1.DemandParams.from_config(cfg)
         self.profiles = scenario.sample_users(cfg, _lane(seed, _LANE_USERS))
         self.elas = {p.id: p.ela for p in self.profiles}
         self.models: dict[int, qoe.QoEModel] = {}
-        self.group_policy: learn.BdqNetwork | None = None
-        self.user_policy: learn.BdqNetwork | None = None
+        # the group policy, or the per-user one for PDRL-L1
+        self.policy: learn.BdqNetwork | None = None
         self.reward_curve: list[float] = []
         self._recent: dict[int, list[qoe.FactorSample]] = {}
         self._bs_caps = {b.id: b.dl_bandwidth_hz for b in cfg.base_stations()}
@@ -100,7 +92,8 @@ class SchemeRun:
     def bootstrap(self, train_rng: np.random.Generator) -> netsim.SimState:
         cfg = self.cfg
         state = netsim.SimState(cfg, self.profiles, {p.id: 0 for p in self.profiles})
-        slc = SimpleNamespace(
+        slc = da2.SliceConfig(
+            cfg.agent.bootstrap_minutes,
             reserved_bw={(0, b): cap for b, cap in self._bs_caps.items()},
             reserved_cpu={0: self._cpu_cap})
         slots = int(cfg.agent.bootstrap_minutes * 60.0 / cfg.slot_s)
@@ -121,7 +114,7 @@ class SchemeRun:
         for p in self.profiles:
             samples = by_user.get(p.id, [])
             try:
-                model, _ = qoe.fit_best_structure(samples, self.cfg.agent.dcor_threshold)
+                model = qoe.fit_best_structure(samples)
             except qoe.InsufficientData:
                 model = bench.generic_model(self.cfg)
             self.models[p.id] = model
@@ -214,7 +207,6 @@ class SchemeRun:
             slc, _ = da2.best_response_adjust(
                 slc, dist, self._bs_caps, self._cpu_cap,
                 cfg.slicing.price_mos_per_quantum)
-            slc.window_minutes = window_minutes
         # cover every (present group, BS) pair so mid-window roaming stays legal
         for g in set(group_of.values()):
             for bs in self._bs_caps:
@@ -236,8 +228,8 @@ class SchemeRun:
         if self.scheme is SchemeId.WITHOUT_DA:
             return bench.RoundRobinOrchestrator()
         if self.scheme is SchemeId.PDRL_L1:
-            return bench.PdrlOrchestrator(self.models, self.user_policy, self.cfg)
-        return da1.Orchestrator(self.models, self.group_policy, self.catalog,
+            return bench.PdrlOrchestrator(self.models, self.policy, self.cfg)
+        return da1.Orchestrator(self.models, self.policy, self.catalog,
                                 self.cfg, self.params)
 
     # -- phase 2: policy training ------------------------------------------------
@@ -247,11 +239,7 @@ class SchemeRun:
         if self.scheme is SchemeId.WITHOUT_DA or self.train_epochs <= 0:
             return
         if self.policy_in is not None:
-            net = learn.load_network(self.policy_in)
-            if self.scheme is SchemeId.PDRL_L1:
-                self.user_policy = net
-            else:
-                self.group_policy = net
+            self.policy = learn.load_network(self.policy_in)
             return
         cfg = self.cfg
         episode_epochs = max(int(TRAIN_EPISODE_MINUTES * 60.0 / cfg.slot_s
@@ -259,10 +247,14 @@ class SchemeRun:
         episodes = max(int(round(self.train_epochs / episode_epochs)), 1)
         emu_rng = _lane(self.seed, _LANE_EMU_TRAIN)
         if self.scheme is SchemeId.PDRL_L1:
-            env = _PdrlEnv(self, state, train_rng, emu_rng, episode_epochs)
+            k = len(self.profiles)
+            env = _TrainEnv(self, state, train_rng, emu_rng, episode_epochs,
+                            bench.PDRL_USER_FEATURES * k, 2 * k)
             hidden = (cfg.train.hidden_width,) * 3  # five-layer variant
         else:
-            env = _GroupEnv(self, state, train_rng, emu_rng, episode_epochs)
+            env = _TrainEnv(self, state, train_rng, emu_rng, episode_epochs,
+                            len(da1.GROUPS) * da1.GROUP_STATE_FEATURES,
+                            2 * len(da1.GROUPS))
             hidden = (cfg.train.hidden_width,) * 2  # four-layer
         hp = learn.Hyperparams(
             episodes=episodes, max_steps=episode_epochs, hidden=hidden,
@@ -272,12 +264,8 @@ class SchemeRun:
             batch_size=cfg.train.batch_size,
             replay_capacity=cfg.train.replay_capacity,
             target_sync=cfg.train.target_sync)
-        net, curve = learn.train_episodes(env, hp, _lane(self.seed, _LANE_POLICY))
-        self.reward_curve = curve
-        if self.scheme is SchemeId.PDRL_L1:
-            self.user_policy = net
-        else:
-            self.group_policy = net
+        self.policy, self.reward_curve = learn.train_episodes(
+            env, hp, _lane(self.seed, _LANE_POLICY))
 
     # -- phase 3: frozen evaluation -----------------------------------------------
 
@@ -324,8 +312,7 @@ class SchemeRun:
             state.group_of = self.group_of()  # refits can regroup users
             w_idx += 1
         return RunResult(self.scheme.value, self.seed, windows, all_records,
-                         demand_rows, slice_rows, state.capacity_violations,
-                         dict(self.models), self.reward_curve,
+                         demand_rows, slice_rows, dict(self.models), self.reward_curve,
                          list(state.arrival_log))
 
     def _maybe_refit(self, samples: list[netsim.PeriodSample]) -> None:
@@ -340,7 +327,7 @@ class SchemeRun:
             window = recent[-cfg.agent.refit_window:]
             if qoe.should_update(self.models[u], window, cfg.agent.refit_tolerance):
                 try:
-                    model, _ = qoe.fit_best_structure(window, cfg.agent.dcor_threshold)
+                    model = qoe.fit_best_structure(window)
                     self.models[u] = model
                 except qoe.InsufficientData:
                     pass
@@ -358,64 +345,24 @@ class SchemeRun:
         return self.evaluate()
 
 
-class _GroupEnv:
-    """Training environment: one episode = one short slicing window; actions
-    are the 2x3 group share branches."""
+class _TrainEnv:
+    """Training environment: one episode = one short slicing window.  A step
+    forces the actions on the scheme's orchestrator for one epoch and scores
+    the epoch with `da1.epoch_reward`."""
 
-    state_dim = len(da1.GROUPS) * da1.GROUP_STATE_FEATURES
     actions_per_branch = da1.SHARE_LEVELS
 
     def __init__(self, run: SchemeRun, state: netsim.SimState,
-                 traffic_rng, emu_rng, episode_epochs: int):
+                 traffic_rng, emu_rng, episode_epochs: int,
+                 state_dim: int, num_branches: int):
         self.run = run
         self.state = state
         self.traffic_rng = traffic_rng
         self.emu_rng = emu_rng
         self.episode_epochs = episode_epochs
-        self.num_branches = 2 * len(da1.GROUPS)
-        self.orch = da1.Orchestrator(run.models, None, run.catalog, run.cfg,
-                                     run.params)
-        self.epoch_i = 0
-
-    def reset(self):
-        slc, _ = self.run.build_slices(self.state, TRAIN_EPISODE_MINUTES,
-                                       self.emu_rng)
-        self.state.apply_slice(slc)
-        self.epoch_i = 0
-        return da1.group_state_vector(self.orch.group_states(self.state),
-                                      self.run.cfg.playback.max_buffer_s)
-
-    def step(self, actions):
-        present = sorted(da1.cluster_users(self.run.models))
-        self.orch.forced_shares = da1.shares_from_actions(actions, present)
-        mark = len(self.state.period_samples)
-        netsim.advance_slots(self.state, self.orch, self.run.cfg.agent.epoch_slots,
-                             self.traffic_rng)
-        reward, _ = da1.epoch_reward(self.state.period_samples[mark:],
-                                     self.run.models, self.run.elas)
-        self.epoch_i += 1
-        done = self.epoch_i >= self.episode_epochs
-        vec = da1.group_state_vector(self.orch.group_states(self.state),
-                                     self.run.cfg.playback.max_buffer_s)
-        return vec, reward, done
-
-
-class _PdrlEnv:
-    """Training environment for the direct per-user share policy."""
-
-    actions_per_branch = da1.SHARE_LEVELS
-
-    def __init__(self, run: SchemeRun, state: netsim.SimState,
-                 traffic_rng, emu_rng, episode_epochs: int):
-        self.run = run
-        self.state = state
-        self.traffic_rng = traffic_rng
-        self.emu_rng = emu_rng
-        self.episode_epochs = episode_epochs
-        k = len(run.profiles)
-        self.num_branches = 2 * k
-        self.state_dim = bench.PDRL_USER_FEATURES * k
-        self.orch = bench.PdrlOrchestrator(run.models, None, run.cfg)
+        self.state_dim = state_dim
+        self.num_branches = num_branches
+        self.orch = run.make_orchestrator()  # no policy yet: actions are forced
         self.epoch_i = 0
 
     def reset(self):
@@ -426,7 +373,7 @@ class _PdrlEnv:
         return self.orch.state_vector(self.state)
 
     def step(self, actions):
-        self.orch.forced_actions = np.asarray(actions, dtype=int)
+        self.orch.force(actions)
         mark = len(self.state.period_samples)
         netsim.advance_slots(self.state, self.orch, self.run.cfg.agent.epoch_slots,
                              self.traffic_rng)

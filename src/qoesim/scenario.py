@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -171,12 +172,10 @@ class AgentConfig:
     demand_headroom: float = 1.3
     demand_cpu_headroom: float = 1.6
     demand_margin_mos: float = 0.25
-    dcor_threshold: float = 0.1
     bootstrap_minutes: float = 12.0
     refit_tolerance: float = 1.5
     refit_window: int = 120
     context_noise: float = 0.05
-    shared_group_policy: bool = True
     # fraction of the reserved pool the group policy may redistribute each
     # epoch (on top of any unreserved slack)
     share_pool_frac: float = 0.25
@@ -213,7 +212,6 @@ class ScenarioConfig:
     arrival_rate_per_min: float = 6.0  # video requests per minute per user
     sim_duration_s: float = 1800.0
     slot_s: float = 1.0
-    rng_seed: int = 1
     preset_mode: str = "paper"  # "paper" restricts num_users to the study set
     radio: RadioConfig = field(default_factory=RadioConfig)
     edge: EdgeConfig = field(default_factory=EdgeConfig)
@@ -270,15 +268,11 @@ def _coerce(raw: str, target_type, key: str):
     raise ParseError(f"{key}: unsupported field type {target_type}")
 
 
-def _field_map(cls) -> dict[str, dataclasses.Field]:
-    return {f.name: f for f in fields(cls)}
-
-
 def parse_overrides(pairs: dict[str, str],
                     base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Apply dotted-path string overrides onto a config (defaults if None)."""
     cfg = base if base is not None else ScenarioConfig()
-    top = _field_map(ScenarioConfig)
+    top = typing.get_type_hints(ScenarioConfig)
     block_updates: dict[str, dict] = {}
     top_updates: dict = {}
     for key, raw in pairs.items():
@@ -287,29 +281,21 @@ def parse_overrides(pairs: dict[str, str],
             name = parts[0]
             if name not in top or dataclasses.is_dataclass(getattr(cfg, name)):
                 raise ValidationError(f"unknown config key: {key}")
-            top_updates[name] = _coerce(raw, _resolve_type(top[name]), key)
+            top_updates[name] = _coerce(raw, top[name], key)
         elif len(parts) == 2:
             block, name = parts
             if block not in top or not dataclasses.is_dataclass(getattr(cfg, block)):
                 raise ValidationError(f"unknown config block: {block}")
-            sub_fields = _field_map(type(getattr(cfg, block)))
-            if name not in sub_fields:
+            sub_types = typing.get_type_hints(type(getattr(cfg, block)))
+            if name not in sub_types:
                 raise ValidationError(f"unknown config key: {key}")
             block_updates.setdefault(block, {})[name] = _coerce(
-                raw, _resolve_type(sub_fields[name]), key)
+                raw, sub_types[name], key)
         else:
             raise ParseError(f"config keys have at most one dot: {key}")
     for block, updates in block_updates.items():
         top_updates[block] = replace(getattr(cfg, block), **updates)
     return replace(cfg, **top_updates)
-
-
-def _resolve_type(f: dataclasses.Field):
-    # dataclass fields under `from __future__ import annotations` store strings
-    t = f.type
-    if isinstance(t, str):
-        t = eval(t, {"tuple": tuple, "float": float, "int": int, "bool": bool, "str": str})  # noqa: S307
-    return t
 
 
 def parse_scenario_text(text: str) -> dict[str, str]:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qoesim import da2
+from qoesim import da2, scenario
 from qoesim.da1 import ResourceDemand
 from qoesim.errors import PotentialDecrease, UnlabeledDemand
 
@@ -98,6 +98,7 @@ class TestAbstractDemand:
 
 class TestDynamicsToWindow:
     TH = (0.02, 0.04, 0.06, 0.08)
+    LADDER = scenario.SlicingConfig().window_minutes
 
     @staticmethod
     def trace(b_std, n=100, seed=0):
@@ -108,21 +109,22 @@ class TestDynamicsToWindow:
 
     def test_static_users_longest_window(self):
         tr = np.tile([1.2, 1.4, 100.0, 200.0], (50, 1))
-        assert da2.dynamics_to_window([tr], self.TH) == 15.0
+        assert da2.dynamics_to_window([tr], self.TH, self.LADDER) == 15.0
 
     def test_extreme_dynamics_shortest_window(self):
         rng = np.random.default_rng(3)
         tr = np.column_stack([rng.uniform(1, 2, 200), rng.uniform(1, 2, 200),
                               rng.uniform(0, 500, 200), rng.uniform(0, 500, 200)])
-        assert da2.dynamics_to_window([tr], self.TH) == 3.0
+        assert da2.dynamics_to_window([tr], self.TH, self.LADDER) == 3.0
 
     def test_mid_stage_window(self):
-        assert da2.dynamics_to_window([self.trace(0.05)], self.TH) == 9.0
+        assert da2.dynamics_to_window([self.trace(0.05)], self.TH,
+                                      self.LADDER) == 9.0
 
     def test_monotone_in_dynamics(self):
         stds = [0.0, 0.01, 0.03, 0.05, 0.09, 0.2]
-        windows = [da2.dynamics_to_window([self.trace(s, seed=4)], self.TH)
-                   for s in stds]
+        windows = [da2.dynamics_to_window([self.trace(s, seed=4)], self.TH,
+                                          self.LADDER) for s in stds]
         assert all(w1 >= w2 for w1, w2 in zip(windows, windows[1:]))
 
 

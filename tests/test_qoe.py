@@ -5,13 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qoesim import qoe
-from qoesim.errors import (
-    DegenerateInput,
-    DomainError,
-    InsufficientData,
-    LengthMismatch,
-    UnknownStructure,
-)
+from qoesim.errors import DomainError, InsufficientData, UnknownStructure
 
 
 def make_samples(structure, alpha, beta, n, rng, noise_var=0.0, r_max=8.0):
@@ -95,7 +89,8 @@ class TestMosSample:
         for s in (1, 2, 3):
             mean = qoe.qos_score(s, 1.0, 0.5) * qoe.impact(1, 1, 0.7, 0.7)
             assert mean == qoe.qos_score(s, 1.0, 0.5)
-        x = qoe.mos_sample(2, 0.0, 0.5, 1.0, 1.0, (0.9, 0.9), rng=rng)
+        mean = qoe.qos_score(2, 0.0, 0.5) * qoe.impact(1.0, 1.0, 0.9, 0.9)
+        x = qoe.sample_truncated_normal(mean, qoe.STRUCTURE_VARIANCE[2], rng=rng)
         assert 1.0 <= x <= 5.0
 
     def test_structure3_variance(self):
@@ -136,71 +131,6 @@ class TestEvalQoe:
             vals_c = [qoe.eval_qoe(m, r, q, 1.3, c) for c in grid]
             assert all(x >= y - 1e-12 for x, y in zip(vals_b, vals_b[1:]))
             assert all(x >= y - 1e-12 for x, y in zip(vals_c, vals_c[1:]))
-
-
-class TestDistanceCorrelation:
-    def test_identical_vectors(self):
-        assert qoe.distance_correlation([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
-
-    def test_affine_dependence(self):
-        x = np.arange(10.0)
-        assert qoe.distance_correlation(x, 2 * x + 1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_independent_uniforms_golden(self):
-        rng = np.random.default_rng(20260810)
-        x, y = rng.random(2000), rng.random(2000)
-        d = qoe.distance_correlation(x, y)
-        assert d == pytest.approx(0.02931779591429856, abs=1e-12)
-        assert d < 0.1
-
-    def test_symmetry_and_affine_invariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(8, 40))
-            x, y = rng.normal(size=n), rng.normal(size=n)
-            d = qoe.distance_correlation(x, y)
-            assert qoe.distance_correlation(y, x) == pytest.approx(d, abs=1e-9)
-            a = rng.uniform(0.1, 3) * (1 if rng.random() < 0.5 else -1)
-            b = rng.uniform(-5, 5)
-            assert qoe.distance_correlation(a * x + b, y) == pytest.approx(d, abs=1e-9)
-
-    def test_errors(self):
-        with pytest.raises(LengthMismatch):
-            qoe.distance_correlation([1, 2, 3, 4], [1, 2, 3])
-        with pytest.raises(DegenerateInput):
-            qoe.distance_correlation([1, 1, 1, 1], [1, 2, 3, 4])
-        with pytest.raises(DegenerateInput):
-            qoe.distance_correlation([1, 2], [3, 4])
-
-
-class TestSelectFactors:
-    def test_structure1_excludes_quality(self):
-        # QoE depends on R, B, C only; Q is a constant column here.
-        rng = np.random.default_rng(8)
-        samples = []
-        for _ in range(300):
-            r, b, c = rng.uniform(0, 8), rng.uniform(1, 2), rng.uniform(1, 2)
-            mean = qoe.qos_score(1, r, 0.5) * qoe.impact(b, c, 0.8, 0.8)
-            samples.append(qoe.FactorSample(
-                qoe.sample_truncated_normal(mean, 0.3, rng=rng), r, 0.5, b, c))
-        picked = qoe.select_factors(samples, threshold=0.1)
-        assert "Q" not in picked
-        assert "R" in picked
-
-    def test_threshold_zero_selects_all_nonconstant(self):
-        rng = np.random.default_rng(9)
-        samples = make_samples(3, 0.5, 0.5, 50, rng)
-        assert set(qoe.select_factors(samples, threshold=0.0)) == {"R", "Q", "B", "C"}
-
-    def test_threshold_above_one_empty(self):
-        rng = np.random.default_rng(10)
-        samples = make_samples(3, 0.5, 0.5, 50, rng)
-        assert qoe.select_factors(samples, threshold=1.01) == []
-
-    def test_too_few_samples(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(InsufficientData):
-            qoe.select_factors(make_samples(2, 0.5, 0.5, 10, rng))
 
 
 class TestFitModel:
@@ -304,6 +234,6 @@ class TestFitBestStructure:
             a, b = rng.uniform(0.2, 1.0, 2)
             samples = make_samples(struct, a, b, 120, rng,
                                    noise_var=qoe.STRUCTURE_VARIANCE[struct])
-            model, _ = qoe.fit_best_structure(samples)
+            model = qoe.fit_best_structure(samples)
             hits += model.structure_index == struct
         assert hits >= int(0.85 * trials)

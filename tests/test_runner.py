@@ -35,9 +35,9 @@ class TestSchemeRun:
     def test_no_capacity_violations_any_scheme(self):
         cfg = fast_cfg()
         for scheme in SchemeId:
-            res = runner.run_scheme(cfg, scheme, 2, collect_slots=False,
-                                    train_epochs=20)
-            assert res.capacity_violations == 0
+            res = runner.run_scheme(cfg, scheme, 2, train_epochs=20)
+            assert res.slot_records
+            assert harness.capacity_violations(res) == 0
 
     def test_slot_conservation_against_slices(self, proposed_run):
         # per (window, slot, bs): allocated bw never exceeds the summed

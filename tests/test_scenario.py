@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+import pathlib
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -15,8 +19,8 @@ def load_text(tmp_path, text, overrides=None):
 
 class TestLoadScenario:
     def test_minimal_file_fills_defaults(self, tmp_path):
-        cfg = load_text(tmp_path, "rng_seed = 7\n")
-        assert cfg.rng_seed == 7
+        cfg = load_text(tmp_path, "agent.refit_window = 7\n")
+        assert cfg.agent.refit_window == 7
         assert cfg.num_users == 16
         assert cfg.arrival_rate_per_min == 6.0
         assert cfg.edge.capacity_cps == 10e9
@@ -35,7 +39,7 @@ class TestLoadScenario:
 
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ParseError):
-            load_text(tmp_path, "rng_seed 7\n")
+            load_text(tmp_path, "agent.refit_window 7\n")
 
     def test_overrides_win(self, tmp_path):
         cfg = load_text(tmp_path, "num_users = 16\n", {"num_users": "20"})
@@ -81,8 +85,32 @@ class TestLoadScenario:
     def test_config_hash_stable(self):
         c1, c2 = scenario.ScenarioConfig(), scenario.ScenarioConfig()
         assert scenario.config_hash(c1) == scenario.config_hash(c2)
-        c3 = scenario.parse_overrides({"rng_seed": "9"})
+        c3 = scenario.parse_overrides({"agent.refit_window": "9"})
         assert scenario.config_hash(c3) != scenario.config_hash(c1)
+
+
+def leaf_fields(cls, prefix=""):
+    """Dotted paths and names of a config class's non-dataclass fields."""
+    out = []
+    for name, t in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(t):
+            out += leaf_fields(t, f"{prefix}{name}.")
+        else:
+            out.append((prefix + name, name))
+    return out
+
+
+class TestConfigFieldsRead:
+    def test_every_leaf_field_is_read(self):
+        # a config field that no package code reads as an attribute is a
+        # knob that changes nothing but the config hash
+        src = pathlib.Path(scenario.__file__).parent
+        read = {node.attr for path in src.rglob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread = [key for key, name in leaf_fields(scenario.ScenarioConfig)
+                  if name not in read]
+        assert unread == []
 
 
 class TestSampleUsers:
