@@ -48,7 +48,6 @@ class SliceConfig:
     reserved_bw: dict[tuple[int, int], float]
     reserved_cpu: dict[int, float]
     mechanism: str = "greedy"
-    grant_trace: list = field(default_factory=list, compare=False, repr=False)
 
 
 def _cell_value(gains: list, frac: float, resource: int) -> float:
@@ -137,7 +136,6 @@ def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
     cpu_used = {key: 0.0 for key in dist.cells}
     bw_left = dict(bw_capacity_hz)
     cpu_left = cpu_capacity_cps
-    trace = []
     heap = []
     for key in sorted(dist.cells):
         cell = dist.cells[key]
@@ -155,7 +153,6 @@ def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
             if grant > 1e-9:
                 reserved_bw[key] += grant
                 bw_left[bs] -= grant
-                trace.append((-neg_gain, group, bs, "bw", grant))
             if (idx + 1 < len(cell.curve_bw) and bw_left.get(bs, 0.0) > 1e-9
                     and cell.total_bw_hz - reserved_bw[key] > 1e-9):
                 heapq.heappush(heap, (-cell.curve_bw[idx + 1], group, bs, 0, idx + 1))
@@ -165,7 +162,6 @@ def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
             if grant > 1e-9:
                 cpu_used[key] += grant
                 cpu_left -= grant
-                trace.append((-neg_gain, group, bs, "cpu", grant))
             if (idx + 1 < len(cell.curve_cpu) and cpu_left > 1e-9
                     and cell.total_cpu_cps - cpu_used[key] > 1e-9):
                 heapq.heappush(heap, (-cell.curve_cpu[idx + 1], group, bs, 1, idx + 1))
@@ -173,7 +169,7 @@ def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
     for (g, _), used in cpu_used.items():
         reserved_cpu[g] += used
     return SliceConfig(window_minutes, reserved_bw, reserved_cpu,
-                       mechanism="greedy", grant_trace=trace)
+                       mechanism="greedy")
 
 
 @dataclass

@@ -29,13 +29,6 @@ SCHEMA_NAME = "summary.schema.json"
 
 
 @dataclass(frozen=True)
-class WindowMetric:
-    index: int
-    user_mean_qoe: dict[int, float]
-    ela_ratio: float
-
-
-@dataclass(frozen=True)
 class BoxStats:
     median: float
     q1: float

@@ -5,9 +5,24 @@ head per action branch; branch Q-values recombine as
 
     Q_d(s, a) = V(s) + A_d(s, a) - mean_a' A_d(s, a')
 
+The D advantage heads live in one stacked array: weights `adv_w` of shape
+(D, H, A) and biases `adv_b` of shape (D, A), where H is the trunk's top
+width and A the actions per branch.  Every head product is one batched
+`np.matmul` over the branch axis.  A batched matmul makes one BLAS call of
+the same shape per branch, exactly as a loop over `h @ adv_w[d]` would, so
+Q-values, losses, gradients and trained parameters are bit-identical to
+the per-branch form.  A single 2-D GEMM over the concatenated (H, D*A)
+heads is one wider BLAS call that accumulates in another order, and its
+results differ in the last bits.  Two summation orders are kept on
+purpose: Q arrays are made C-contiguous (n, D, A) before any reduction over
+the branch axis, and the trunk's input gradient adds the value-head term
+first and then each branch's term in branch order.
+
 Training is plain DQN-style TD learning with an experience replay buffer,
 a periodically synced target network, epsilon-greedy exploration and
-hand-written backpropagation (no autograd dependency).
+hand-written backpropagation (no autograd dependency).  Checkpoints keep
+one entry per branch for the heads, and loading checks every array's shape
+against the checkpoint's own dimensions.
 """
 from __future__ import annotations
 
@@ -36,6 +51,8 @@ class BdqNetwork:
     def __init__(self, input_dim: int, hidden: tuple[int, ...],
                  num_branches: int, actions_per_branch: int,
                  rng: np.random.Generator | None = None, init: str = "xavier"):
+        if num_branches < 1:
+            raise ShapeMismatch(f"num_branches {num_branches} must be >= 1")
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.num_branches = num_branches
@@ -49,9 +66,10 @@ class BdqNetwork:
         top = dims[-1]
         self.value_w = self._init_w(top, 1, rng, init)
         self.value_b = np.zeros(1)
-        self.adv_w = [self._init_w(top, actions_per_branch, rng, init)
-                      for _ in range(num_branches)]
-        self.adv_b = [np.zeros(actions_per_branch) for _ in range(num_branches)]
+        # (D, H, A) and (D, A): one draw per branch, in branch order
+        self.adv_w = np.stack([self._init_w(top, actions_per_branch, rng, init)
+                               for _ in range(num_branches)])
+        self.adv_b = np.zeros((num_branches, actions_per_branch))
 
     @staticmethod
     def _init_w(d_in, d_out, rng, init):
@@ -62,7 +80,7 @@ class BdqNetwork:
 
     def params(self) -> list[np.ndarray]:
         return [*self.trunk_w, *self.trunk_b, self.value_w, self.value_b,
-                *self.adv_w, *self.adv_b]
+                self.adv_w, self.adv_b]
 
     def copy(self) -> "BdqNetwork":
         clone = BdqNetwork(self.input_dim, self.hidden, self.num_branches,
@@ -86,6 +104,11 @@ def _trunk_forward(net: BdqNetwork, states: np.ndarray):
     return acts
 
 
+def _advantages(net: BdqNetwork, h: np.ndarray) -> np.ndarray:
+    """Every branch's advantages, shape (D, n, A)."""
+    return np.matmul(h, net.adv_w) + net.adv_b[:, None, :]
+
+
 def forward_batch(net: BdqNetwork, states: np.ndarray) -> np.ndarray:
     """Q-values for a batch: shape (n, num_branches, actions_per_branch)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -93,11 +116,11 @@ def forward_batch(net: BdqNetwork, states: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"state dim {states.shape[1]} != {net.input_dim}")
     h = _trunk_forward(net, states)[-1]
     v = h @ net.value_w + net.value_b  # (n, 1)
-    q = np.empty((states.shape[0], net.num_branches, net.actions_per_branch))
-    for d in range(net.num_branches):
-        a = h @ net.adv_w[d] + net.adv_b[d]
-        q[:, d, :] = v + a - a.mean(axis=1, keepdims=True)
-    return q
+    a = _advantages(net, h)
+    q = v + a - a.mean(axis=2, keepdims=True)
+    # C order (n, D, A): a later mean over branches (`td_targets`) sums in
+    # the order it would over an array filled branch by branch
+    return np.ascontiguousarray(q.transpose(1, 0, 2))
 
 
 def forward(net: BdqNetwork, state) -> np.ndarray:
@@ -144,7 +167,8 @@ def loss_and_gradients(net: BdqNetwork, batch: list[Transition],
     actions = np.stack([tr.action for tr in batch])
     if states.shape[1] != net.input_dim:
         raise ShapeMismatch(f"state dim {states.shape[1]} != {net.input_dim}")
-    if actions.shape[1] != net.num_branches or actions.max() >= net.actions_per_branch:
+    if (actions.shape[1] != net.num_branches or actions.min() < 0
+            or actions.max() >= net.actions_per_branch):
         raise ShapeMismatch("action indices incompatible with network branches")
 
     acts = _trunk_forward(net, states)
@@ -152,39 +176,37 @@ def loss_and_gradients(net: BdqNetwork, batch: list[Transition],
     v = h @ net.value_w + net.value_b  # (n, 1)
     d_count = net.num_branches
     a_count = net.actions_per_branch
-    rows = np.arange(n)
+    # (D, n) index of each transition's chosen action in every branch
+    sel = (np.arange(d_count)[:, None], np.arange(n)[None, :], actions.T)
 
-    q_sel = np.empty((n, d_count))
-    adv = []
-    for d in range(d_count):
-        a = h @ net.adv_w[d] + net.adv_b[d]
-        adv.append(a)
-        q_sel[:, d] = (v[:, 0] + a[rows, actions[:, d]] - a.mean(axis=1))
+    a = _advantages(net, h)
+    q_sel = np.ascontiguousarray((v[:, 0] + a[sel] - a.mean(axis=2)).T)
 
     td = q_sel - targets[:, None]
     loss = float((td * td).mean())
     g_q = 2.0 * td / (n * d_count)  # dL/dQ_d(s, a_d)
 
     grads = {"trunk_w": [np.zeros_like(w) for w in net.trunk_w],
-             "trunk_b": [np.zeros_like(b) for b in net.trunk_b],
-             "value_w": np.zeros_like(net.value_w),
-             "value_b": np.zeros_like(net.value_b),
-             "adv_w": [np.zeros_like(w) for w in net.adv_w],
-             "adv_b": [np.zeros_like(b) for b in net.adv_b]}
-
-    dh = np.zeros_like(h)
+             "trunk_b": [np.zeros_like(b) for b in net.trunk_b]}
     # value head: dQ_d/dv = 1 for every branch
     g_v = g_q.sum(axis=1, keepdims=True)
-    grads["value_w"][...] = h.T @ g_v
-    grads["value_b"][...] = g_v.sum(axis=0)
-    dh += g_v @ net.value_w.T
+    grads["value_w"] = h.T @ g_v
+    grads["value_b"] = g_v.sum(axis=0)
     # advantage heads: dQ_d/dA_d[j] = 1[j = a_d] - 1/A
-    for d in range(d_count):
-        g_a = np.full((n, a_count), -1.0 / a_count) * g_q[:, d:d + 1]
-        g_a[rows, actions[:, d]] += g_q[:, d]
-        grads["adv_w"][d][...] = h.T @ g_a
-        grads["adv_b"][d][...] = g_a.sum(axis=0)
-        dh += g_a @ net.adv_w[d].T
+    g_a = np.full((d_count, n, a_count), -1.0 / a_count) * g_q.T[:, :, None]
+    g_a[sel] += g_q.T
+    grads["adv_w"] = np.matmul(h.T, g_a)
+    grads["adv_b"] = g_a.sum(axis=1)
+    # dh adds the value term, then each branch's term, in branch order.  A
+    # sum over the leading axis adds slice by slice only while the other
+    # axes hold more than one element (numpy sums a lone axis pairwise), so
+    # every slice carries one spare element.
+    terms = np.empty((d_count + 1, h.size + 1))
+    terms[:, -1] = 0.0
+    heads = terms[:, :-1].reshape(d_count + 1, *h.shape)  # a view
+    heads[0] = g_v @ net.value_w.T
+    np.matmul(g_a, net.adv_w.transpose(0, 2, 1), out=heads[1:])
+    dh = terms.sum(axis=0)[:-1].reshape(h.shape)
     # trunk
     for layer in reversed(range(len(net.trunk_w))):
         mask = acts[layer + 1] > 0.0
@@ -206,10 +228,8 @@ def backward(net: BdqNetwork, batch: list[Transition], target_net: BdqNetwork,
         b -= lr * g
     net.value_w -= lr * grads["value_w"]
     net.value_b -= lr * grads["value_b"]
-    for w, g in zip(net.adv_w, grads["adv_w"]):
-        w -= lr * g
-    for b, g in zip(net.adv_b, grads["adv_b"]):
-        b -= lr * g
+    net.adv_w -= lr * grads["adv_w"]
+    net.adv_b -= lr * grads["adv_b"]
     return loss
 
 
@@ -302,9 +322,19 @@ def _encode(arr: np.ndarray) -> dict:
             "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
 
 
-def _decode(obj) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
-    return arr.reshape(obj["shape"]).copy()
+def _decode_like(name: str, objs: list, like) -> list[np.ndarray]:
+    """Decode one checkpoint field's arrays, each checked against the shape
+    the manifest's dimensions give it."""
+    if len(objs) != len(like):
+        raise ShapeMismatch(f"{name}: {len(objs)} arrays, manifest gives {len(like)}")
+    out = []
+    for i, (obj, ref) in enumerate(zip(objs, like)):
+        arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
+        if tuple(obj["shape"]) != ref.shape or arr.size != ref.size:
+            raise ShapeMismatch(f"{name}[{i}]: stored shape {obj['shape']} with "
+                                f"{arr.size} values, manifest gives {list(ref.shape)}")
+        out.append(arr.reshape(ref.shape).copy())
+    return out
 
 
 def save_network(net: BdqNetwork, path: str) -> None:
@@ -317,7 +347,7 @@ def save_network(net: BdqNetwork, path: str) -> None:
         "trunk_b": [_encode(b) for b in net.trunk_b],
         "value_w": _encode(net.value_w),
         "value_b": _encode(net.value_b),
-        "adv_w": [_encode(w) for w in net.adv_w],
+        "adv_w": [_encode(w) for w in net.adv_w],  # one entry per branch
         "adv_b": [_encode(b) for b in net.adv_b],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -329,10 +359,10 @@ def load_network(path: str) -> BdqNetwork:
         doc = json.load(fh)
     net = BdqNetwork(doc["input_dim"], tuple(doc["hidden"]), doc["num_branches"],
                      doc["actions_per_branch"], rng=None)
-    net.trunk_w = [_decode(o) for o in doc["trunk_w"]]
-    net.trunk_b = [_decode(o) for o in doc["trunk_b"]]
-    net.value_w = _decode(doc["value_w"])
-    net.value_b = _decode(doc["value_b"])
-    net.adv_w = [_decode(o) for o in doc["adv_w"]]
-    net.adv_b = [_decode(o) for o in doc["adv_b"]]
+    net.trunk_w = _decode_like("trunk_w", doc["trunk_w"], net.trunk_w)
+    net.trunk_b = _decode_like("trunk_b", doc["trunk_b"], net.trunk_b)
+    net.value_w, = _decode_like("value_w", [doc["value_w"]], [net.value_w])
+    net.value_b, = _decode_like("value_b", [doc["value_b"]], [net.value_b])
+    net.adv_w = np.stack(_decode_like("adv_w", doc["adv_w"], net.adv_w))
+    net.adv_b = np.stack(_decode_like("adv_b", doc["adv_b"], net.adv_b))
     return net

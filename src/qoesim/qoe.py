@@ -58,14 +58,6 @@ class FactorSample:
     b: float  # behavioral dynamics in [1, 2]
     c: float  # environmental complexity in [1, 2]
 
-    @property
-    def qos_vector(self) -> tuple[float, float]:
-        return (self.r, self.q)
-
-    @property
-    def context(self) -> tuple[float, float]:
-        return (self.b, self.c)
-
 
 def qos_score(structure_index: int, r: float, q: float) -> float:
     """QoS base score S for one structure, clamped to the MOS scale."""

@@ -236,10 +236,12 @@ class SchemeRun:
 
     def train_policies(self, state: netsim.SimState,
                        train_rng: np.random.Generator) -> None:
-        if self.scheme is SchemeId.WITHOUT_DA or self.train_epochs <= 0:
+        if self.scheme is SchemeId.WITHOUT_DA:
             return
         if self.policy_in is not None:
             self.policy = learn.load_network(self.policy_in)
+            return
+        if self.train_epochs <= 0:
             return
         cfg = self.cfg
         episode_epochs = max(int(TRAIN_EPISODE_MINUTES * 60.0 / cfg.slot_s

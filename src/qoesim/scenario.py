@@ -368,6 +368,15 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("agent.demand_cpu_headroom must be > 0")
     if cfg.train.batch_size <= 0:
         raise ValidationError("train.batch_size must be > 0")
+    if cfg.train.replay_capacity < cfg.train.batch_size:
+        # a buffer that never holds a batch never trains
+        raise ValidationError("train.replay_capacity must be >= train.batch_size")
+    if cfg.train.target_sync <= 0:
+        raise ValidationError("train.target_sync must be > 0")
+    if cfg.train.hidden_width <= 0:
+        raise ValidationError("train.hidden_width must be > 0")
+    if cfg.train.epochs < 0:
+        raise ValidationError("train.epochs must be >= 0")
     if cfg.slicing.quantum_bw_hz <= 0:
         raise ValidationError("slicing.quantum_bw_hz must be > 0")
     if cfg.slicing.quantum_cpu_cps <= 0:

@@ -148,18 +148,46 @@ class TestGreedySlice:
         assert cfg.reserved_bw[(1, 0)] == pytest.approx(Q_BW)
         assert cfg.reserved_bw[(2, 0)] == 0.0
 
-    def test_grant_trace_nonincreasing_per_resource(self):
+    def test_greedy_order_from_reservations(self):
+        # in a pool that binds, no ungranted marginal beats a granted one;
+        # in a pool with room left, every marginal is granted
         rng = np.random.default_rng(5)
-        specs = {}
-        for g in (1, 2, 3):
-            cb = np.sort(rng.uniform(0, 1, 6))[::-1]
-            cc = np.sort(rng.uniform(0, 1, 4))[::-1]
-            specs[(g, 0)] = (list(cb), list(cc))
-        dist = make_dist(specs)
-        cfg = da2.greedy_slice(dist, {0: 7 * Q_BW}, 5 * Q_CPU)
-        for res in ("bw", "cpu"):
-            gains = [t[0] for t in cfg.grant_trace if t[3] == res]
-            assert all(b <= a + 1e-12 for a, b in zip(gains, gains[1:]))
+        for _ in range(30):
+            specs = {}
+            for g in (1, 2, 3):
+                for bs in (0, 1):
+                    cb = np.sort(rng.uniform(0, 1, int(rng.integers(1, 6))))[::-1]
+                    cc = np.sort(rng.uniform(0, 1, int(rng.integers(1, 4))))[::-1]
+                    specs[(g, bs)] = (list(cb), list(cc))
+            dist = make_dist(specs)
+            bw_caps = {bs: int(rng.integers(1, 16)) * Q_BW for bs in (0, 1)}
+            cpu_cap = int(rng.integers(1, 20)) * Q_CPU
+            cfg = da2.greedy_slice(dist, bw_caps, cpu_cap)
+            pools = []
+            for bs, cap in bw_caps.items():
+                granted, left = [], []
+                for (g, b), cell in dist.cells.items():
+                    if b == bs:
+                        q = int(round(cfg.reserved_bw[(g, b)] / Q_BW))
+                        granted += list(cell.curve_bw[:q])
+                        left += list(cell.curve_bw[q:])
+                used = sum(v for (_, b), v in cfg.reserved_bw.items() if b == bs)
+                pools.append((used, cap, granted, left))
+            granted, left = [], []
+            for g, reserved in cfg.reserved_cpu.items():
+                # a group's cells share its CPU grant, best marginals first
+                merged = np.sort(np.concatenate(
+                    [c.curve_cpu for (g2, _), c in dist.cells.items() if g2 == g]))[::-1]
+                q = int(round(reserved / Q_CPU))
+                granted += list(merged[:q])
+                left += list(merged[q:])
+            pools.append((sum(cfg.reserved_cpu.values()), cpu_cap, granted, left))
+            for used, cap, granted, left in pools:
+                assert used <= cap + 1e-6
+                if used < cap - 1e-6:
+                    assert not left
+                elif granted and left:
+                    assert max(left) <= min(granted) + 1e-12
 
     def test_exhaustive_enumeration_oracle(self):
         rng = np.random.default_rng(6)

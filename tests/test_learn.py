@@ -1,5 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesim import learn
 from qoesim.errors import ShapeMismatch
@@ -140,6 +145,16 @@ class TestBackward:
         with pytest.raises(ShapeMismatch):
             learn.backward(net, [], net.copy(), 0.9, 0.1)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_action_rejected(self, bad):
+        # a negative index would wrap to the last action and mislead the gradient
+        rng = np.random.default_rng(6)
+        net = rand_net(rng)
+        batch = rand_batch(rng, net, n=3)
+        batch[1].action[0] = bad
+        with pytest.raises(ShapeMismatch):
+            learn.loss_and_gradients(net, batch, np.zeros(3))
+
 
 class BanditEnv:
     """2-branch contextual bandit with a known best joint action."""
@@ -199,6 +214,132 @@ class TestTraining:
         assert c1 == c2
 
 
+# -- per-branch reference for the stacked advantage heads --------------------
+
+
+def ref_forward_batch(net, states):
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    h = learn._trunk_forward(net, states)[-1]
+    v = h @ net.value_w + net.value_b
+    q = np.empty((states.shape[0], net.num_branches, net.actions_per_branch))
+    for d in range(net.num_branches):
+        a = h @ net.adv_w[d] + net.adv_b[d]
+        q[:, d, :] = v + a - a.mean(axis=1, keepdims=True)
+    return q
+
+
+def ref_td_targets(target_net, batch, gamma):
+    q_next = ref_forward_batch(target_net, np.stack([tr.next_state for tr in batch]))
+    bootstrap = q_next.max(axis=2).mean(axis=1)
+    rewards = np.array([tr.reward for tr in batch])
+    alive = np.array([0.0 if tr.terminal else 1.0 for tr in batch])
+    return rewards + gamma * alive * bootstrap
+
+
+def ref_loss_and_gradients(net, batch, targets):
+    n = len(batch)
+    states = np.stack([tr.state for tr in batch])
+    actions = np.stack([tr.action for tr in batch])
+    acts = learn._trunk_forward(net, states)
+    h = acts[-1]
+    v = h @ net.value_w + net.value_b
+    d_count, a_count = net.num_branches, net.actions_per_branch
+    rows = np.arange(n)
+    q_sel = np.empty((n, d_count))
+    for d in range(d_count):
+        a = h @ net.adv_w[d] + net.adv_b[d]
+        q_sel[:, d] = (v[:, 0] + a[rows, actions[:, d]] - a.mean(axis=1))
+    td = q_sel - targets[:, None]
+    loss = float((td * td).mean())
+    g_q = 2.0 * td / (n * d_count)
+    grads = {"trunk_w": [np.zeros_like(w) for w in net.trunk_w],
+             "trunk_b": [np.zeros_like(b) for b in net.trunk_b],
+             "adv_w": [np.zeros_like(w) for w in net.adv_w],
+             "adv_b": [np.zeros_like(b) for b in net.adv_b]}
+    dh = np.zeros_like(h)
+    g_v = g_q.sum(axis=1, keepdims=True)
+    grads["value_w"] = h.T @ g_v
+    grads["value_b"] = g_v.sum(axis=0)
+    dh += g_v @ net.value_w.T
+    for d in range(d_count):
+        g_a = np.full((n, a_count), -1.0 / a_count) * g_q[:, d:d + 1]
+        g_a[rows, actions[:, d]] += g_q[:, d]
+        grads["adv_w"][d][...] = h.T @ g_a
+        grads["adv_b"][d][...] = g_a.sum(axis=0)
+        dh += g_a @ net.adv_w[d].T
+    for layer in reversed(range(len(net.trunk_w))):
+        dz = dh * (acts[layer + 1] > 0.0)
+        grads["trunk_w"][layer][...] = acts[layer].T @ dz
+        grads["trunk_b"][layer][...] = dz.sum(axis=0)
+        dh = dz @ net.trunk_w[layer].T
+    return loss, grads
+
+
+def ref_backward(net, batch, target_net, gamma, lr):
+    loss, grads = ref_loss_and_gradients(net, batch,
+                                         ref_td_targets(target_net, batch, gamma))
+    for w, g in zip(net.trunk_w, grads["trunk_w"]):
+        w -= lr * g
+    for b, g in zip(net.trunk_b, grads["trunk_b"]):
+        b -= lr * g
+    net.value_w -= lr * grads["value_w"]
+    net.value_b -= lr * grads["value_b"]
+    for w, g in zip(net.adv_w, grads["adv_w"]):
+        w -= lr * g
+    for b, g in zip(net.adv_b, grads["adv_b"]):
+        b -= lr * g
+    return loss
+
+
+def _flat(grads):
+    return [*grads["trunk_w"], *grads["trunk_b"], grads["value_w"],
+            grads["value_b"], *grads["adv_w"], *grads["adv_b"]]
+
+
+class TestStackedHeadsMatchReference:
+    @settings(max_examples=40, deadline=None)
+    @given(branches=st.integers(1, 32), actions=st.integers(2, 11),
+           n=st.one_of(st.just(1), st.integers(2, 64)),
+           hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3),
+           input_dim=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_bit_identical(self, branches, actions, n, hidden, input_dim, seed):
+        rng = np.random.default_rng(seed)
+        net = rand_net(rng, input_dim, tuple(hidden), branches, actions)
+        batch = rand_batch(rng, net, n=n)
+        states = np.stack([tr.state for tr in batch])
+
+        q = learn.forward_batch(net, states)
+        assert q.flags.c_contiguous
+        assert np.array_equal(q, ref_forward_batch(net, states))
+        for s in states:
+            assert np.array_equal(learn.greedy_actions(net, s),
+                                  ref_forward_batch(net, s).argmax(axis=2)[0])
+
+        targets = learn.td_targets(net, batch, 0.9)
+        assert np.array_equal(targets, ref_td_targets(net, batch, 0.9))
+        loss, grads = learn.loss_and_gradients(net, batch, targets)
+        ref_loss, ref_grads = ref_loss_and_gradients(net, batch, targets)
+        assert loss == ref_loss
+        got, want = _flat(grads), _flat(ref_grads)
+        assert grads["adv_w"].shape == net.adv_w.shape
+        assert np.array_equal(np.concatenate([g.ravel() for g in got]),
+                              np.concatenate([g.ravel() for g in want]))
+
+        # SGD steps with a target sync part way through
+        nets = [net, net.copy()]
+        targets_nets = [net.copy(), net.copy()]
+        for step in range(6):
+            sample = rand_batch(rng, net, n=n)
+            losses = [fn(nt, sample, tg, 0.9, 0.01) for fn, nt, tg in
+                      zip((learn.backward, ref_backward), nets, targets_nets)]
+            assert losses[0] == losses[1]
+            if step == 2:
+                for nt, tg in zip(nets, targets_nets):
+                    tg.sync_from(nt)
+        for p, r in zip(nets[0].params(), nets[1].params()):
+            assert np.array_equal(p, r)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -208,6 +349,43 @@ class TestCheckpoint:
         loaded = learn.load_network(path)
         s = rng.normal(size=5)
         assert np.array_equal(learn.forward(net, s), learn.forward(loaded, s))
+
+    def test_heads_saved_per_branch(self, tmp_path):
+        rng = np.random.default_rng(13)
+        net = rand_net(rng, input_dim=4, hidden=(5,), branches=6, actions=11)
+        path = tmp_path / "policy.json"
+        learn.save_network(net, str(path))
+        doc = json.loads(path.read_text())
+        assert [o["shape"] for o in doc["adv_w"]] == [[5, 11]] * 6
+        assert [o["shape"] for o in doc["adv_b"]] == [[11]] * 6
+        loaded = learn.load_network(str(path))
+        assert loaded.adv_w.shape == (6, 5, 11) and loaded.adv_b.shape == (6, 11)
+        for p, q in zip(net.params(), loaded.params()):
+            assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("field,index,tamper", [
+        ("input_dim", None, 4),
+        ("hidden", None, [8, 7]),
+        ("num_branches", None, 4),
+        ("actions_per_branch", None, 5),
+        ("adv_w", 1, [4, 6]),
+        ("trunk_b", 0, [9]),
+    ])
+    def test_tampered_checkpoint_names_the_field(self, tmp_path, field, index, tamper):
+        rng = np.random.default_rng(14)
+        net = rand_net(rng, input_dim=5, hidden=(8, 6), branches=3, actions=4)
+        path = tmp_path / "policy.json"
+        learn.save_network(net, str(path))
+        doc = json.loads(path.read_text())
+        if index is None:
+            doc[field] = tamper  # the manifest no longer matches the arrays
+            named = "trunk_w" if field in ("input_dim", "hidden") else "adv_w"
+        else:
+            doc[field][index]["shape"] = tamper
+            named = f"{field}[{index}]"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeMismatch, match=re.escape(named)):
+            learn.load_network(str(path))
 
     def test_bytes_stable(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qoesim import harness, runner, scenario
+from qoesim import bench, da1, harness, learn, runner, scenario
 from qoesim.bench import SchemeId
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
@@ -94,3 +94,18 @@ class TestSchemeRun:
                                     trace_level="aggregate",
                                     policy_in=str(path))
         assert s2["per_seed"][0]["qoe_samples"] > 0
+
+    def test_policy_in_loads_without_training(self, tmp_path):
+        # a policy file is used even when training is off
+        cfg = fast_cfg()
+        k = cfg.num_users
+        net = learn.BdqNetwork(bench.PDRL_USER_FEATURES * k, (8, 8, 8), 2 * k,
+                               da1.SHARE_LEVELS, rng=np.random.default_rng(0))
+        path = str(tmp_path / "policy.json")
+        learn.save_network(net, path)
+        sr = runner.SchemeRun(cfg, SchemeId.PDRL_L1, 3, collect_slots=False,
+                              train_epochs=0, policy_in=path)
+        assert sr.execute().windows
+        assert sr.policy is not None
+        for p, q in zip(sr.policy.params(), net.params()):
+            assert np.array_equal(p, q)

@@ -63,6 +63,11 @@ class TestLoadScenario:
         ("slicing.quantum_cpu_cps", "0"),
         ("train.batch_size", "0"),
         ("train.batch_size", "-4"),
+        ("train.replay_capacity", "63"),
+        ("train.target_sync", "0"),
+        ("train.target_sync", "-1"),
+        ("train.hidden_width", "0"),
+        ("train.epochs", "-1"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
