@@ -19,11 +19,32 @@ SCHEMES = {s.value: s for s in SchemeId}
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Accepts '1..10' ranges and '1,2,5' lists."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+    """Accepts '1..10' ranges and '1,2,5' lists; exits on a non-integer
+    and on a text that names no seed, such as the reversed range '3..1'."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise SystemExit(f"--seeds expects integers as a..b or a,b,c, got {text!r}") from None
+    if not seeds:
+        raise SystemExit(f"--seeds names no seed, got {text!r} "
+                         "(a range runs low..high)")
+    return seeds
+
+
+def parse_schemes(text: str, flag: str) -> list[SchemeId]:
+    """Comma list of scheme names; exits on an unknown one, listing the
+    valid names."""
+    schemes = []
+    for name in text.split(","):
+        if name not in SCHEMES:
+            raise SystemExit(f"{flag}: unknown scheme {name!r}; valid schemes: "
+                             + ", ".join(SCHEMES))
+        schemes.append(SCHEMES[name])
+    return schemes
 
 
 def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
@@ -42,7 +63,7 @@ def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    schemes = [SCHEMES[s] for s in args.scheme.split(",")]
+    schemes = parse_schemes(args.scheme, "--scheme")
     seeds = parse_seeds(args.seeds)
     summaries = []
     for scheme in schemes:
@@ -60,7 +81,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     ks = [int(x) for x in args.k.split(",")]
-    schemes = [SCHEMES[s] for s in args.schemes.split(",")]
+    schemes = parse_schemes(args.schemes, "--schemes")
     seeds = parse_seeds(args.seeds)
     for k in ks:
         cfg = _load_cfg(args, num_users=str(k))

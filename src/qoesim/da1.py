@@ -21,12 +21,16 @@ VM), the scalar path takes 0.5 ms at 2 users against 3.6 ms for the former
 array path, 4.4 ms against 15.9 ms at 7 users and 9.9 ms against 15.9 ms at
 16.  Arrays win only above about 25 users per cell (0.7x at 32, 0.4x at
 64), which no preset produces; an array path belongs with a user-count axis
-far above 24 users.
+far above 24 users.  The kernel inlines `_cap1` and `_softmin`, whose
+call and tuple cost outweighed their arithmetic; `planning_qoe` keeps
+calling them, and a reference test holds the kernel to them bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from math import exp, log, log1p
 from typing import NamedTuple
 
 import numpy as np
@@ -305,31 +309,49 @@ def utility_value_grad(c: UtilityConsts, bw: float, cpu: float
     """
     (struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
      bw_headroom, cpu_headroom, stall_bits, stall_floor) = c
+    tau = _CORNER_TAU
     bw_den = bw_headroom * r_span
     cpu_den = cpu_headroom * c1
-    q_bw, dclip_bw = _cap1((eff * bw / bw_headroom - r_lo) / r_span)
-    q_cpu, dclip_cpu = _cap1((cpu / cpu_headroom - c0) / c1)
+    eff_bw = eff * bw
+    # _cap1 of the bandwidth and the compute quality support; `a if a > x
+    # else x` is max(x, a) and `a if a < x else x` is min(x, a)
+    y = (1.0 - (eff_bw / bw_headroom - r_lo) / r_span) / tau
+    q_bw = 1.0 - tau * (log1p(exp(-abs(y))) + (0.0 if 0.0 > y else y))
+    y = -60.0 if -60.0 > y else y
+    dclip_bw = 1.0 / (1.0 + exp(-(60.0 if 60.0 < y else y)))
+    y = (1.0 - (cpu / cpu_headroom - c0) / c1) / tau
+    q_cpu = 1.0 - tau * (log1p(exp(-abs(y))) + (0.0 if 0.0 > y else y))
+    y = -60.0 if -60.0 > y else y
+    dclip_cpu = 1.0 / (1.0 + exp(-(60.0 if 60.0 < y else y)))
     s = qoe.MOS_HI
     ds_bw = ds_cpu = 0.0
-    if struct != 1:  # quality term
-        q_join, w_bw, w_cpu = _softmin(q_bw, q_cpu)
-        s = 1.0 + qoe.QUALITY_SLOPE * q_join
-        ds_bw = qoe.QUALITY_SLOPE * (w_bw * dclip_bw * eff / bw_den)
-        ds_cpu = qoe.QUALITY_SLOPE * (w_cpu * dclip_cpu / cpu_den)
+    if struct != 1:  # quality term: _softmin(q_bw, q_cpu)
+        lo = q_cpu if q_cpu < q_bw else q_bw
+        wa = exp(-(q_bw - lo) / tau)
+        wb = exp(-(q_cpu - lo) / tau)
+        tot = wa + wb
+        s = 1.0 + qoe.QUALITY_SLOPE * (lo - tau * log(0.5 * tot))
+        ds_bw = qoe.QUALITY_SLOPE * (wa / tot * dclip_bw * eff / bw_den)
+        ds_cpu = qoe.QUALITY_SLOPE * (wb / tot * dclip_cpu / cpu_den)
     if struct != 2:  # rebuffer term
         # playback is gated by the slower of the radio link and the
         # transcoder, both expressed in min-tier bits per second
-        service, v_bw, v_cpu = _softmin(eff * bw / r_lo, cpu * r_lo / c0 / r_lo)
-        denom = service * r_lo + stall_floor
+        a, b = eff_bw / r_lo, cpu * r_lo / c0 / r_lo
+        lo = b if b < a else a  # _softmin(a, b)
+        wa = exp(-(a - lo) / tau)
+        wb = exp(-(b - lo) / tau)
+        tot = wa + wb
+        denom = (lo - tau * log(0.5 * tot)) * r_lo + stall_floor
         dserv = -stall_bits / (denom * denom)
         s -= qoe.REBUFFER_SLOPE * (stall_bits / denom)
-        ds_bw -= qoe.REBUFFER_SLOPE * (dserv * v_bw * eff)
-        ds_cpu -= qoe.REBUFFER_SLOPE * (dserv * v_cpu * r_lo / c0)
+        ds_bw -= qoe.REBUFFER_SLOPE * (dserv * (wa / tot) * eff)
+        ds_cpu -= qoe.REBUFFER_SLOPE * (dserv * (wb / tot) * r_lo / c0)
     e = ibar * s
     # smooth hinge on the ELA shortfall (mirrors the learning reward)
-    z = (ela - e) / _HINGE_TAU
-    sig = 1.0 / (1.0 + math.exp(-min(max(z, -60.0), 60.0)))
-    soft = _HINGE_TAU * math.log1p(math.exp(-abs(z))) + max(ela - e, 0.0)
+    gap = ela - e
+    z = gap / _HINGE_TAU
+    sig = 1.0 / (1.0 + exp(-(60.0 if 60.0 < z else (-60.0 if -60.0 > z else z))))
+    soft = _HINGE_TAU * log1p(exp(-abs(z))) + (0.0 if 0.0 > gap else gap)
     scale = 1.0 + shortfall_w * sig
     # a faint pressure on both quality axes breaks plateau ties
     value = e - shortfall_w * soft + 0.02 * (q_bw + q_cpu)
@@ -343,7 +365,7 @@ def project_capped_simplex(x: list[float], total: float = 1.0) -> list[float]:
 
     Sort-based (Duchi et al., ICML 2008), on plain lists.
     """
-    clipped = [max(v, 0.0) for v in x]
+    clipped = [0.0 if 0.0 > v else v for v in x]  # max(v, 0.0)
     if sum(clipped) <= total:
         return clipped
     css = 0.0
@@ -355,14 +377,14 @@ def project_capped_simplex(x: list[float], total: float = 1.0) -> list[float]:
     return [max(v - theta, 0.0) for v in x]
 
 
-def _ascent_point(x: list[float], g: list[float], step: float) -> list[float]:
-    """Projected step along g, normalized by the gradient's largest entry."""
-    scale = 1.0 + max(map(abs, g))
+def _ascent_point(x: list[float], g: list[float], step: float,
+                  scale: float) -> list[float]:
+    """Projected step along g / scale, where scale is 1 + max|g|."""
     return project_capped_simplex([xi + step * gi / scale for xi, gi in zip(x, g)])
 
 
 def _max_gap(a: list[float], b: list[float]) -> float:
-    return max(abs(u - v) for u, v in zip(a, b))
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 @dataclass
@@ -432,9 +454,12 @@ def user_allocate(members: list[AllocMember], bw_budget_hz: float,
     moved = math.inf
     for it in range(1, max_iters + 1):
         accepted = False
+        # the step normalization is fixed until a trial is accepted
+        scale_b = 1.0 + max(map(abs, gb))
+        scale_c = 1.0 + max(map(abs, gc))
         for _ in range(18):
-            nb = _ascent_point(xb, gb, step)
-            nc = _ascent_point(xc, gc, step)
+            nb = _ascent_point(xb, gb, step, scale_b)
+            nc = _ascent_point(xc, gc, step, scale_c)
             nv, ngb, ngc = eval_at(nb, nc)
             if nv >= value - 1e-15:
                 moved = max(_max_gap(nb, xb), _max_gap(nc, xc))

@@ -213,7 +213,8 @@ def loss_and_gradients(net: BdqNetwork, batch: list[Transition],
         dz = dh * mask
         grads["trunk_w"][layer][...] = acts[layer].T @ dz
         grads["trunk_b"][layer][...] = dz.sum(axis=0)
-        dh = dz @ net.trunk_w[layer].T
+        if layer:  # the input layer's dh would be the unused d(state)
+            dh = dz @ net.trunk_w[layer].T
     return loss, grads
 
 

@@ -30,7 +30,12 @@ The kernel is scalar because a slot holds 16 users and 2 base stations at
 the paper presets, where numpy's per-call overhead outweighs its arithmetic,
 and because numpy's `log10`, `sin` and `exp` may differ from `math` in the
 last bit, which would move every artifact.  An array step belongs with a
-user-count axis far above 24 users.
+user-count axis far above 24 users.  For the same per-call reason the
+kernel inlines the swipe, playback, rate and QoS-times-impact arithmetic and
+writes `min`/`max` as conditionals.  The helpers (`swipe_rate`,
+`step_playback`, `qoe.qos_score`, ...) stay the one definition that other
+callers use, and a reference test built on them holds the kernel to them
+bit for bit.
 """
 from __future__ import annotations
 
@@ -289,13 +294,18 @@ def users_by_bs(state: SimState, users) -> dict[int, list[int]]:
 def _attach(state: SimState, t_s: float) -> list[float]:
     """Serve every user from the BS of least mean path loss at time t_s (the
     lowest BS index on ties); returns each user's loss to it, in dB."""
-    channel = state.channel
+    # mean_path_loss with its constants and the math functions bound once
+    ref = state.channel.ref_loss_db
+    ten_n = 10.0 * state.channel.path_loss_exponent
+    hypot, log10, inf = math.hypot, math.log10, math.inf
+    bs_xy = state._bs_xy
     losses = []
     for walker, rt in zip(state.walkers, state.runtime):
         x, y = walker.position(t_s)
-        best, best_loss = 0, math.inf
-        for j, (bx, by) in enumerate(state._bs_xy):
-            loss = mean_path_loss(max(math.hypot(x - bx, y - by), 1.0), channel)
+        best, best_loss = 0, inf
+        for j, (bx, by) in enumerate(bs_xy):
+            d = hypot(x - bx, y - by)
+            loss = ref + ten_n * log10(1.0 if 1.0 > d else d)
             if loss < best_loss:
                 best, best_loss = j, loss
         rt.serving_bs = best
@@ -329,7 +339,17 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     max_swipe = state.cfg.users.max_swipe_rate_per_min
     abr = state.cfg.playback.abr_safety
     period = state.period_slots
-    users = list(zip(state._users, state.runtime))
+    arrivals = state.arrival_log
+    log2, exp, sin, floor = math.log2, math.exp, math.sin, math.floor
+    two_pi = 2.0 * math.pi
+    slot_seg = slot + seg
+    r_slope, q_slope = qoe.REBUFFER_SLOPE, qoe.QUALITY_SLOPE
+    mos_lo, mos_hi = qoe.MOS_LO, qoe.MOS_HI
+    # per user: swipe (mean, amplitude, period), C, the C term of the
+    # impact factor, structure, alpha, MOS sigma and the runtime record
+    users = [(*uc.swipe, uc.complexity, uc.beta * (uc.complexity - 1.0),
+              uc.structure, uc.alpha, uc.mos_sigma, rt)
+             for uc, rt in zip(state._users, state.runtime)]
     # MOS draws awaiting the truncated-normal map, in draw order
     mus: list[float] = []
     sigmas: list[float] = []
@@ -339,6 +359,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     for step in range(n_slots):
         t = state.t
         t_s = t * slot
+        wt = two_pi * t_s
         # fixed-order stochastic inputs (scheme-independent)
         shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
         uni = rng.random((k, 2)).tolist()
@@ -349,51 +370,79 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
         period_end = (t + 1) % period == 0
         sampled = records is not None or period_end
 
-        for i, (uc, rt) in enumerate(users):
+        for i, (sw_mean, sw_amp, sw_period, c, c_term, structure, alpha,
+                mos_sigma, rt) in enumerate(users):
+            # `lo if lo > x else x` below is max(x, lo) and `hi if hi < x
+            # else x` is min(x, hi), without the builtin's call
             # grant in user-id order from what the slice caps have left
             bw_req, cpu_req = alloc.get(i, (0.0, 0.0))
             bs = rt.serving_bs
-            bw = min(bw_req, bw_left[bs])
-            cpu = min(cpu_req, cpu_left)
-            bw_left[bs] -= bw
+            left = bw_left[bs]
+            bw = left if left < bw_req else bw_req
+            cpu = cpu_left if cpu_left < cpu_req else cpu_req
+            bw_left[bs] = left - bw
             cpu_left -= cpu
 
             snr_db = psd[bs] - (loss[i] + sigma * shadow[i][bs]) - noise
             snr = 10.0 ** (snr_db / 10.0)
-            rate = achievable_rate(bw, snr)
-            rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * math.log2(1.0 + snr)
+            eff = log2(1.0 + snr)
+            rate = 0.0 if bw == 0.0 or snr <= 0.0 else bw * eff  # achievable_rate
+            rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * eff
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
             # swipe arrival: abandon current video, fresh startup
-            swipe = swipe_rate(uc.swipe, t_s)
-            if uni[i][0] < 1.0 - math.exp(-swipe / 60.0 * slot):
+            swipe = sw_mean + sw_amp * sin(wt / sw_period)  # swipe_rate
+            swipe = 0.0 if 0.0 > swipe else swipe
+            if uni[i][0] < 1.0 - exp(-swipe / 60.0 * slot):
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
                 rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
-                state.arrival_log.append((t, i))
+                arrivals.append((t, i))
 
             tier = rt.tier
-            f = min(rate / levels[tier], cpu / costs[tier])  # playtime per second
-            headroom = max(max_buf - rt.buffer - rt.seg_fluid, 0.0)
-            rt.seg_fluid += min(f * slot, slot + seg, headroom)
-            completed = math.floor(rt.seg_fluid / seg + 1e-12) * seg
+            buffer = rt.buffer
+            fluid = rt.seg_fluid
+            # segment download at f seconds of playtime per second
+            f = rate / levels[tier]
+            x = cpu / costs[tier]
+            f = x if x < f else f
+            x = max_buf - buffer - fluid
+            headroom = 0.0 if 0.0 > x else x
+            x = f * slot
+            x = slot_seg if slot_seg < x else x
+            fluid += headroom if headroom < x else x
+            completed = floor(fluid / seg + 1e-12) * seg
             if completed > 0.0:
-                rt.seg_fluid -= completed
+                fluid -= completed
                 # re-decide at the segment boundary
                 rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
-            rt.buffer, rebuf = step_playback(rt.buffer, completed, slot, max_buf)
-            rt.period_rebuffer += rebuf
+            rt.seg_fluid = fluid
+            # step_playback
+            x = slot - buffer - completed
+            rt.period_rebuffer += 0.0 if 0.0 > x else x
+            x = buffer + completed - slot
+            x = 0.0 if 0.0 > x else x
+            buffer = rt.buffer = max_buf if max_buf < x else x
 
             if sampled:
-                b = behavior_of_rate(swipe, max_swipe)
-                c = uc.complexity
+                x = swipe / max_swipe
+                x = 0.0 if 0.0 > x else x
+                b = 1.0 + (1.0 if 1.0 < x else x)  # behavior_of_rate
                 q = qualities[tier]
                 rb = rt.period_rebuffer
-                mus.append(qoe.qos_score(uc.structure, rb, q)
-                           * qoe.impact(b, c, uc.alpha, uc.beta))
-                sigmas.append(uc.mos_sigma)
+                # qoe.qos_score * qoe.impact
+                if structure == 1:
+                    x = 5.0 - r_slope * rb
+                elif structure == 2:
+                    x = 1.0 + q_slope * q
+                else:
+                    x = 1.0 + q_slope * q - r_slope * rb
+                x = mos_lo if mos_lo > x else x
+                mus.append((mos_hi if mos_hi < x else x)
+                           * (1.0 / (1.0 + alpha * (b - 1.0) + c_term)))
+                sigmas.append(mos_sigma)
                 mos_unis.append(uni[i][1])
-                pending.append(((t, i, bs, rate, bw, cpu, rt.buffer, rb, q, b, c),
+                pending.append(((t, i, bs, rate, bw, cpu, buffer, rb, q, b, c),
                                 period_end))
                 if period_end:
                     rt.period_rebuffer = 0.0
@@ -411,7 +460,7 @@ def _emit_samples(state: SimState, records: list[SlotRecord] | None,
     # one uniform per user per slot; inverse-CDF keeps the draw count fixed
     draws = qoe.truncated_normal_from_uniform(mus, sigmas, unis).tolist()
     for (row, period_end), mos in zip(pending, draws):
-        rec = SlotRecord(*row, mos)
+        rec = SlotRecord._make(row + (mos,))
         if records is not None:
             records.append(rec)
         if period_end:

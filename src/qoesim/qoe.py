@@ -8,11 +8,20 @@ structures) scaled by a context impact factor:
 where R is rebuffer seconds per evaluation period, Q the normalized video
 quality, B behavioral dynamics and C environmental complexity (both in
 [1, 2]).  Observed MOS samples are truncated-normal draws around that mean.
+
+The fit's loop is bound by numpy's per-call cost on a few dozen samples, so
+`fit_best_structure` builds the sample columns once for all three
+structures and the loop hoists what the parameters do not move (the
+clamped QoS score).  The damped 2x2 step stays `np.linalg.solve`: a
+closed-form solve differs from LAPACK's `dgesv` in the last bits on about
+a fifth of systems, and matching it needs a fused multiply-add that
+Python's `math` lacks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -121,21 +130,41 @@ def sample_truncated_normal(mu: float, sigma2: float, lo: float = MOS_LO,
     return float(truncated_normal_from_uniform(mu, math.sqrt(sigma2), u, lo, hi))
 
 
-def _predictions(structure_index, params, r, q, b, c):
-    alpha, beta = params
-    s = np.clip(_qos_vec(structure_index, r, q), MOS_LO, MOS_HI)
-    i = 1.0 / (1.0 + alpha * (b - 1.0) + beta * (c - 1.0))
-    return np.clip(s * i, MOS_LO, MOS_HI), s, i
+class SampleColumns(NamedTuple):
+    """Per-sample columns of a sample set, built once and shared by the
+    three structure fits and their likelihoods."""
+    qoe: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    b1: np.ndarray  # b - 1
+    c1: np.ndarray  # c - 1
+    bc1: np.ndarray  # (n, 2) columns b - 1, c - 1
+
+
+def sample_columns(samples: list[FactorSample]) -> SampleColumns:
+    """Column view of a sample set."""
+    b = np.array([s.b for s in samples])
+    c = np.array([s.c for s in samples])
+    b1, c1 = b - 1.0, c - 1.0
+    return SampleColumns(np.array([s.qoe for s in samples]),
+                         np.array([s.r for s in samples]),
+                         np.array([s.q for s in samples]), b, c, b1, c1,
+                         np.column_stack([b1, c1]))
 
 
 def _qos_vec(structure_index, r, q):
+    """Clamped QoS score S of every sample."""
     if structure_index == 1:
-        return 5.0 - REBUFFER_SLOPE * r
-    if structure_index == 2:
-        return 1.0 + QUALITY_SLOPE * q
-    if structure_index == 3:
-        return 1.0 + QUALITY_SLOPE * q - REBUFFER_SLOPE * r
-    raise UnknownStructure(f"structure_index={structure_index}")
+        s = 5.0 - REBUFFER_SLOPE * r
+    elif structure_index == 2:
+        s = 1.0 + QUALITY_SLOPE * q
+    elif structure_index == 3:
+        s = 1.0 + QUALITY_SLOPE * q - REBUFFER_SLOPE * r
+    else:
+        raise UnknownStructure(f"structure_index={structure_index}")
+    return np.minimum(np.maximum(s, MOS_LO), MOS_HI)
 
 
 def fit_model(structure_index: int, samples: list[FactorSample],
@@ -147,18 +176,24 @@ def fit_model(structure_index: int, samples: list[FactorSample],
     objective is non-increasing by construction; convergence failure is
     reported via the model's `converged` flag rather than an exception.
     """
-    if len(samples) < 2:
-        raise InsufficientData(f"need >= 2 samples, got {len(samples)}")
-    qoe = np.array([s.qoe for s in samples])
-    r = np.array([s.r for s in samples])
-    q = np.array([s.q for s in samples])
-    b = np.array([s.b for s in samples])
-    c = np.array([s.c for s in samples])
-    if np.ptp(b) == 0.0 and np.ptp(c) == 0.0:
-        raise InsufficientData("impact parameters unidentifiable: (B, C) constant")
+    return fit_columns(structure_index, sample_columns(samples), start, max_iter)
 
+
+def fit_columns(structure_index: int, cols: SampleColumns,
+                start: tuple[float, float] = (0.5, 0.5),
+                max_iter: int = 200) -> QoEModel:
+    """`fit_model` on a sample set's columns."""
+    if len(cols.qoe) < 2:
+        raise InsufficientData(f"need >= 2 samples, got {len(cols.qoe)}")
+    if np.ptp(cols.b) == 0.0 and np.ptp(cols.c) == 0.0:
+        raise InsufficientData("impact parameters unidentifiable: (B, C) constant")
+    qoe, b1, c1, bc1 = cols.qoe, cols.b1, cols.c1, cols.bc1
+    # S does not depend on (alpha, beta): only I and the prediction move
+    s = _qos_vec(structure_index, cols.r, cols.q)
+    eye = np.eye(2)
     params = np.array(start, dtype=float)
-    pred, s, i = _predictions(structure_index, params, r, q, b, c)
+    i = 1.0 / (1.0 + params[0] * b1 + params[1] * c1)
+    pred = np.minimum(np.maximum(s * i, MOS_LO), MOS_HI)
     resid = qoe - pred
     sse = float(resid @ resid)
     lam = 1e-3
@@ -166,25 +201,25 @@ def fit_model(structure_index: int, samples: list[FactorSample],
     for _ in range(max_iter):
         # Jacobian of predictions; rows clamped at the MOS bounds get zero rows.
         live = (pred > MOS_LO) & (pred < MOS_HI)
-        d_alpha = np.where(live, -s * i * i * (b - 1.0), 0.0)
-        d_beta = np.where(live, -s * i * i * (c - 1.0), 0.0)
-        jac = np.column_stack([d_alpha, d_beta])
+        jac = np.where(live[:, None], (-s * i * i)[:, None] * bc1, 0.0)
         g = jac.T @ resid
         h = jac.T @ jac
-        if float(np.abs(g).max(initial=0.0)) < 1e-12:
+        g0, g1 = g.tolist()
+        if abs(g0) < 1e-12 and abs(g1) < 1e-12:
             converged = True
             break
         accepted = False
         for _ in range(30):
-            step = np.linalg.solve(h + lam * np.eye(2), g)
+            step = np.linalg.solve(h + lam * eye, g)
             cand = np.maximum(params + step, 0.0)
-            pred_c, s_c, i_c = _predictions(structure_index, cand, r, q, b, c)
+            i_c = 1.0 / (1.0 + cand[0] * b1 + cand[1] * c1)
+            pred_c = np.minimum(np.maximum(s * i_c, MOS_LO), MOS_HI)
             resid_c = qoe - pred_c
             sse_c = float(resid_c @ resid_c)
             if sse_c <= sse:  # accepted steps never increase the objective
                 small = (sse - sse_c < 1e-14 * (sse + 1e-30)
                          or float(np.abs(cand - params).max()) < 1e-12)
-                params, pred, s, i, resid, sse = cand, pred_c, s_c, i_c, resid_c, sse_c
+                params, pred, i, resid, sse = cand, pred_c, i_c, resid_c, sse_c
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if small:
@@ -196,9 +231,10 @@ def fit_model(structure_index: int, samples: list[FactorSample],
             converged = True
         if converged:
             break
-    rmse = math.sqrt(sse / len(samples))
+    n = len(qoe)
+    rmse = math.sqrt(sse / n)
     return QoEModel(structure_index, (float(params[0]), float(params[1])),
-                    rmse, len(samples), converged)
+                    rmse, n, converged)
 
 
 def model_rmse(model: QoEModel, samples: list[FactorSample]) -> float:
@@ -220,20 +256,20 @@ def structure_log_likelihood(model: QoEModel, samples: list[FactorSample]) -> fl
     Uses the structure's known generator variance, so a hypothesis whose
     residuals are far smaller or larger than that variance scores poorly.
     """
+    return columns_log_likelihood(model, sample_columns(samples))
+
+
+def columns_log_likelihood(model: QoEModel, cols: SampleColumns) -> float:
+    """`structure_log_likelihood` on a sample set's columns."""
     var = STRUCTURE_VARIANCE[model.structure_index]
     sigma = math.sqrt(var)
-    r = np.array([s.r for s in samples])
-    q = np.array([s.q for s in samples])
-    b = np.array([s.b for s in samples])
-    c = np.array([s.c for s in samples])
-    x = np.array([s.qoe for s in samples])
-    _, s_vec, i_vec = _predictions(model.structure_index, model.impact_params,
-                                   r, q, b, c)
-    mean = s_vec * i_vec
+    alpha, beta = model.impact_params
+    mean = (_qos_vec(model.structure_index, cols.r, cols.q)
+            * (1.0 / (1.0 + alpha * cols.b1 + beta * cols.c1)))
     z = np.maximum(ndtr((MOS_HI - mean) / sigma) - ndtr((MOS_LO - mean) / sigma),
                    1e-300)
     ll = (-0.5 * math.log(2.0 * math.pi * var)
-          - (x - mean) ** 2 / (2.0 * var)
+          - (cols.qoe - mean) ** 2 / (2.0 * var)
           - np.log(z))
     return float(ll.sum())
 
@@ -243,13 +279,14 @@ def fit_best_structure(samples: list[FactorSample]) -> QoEModel:
     hypothesis with the highest truncated-normal log-likelihood under its
     own generator variance.  The model uses all four factors (R, Q, B, C).
     """
+    cols = sample_columns(samples)
     best, best_ll = None, -np.inf
     for idx in STRUCTURES:
         try:
-            m = fit_model(idx, samples)
+            m = fit_columns(idx, cols)
         except InsufficientData:
             continue
-        ll = structure_log_likelihood(m, samples)
+        ll = columns_log_likelihood(m, cols)
         if ll > best_ll:
             best, best_ll = m, ll
     if best is None:

@@ -21,3 +21,31 @@ class TestSetOverrides:
         assert cli.main(["sweep", "--k", "16,18", "--schemes", "wo-da",
                          "--set", " num_users = 20", "--out", str(tmp_path)]) == 0
         assert seen == [16, 18]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("cmd", ["run", "sweep"])
+    @pytest.mark.parametrize("seeds", ["3..1", ",", ""])
+    def test_seeds_naming_no_seed_exit_naming_the_flag(self, cmd, seeds, tmp_path):
+        with pytest.raises(SystemExit, match="--seeds names no seed"):
+            cli.main([cmd, "--seeds", seeds, "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seeds", ["x..3", "1,two", "1.5"])
+    def test_non_integer_seeds_exit_naming_the_flag(self, seeds, tmp_path):
+        with pytest.raises(SystemExit, match="--seeds expects integers"):
+            cli.main(["run", "--seeds", seeds, "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
+    def test_seed_range_and_list(self):
+        assert cli.parse_seeds("2..4") == [2, 3, 4]
+        assert cli.parse_seeds("5,1,") == [5, 1]
+
+    @pytest.mark.parametrize("cmd,flag", [("run", "--scheme"), ("sweep", "--schemes")])
+    def test_unknown_scheme_lists_the_valid_ones(self, cmd, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, flag, "proposed,bogus", "--out", str(tmp_path)])
+        msg = str(exc.value)
+        assert msg.startswith(f"{flag}: unknown scheme 'bogus'")
+        assert all(name in msg for name in cli.SCHEMES)
+        assert not list(tmp_path.iterdir())

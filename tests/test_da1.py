@@ -356,7 +356,56 @@ bw_st = st.floats(0.0, 3e7)
 cpu_st = st.floats(0.0, 6e9)
 
 
+def ref_utility_value_grad(c, bw, cpu):
+    """The kernel as it was before `_cap1` and `_softmin` were inlined."""
+    (struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
+     bw_headroom, cpu_headroom, stall_bits, stall_floor) = c
+    bw_den = bw_headroom * r_span
+    cpu_den = cpu_headroom * c1
+    q_bw, dclip_bw = da1._cap1((eff * bw / bw_headroom - r_lo) / r_span)
+    q_cpu, dclip_cpu = da1._cap1((cpu / cpu_headroom - c0) / c1)
+    s = qoe.MOS_HI
+    ds_bw = ds_cpu = 0.0
+    if struct != 1:
+        q_join, w_bw, w_cpu = da1._softmin(q_bw, q_cpu)
+        s = 1.0 + qoe.QUALITY_SLOPE * q_join
+        ds_bw = qoe.QUALITY_SLOPE * (w_bw * dclip_bw * eff / bw_den)
+        ds_cpu = qoe.QUALITY_SLOPE * (w_cpu * dclip_cpu / cpu_den)
+    if struct != 2:
+        service, v_bw, v_cpu = da1._softmin(eff * bw / r_lo, cpu * r_lo / c0 / r_lo)
+        denom = service * r_lo + stall_floor
+        dserv = -stall_bits / (denom * denom)
+        s -= qoe.REBUFFER_SLOPE * (stall_bits / denom)
+        ds_bw -= qoe.REBUFFER_SLOPE * (dserv * v_bw * eff)
+        ds_cpu -= qoe.REBUFFER_SLOPE * (dserv * v_cpu * r_lo / c0)
+    e = ibar * s
+    z = (ela - e) / da1._HINGE_TAU
+    sig = 1.0 / (1.0 + math.exp(-min(max(z, -60.0), 60.0)))
+    soft = da1._HINGE_TAU * math.log1p(math.exp(-abs(z))) + max(ela - e, 0.0)
+    scale = 1.0 + shortfall_w * sig
+    value = e - shortfall_w * soft + 0.02 * (q_bw + q_cpu)
+    d_bw = ibar * ds_bw * scale + 0.02 * dclip_bw * eff / bw_den
+    d_cpu = ibar * ds_cpu * scale + 0.02 * dclip_cpu / cpu_den
+    return value, d_bw, d_cpu
+
+
 class TestUtilityKernel:
+    @settings(max_examples=600, deadline=None)
+    @given(members_st, params_st, st.sampled_from(["raw", "corner", "tie"]), st.data())
+    def test_bit_identical_to_helper_kernel(self, mems, params, mode, data):
+        c = da1.utility_consts(mems[0], CAT, params)
+        if mode == "raw":  # anywhere, including the saturated ends
+            bw = data.draw(bw_st | st.sampled_from([0.0, 1e-300, 1e12]))
+            cpu = data.draw(cpu_st | st.sampled_from([0.0, 1e-300, 1e15]))
+        elif mode == "corner":  # both quality supports near their rounded cap
+            bw = ((data.draw(st.floats(0.8, 1.2)) * c.r_span + c.r_lo)
+                  * c.bw_headroom / c.eff)
+            cpu = (data.draw(st.floats(0.8, 1.2)) * c.c1 + c.c0) * c.cpu_headroom
+        else:  # radio and transcoder service rates near a tie
+            bw = data.draw(bw_st)
+            cpu = max(c.c0 * (c.eff * bw / c.r_lo + data.draw(st.floats(-0.1, 0.1))), 0.0)
+        assert da1.utility_value_grad(c, bw, cpu) == ref_utility_value_grad(c, bw, cpu)
+
     @settings(max_examples=300, deadline=None)
     @given(members_st, params_st, st.data())
     def test_matches_numpy_reference(self, mems, params, data):

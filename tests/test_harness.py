@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qoesim import harness, runner, scenario
+from qoesim import harness, netsim, runner, scenario
 from qoesim.bench import SchemeId
 from qoesim.errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples
 
@@ -131,6 +133,41 @@ class TestRunExperiment:
                                trace_level="aggregate")
         assert not (tmp_path / "slots_wo-da_seed1.csv").exists()
         assert (tmp_path / "windows_wo-da_seed1.csv").exists()
+
+
+    def test_empty_seed_list_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one seed"):
+            harness.run_experiment(fast_cfg(), SchemeId.WITHOUT_DA, [], str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["two", "1.5", " "])
+    def test_malformed_thread_cap_names_the_variable(self, value, monkeypatch):
+        monkeypatch.setenv("SIMCTL_THREADS", value)
+        with pytest.raises(ConfigError, match="SIMCTL_THREADS"):
+            harness._worker_count(4)
+
+
+# float-column values: the edges of the %.10g format, numpy scalars, and
+# ints, which `_fmt` writes in full (so |int| >= 1e10 has no exponent)
+_SLOT_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([-0.0, float("nan"), 1e-300, 1e15, 5e-324])
+                | st.floats(allow_nan=True).map(np.float64)
+                | st.integers(-10**12, 10**12)
+                | st.sampled_from([10**10, -10**10, 12345678901, True]))
+_SLOT_INTS = st.integers(0, 10**6) | st.integers(0, 50).map(np.int64)
+
+
+class TestSlotWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[_SLOT_INTS] * 3, *[_SLOT_FLOATS] * 9)
+                    .map(lambda row: netsim.SlotRecord(*row)), max_size=20))
+    @example([netsim.SlotRecord(1, 2, 0, -0.0, float("nan"), 1e-300, 1e15,
+                                np.float64(0.1), 10**10, -12345678901, 3, 2.5)])
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows):
+        d = tmp_path_factory.mktemp("slots")
+        harness._write_csv(str(d / "ref.csv"), harness.SLOTS_HEADER, rows)
+        harness._write_slots(str(d / "got.csv"), rows)
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
 class TestLaneIsolation:

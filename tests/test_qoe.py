@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from qoesim import qoe
 from qoesim.errors import DomainError, InsufficientData, UnknownStructure
@@ -237,3 +240,176 @@ class TestFitBestStructure:
             model = qoe.fit_best_structure(samples)
             hits += model.structure_index == struct
         assert hits >= int(0.85 * trials)
+
+
+# --- reference fit -------------------------------------------------------------
+# The fit as it was before the shared sample columns: per-call column builds,
+# np.clip, and predictions recomputed whole for every trial step.  The
+# column-based fit must reproduce it bit for bit.
+
+def _ref_qos_vec(structure_index, r, q):
+    if structure_index == 1:
+        return 5.0 - qoe.REBUFFER_SLOPE * r
+    if structure_index == 2:
+        return 1.0 + qoe.QUALITY_SLOPE * q
+    if structure_index == 3:
+        return 1.0 + qoe.QUALITY_SLOPE * q - qoe.REBUFFER_SLOPE * r
+    raise UnknownStructure(f"structure_index={structure_index}")
+
+
+def _ref_predictions(structure_index, params, r, q, b, c):
+    alpha, beta = params
+    s = np.clip(_ref_qos_vec(structure_index, r, q), qoe.MOS_LO, qoe.MOS_HI)
+    i = 1.0 / (1.0 + alpha * (b - 1.0) + beta * (c - 1.0))
+    return np.clip(s * i, qoe.MOS_LO, qoe.MOS_HI), s, i
+
+
+def ref_fit_model(structure_index, samples, start=(0.5, 0.5), max_iter=200):
+    if len(samples) < 2:
+        raise InsufficientData(f"need >= 2 samples, got {len(samples)}")
+    y = np.array([s.qoe for s in samples])
+    r = np.array([s.r for s in samples])
+    q = np.array([s.q for s in samples])
+    b = np.array([s.b for s in samples])
+    c = np.array([s.c for s in samples])
+    if np.ptp(b) == 0.0 and np.ptp(c) == 0.0:
+        raise InsufficientData("impact parameters unidentifiable: (B, C) constant")
+    params = np.array(start, dtype=float)
+    pred, s, i = _ref_predictions(structure_index, params, r, q, b, c)
+    resid = y - pred
+    sse = float(resid @ resid)
+    lam = 1e-3
+    converged = False
+    for _ in range(max_iter):
+        live = (pred > qoe.MOS_LO) & (pred < qoe.MOS_HI)
+        d_alpha = np.where(live, -s * i * i * (b - 1.0), 0.0)
+        d_beta = np.where(live, -s * i * i * (c - 1.0), 0.0)
+        jac = np.column_stack([d_alpha, d_beta])
+        g = jac.T @ resid
+        h = jac.T @ jac
+        if float(np.abs(g).max(initial=0.0)) < 1e-12:
+            converged = True
+            break
+        accepted = False
+        for _ in range(30):
+            step = np.linalg.solve(h + lam * np.eye(2), g)
+            cand = np.maximum(params + step, 0.0)
+            pred_c, s_c, i_c = _ref_predictions(structure_index, cand, r, q, b, c)
+            resid_c = y - pred_c
+            sse_c = float(resid_c @ resid_c)
+            if sse_c <= sse:
+                small = (sse - sse_c < 1e-14 * (sse + 1e-30)
+                         or float(np.abs(cand - params).max()) < 1e-12)
+                params, pred, s, i, resid, sse = cand, pred_c, s_c, i_c, resid_c, sse_c
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                if small:
+                    converged = True
+                break
+            lam *= 3.0
+        if not accepted:
+            converged = True
+        if converged:
+            break
+    rmse = math.sqrt(sse / len(samples))
+    return qoe.QoEModel(structure_index, (float(params[0]), float(params[1])),
+                        rmse, len(samples), converged)
+
+
+def ref_structure_log_likelihood(model, samples):
+    var = qoe.STRUCTURE_VARIANCE[model.structure_index]
+    sigma = math.sqrt(var)
+    r = np.array([s.r for s in samples])
+    q = np.array([s.q for s in samples])
+    b = np.array([s.b for s in samples])
+    c = np.array([s.c for s in samples])
+    x = np.array([s.qoe for s in samples])
+    _, s_vec, i_vec = _ref_predictions(model.structure_index, model.impact_params,
+                                       r, q, b, c)
+    mean = s_vec * i_vec
+    z = np.maximum(ndtr((qoe.MOS_HI - mean) / sigma) - ndtr((qoe.MOS_LO - mean) / sigma),
+                   1e-300)
+    ll = (-0.5 * math.log(2.0 * math.pi * var)
+          - (x - mean) ** 2 / (2.0 * var)
+          - np.log(z))
+    return float(ll.sum())
+
+
+def _outcome(fn, *args, **kw):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kw)
+    except InsufficientData as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sample_sets(draw):
+    """Sample sets around a generating model.  A negative true alpha or beta
+    drives the fit onto its zero bound; constant B or C, two or three
+    samples and clamped scores (r up to 12 s) are all in range."""
+    n = draw(st.integers(2, 40))
+    struct = draw(st.integers(1, 3))
+    alpha = draw(st.floats(-0.45, 1.5))
+    beta = draw(st.floats(-0.45, 1.5))
+    const_b, const_c = draw(st.booleans()), draw(st.booleans())
+    unit = st.floats(0.0, 1.0)
+    b0, c0 = 1.0 + draw(unit), 1.0 + draw(unit)
+    out = []
+    for _ in range(n):
+        r, q = 12.0 * draw(unit), draw(unit)
+        b = b0 if const_b else 1.0 + draw(unit)
+        c = c0 if const_c else 1.0 + draw(unit)
+        mean = qoe.qos_score(struct, r, q) * qoe.impact(b, c, alpha, beta)
+        x = min(max(mean + draw(st.floats(-1.5, 1.5)), qoe.MOS_LO), qoe.MOS_HI)
+        out.append(qoe.FactorSample(x, r, q, b, c))
+    return out
+
+
+def _fit_cases():
+    """Deterministic sets hitting each edge the fit has; where the edge
+    shows in the model, `check` asserts that it is reached."""
+    rng = np.random.default_rng(21)
+    # C constant within the user, as every simulated user has it
+    const_c = [qoe.FactorSample(float(rng.uniform(2, 4)), float(rng.uniform(0, 3)),
+                                float(rng.random()), float(rng.uniform(1, 2)), 1.4)
+               for _ in range(30)]
+    # QoE rising with B: the best alpha is negative, so the fit stops at 0
+    rising = [qoe.FactorSample(1.0 + 2.0 * (b - 1.0) + 1.5, 0.0, 0.5, b, 1.0 + 0.5 * (b - 1.0) ** 2)
+              for b in np.linspace(1.0, 2.0, 12).tolist()]
+    return [
+        ("const_c", 3, const_c, 200, lambda m: True),
+        ("alpha_bound", 2, rising, 200, lambda m: m.impact_params[0] == 0.0),
+        ("max_iter", 3, make_samples(3, 0.7, 0.2, 40, rng, noise_var=0.8), 1,
+         lambda m: not m.converged),
+        ("n2", 3, make_samples(2, 0.5, 0.5, 2, rng, noise_var=1.0), 200, lambda m: True),
+        ("n3", 3, make_samples(1, 0.3, 0.9, 3, rng, noise_var=8.0), 200, lambda m: True),
+    ]
+
+
+class TestFitMatchesReference:
+    @pytest.mark.parametrize("name,struct,samples,max_iter,check", _fit_cases(),
+                             ids=[c[0] for c in _fit_cases()])
+    def test_edge_cases(self, name, struct, samples, max_iter, check):
+        got = qoe.fit_model(struct, samples, max_iter=max_iter)
+        assert got == ref_fit_model(struct, samples, max_iter=max_iter)
+        assert check(got)
+        assert (qoe.structure_log_likelihood(got, samples)
+                == ref_structure_log_likelihood(got, samples))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_sets(), st.sampled_from([1, 2, 3, 200]))
+    def test_bit_identical(self, samples, max_iter):
+        best, best_ll = None, -np.inf
+        for struct in qoe.STRUCTURES:
+            got = _outcome(qoe.fit_model, struct, samples, max_iter=max_iter)
+            assert got == _outcome(ref_fit_model, struct, samples, max_iter=max_iter)
+            if isinstance(got, qoe.QoEModel):
+                ll = qoe.structure_log_likelihood(got, samples)
+                assert ll == ref_structure_log_likelihood(got, samples)
+                if ll > best_ll:
+                    best, best_ll = got, ll
+        if max_iter == 200:
+            assert _outcome(qoe.fit_best_structure, samples) == (
+                best if best is not None
+                else (InsufficientData, "no structure could be fitted"))
