@@ -14,25 +14,27 @@ import sys
 
 from . import harness, scenario
 from .bench import SchemeId
+from .errors import ParseError, ValidationError
 
 SCHEMES = {s.value: s for s in SchemeId}
 
 
-def parse_seeds(text: str) -> list[int]:
-    """Accepts '1..10' ranges and '1,2,5' lists; exits on a non-integer
-    and on a text that names no seed, such as the reversed range '3..1'."""
+def parse_ints(text: str, flag: str, noun: str) -> list[int]:
+    """Accepts '1..10' ranges and '1,2,5' lists; exits naming the flag on a
+    non-integer and on a text that names no value, such as the reversed
+    range '3..1'."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            values = list(range(int(lo), int(hi) + 1))
         else:
-            seeds = [int(x) for x in text.split(",") if x.strip()]
+            values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise SystemExit(f"--seeds expects integers as a..b or a,b,c, got {text!r}") from None
-    if not seeds:
-        raise SystemExit(f"--seeds names no seed, got {text!r} "
+        raise SystemExit(f"{flag} expects integers as a..b or a,b,c, got {text!r}") from None
+    if not values:
+        raise SystemExit(f"{flag} names no {noun}, got {text!r} "
                          "(a range runs low..high)")
-    return seeds
+    return values
 
 
 def parse_schemes(text: str, flag: str) -> list[SchemeId]:
@@ -48,7 +50,8 @@ def parse_schemes(text: str, flag: str) -> list[SchemeId]:
 
 
 def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
-    """Scenario file (if any) plus the `--set` overrides, then `extra`."""
+    """Scenario file (if any) plus the `--set` overrides, then `extra`;
+    exits with the message of an unreadable file or an invalid config."""
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -56,15 +59,21 @@ def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
         key, _, val = item.partition("=")
         overrides[key.strip()] = val.strip()
     overrides.update(extra)
-    if args.scenario:
-        return scenario.load_scenario(args.scenario, overrides)
-    return scenario.validate_config(scenario.parse_overrides(overrides))
+    try:
+        if args.scenario:
+            return scenario.load_scenario(args.scenario, overrides)
+        return scenario.validate_config(scenario.parse_overrides(overrides))
+    except OSError as e:
+        raise SystemExit(f"--scenario: cannot read {args.scenario!r}: "
+                         f"{e.strerror}") from None
+    except (ParseError, ValidationError) as e:
+        raise SystemExit(f"invalid config: {e}") from None
 
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     schemes = parse_schemes(args.scheme, "--scheme")
-    seeds = parse_seeds(args.seeds)
+    seeds = parse_ints(args.seeds, "--seeds", "seed")
     summaries = []
     for scheme in schemes:
         summary = harness.run_experiment(
@@ -80,11 +89,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ks = [int(x) for x in args.k.split(",")]
+    ks = parse_ints(args.k, "--k", "user count")
     schemes = parse_schemes(args.schemes, "--schemes")
-    seeds = parse_seeds(args.seeds)
-    for k in ks:
-        cfg = _load_cfg(args, num_users=str(k))
+    seeds = parse_ints(args.seeds, "--seeds", "seed")
+    # every user count's config is checked before the first run
+    cfgs = {k: _load_cfg(args, num_users=str(k)) for k in ks}
+    for k, cfg in cfgs.items():
         for scheme in schemes:
             out = os.path.join(args.out, f"k{k}")
             summary = harness.run_experiment(cfg, scheme, seeds, out,

@@ -45,6 +45,7 @@ SHARE_LEVELS = 11  # {0.0, 0.1, ..., 1.0}
 SHORTFALL_WEIGHT = 2.0
 _HINGE_TAU = 0.1
 _CORNER_TAU = 0.02  # corner rounding of the tier-exact planning curves
+KKT_TOL = 1e-3  # a solve has converged when its KKT residual is below this
 
 
 @dataclass(frozen=True)
@@ -360,20 +361,20 @@ def utility_value_grad(c: UtilityConsts, bw: float, cpu: float
     return value, d_bw, d_cpu
 
 
-def project_capped_simplex(x: list[float], total: float = 1.0) -> list[float]:
-    """Euclidean projection onto {x >= 0, sum(x) <= total}.
+def project_capped_simplex(x: list[float]) -> list[float]:
+    """Euclidean projection onto {x >= 0, sum(x) <= 1}.
 
     Sort-based (Duchi et al., ICML 2008), on plain lists.
     """
     clipped = [0.0 if 0.0 > v else v for v in x]  # max(v, 0.0)
-    if sum(clipped) <= total:
+    if sum(clipped) <= 1.0:
         return clipped
     css = 0.0
     theta = 0.0
     for j, u in enumerate(sorted(x, reverse=True), 1):
         css += u
-        if u - (css - total) / j > 0.0:
-            theta = (css - total) / j
+        if u - (css - 1.0) / j > 0.0:
+            theta = (css - 1.0) / j
     return [max(v - theta, 0.0) for v in x]
 
 
@@ -398,7 +399,7 @@ class SolverReport:
 def user_allocate(members: list[AllocMember], bw_budget_hz: float,
                   cpu_budget_cps: float, catalog: VideoCatalog,
                   params: DemandParams = DemandParams(),
-                  max_iters: int = 500, tol: float = 1e-4,
+                  max_iters: int = 500,
                   warm_start: dict[int, tuple[float, float]] | None = None,
                   tol_step: float = 1e-12
                   ) -> tuple[dict[int, tuple[float, float]], SolverReport]:
@@ -477,7 +478,7 @@ def user_allocate(members: list[AllocMember], bw_budget_hz: float,
     rc = _max_gap(xc, project_capped_simplex(
         [x + eta * g for x, g in zip(xc, gc)])) / eta
     residual = max(rb, rc) / (1.0 + max(max(map(abs, gb)), max(map(abs, gc))))
-    converged = residual < tol * 10
+    converged = residual < KKT_TOL
     alloc = {m.user: (fb * bw_budget_hz, fc * cpu_budget_cps)
              for m, fb, fc in zip(members, xb, xc)}
     return alloc, SolverReport(converged, it, residual, value)

@@ -20,6 +20,7 @@ from .da1 import ResourceDemand
 from .errors import PotentialDecrease, UnlabeledDemand
 
 POSITION_SCALE_M = 10.0  # meters of per-slot displacement treated as one unit
+BR_MAX_ROUNDS = 100  # best-response rounds before the game is flagged unconverged
 
 
 @dataclass
@@ -195,8 +196,8 @@ def _take_while_profitable(curve: np.ndarray, available: float, quantum: float,
 
 def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
                          bw_capacity_hz: dict[int, float],
-                         cpu_capacity_cps: float, price: float,
-                         max_iters: int = 100) -> tuple[SliceConfig, BrReport]:
+                         cpu_capacity_cps: float, price: float
+                         ) -> tuple[SliceConfig, BrReport]:
     """Round-robin best-response dynamics over discretized slice choices.
 
     Group utility: summed marginal gains of its reserved quanta minus price
@@ -230,7 +231,7 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
     trace = [potential()]
     converged = False
     rounds = 0
-    for rounds in range(1, max_iters + 1):
+    for rounds in range(1, BR_MAX_ROUNDS + 1):
         round_changed = False
         for g in groups:
             moved = False

@@ -29,7 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class BdqNetwork:
 
     def __init__(self, input_dim: int, hidden: tuple[int, ...],
                  num_branches: int, actions_per_branch: int,
-                 rng: np.random.Generator | None = None, init: str = "xavier"):
+                 rng: np.random.Generator | None = None):
         if num_branches < 1:
             raise ShapeMismatch(f"num_branches {num_branches} must be >= 1")
         self.input_dim = input_dim
@@ -61,19 +61,20 @@ class BdqNetwork:
         self.trunk_w = []
         self.trunk_b = []
         for d_in, d_out in zip(dims, dims[1:]):
-            self.trunk_w.append(self._init_w(d_in, d_out, rng, init))
+            self.trunk_w.append(self._init_w(d_in, d_out, rng))
             self.trunk_b.append(np.zeros(d_out))
         top = dims[-1]
-        self.value_w = self._init_w(top, 1, rng, init)
+        self.value_w = self._init_w(top, 1, rng)
         self.value_b = np.zeros(1)
         # (D, H, A) and (D, A): one draw per branch, in branch order
-        self.adv_w = np.stack([self._init_w(top, actions_per_branch, rng, init)
+        self.adv_w = np.stack([self._init_w(top, actions_per_branch, rng)
                                for _ in range(num_branches)])
         self.adv_b = np.zeros((num_branches, actions_per_branch))
 
     @staticmethod
-    def _init_w(d_in, d_out, rng, init):
-        if init == "zeros" or rng is None:
+    def _init_w(d_in, d_out, rng):
+        """Xavier-uniform weights, or zeros without a generator."""
+        if rng is None:
             return np.zeros((d_in, d_out))
         limit = math.sqrt(6.0 / (d_in + d_out))
         return rng.uniform(-limit, limit, (d_in, d_out))
@@ -126,15 +127,6 @@ def forward_batch(net: BdqNetwork, states: np.ndarray) -> np.ndarray:
 def forward(net: BdqNetwork, state) -> np.ndarray:
     """Per-branch Q-vectors for one state: shape (num_branches, actions)."""
     return forward_batch(net, np.asarray(state, dtype=float)[None, :])[0]
-
-
-def state_value(net: BdqNetwork, state) -> float:
-    """The dueling V(s) stream on its own."""
-    state = np.asarray(state, dtype=float)[None, :]
-    if state.shape[1] != net.input_dim:
-        raise ShapeMismatch(f"state dim {state.shape[1]} != {net.input_dim}")
-    h = _trunk_forward(net, state)[-1]
-    return float((h @ net.value_w + net.value_b)[0, 0])
 
 
 def greedy_actions(net: BdqNetwork, state) -> np.ndarray:
@@ -268,7 +260,6 @@ class Hyperparams:
     batch_size: int = 64
     replay_capacity: int = 10_000
     target_sync: int = 200
-    eps_fixed: float | None = None  # pin epsilon (diagnostics)
 
 
 def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
@@ -289,11 +280,8 @@ def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
         state = np.asarray(env.reset(), dtype=float)
         ep_rewards = []
         for _ in range(hp.max_steps):
-            if hp.eps_fixed is not None:
-                eps = hp.eps_fixed
-            else:
-                frac = min(step_count / decay_steps, 1.0)
-                eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
+            frac = min(step_count / decay_steps, 1.0)
+            eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
             explore = rng.random(env.num_branches) < eps
             random_actions = rng.integers(0, env.actions_per_branch,
                                           env.num_branches)

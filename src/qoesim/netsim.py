@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import qoe
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, ValidationError
 from .scenario import ChannelConfig, ScenarioConfig, UserProfile
 
 
@@ -90,13 +90,6 @@ SLOT_COLUMNS = SlotRecord._fields
 def mean_path_loss(distance_m: float, model: ChannelModel) -> float:
     """Deterministic log-distance component of the path loss."""
     return model.ref_loss_db + 10.0 * model.path_loss_exponent * math.log10(distance_m)
-
-
-def path_loss(distance_m: float, model: ChannelModel, rng: np.random.Generator) -> float:
-    """Log-distance path loss with one lognormal shadowing draw, in dB."""
-    if distance_m <= 0:
-        raise DomainError(f"distance must be > 0, got {distance_m}")
-    return mean_path_loss(distance_m, model) + rng.normal(0.0, model.shadowing_sigma_db)
 
 
 def achievable_rate(bw_hz: float, snr_linear: float) -> float:
@@ -315,8 +308,7 @@ def _attach(state: SimState, t_s: float) -> list[float]:
 
 def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                   rng: np.random.Generator,
-                  records: list[SlotRecord] | None = None,
-                  window_slot0: int = 0) -> None:
+                  records: list[SlotRecord] | None = None) -> None:
     """Advance the world n_slots, drawing all stochastic inputs in fixed order.
 
     Grants are clipped to the slice caps in user-id order.  `records` (when
@@ -364,7 +356,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
         shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
         uni = rng.random((k, 2)).tolist()
         loss = _attach(state, t_s)
-        alloc = orchestrator(state, window_slot0 + step)
+        alloc = orchestrator(state, step)
         bw_left = dict(state.bw_caps)
         cpu_left = state.cpu_cap
         period_end = (t + 1) % period == 0

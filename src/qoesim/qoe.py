@@ -86,14 +86,11 @@ def impact(b: float, c: float, alpha: float, beta: float) -> float:
     return 1.0 / (1.0 + alpha * (b - 1.0) + beta * (c - 1.0))
 
 
-def eval_qoe(model: QoEModel, r: float, q: float, b: float, c: float,
-             clamp: bool = True) -> float:
-    """Predicted QoE under a fitted model; interior value if clamp=False."""
+def eval_qoe(model: QoEModel, r: float, q: float, b: float, c: float) -> float:
+    """Predicted QoE under a fitted model, clamped to the MOS scale."""
     alpha, beta = model.impact_params
     e = qos_score(model.structure_index, r, q) * impact(b, c, alpha, beta)
-    if clamp:
-        e = min(max(e, MOS_LO), MOS_HI)
-    return e
+    return min(max(e, MOS_LO), MOS_HI)
 
 
 def truncated_normal_from_uniform(mu, sigma, u, lo=MOS_LO, hi=MOS_HI):
@@ -114,20 +111,6 @@ def truncated_normal_from_uniform(mu, sigma, u, lo=MOS_LO, hi=MOS_HI):
     span = np.maximum(b - a, 1e-300)
     x = mu + safe_sigma * ndtri(np.clip(a + u * span, 1e-300, 1.0 - 1e-16))
     return np.clip(np.where(sigma > 0.0, x, mu), lo, hi)
-
-
-def sample_truncated_normal(mu: float, sigma2: float, lo: float = MOS_LO,
-                            hi: float = MOS_HI, *, rng: np.random.Generator) -> float:
-    """One draw from Normal(mu, sigma2) conditioned on [lo, hi].
-
-    sigma2 is a variance.  sigma2=0 degenerates to clamp(mu, lo, hi).
-    """
-    if lo >= hi:
-        raise DomainError(f"lo={lo} must be < hi={hi}")
-    if sigma2 < 0:
-        raise DomainError("variance must be nonnegative")
-    u = rng.random()
-    return float(truncated_normal_from_uniform(mu, math.sqrt(sigma2), u, lo, hi))
 
 
 class SampleColumns(NamedTuple):
@@ -167,22 +150,15 @@ def _qos_vec(structure_index, r, q):
     return np.minimum(np.maximum(s, MOS_LO), MOS_HI)
 
 
-def fit_model(structure_index: int, samples: list[FactorSample],
-              start: tuple[float, float] = (0.5, 0.5),
-              max_iter: int = 200) -> QoEModel:
+def fit_columns(structure_index: int, cols: SampleColumns,
+                start: tuple[float, float] = (0.5, 0.5),
+                max_iter: int = 200) -> QoEModel:
     """Levenberg-Marquardt fit of (alpha, beta) with projection onto >= 0.
 
     Deterministic given the samples (fixed start).  The accepted-step
     objective is non-increasing by construction; convergence failure is
     reported via the model's `converged` flag rather than an exception.
     """
-    return fit_columns(structure_index, sample_columns(samples), start, max_iter)
-
-
-def fit_columns(structure_index: int, cols: SampleColumns,
-                start: tuple[float, float] = (0.5, 0.5),
-                max_iter: int = 200) -> QoEModel:
-    """`fit_model` on a sample set's columns."""
     if len(cols.qoe) < 2:
         raise InsufficientData(f"need >= 2 samples, got {len(cols.qoe)}")
     if np.ptp(cols.b) == 0.0 and np.ptp(cols.c) == 0.0:
@@ -250,17 +226,12 @@ def should_update(old: QoEModel, recent: list[FactorSample],
     return model_rmse(old, recent) > rmse_tolerance * (old.fit_rmse + 1e-9)
 
 
-def structure_log_likelihood(model: QoEModel, samples: list[FactorSample]) -> float:
+def columns_log_likelihood(model: QoEModel, cols: SampleColumns) -> float:
     """Truncated-normal log-likelihood of samples under a fitted model.
 
     Uses the structure's known generator variance, so a hypothesis whose
     residuals are far smaller or larger than that variance scores poorly.
     """
-    return columns_log_likelihood(model, sample_columns(samples))
-
-
-def columns_log_likelihood(model: QoEModel, cols: SampleColumns) -> float:
-    """`structure_log_likelihood` on a sample set's columns."""
     var = STRUCTURE_VARIANCE[model.structure_index]
     sigma = math.sqrt(var)
     alpha, beta = model.impact_params

@@ -5,6 +5,8 @@ samples and fit per-user QoE models; policy training for learned schemes;
 frozen windowed evaluation on an independent traffic lane.  Random streams
 are keyed per purpose so training randomness never leaks into evaluation
 traffic and all schemes consume identical scenario/traffic streams.
+Each evaluation window is planned from one emulated context trace: the
+window length and the slices read the same predicted future.
 """
 from __future__ import annotations
 
@@ -170,13 +172,10 @@ class SchemeRun:
         return demands
 
     def build_slices(self, state: netsim.SimState, window_minutes: float,
-                     emu_rng: np.random.Generator
+                     traces: dict[int, np.ndarray]
                      ) -> tuple[da2.SliceConfig, dict[int, da1.ResourceDemand]]:
         cfg = self.cfg
-        window_s = window_minutes * 60.0
-        horizon = min(int(window_s / cfg.slot_s), DYNAMICS_HORIZON_SLOTS)
-        traces = self.context_traces(state, horizon, emu_rng)
-        demands = self.compute_demands(state, window_s, traces)
+        demands = self.compute_demands(state, window_minutes * 60.0, traces)
         group_of = self.group_of()
         memberships = {u: (group_of[u], state.runtime[u].serving_bs)
                        for u in demands}
@@ -290,7 +289,7 @@ class SchemeRun:
             w_min = self.dynamics_window(state, traces)
             w_slots = min(int(w_min * 60.0 / cfg.slot_s), total_slots - state.t)
             w_slots = max((w_slots // period) * period, period)
-            slc, demands = self.build_slices(state, w_min, emu_rng)
+            slc, demands = self.build_slices(state, w_min, traces)
             for u in sorted(demands):
                 d = demands[u]
                 demand_rows.append((w_idx, u, d.bandwidth_hz, d.compute_cps,
@@ -368,8 +367,11 @@ class _TrainEnv:
         self.epoch_i = 0
 
     def reset(self):
-        slc, _ = self.run.build_slices(self.state, TRAIN_EPISODE_MINUTES,
-                                       self.emu_rng)
+        run = self.run
+        horizon = min(int(TRAIN_EPISODE_MINUTES * 60.0 / run.cfg.slot_s),
+                      DYNAMICS_HORIZON_SLOTS)
+        traces = run.context_traces(self.state, horizon, self.emu_rng)
+        slc, _ = run.build_slices(self.state, TRAIN_EPISODE_MINUTES, traces)
         self.state.apply_slice(slc)
         self.epoch_i = 0
         return self.orch.state_vector(self.state)
@@ -385,9 +387,3 @@ class _TrainEnv:
         done = self.epoch_i >= self.episode_epochs
         return self.orch.state_vector(self.state), reward, done
 
-
-def run_scheme(cfg: scenario.ScenarioConfig, scheme: SchemeId, seed: int,
-               collect_slots: bool = True, train_epochs: int | None = None,
-               policy_in: str | None = None) -> RunResult:
-    return SchemeRun(cfg, scheme, seed, collect_slots, train_epochs,
-                     policy_in).execute()

@@ -38,15 +38,6 @@ class BaseStation:
 
 
 @dataclass(frozen=True)
-class EdgeServer:
-    capacity_cps: float = 10e9  # cycles per second
-
-    def __post_init__(self):
-        if self.capacity_cps <= 0:
-            raise ValidationError("edge.capacity_cps must be > 0")
-
-
-@dataclass(frozen=True)
 class VideoCatalog:
     quality_levels_bps: tuple[float, ...]
     segment_duration_s: float
@@ -114,7 +105,7 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class EdgeConfig:
-    capacity_cps: float = 10e9
+    capacity_cps: float = 10e9  # cycles per second
 
 
 @dataclass(frozen=True)
@@ -229,9 +220,6 @@ class ScenarioConfig:
                             self.radio.dl_bandwidth_hz, self.radio.tx_power_dbm)
                 for i in range(self.radio.num_bs)]
 
-    def edge_server(self) -> EdgeServer:
-        return EdgeServer(self.edge.capacity_cps)
-
     def video_catalog(self) -> VideoCatalog:
         return VideoCatalog(self.catalog.quality_levels_bps,
                             self.catalog.segment_duration_s,
@@ -268,10 +256,9 @@ def _coerce(raw: str, target_type, key: str):
     raise ParseError(f"{key}: unsupported field type {target_type}")
 
 
-def parse_overrides(pairs: dict[str, str],
-                    base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Apply dotted-path string overrides onto a config (defaults if None)."""
-    cfg = base if base is not None else ScenarioConfig()
+def parse_overrides(pairs: dict[str, str]) -> ScenarioConfig:
+    """Apply dotted-path string overrides onto the default config."""
+    cfg = ScenarioConfig()
     top = typing.get_type_hints(ScenarioConfig)
     block_updates: dict[str, dict] = {}
     top_updates: dict = {}
@@ -349,6 +336,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("channel.shadowing_sigma_db must be >= 0")
     if cfg.playback.eval_period_s < cfg.slot_s:
         raise ValidationError("playback.eval_period_s must span at least one slot")
+    if cfg.edge.capacity_cps <= 0:
+        raise ValidationError("edge.capacity_cps must be > 0")
     if cfg.agent.epoch_slots < 1:
         raise ValidationError("agent.epoch_slots must be >= 1")
     # the planning utility divides by the tier span, the lowest tier, both
@@ -386,7 +375,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("slicing.dynamics_thresholds must be nondecreasing")
     # constructing the typed entities runs their own invariant checks
     cfg.base_stations()
-    cfg.edge_server()
     cfg.video_catalog()
     return cfg
 

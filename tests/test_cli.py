@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qoesim import cli
@@ -38,8 +40,17 @@ class TestArgumentErrors:
         assert not list(tmp_path.iterdir())
 
     def test_seed_range_and_list(self):
-        assert cli.parse_seeds("2..4") == [2, 3, 4]
-        assert cli.parse_seeds("5,1,") == [5, 1]
+        assert cli.parse_ints("2..4", "--seeds", "seed") == [2, 3, 4]
+        assert cli.parse_ints("5,1,", "--seeds", "seed") == [5, 1]
+
+    @pytest.mark.parametrize("k,msg", [
+        ("16,x", "--k expects integers as a..b or a,b,c, got '16,x'"),
+        ("", "--k names no user count, got ''"),
+    ])
+    def test_bad_user_counts_exit_naming_the_flag(self, k, msg, tmp_path):
+        with pytest.raises(SystemExit, match=re.escape(msg)):
+            cli.main(["sweep", "--k", k, "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("cmd,flag", [("run", "--scheme"), ("sweep", "--schemes")])
     def test_unknown_scheme_lists_the_valid_ones(self, cmd, flag, tmp_path):
@@ -49,3 +60,34 @@ class TestArgumentErrors:
         assert msg.startswith(f"{flag}: unknown scheme 'bogus'")
         assert all(name in msg for name in cli.SCHEMES)
         assert not list(tmp_path.iterdir())
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv,msg", [
+        (["run", "--set", "num_users=17"], "invalid config: num_users: 17 not in"),
+        (["run", "--set", "agent.epoch_slots=ten"],
+         "invalid config: agent.epoch_slots: expected integer, got 'ten'"),
+        (["run", "--set", "agent.epoch_slot=10"],
+         "invalid config: unknown config key: agent.epoch_slot"),
+        (["sweep", "--k", "16,17"], "invalid config: num_users: 17 not in"),
+        (["sweep", "--set", "edge.capacity_cps=0"],
+         "invalid config: edge.capacity_cps must be > 0"),
+    ], ids=["out-of-preset", "not-an-integer", "unknown-key", "sweep-k", "sweep-set"])
+    def test_invalid_config_exits_naming_the_field(self, argv, msg, tmp_path):
+        with pytest.raises(SystemExit, match=re.escape(msg)):
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cmd", ["run", "sweep"])
+    def test_missing_scenario_file_exits_naming_it(self, cmd, tmp_path):
+        path = str(tmp_path / "absent.cfg")
+        with pytest.raises(SystemExit, match=re.escape(f"--scenario: cannot read {path!r}")):
+            cli.main([cmd, "--scenario", path, "--out", str(tmp_path / "out")])
+        assert not list(tmp_path.iterdir())
+
+    def test_malformed_scenario_line_exits_naming_the_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("agent.refit_window 7\n")
+        with pytest.raises(SystemExit, match="invalid config: line 1: expected 'key = value'"):
+            cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]

@@ -151,7 +151,7 @@ class TestGroupAllocate:
         assert shares == {2: (1.0, 1.0)}
 
     def test_zero_policy_equal_shares(self):
-        net = learn.BdqNetwork(18, (8,), 6, da1.SHARE_LEVELS, rng=None, init="zeros")
+        net = learn.BdqNetwork(18, (8,), 6, da1.SHARE_LEVELS, rng=None)
         shares = da1.group_allocate([gstate(1), gstate(2), gstate(3)], net)
         for g in (1, 2, 3):
             assert shares[g] == (pytest.approx(1 / 3), pytest.approx(1 / 3))
@@ -329,13 +329,13 @@ def ref_value_grad(members, bw, cpu, catalog, params):
     return util, gb, gc
 
 
-def ref_project_capped_simplex(x, total=1.0):
+def ref_project_capped_simplex(x):
     x = np.asarray(x, dtype=float)
     clipped = np.maximum(x, 0.0)
-    if clipped.sum() <= total:
+    if clipped.sum() <= 1.0:
         return clipped
     u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total
+    css = np.cumsum(u) - 1.0
     ind = np.arange(1, x.size + 1)
     rho = ind[u - css / ind > 0][-1]
     return np.maximum(x - css[rho - 1] / rho, 0.0)
@@ -455,11 +455,10 @@ class TestUtilityKernel:
 
 class TestProjectCappedSimplex:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9),
-           st.floats(0.05, 4.0))
-    def test_matches_numpy_reference(self, x, total):
-        got = da1.project_capped_simplex(x, total)
-        assert got == pytest.approx(list(ref_project_capped_simplex(x, total)),
+    @given(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9))
+    def test_matches_numpy_reference(self, x):
+        got = da1.project_capped_simplex(x)
+        assert got == pytest.approx(list(ref_project_capped_simplex(x)),
                                     rel=1e-12, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)

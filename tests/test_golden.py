@@ -23,10 +23,10 @@ GOLDEN = {
     (1, SchemeId.WITHOUT_DA): ([0.125], [[2718, 92, 162, 204, 189, 2395]]),
     (1, SchemeId.PDRL_L1): ([0.0625], [[3829, 148, 173, 353, 194, 1063]]),
     (1, SchemeId.HSLA_L2): ([0.125], [[3326, 304, 210, 234, 308, 1378]]),
-    (2, SchemeId.PROPOSED): ([0.0], [[3760, 474, 235, 383, 242, 666]]),
+    (2, SchemeId.PROPOSED): ([0.0], [[3992, 371, 210, 328, 212, 647]]),
     (2, SchemeId.WITHOUT_DA): ([0.0], [[2562, 389, 368, 355, 345, 1741]]),
     (2, SchemeId.PDRL_L1): ([0.0], [[3402, 497, 505, 466, 347, 543]]),
-    (2, SchemeId.HSLA_L2): ([0.0], [[3708, 460, 287, 338, 254, 713]]),
+    (2, SchemeId.HSLA_L2): ([0.0], [[3807, 499, 220, 302, 229, 703]]),
 }
 
 

@@ -12,7 +12,7 @@ from qoesim.errors import ShapeMismatch
 
 def tiny_net():
     """2-in, one hidden pair, 2 branches x 2 actions, documented weights."""
-    net = learn.BdqNetwork(2, (2,), 2, 2, rng=None, init="zeros")
+    net = learn.BdqNetwork(2, (2,), 2, 2, rng=None)
     net.trunk_w[0] = np.array([[1.0, 0.0], [0.0, 1.0]])
     net.trunk_b[0] = np.array([0.1, -0.2])
     net.value_w = np.array([[0.5], [1.0]])
@@ -42,7 +42,7 @@ def rand_batch(rng, net, n=5):
 
 class TestForward:
     def test_zero_network_all_zero(self):
-        net = learn.BdqNetwork(4, (8, 8), 3, 5, rng=None, init="zeros")
+        net = learn.BdqNetwork(4, (8, 8), 3, 5, rng=None)
         q = learn.forward(net, np.ones(4))
         assert np.all(q == 0.0)
 
@@ -52,7 +52,8 @@ class TestForward:
             net = rand_net(rng)
             s = rng.normal(size=3)
             q = learn.forward(net, s)
-            v = learn.state_value(net, s)
+            h = learn._trunk_forward(net, s[None, :])[-1]
+            v = (h @ net.value_w + net.value_b)[0, 0]
             assert np.allclose(q.mean(axis=1), v, atol=1e-9)
 
     def test_golden_tiny_net(self):
@@ -200,7 +201,7 @@ class TestTraining:
     def test_pure_exploration_flat_curve(self):
         rng = np.random.default_rng(43)
         _, curve = learn.train_episodes(BanditEnv(rng),
-                                        bandit_hp(eps_fixed=1.0), rng)
+                                        bandit_hp(eps_end=1.0), rng)
         first, second = np.mean(curve[:250]), np.mean(curve[250:])
         assert abs(first - second) < 0.1
 

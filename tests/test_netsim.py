@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoesim import netsim, qoe, scenario
-from qoesim.errors import ConfigError, DomainError
+from qoesim.errors import ConfigError
 
 
-def default_channel(sigma=0.0):
-    return netsim.ChannelModel(3.0, 30.0, sigma, -167.0)
+def default_channel():
+    return netsim.ChannelModel(3.0, 30.0, 0.0, -167.0)
 
 
 def full_slice(cfg, groups=(1, 2, 3)):
@@ -47,21 +47,11 @@ def make_state(seed=1, **over):
 class TestPathLoss:
     def test_reference_distance_identity(self):
         m = default_channel()
-        assert netsim.path_loss(1.0, m, np.random.default_rng(0)) == 30.0
+        assert netsim.mean_path_loss(1.0, m) == 30.0
 
     def test_log_distance_formula(self):
         m = default_channel()
-        assert netsim.path_loss(100.0, m, np.random.default_rng(0)) == pytest.approx(90.0)
-
-    def test_shadowing_std(self):
-        m = default_channel(sigma=4.0)
-        rng = np.random.default_rng(1)
-        draws = np.array([netsim.path_loss(50.0, m, rng) for _ in range(100_000)])
-        assert abs(draws.std() - 4.0) < 0.1
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            netsim.path_loss(0.0, default_channel(), np.random.default_rng(0))
+        assert netsim.mean_path_loss(100.0, m) == pytest.approx(90.0)
 
 
 class TestAchievableRate:
@@ -309,8 +299,7 @@ def ref_enforce_caps(state, alloc):
     return out
 
 
-def ref_advance_slots(state, orchestrator, n_slots, rng, records=None,
-                      window_slot0=0):
+def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
     k = len(state.profiles)
     n_bs = len(state.base_stations)
     cat = state.catalog
@@ -340,7 +329,7 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None,
                 pl[i, j] = netsim.mean_path_loss(d, state.channel)
             state.runtime[i].serving_bs = int(np.argmin(pl[i]))
 
-        alloc = orchestrator(state, window_slot0 + step)
+        alloc = orchestrator(state, step)
         granted = ref_enforce_caps(state, alloc)
 
         mus = np.empty(k)
@@ -451,9 +440,7 @@ class TestKernelMatchesReference:
             orchestrator = ORCHESTRATORS[orch](seed)
             rng = np.random.default_rng(seed)
             records = [] if with_records else None
-            slot0 = 0
             for n in calls:  # call lengths need not tile the period
-                step(state, orchestrator, n, rng, records, window_slot0=slot0)
-                slot0 += n
+                step(state, orchestrator, n, rng, records)
             results.append((records, _world_state(state), rng.random()))
         assert results[0] == results[1]

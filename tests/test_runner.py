@@ -18,14 +18,14 @@ def fast_cfg(**extra):
 
 @pytest.fixture(scope="module")
 def proposed_run():
-    return runner.run_scheme(fast_cfg(), SchemeId.PROPOSED, 3, train_epochs=20)
+    return runner.SchemeRun(fast_cfg(), SchemeId.PROPOSED, 3, train_epochs=20).execute()
 
 
 class TestSchemeRun:
     def test_deterministic_results(self):
         cfg = fast_cfg()
-        r1 = runner.run_scheme(cfg, SchemeId.PROPOSED, 1, train_epochs=30)
-        r2 = runner.run_scheme(cfg, SchemeId.PROPOSED, 1, train_epochs=30)
+        r1 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
+        r2 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
         assert r1.slot_records == r2.slot_records
         assert r1.demand_rows == r2.demand_rows
         assert r1.slice_rows == r2.slice_rows
@@ -35,7 +35,7 @@ class TestSchemeRun:
     def test_no_capacity_violations_any_scheme(self):
         cfg = fast_cfg()
         for scheme in SchemeId:
-            res = runner.run_scheme(cfg, scheme, 2, train_epochs=20)
+            res = runner.SchemeRun(cfg, scheme, 2, train_epochs=20).execute()
             assert res.slot_records
             assert harness.capacity_violations(res) == 0
 
@@ -57,25 +57,44 @@ class TestSchemeRun:
 
     def test_wo_da_fixed_window(self):
         cfg = fast_cfg()
-        res = runner.run_scheme(cfg, SchemeId.WITHOUT_DA, 1, collect_slots=False)
+        res = runner.SchemeRun(cfg, SchemeId.WITHOUT_DA, 1, collect_slots=False).execute()
         assert all(w.window_minutes == cfg.slicing.wo_da_window_min
                    for w in res.windows)
         assert all(w.mechanism == "greedy" for w in res.windows)
 
     def test_windows_tile_the_evaluation(self):
         cfg = fast_cfg()
-        res = runner.run_scheme(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                                train_epochs=0)
+        res = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
+                               train_epochs=0).execute()
         total = int(cfg.sim_duration_s / cfg.slot_s)
         assert res.windows[0].start_slot == 0
         for a, b in zip(res.windows, res.windows[1:]):
             assert a.end_slot == b.start_slot
         assert res.windows[-1].end_slot >= total
 
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_one_context_trace_per_window(self, scheme, monkeypatch):
+        # the window length and the slices are planned on the same trace
+        cfg = fast_cfg(sim_duration_s=720,
+                       **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
+        sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False, train_epochs=0)
+        sr.fit_models(sr.bootstrap(np.random.default_rng(1)))
+        calls = []
+        emulate = da1.emulate_context
+
+        def counted(*args, **kw):
+            calls.append(args[0].id)
+            return emulate(*args, **kw)
+
+        monkeypatch.setattr(da1, "emulate_context", counted)
+        res = sr.evaluate()
+        assert len(res.windows) > 1
+        assert calls == list(range(cfg.num_users)) * len(res.windows)
+
     def test_demand_rows_cover_all_users(self):
         cfg = fast_cfg()
-        res = runner.run_scheme(cfg, SchemeId.HSLA_L2, 1, collect_slots=False,
-                                train_epochs=20)
+        res = runner.SchemeRun(cfg, SchemeId.HSLA_L2, 1, collect_slots=False,
+                               train_epochs=20).execute()
         for w in res.windows:
             users = {r[1] for r in res.demand_rows if r[0] == w.index}
             assert users == set(range(cfg.num_users))

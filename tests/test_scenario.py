@@ -6,6 +6,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesim import scenario
 from qoesim.errors import ParseError, ValidationError
@@ -68,6 +70,7 @@ class TestLoadScenario:
         ("train.target_sync", "-1"),
         ("train.hidden_width", "0"),
         ("train.epochs", "-1"),
+        ("edge.capacity_cps", "0"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
@@ -118,6 +121,44 @@ class TestConfigFieldsRead:
         assert unread == []
 
 
+def field_values(t):
+    """Finite values of one config field's type."""
+    if t is bool:
+        return st.booleans()
+    if t is int:
+        return st.integers(-10**12, 10**12)
+    if t is float:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if t is str:  # no spaces, comment marks or line breaks in the file syntax
+        return st.text("abcdefghijklmnopqrstuvwxyz_-", max_size=12)
+    elem, *rest = t.__args__
+    if rest == [Ellipsis]:
+        return st.lists(field_values(elem), max_size=6).map(tuple)
+    return st.tuples(*(field_values(a) for a in t.__args__))
+
+
+@st.composite
+def configs(draw):
+    cfg = scenario.ScenarioConfig()
+    top = {}
+    for name, t in typing.get_type_hints(scenario.ScenarioConfig).items():
+        if dataclasses.is_dataclass(t):
+            block = {n: draw(field_values(bt))
+                     for n, bt in typing.get_type_hints(t).items()}
+            top[name] = dataclasses.replace(getattr(cfg, name), **block)
+        else:
+            top[name] = draw(field_values(t))
+    return dataclasses.replace(cfg, **top)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_serialize_then_parse_gives_the_config(self, cfg):
+        text = scenario.serialize_config(cfg)
+        assert scenario.parse_overrides(scenario.parse_scenario_text(text)) == cfg
+
+
 class TestSampleUsers:
     def test_deterministic_under_seed(self):
         cfg = scenario.ScenarioConfig()
@@ -164,7 +205,3 @@ class TestDomainTypes:
     def test_base_station_invariants(self):
         with pytest.raises(ValidationError):
             scenario.BaseStation(0, (0, 0), 0.0, 30.0)
-
-    def test_edge_invariant(self):
-        with pytest.raises(ValidationError):
-            scenario.EdgeServer(0.0)
