@@ -88,26 +88,24 @@ def generic_model(cfg: ScenarioConfig) -> qoe.QoEModel:
 
 def wo_da_demands(cfg: ScenarioConfig, elas: dict[int, float],
                   mean_eff: float, catalog: VideoCatalog,
-                  params: da1.DemandParams,
-                  window_s: float) -> dict[int, da1.ResourceDemand]:
+                  params: da1.DemandParams) -> dict[int, da1.ResourceDemand]:
     """Generic-model demand at the population-average context."""
     model = generic_model(cfg)
     traj = np.full((8, 2), 1.5)
     return {u: da1.predict_demand(model, elas[u], traj, catalog, mean_eff,
-                                  params, window_s, user=u)
+                                  params, user=u)
             for u in elas}
 
 
 def hsla_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
                 catalog: VideoCatalog, eff_bps_per_hz: float,
-                params: da1.DemandParams, window_s: float,
-                user: int = -1) -> da1.ResourceDemand:
+                params: da1.DemandParams, user: int = -1) -> da1.ResourceDemand:
     """SLA-style demand: pick the tier whose bare QoS score meets the ELA,
     ignoring the context impact entirely."""
     qos_only = qoe.QoEModel(model.structure_index, (0.0, 0.0),
                             model.fit_rmse, model.sample_count)
     return da1.predict_demand(qos_only, ela, trajectory, catalog,
-                              eff_bps_per_hz, params, window_s, user=user)
+                              eff_bps_per_hz, params, user=user)
 
 
 def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from math import exp, log, log1p
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ResourceDemand:
     user: int
     bandwidth_hz: float
     compute_cps: float
-    window_s: float
     feasible: bool
 
 
@@ -76,8 +75,6 @@ class AllocMember:
     """Solver view of one user: fitted model plus channel efficiency."""
     user: int
     structure_index: int
-    alpha: float
-    beta: float
     ela: float
     mean_impact: float  # window-average I(B, C) under the fitted model
     eff_bps_per_hz: float
@@ -141,7 +138,7 @@ def _stall_bandwidth(bitrate_bps: float, eff: float, stall_budget_s: float,
 def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
                    catalog: VideoCatalog, eff_bps_per_hz: float,
                    params: DemandParams = DemandParams(),
-                   window_s: float = 540.0, user: int = -1) -> ResourceDemand:
+                   user: int = -1) -> ResourceDemand:
     """Minimum-cost (bandwidth, compute) meeting the ELA on window average.
 
     Scans the quality ladder after inverting the structure's QoS score in
@@ -177,7 +174,7 @@ def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
     if stall_budget is not math.inf:
         bw = max(bw, _stall_bandwidth(tier_rate, eff, stall_budget, params, seg))
     cpu = params.cpu_headroom * catalog.compute_cost_cps(tier_rate)
-    return ResourceDemand(user, bw, cpu, window_s, feasible)
+    return ResourceDemand(user, bw, cpu, feasible)
 
 
 def cluster_users(models: dict[int, qoe.QoEModel]) -> dict[int, list[int]]:
@@ -537,9 +534,8 @@ class Orchestrator:
         b, c = netsim.behavior_env_trace(
             p, state.t * state.slot_s, self.cfg.users.max_swipe_rate_per_min,
             self.cfg.users.complexity_increases_with_speed)
-        alpha, beta = model.impact_params
-        return AllocMember(user, model.structure_index, alpha, beta, p.ela,
-                           qoe.impact(b, c, alpha, beta),
+        return AllocMember(user, model.structure_index, p.ela,
+                           qoe.impact(b, c, *model.impact_params),
                            state.runtime[user].eff_ewma)
 
     def replan(self, state) -> None:
@@ -551,19 +547,15 @@ class Orchestrator:
                                     self.cfg.playback.max_buffer_s)
         groups = cluster_users(self.models)
         # group budgets anchor on the slice reservations; the policy's shares
-        # redistribute the unreserved slack plus a bounded fraction of the
-        # reserved pool, so learned corrections matter even when slices are
-        # saturated but never strip a group of most of its reservation
+        # redistribute a bounded fraction of the reserved pool, so learned
+        # corrections matter even when slices are saturated but never strip
+        # a group of most of its reservation.  The slice caps are the
+        # reservation sums, so the pools are fractions of them.
         lam = self.cfg.agent.share_pool_frac
         res_bw = state.slice.reserved_bw
         res_cpu = state.slice.reserved_cpu
-        pool_bw = {}
-        for bs, cap in state.bw_caps.items():
-            reserved = sum(v for (g, b), v in res_bw.items() if b == bs)
-            pool_bw[bs] = max(cap - reserved, 0.0) + lam * reserved
-        reserved_cpu_total = sum(res_cpu.values())
-        pool_cpu = max(state.cpu_cap - reserved_cpu_total, 0.0) \
-            + lam * reserved_cpu_total
+        pool_bw = {bs: lam * cap for bs, cap in state.bw_caps.items()}
+        pool_cpu = lam * sum(res_cpu.values())
         alloc: dict[int, tuple[float, float]] = {}
         for g, members in groups.items():
             share_bw, share_cpu = shares.get(g, (0.0, 0.0))
@@ -621,3 +613,19 @@ def planning_qoe(member: AllocMember, bw_hz: float, cpu_cps: float,
         service = min(c.eff * bw_hz, cpu_cps * c.r_lo / c.c0)
         s -= qoe.REBUFFER_SLOPE * (c.stall_bits / (service + c.stall_floor))
     return member.mean_impact * s
+
+
+def slice_gain(member: AllocMember, demand: ResourceDemand,
+               catalog: VideoCatalog, params: DemandParams = DemandParams()
+               ) -> Callable[[float, float], float]:
+    """One user's slice curve for `da2.abstract_demand`: a function of the
+    demand fractions (f_bw, f_cpu) giving the planning QoE plus the
+    ELA-chase bonus below target, weighted as in the user-level solver."""
+    c = utility_consts(member, catalog, params)
+    weight, target = c.shortfall_w, c.ela
+    bw, cpu = demand.bandwidth_hz, demand.compute_cps
+
+    def gain(f_bw: float, f_cpu: float) -> float:
+        e = planning_qoe(member, f_bw * bw, f_cpu * cpu, catalog, params)
+        return e + weight * min(e, target)
+    return gain

@@ -45,7 +45,6 @@ class DemandDistribution:
 
 @dataclass
 class SliceConfig:
-    window_minutes: float
     reserved_bw: dict[tuple[int, int], float]
     reserved_cpu: dict[int, float]
     mechanism: str = "greedy"
@@ -128,8 +127,7 @@ def dynamics_to_window(traces: list[np.ndarray],
 
 
 def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
-                 cpu_capacity_cps: float,
-                 window_minutes: float = 9.0) -> SliceConfig:
+                 cpu_capacity_cps: float) -> SliceConfig:
     """Grant one quantum at a time to the cell/resource with the highest
     marginal QoE until capacity or demand runs out; ties favor the lowest
     group index.  Exact for concave (nonincreasing) marginal curves."""
@@ -169,8 +167,7 @@ def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
     reserved_cpu: dict[int, float] = {g: 0.0 for g in dist.groups()}
     for (g, _), used in cpu_used.items():
         reserved_cpu[g] += used
-    return SliceConfig(window_minutes, reserved_bw, reserved_cpu,
-                       mechanism="greedy")
+    return SliceConfig(reserved_bw, reserved_cpu, mechanism="greedy")
 
 
 @dataclass
@@ -269,6 +266,5 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
             break
     reserved_bw = {key: q * q_bw for key, q in bw_q.items()}
     reserved_cpu = {g: q * q_cpu for g, q in cpu_q.items()}
-    cfg = SliceConfig(initial.window_minutes, reserved_bw, reserved_cpu,
-                      mechanism="game")
+    cfg = SliceConfig(reserved_bw, reserved_cpu, mechanism="game")
     return cfg, BrReport(converged, rounds, trace)

@@ -1,8 +1,9 @@
 """Time-slotted network simulation: mobility, wireless rates, video playback.
 
-One `SimState` holds everything mutable for a single run.  `run_window`
-advances the state across a slicing window, pulling per-user allocations
-from an orchestrator callback each slot and enforcing slice reservations.
+One `SimState` holds everything mutable for a single run.
+`SimState.apply_slice` installs a slicing window's per-BS bandwidth and
+total compute caps, and `advance_slots` advances the state under them,
+pulling per-user allocations from an orchestrator callback each slot.
 All randomness flows through one generator so the traffic stream is
 byte-identical across schemes: every slot draws shadowing for every
 (user, BS) pair plus one arrival uniform and one MOS uniform per user,
@@ -13,7 +14,7 @@ Each slot it
   1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
      turns both into lists;
   2. moves every user and attaches it to the BS of least mean path loss
-     (`_attach`, which `run_window` also uses at window start);
+     (`_attach`);
   3. calls the orchestrator, then per user in id order clips the request to
      what the slice caps have left, and steps the radio rate, the swipe
      arrival, the tier pick, the segment download, playback and the MOS mean.
@@ -209,11 +210,9 @@ class _UserConsts(NamedTuple):
 class SimState:
     """Mutable world state for one simulation run."""
 
-    def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile],
-                 group_of: dict[int, int]):
+    def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
         self.cfg = cfg
         self.profiles = profiles
-        self.group_of = dict(group_of)
         self.catalog = cfg.video_catalog()
         self.base_stations = cfg.base_stations()
         self.channel = ChannelModel.from_config(cfg.channel)
@@ -264,15 +263,6 @@ class SimState:
         self.slice = slice_cfg
         self.bw_caps = caps
         self.cpu_cap = min(total_cpu, edge)
-
-    def check_coverage(self) -> None:
-        if self.slice is None:
-            return
-        for p in self.profiles:
-            g = self.group_of[p.id]
-            bs = self.runtime[p.id].serving_bs
-            if (g, bs) not in self.slice.reserved_bw:
-                raise ConfigError(f"slice omits active pair (group={g}, bs={bs})")
 
 
 def users_by_bs(state: SimState, users) -> dict[int, list[int]]:
@@ -460,20 +450,3 @@ def _emit_samples(state: SimState, records: list[SlotRecord] | None,
                 mos, rec.rebuffer_period_s, rec.quality, rec.behavior, rec.complexity)))
     for pending_list in (pending, mus, sigmas, unis):
         pending_list.clear()
-
-
-def run_window(state: SimState, slice_cfg, orchestrator: Callable,
-               rng: np.random.Generator, n_slots: int,
-               collect_records: bool = True) -> list[SlotRecord]:
-    """Simulate one slicing window under fixed reservations.
-
-    The orchestrator callback is invoked every slot with (state, slot index
-    within the window) and returns {user: (bw_hz, cpu_cps)}.  Raises
-    ConfigError when the slice omits an active (group, BS) pair.
-    """
-    state.apply_slice(slice_cfg)
-    _attach(state, state.t * state.slot_s)  # coverage check at window start
-    state.check_coverage()
-    records: list[SlotRecord] | None = [] if collect_records else None
-    advance_slots(state, orchestrator, n_slots, rng, records)
-    return records if records is not None else []

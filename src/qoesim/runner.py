@@ -58,13 +58,6 @@ def _lane(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng([seed, key])
 
 
-def _hinged_gain(member, demand, f_bw, f_cpu, weight, target, catalog, params):
-    """Slice-curve gain: planning QoE plus the ELA-chase bonus below target."""
-    e = da1.planning_qoe(member, f_bw * demand.bandwidth_hz,
-                         f_cpu * demand.compute_cps, catalog, params)
-    return e + weight * min(e, target)
-
-
 class SchemeRun:
     """Owns all mutable pieces of one scheme/seed execution."""
 
@@ -93,16 +86,12 @@ class SchemeRun:
 
     def bootstrap(self, train_rng: np.random.Generator) -> netsim.SimState:
         cfg = self.cfg
-        state = netsim.SimState(cfg, self.profiles, {p.id: 0 for p in self.profiles})
-        slc = da2.SliceConfig(
-            cfg.agent.bootstrap_minutes,
-            reserved_bw={(0, b): cap for b, cap in self._bs_caps.items()},
-            reserved_cpu={0: self._cpu_cap})
+        # no slice: the explorer shares out the hardware caps the state starts with
+        state = netsim.SimState(cfg, self.profiles)
         slots = int(cfg.agent.bootstrap_minutes * 60.0 / cfg.slot_s)
         explorer = bench.ExplorationOrchestrator(
             _lane(self.seed, _LANE_EXPLORE), cfg.agent.epoch_slots)
-        netsim.run_window(state, slc, explorer, train_rng, slots,
-                          collect_records=False)
+        netsim.advance_slots(state, explorer, slots, train_rng)
         return state
 
     def fit_models(self, state: netsim.SimState) -> None:
@@ -151,66 +140,56 @@ class SchemeRun:
         return da2.dynamics_to_window(full, self.cfg.slicing.dynamics_thresholds,
                                       self.cfg.slicing.window_minutes)
 
-    def compute_demands(self, state: netsim.SimState, window_s: float,
+    def compute_demands(self, state: netsim.SimState,
                         traces: dict[int, np.ndarray]
                         ) -> dict[int, da1.ResourceDemand]:
         if self.scheme is SchemeId.WITHOUT_DA:
             effs = [state.runtime[p.id].eff_ewma for p in self.profiles]
             return bench.wo_da_demands(self.cfg, self.elas, float(np.mean(effs)),
-                                       self.catalog, self.params, window_s)
+                                       self.catalog, self.params)
         demands = {}
         for p in self.profiles:
             eff = state.runtime[p.id].eff_ewma
             if self.scheme is SchemeId.HSLA_L2:
                 demands[p.id] = bench.hsla_demand(
                     self.models[p.id], p.ela, traces[p.id], self.catalog,
-                    eff, self.params, window_s, user=p.id)
+                    eff, self.params, user=p.id)
             else:
                 demands[p.id] = da1.predict_demand(
                     self.models[p.id], p.ela, traces[p.id], self.catalog,
-                    eff, self.params, window_s, user=p.id)
+                    eff, self.params, user=p.id)
         return demands
 
-    def build_slices(self, state: netsim.SimState, window_minutes: float,
+    def build_slices(self, state: netsim.SimState,
                      traces: dict[int, np.ndarray]
                      ) -> tuple[da2.SliceConfig, dict[int, da1.ResourceDemand]]:
         cfg = self.cfg
-        demands = self.compute_demands(state, window_minutes * 60.0, traces)
+        demands = self.compute_demands(state, traces)
         group_of = self.group_of()
         memberships = {u: (group_of[u], state.runtime[u].serving_bs)
                        for u in demands}
         utilities = {}
         for p in self.profiles:
             model = self.models[p.id]
-            alpha, beta = model.impact_params
-            traj = traces[p.id]
-            ibar = da1.mean_impact(model, traj)
             member = da1.AllocMember(
-                p.id, model.structure_index, alpha, beta, p.ela,
-                ibar, state.runtime[p.id].eff_ewma)
-            d = demands[p.id]
-            # winnable users weight the slicing curves the same way the
-            # user-level solver and the learning reward chase the ELA
-            target = p.ela + self.params.margin_mos
-            winnable = target <= 5.0 * ibar + 1e-9
-            w = da1.SHORTFALL_WEIGHT if winnable else 0.0
-            utilities[p.id] = (
-                lambda fb, fc, m=member, d=d, w=w, t=target:
-                _hinged_gain(m, d, fb, fc, w, t, self.catalog, self.params))
+                p.id, model.structure_index, p.ela,
+                da1.mean_impact(model, traces[p.id]), state.runtime[p.id].eff_ewma)
+            utilities[p.id] = da1.slice_gain(member, demands[p.id],
+                                             self.catalog, self.params)
         dist = da2.abstract_demand(demands.values(), memberships, utilities,
                                    cfg.slicing.quantum_bw_hz,
                                    cfg.slicing.quantum_cpu_cps)
-        slc = da2.greedy_slice(dist, self._bs_caps, self._cpu_cap, window_minutes)
+        slc = da2.greedy_slice(dist, self._bs_caps, self._cpu_cap)
         scarce = self._is_scarce(dist)
         if scarce and self.scheme is not SchemeId.WITHOUT_DA:
             slc, _ = da2.best_response_adjust(
                 slc, dist, self._bs_caps, self._cpu_cap,
                 cfg.slicing.price_mos_per_quantum)
-        # cover every (present group, BS) pair so mid-window roaming stays legal
+        # list every (present group, BS) pair, 0 where the group has no
+        # demand at that BS, so each window's slices rows cover the grid
         for g in set(group_of.values()):
             for bs in self._bs_caps:
                 slc.reserved_bw.setdefault((g, bs), 0.0)
-            slc.reserved_cpu.setdefault(g, 0.0)
         return slc, demands
 
     def _is_scarce(self, dist: da2.DemandDistribution) -> bool:
@@ -272,14 +251,14 @@ class SchemeRun:
 
     def evaluate(self) -> RunResult:
         cfg = self.cfg
-        state = netsim.SimState(cfg, self.profiles, self.group_of())
+        state = netsim.SimState(cfg, self.profiles)
         eval_rng = _lane(self.seed, _LANE_EVAL)
         emu_rng = _lane(self.seed, _LANE_EMU_EVAL)
         orch = self.make_orchestrator()
         total_slots = int(cfg.sim_duration_s / cfg.slot_s)
         period = state.period_slots
         windows: list[WindowLog] = []
-        all_records: list[netsim.SlotRecord] = []
+        records: list[netsim.SlotRecord] | None = [] if self.collect_slots else None
         demand_rows = []
         slice_rows = []
         w_idx = 0
@@ -289,7 +268,7 @@ class SchemeRun:
             w_min = self.dynamics_window(state, traces)
             w_slots = min(int(w_min * 60.0 / cfg.slot_s), total_slots - state.t)
             w_slots = max((w_slots // period) * period, period)
-            slc, demands = self.build_slices(state, w_min, traces)
+            slc, demands = self.build_slices(state, traces)
             for u in sorted(demands):
                 d = demands[u]
                 demand_rows.append((w_idx, u, d.bandwidth_hz, d.compute_cps,
@@ -299,9 +278,8 @@ class SchemeRun:
                                    slc.reserved_cpu.get(g, 0.0), slc.mechanism))
             start = state.t
             mark = len(state.period_samples)
-            recs = netsim.run_window(state, slc, orch, eval_rng, w_slots,
-                                     collect_records=self.collect_slots)
-            all_records.extend(recs)
+            state.apply_slice(slc)
+            netsim.advance_slots(state, orch, w_slots, eval_rng, records)
             samples = state.period_samples[mark:]
             means: dict[int, list[float]] = {}
             for ps in samples:
@@ -310,9 +288,8 @@ class SchemeRun:
                 w_idx, start, state.t, w_min, slc.mechanism,
                 {u: float(np.mean(v)) for u, v in means.items()}, samples))
             self._maybe_refit(samples)
-            state.group_of = self.group_of()  # refits can regroup users
             w_idx += 1
-        return RunResult(self.scheme.value, self.seed, windows, all_records,
+        return RunResult(self.scheme.value, self.seed, windows, records or [],
                          demand_rows, slice_rows, dict(self.models), self.reward_curve,
                          list(state.arrival_log))
 
@@ -341,7 +318,6 @@ class SchemeRun:
         train_rng = _lane(self.seed, _LANE_TRAIN)
         state = self.bootstrap(train_rng)
         self.fit_models(state)
-        state.group_of = self.group_of()
         self.train_policies(state, train_rng)
         return self.evaluate()
 
@@ -371,7 +347,7 @@ class _TrainEnv:
         horizon = min(int(TRAIN_EPISODE_MINUTES * 60.0 / run.cfg.slot_s),
                       DYNAMICS_HORIZON_SLOTS)
         traces = run.context_traces(self.state, horizon, self.emu_rng)
-        slc, _ = run.build_slices(self.state, TRAIN_EPISODE_MINUTES, traces)
+        slc, _ = run.build_slices(self.state, traces)
         self.state.apply_slice(slc)
         self.epoch_i = 0
         return self.orch.state_vector(self.state)

@@ -167,8 +167,8 @@ class AgentConfig:
     refit_tolerance: float = 1.5
     refit_window: int = 120
     context_noise: float = 0.05
-    # fraction of the reserved pool the group policy may redistribute each
-    # epoch (on top of any unreserved slack)
+    # fraction of the reserved pool the group policy may redistribute
+    # each epoch
     share_pool_frac: float = 0.25
 
 
@@ -373,6 +373,14 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     th = cfg.slicing.dynamics_thresholds
     if any(b < a for a, b in zip(th, th[1:])):
         raise ValidationError("slicing.dynamics_thresholds must be nondecreasing")
+    # each dynamics stage picks one window length
+    if len(cfg.slicing.window_minutes) != len(th) + 1:
+        raise ValidationError(f"slicing.window_minutes needs {len(th) + 1} "
+                              "entries, one per dynamics stage")
+    if any(w <= 0 for w in cfg.slicing.window_minutes):
+        raise ValidationError("slicing.window_minutes entries must be > 0")
+    if cfg.slicing.wo_da_window_min <= 0:
+        raise ValidationError("slicing.wo_da_window_min must be > 0")
     # constructing the typed entities runs their own invariant checks
     cfg.base_stations()
     cfg.video_catalog()

@@ -38,10 +38,10 @@ class TestWoDaDemands:
         model = qoe.QoEModel(3, (mean, mean), 0.5, 0)
         traj = np.full((10, 2), 1.5)
         elas = {u: 3.4 for u in range(4)}
-        generic = bench.wo_da_demands(CFG, elas, 2.0, CAT, PARAMS, 540.0)
+        generic = bench.wo_da_demands(CFG, elas, 2.0, CAT, PARAMS)
         for u in elas:
             mine = da1.predict_demand(model, elas[u], traj, CAT, 2.0,
-                                      PARAMS, 540.0, user=u)
+                                      PARAMS, user=u)
             assert generic[u].bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert generic[u].compute_cps == pytest.approx(mine.compute_cps)
             assert generic[u].feasible == mine.feasible
@@ -54,8 +54,8 @@ class TestHslaDemand:
         model = qoe.QoEModel(2, (0.7, 0.4), 0.2, 100)
         traj = np.ones((20, 2))
         for ela in (3.0, 3.7, 4.4):
-            mine = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS, 540.0)
-            sla = bench.hsla_demand(model, ela, traj, CAT, 2.0, PARAMS, 540.0)
+            mine = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS)
+            sla = bench.hsla_demand(model, ela, traj, CAT, 2.0, PARAMS)
             assert sla.bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert sla.compute_cps == pytest.approx(mine.compute_cps)
 
@@ -64,8 +64,8 @@ class TestHslaDemand:
         # covers the bare QoS threshold
         model = qoe.QoEModel(2, (1.0, 1.0), 0.2, 100)
         traj = np.full((20, 2), 2.0)
-        mine = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS, 540.0)
-        sla = bench.hsla_demand(model, 4.0, traj, CAT, 2.0, PARAMS, 540.0)
+        mine = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
+        sla = bench.hsla_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
         assert not mine.feasible
         assert sla.feasible
         assert sla.compute_cps < mine.compute_cps
@@ -80,8 +80,7 @@ class TestPdrlOrchestrator:
         cfg = scenario.parse_overrides({"num_users": str(k), "preset_mode": "free"})
         from qoesim import netsim
         profiles = scenario.sample_users(cfg, np.random.default_rng(0))
-        return cfg, netsim.SimState(cfg, profiles,
-                                    {p.id: p.structure_index for p in profiles})
+        return cfg, netsim.SimState(cfg, profiles)
 
     def test_zero_policy_uniform_shares(self):
         k = 6
@@ -128,7 +127,6 @@ class TestPdrlOrchestrator:
             rng = np.random.default_rng(0)
             state = sr.bootstrap(rng)
             sr.fit_models(state)
-            state.group_of = sr.group_of()
             sr.train_policies(state, rng)
             assert len(rewards) == 18
             assert sr.reward_curve == [float(np.mean(rewards))]

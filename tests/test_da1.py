@@ -16,8 +16,8 @@ def profile(seed=0):
     return scenario.sample_users(CFG, np.random.default_rng(seed))[0]
 
 
-def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0, alpha=0.5, beta=0.5):
-    return da1.AllocMember(user, struct, alpha, beta, ela, ibar, eff)
+def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
+    return da1.AllocMember(user, struct, ela, ibar, eff)
 
 
 def gstate(group, buf=10.0, load=0.3, quality=0.5):
@@ -345,7 +345,6 @@ members_st = st.lists(st.builds(
     da1.AllocMember,
     user=st.just(0),
     structure_index=st.integers(1, 3),
-    alpha=st.just(0.5), beta=st.just(0.5),
     ela=st.floats(3.0, 5.0),
     mean_impact=st.floats(0.2, 1.0),
     eff_bps_per_hz=st.floats(1e-4, 8.0)), min_size=1, max_size=7)

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesim import da2, scenario
 from qoesim.da1 import ResourceDemand
@@ -12,7 +15,7 @@ Q_CPU = 0.5e9
 
 
 def demand(user, bw_mhz, cpu_gc, feasible=True):
-    return ResourceDemand(user, bw_mhz * 1e6, cpu_gc * 1e9, 540.0, feasible)
+    return ResourceDemand(user, bw_mhz * 1e6, cpu_gc * 1e9, feasible)
 
 
 def make_dist(cell_specs):
@@ -299,7 +302,58 @@ class TestBestResponseAdjust:
         # an increasing marginal curve breaks the potential-game premise: the
         # best response drops both quanta and loses the large second gain
         dist = make_dist({(1, 0): ([0.1, 5.0], [])})
-        init = da2.SliceConfig(9.0, {(1, 0): 2 * Q_BW}, {1: 0.0})
+        init = da2.SliceConfig({(1, 0): 2 * Q_BW}, {1: 0.0})
         with pytest.raises(PotentialDecrease, match="potential"):
             da2.best_response_adjust(init, dist, {0: 4 * Q_BW}, 4 * Q_CPU,
                                      price=1.0)
+
+
+@st.composite
+def slicing_cases(draw):
+    """Six (group, BS) cells with any demand, each curve as long as
+    `abstract_demand` makes it (whole quanta covering the demand) and
+    nonincreasing; capacities of 0 to 8 quanta, fractional ones included;
+    a uniform price."""
+    def cell_side(quantum):
+        total = draw(st.floats(0.0, 5.0)) * quantum
+        n = max(math.ceil(total / quantum - 1e-9), 1) if total > 0.0 else 0
+        curve = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+                       reverse=True)
+        return total, np.array(curve)
+
+    cells = {}
+    for key in itertools.product((1, 2, 3), (0, 1)):
+        total_bw, curve_bw = cell_side(Q_BW)
+        total_cpu, curve_cpu = cell_side(Q_CPU)
+        cells[key] = da2.CellDemand(total_bw, total_cpu, 1, curve_bw, curve_cpu)
+    bw_caps = {bs: draw(st.floats(0.0, 8.0)) * Q_BW for bs in (0, 1)}
+    cpu_cap = draw(st.floats(0.0, 8.0)) * Q_CPU
+    price = draw(st.floats(0.0, 1.5))
+    return da2.DemandDistribution(cells, Q_BW, Q_CPU), bw_caps, cpu_cap, price
+
+
+class TestSliceBoundsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(slicing_cases())
+    def test_pools_and_cells_within_bounds(self, case):
+        dist, bw_caps, cpu_cap, price = case
+        greedy = da2.greedy_slice(dist, bw_caps, cpu_cap)
+        game, _ = da2.best_response_adjust(greedy, dist, bw_caps, cpu_cap, price)
+        for slc, whole_quanta in ((greedy, False), (game, True)):
+            # the game's floor of a pool admits 1e-9 of a quantum
+            for bs, cap in bw_caps.items():
+                used = sum(v for (_, b), v in slc.reserved_bw.items() if b == bs)
+                assert used <= cap + 1e-9 * Q_BW
+            assert sum(slc.reserved_cpu.values()) <= cpu_cap + 1e-9 * Q_CPU
+            for key, cell in dist.cells.items():
+                # greedy grants stop at the demand; the game reserves whole
+                # quanta, at most one per curve entry
+                bw_bound = (len(cell.curve_bw) * Q_BW if whole_quanta
+                            else cell.total_bw_hz)
+                assert 0.0 <= slc.reserved_bw.get(key, 0.0) <= bw_bound + 1e-6
+            for g in dist.groups():
+                group_cells = [c for (g2, _), c in dist.cells.items() if g2 == g]
+                cpu_bound = (sum(len(c.curve_cpu) for c in group_cells) * Q_CPU
+                             if whole_quanta
+                             else sum(c.total_cpu_cps for c in group_cells))
+                assert 0.0 <= slc.reserved_cpu.get(g, 0.0) <= cpu_bound + 1e-3

@@ -134,6 +134,22 @@ class TestRunExperiment:
         assert not (tmp_path / "slots_wo-da_seed1.csv").exists()
         assert (tmp_path / "windows_wo-da_seed1.csv").exists()
 
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_trace_level_changes_only_the_slot_file(self, tmp_path, scheme):
+        # the slot records are collected or not; nothing else may move
+        cfg = fast_cfg()
+        for level in ("full", "aggregate"):
+            harness.run_experiment(cfg, scheme, [1], str(tmp_path / level),
+                                   trace_level=level, train_epochs=20)
+        names = [f"{stem}_{scheme.value}_seed1.csv"
+                 for stem in ("demands", "slices", "windows")]
+        names.append(f"summary_{scheme.value}.json")
+        for name in names:
+            full = (tmp_path / "full" / name).read_bytes()
+            assert full == (tmp_path / "aggregate" / name).read_bytes(), name
+        assert (tmp_path / "full" / f"slots_{scheme.value}_seed1.csv").exists()
+        assert not (tmp_path / "aggregate" / f"slots_{scheme.value}_seed1.csv").exists()
+
 
     def test_empty_seed_list_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one seed"):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoesim import netsim, qoe, scenario
-from qoesim.errors import ConfigError
 
 
 def default_channel():
@@ -40,8 +39,15 @@ def make_state(seed=1, **over):
     over.setdefault("preset_mode", "free")
     cfg = scenario.parse_overrides({k: str(v) for k, v in over.items()})
     profiles = scenario.sample_users(cfg, np.random.default_rng(seed))
-    groups = {p.id: p.structure_index for p in profiles}
-    return cfg, netsim.SimState(cfg, profiles, groups)
+    return cfg, netsim.SimState(cfg, profiles)
+
+
+def run_under_slice(state, slc, orchestrator, rng, n_slots):
+    """One slicing window: install the slice, advance, return the records."""
+    state.apply_slice(slc)
+    recs = []
+    netsim.advance_slots(state, orchestrator, n_slots, rng, recs)
+    return recs
 
 
 class TestPathLoss:
@@ -121,7 +127,7 @@ class TestRunWindow:
         slc = SimpleNamespace(
             reserved_bw={(g, b.id): 0.0 for g in (1, 2, 3) for b in cfg.base_stations()},
             reserved_cpu={g: 0.0 for g in (1, 2, 3)})
-        recs = netsim.run_window(state, slc, round_robin, np.random.default_rng(3), 60)
+        recs = run_under_slice(state, slc, round_robin, np.random.default_rng(3), 60)
         assert all(r.rate_bps == 0.0 for r in recs)
         # rebuffer accumulates monotonically within each evaluation period
         by_user = {}
@@ -136,17 +142,17 @@ class TestRunWindow:
     def test_determinism(self):
         cfg1, s1 = make_state(num_users=6)
         cfg2, s2 = make_state(num_users=6)
-        r1 = netsim.run_window(s1, full_slice(cfg1), round_robin,
-                               np.random.default_rng(7), 120)
-        r2 = netsim.run_window(s2, full_slice(cfg2), round_robin,
-                               np.random.default_rng(7), 120)
+        r1 = run_under_slice(s1, full_slice(cfg1), round_robin,
+                             np.random.default_rng(7), 120)
+        r2 = run_under_slice(s2, full_slice(cfg2), round_robin,
+                             np.random.default_rng(7), 120)
         assert r1 == r2
 
     def test_single_user_abundant_no_rebuffer_after_startup(self):
         cfg, state = make_state(num_users=1, arrival_rate_per_min=1e-6,
                                 **{"radio.tx_power_dbm": 46.0})
-        recs = netsim.run_window(state, full_slice(cfg), round_robin,
-                                 np.random.default_rng(11), 120)
+        recs = run_under_slice(state, full_slice(cfg), round_robin,
+                               np.random.default_rng(11), 120)
         # startup completes within the first segment download; nothing after
         startup_slots = int(math.ceil(cfg.catalog.segment_duration_s / cfg.slot_s))
         assert all(r.rebuffer_period_s == 0.0 for r in recs[startup_slots:])
@@ -156,8 +162,8 @@ class TestRunWindow:
         cfg, state = make_state(num_users=1, arrival_rate_per_min=1e-6,
                                 slot_s=0.25, **{"radio.tx_power_dbm": 46.0,
                                                 "playback.eval_period_s": 1000.0})
-        recs = netsim.run_window(state, full_slice(cfg), round_robin,
-                                 np.random.default_rng(11), 400)
+        recs = run_under_slice(state, full_slice(cfg), round_robin,
+                               np.random.default_rng(11), 400)
         rate = recs[0].rate_bps
         seg_bits = cfg.catalog.quality_levels_bps[0] * cfg.catalog.segment_duration_s
         expected_startup = seg_bits / rate
@@ -171,7 +177,7 @@ class TestRunWindow:
         def hog(state, t):  # every user demands the whole band and edge
             return {p.id: (1e9, 1e12) for p in state.profiles}
 
-        recs = netsim.run_window(state, slc, hog, np.random.default_rng(5), 100)
+        recs = run_under_slice(state, slc, hog, np.random.default_rng(5), 100)
         per_slot_bs = {}
         per_slot_cpu = {}
         for r in recs:
@@ -189,23 +195,15 @@ class TestRunWindow:
         y0 = cfg.radio.bs_y_m[0]
         user = scenario.UserProfile(0, ((x0, y0), (x0, y0 + 100.0), (x0, y0)), 2.0,
                                     (6.0, 0.0, 300.0), 4.0, 1, (0.5, 0.5))
-        state = netsim.SimState(cfg, [user], {0: 1})
-        recs = netsim.run_window(state, full_slice(cfg), round_robin,
-                                 np.random.default_rng(1), 1)
+        state = netsim.SimState(cfg, [user])
+        recs = run_under_slice(state, full_slice(cfg), round_robin,
+                               np.random.default_rng(1), 1)
         assert recs[0].serving_bs == 0
-
-    def test_missing_pair_raises(self):
-        cfg, state = make_state(num_users=6)
-        slc = SimpleNamespace(
-            reserved_bw={(1, b.id): b.dl_bandwidth_hz for b in cfg.base_stations()},
-            reserved_cpu={1: cfg.edge.capacity_cps})
-        with pytest.raises(ConfigError, match="active pair"):
-            netsim.run_window(state, slc, round_robin, np.random.default_rng(2), 10)
 
     def test_record_invariants(self):
         cfg, state = make_state(num_users=6)
-        recs = netsim.run_window(state, full_slice(cfg), round_robin,
-                                 np.random.default_rng(13), 200)
+        recs = run_under_slice(state, full_slice(cfg), round_robin,
+                               np.random.default_rng(13), 200)
         for r in recs:
             assert r.rate_bps >= 0 and r.allocated_bw_hz >= 0
             assert r.buffer_s >= 0 and r.rebuffer_period_s >= 0
@@ -215,8 +213,8 @@ class TestRunWindow:
 
     def test_quality_is_normalized_bitrate(self):
         cfg, state = make_state(num_users=4)
-        recs = netsim.run_window(state, full_slice(cfg), round_robin,
-                                 np.random.default_rng(17), 100)
+        recs = run_under_slice(state, full_slice(cfg), round_robin,
+                               np.random.default_rng(17), 100)
         cat = cfg.video_catalog()
         valid_q = {cat.quality_of(b) for b in cat.quality_levels_bps}
         assert {round(r.quality, 9) for r in recs} <= {round(q, 9) for q in valid_q}
@@ -224,8 +222,8 @@ class TestRunWindow:
     def test_period_samples_collected_and_reset(self):
         cfg, state = make_state(num_users=4)
         n_slots = 100
-        netsim.run_window(state, full_slice(cfg), round_robin,
-                          np.random.default_rng(19), n_slots)
+        run_under_slice(state, full_slice(cfg), round_robin,
+                        np.random.default_rng(19), n_slots)
         periods = n_slots // state.period_slots
         assert len(state.period_samples) == periods * 4
         for ps in state.period_samples:

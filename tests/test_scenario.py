@@ -71,6 +71,12 @@ class TestLoadScenario:
         ("train.hidden_width", "0"),
         ("train.epochs", "-1"),
         ("edge.capacity_cps", "0"),
+        ("slicing.window_minutes", "3"),
+        ("slicing.window_minutes", "15, 12, 9, 6, 3, 1"),
+        ("slicing.window_minutes", "15, 12, 0, -6, 3"),
+        ("slicing.window_minutes", "15, 12, 9, 6, 0"),
+        ("slicing.wo_da_window_min", "0"),
+        ("slicing.wo_da_window_min", "-9"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
