@@ -15,8 +15,7 @@ import enum
 
 import numpy as np
 
-from . import da1, learn, netsim, qoe
-from .errors import ShapeMismatch
+from . import da1, netsim, qoe
 from .scenario import ScenarioConfig, VideoCatalog
 
 
@@ -62,7 +61,7 @@ class ExplorationOrchestrator:
         self.cached: dict[int, tuple[float, float]] = {}
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        if slot % self.epoch_slots == 0 or not self.cached:
+        if slot % self.epoch_slots == 0:
             k = len(state.profiles)
             w_cpu = self.rng.uniform(0.05, 1.0, k) ** 2
             cpu_tot = w_cpu.sum()
@@ -129,39 +128,20 @@ def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
     return np.concatenate(blocks)
 
 
-class PdrlOrchestrator:
+class PdrlOrchestrator(da1.PolicyOrchestrator):
     """Five-layer BDQN drives per-user shares directly (two branches per
     user: bandwidth and compute), renormalized within each BS pool."""
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
                  cfg: ScenarioConfig):
-        self.models = models
-        self.policy = policy
-        self.cfg = cfg
-        self.epoch_slots = cfg.agent.epoch_slots
-        self.forced_actions: np.ndarray | None = None
-        self.cached: dict[int, tuple[float, float]] = {}
-        self._last_cpu: dict[int, float] = {}
-
-    def force(self, actions) -> None:
-        """Replan from these branch actions instead of the policy's."""
-        self.forced_actions = np.asarray(actions, dtype=int)
+        super().__init__(models, policy, cfg, 2 * len(models))
 
     def state_vector(self, state) -> np.ndarray:
         return pdrl_state_vector(state, self.models, self._last_cpu)
 
     def replan(self, state) -> None:
         k = len(state.profiles)
-        if self.forced_actions is not None:
-            actions = self.forced_actions
-        elif self.policy is None:
-            actions = np.zeros(2 * k, dtype=int)
-        else:
-            vec = self.state_vector(state)
-            if self.policy.input_dim != vec.size or self.policy.num_branches != 2 * k:
-                raise ShapeMismatch(
-                    "policy trained for a different user count")
-            actions = learn.greedy_actions(self.policy, vec)
+        actions = self.actions(state)
         raw_bw = actions[:k] / (da1.SHARE_LEVELS - 1)
         raw_cpu = actions[k:] / (da1.SHARE_LEVELS - 1)
         alloc = {}
@@ -176,9 +156,3 @@ class PdrlOrchestrator:
                 frac = raw_bw[u] / tot if tot > 0 else 1.0 / len(users)
                 alloc[u][0] = frac * state.bw_caps.get(bs, 0.0)
         self.cached = {u: (a[0], a[1]) for u, a in alloc.items()}
-        self._last_cpu = {u: a[1] for u, a in alloc.items()}
-
-    def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        if slot % self.epoch_slots == 0 or not self.cached:
-            self.replan(state)
-        return self.cached

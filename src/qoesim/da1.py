@@ -46,6 +46,7 @@ SHORTFALL_WEIGHT = 2.0
 _HINGE_TAU = 0.1
 _CORNER_TAU = 0.02  # corner rounding of the tier-exact planning curves
 KKT_TOL = 1e-3  # a solve has converged when its KKT residual is below this
+MIN_STALL_BUDGET_S = 0.25  # floor of the per-period startup-stall budget
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,6 @@ class ResourceDemand:
     bandwidth_hz: float
     compute_cps: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class GroupState:
-    group: int
-    avg_buffer_s: float
-    computing_load: float  # fraction of edge capacity
-    avg_quality: float
-    one_hot: tuple[float, float, float]
-
-    def vector(self, max_buffer_s: float = 30.0) -> np.ndarray:
-        return np.array([min(self.avg_buffer_s / max_buffer_s, 1.0),
-                         min(self.computing_load, 1.0),
-                         self.avg_quality, *self.one_hot])
 
 
 @dataclass(frozen=True)
@@ -82,16 +69,15 @@ class AllocMember:
 
 @dataclass(frozen=True)
 class DemandParams:
-    headroom: float = 1.3
+    headroom: float
     # transcode-capacity multiple over the steady-state tier cost, covering
     # post-swipe catch-up bursts (1.0 = provision exactly real-time cost)
-    cpu_headroom: float = 1.0
-    arrival_rate_per_min: float = 6.0
-    eval_period_s: float = 10.0
-    min_stall_budget_s: float = 0.25
+    cpu_headroom: float
+    arrival_rate_per_min: float
+    eval_period_s: float
     # demand targets sit this far above the ELA so the sampled window mean
     # clears the threshold despite generator noise (0 = aim exactly at ELA)
-    margin_mos: float = 0.0
+    margin_mos: float
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "DemandParams":
@@ -104,7 +90,7 @@ class DemandParams:
 
 def emulate_context(profile: UserProfile, horizon_slots: int,
                     rng: np.random.Generator, *, t0_slot: int = 0,
-                    slot_s: float = 1.0, max_swipe_rate_per_min: float = 18.0,
+                    slot_s: float = 1.0, max_swipe_rate_per_min: float,
                     complexity_increases_with_speed: bool = True,
                     noise: float = 0.0) -> np.ndarray:
     """Predicted (B, C) trajectory over the horizon, bounded noise included."""
@@ -131,14 +117,13 @@ def _stall_bandwidth(bitrate_bps: float, eff: float, stall_budget_s: float,
     """Bandwidth keeping expected per-period startup stalls within budget."""
     arrivals = p.arrival_rate_per_min / 60.0 * p.eval_period_s
     need = arrivals * segment_s * bitrate_bps / (eff * max(stall_budget_s,
-                                                           p.min_stall_budget_s))
+                                                           MIN_STALL_BUDGET_S))
     return need
 
 
 def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
                    catalog: VideoCatalog, eff_bps_per_hz: float,
-                   params: DemandParams = DemandParams(),
-                   user: int = -1) -> ResourceDemand:
+                   params: DemandParams, user: int = -1) -> ResourceDemand:
     """Minimum-cost (bandwidth, compute) meeting the ELA on window average.
 
     Scans the quality ladder after inverting the structure's QoS score in
@@ -168,7 +153,7 @@ def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
 
     if not feasible:
         tier_rate = levels[-1]
-        stall_budget = params.min_stall_budget_s if struct != 2 else math.inf
+        stall_budget = MIN_STALL_BUDGET_S if struct != 2 else math.inf
 
     bw = params.headroom * tier_rate / eff
     if stall_budget is not math.inf:
@@ -185,19 +170,6 @@ def cluster_users(models: dict[int, qoe.QoEModel]) -> dict[int, list[int]]:
     return groups
 
 
-def group_state_vector(states: list[GroupState],
-                       max_buffer_s: float = 30.0) -> np.ndarray:
-    """Fixed-width policy input: one feature block per group index."""
-    by_group = {s.group: s for s in states}
-    blocks = []
-    for g in GROUPS:
-        if g in by_group:
-            blocks.append(by_group[g].vector(max_buffer_s))
-        else:
-            blocks.append(np.zeros(GROUP_STATE_FEATURES))
-    return np.concatenate(blocks)
-
-
 def shares_from_actions(actions: np.ndarray,
                         present: list[int]) -> dict[int, tuple[float, float]]:
     """Decode per-branch share indices and renormalize over present groups."""
@@ -211,26 +183,6 @@ def shares_from_actions(actions: np.ndarray,
             share = raw[g][res] / total if total > 0 else 1.0 / len(present)
             out.setdefault(g, [0.0, 0.0])[res] = share
     return {g: (v[0], v[1]) for g, v in out.items()}
-
-
-def group_allocate(states: list[GroupState], policy: learn.BdqNetwork | None,
-                   max_buffer_s: float = 30.0) -> dict[int, tuple[float, float]]:
-    """Per-group (bandwidth share, compute share), summing to 1 per resource.
-
-    A None policy (or an untrained all-zero one) degrades to equal shares.
-    """
-    present = [s.group for s in states]
-    if not present:
-        return {}
-    if policy is None:
-        actions = np.zeros(2 * len(GROUPS), dtype=int)
-    else:
-        vec = group_state_vector(states, max_buffer_s)
-        if policy.input_dim != vec.size or policy.num_branches != 2 * len(GROUPS) \
-                or policy.actions_per_branch != SHARE_LEVELS:
-            raise ShapeMismatch("policy dimensions do not match the group state")
-        actions = learn.greedy_actions(policy, vec)
-    return shares_from_actions(actions, present)
 
 
 # --- user-level concave solver ------------------------------------------------
@@ -395,8 +347,7 @@ class SolverReport:
 
 def user_allocate(members: list[AllocMember], bw_budget_hz: float,
                   cpu_budget_cps: float, catalog: VideoCatalog,
-                  params: DemandParams = DemandParams(),
-                  max_iters: int = 500,
+                  params: DemandParams, max_iters: int = 500,
                   warm_start: dict[int, tuple[float, float]] | None = None,
                   tol_step: float = 1e-12
                   ) -> tuple[dict[int, tuple[float, float]], SolverReport]:
@@ -481,51 +432,90 @@ def user_allocate(members: list[AllocMember], bw_budget_hz: float,
     return alloc, SolverReport(converged, it, residual, value)
 
 
-class Orchestrator:
+class PolicyOrchestrator:
+    """Per-epoch allocation from the branch actions of a BDQ policy.
+
+    Serves as the per-slot allocation callback for the simulator: replans
+    every `epoch_slots` slots and returns the cached allocation in between.
+    A replan's actions are the forced ones when `force` has set them (the
+    training environment injects exploratory actions this way), else the
+    policy's greedy actions, else all zero.  A subclass gives
+    `state_vector(state)` and `replan(state)`, which decodes the actions
+    into `cached`.
+    """
+
+    def __init__(self, models: dict[int, qoe.QoEModel], policy,
+                 cfg: ScenarioConfig, num_branches: int):
+        self.models = models
+        self.policy = policy
+        self.cfg = cfg
+        self.num_branches = num_branches
+        self.epoch_slots = cfg.agent.epoch_slots
+        self.forced: np.ndarray | None = None
+        self.cached: dict[int, tuple[float, float]] = {}
+        self._last_cpu: dict[int, float] = {}
+
+    def force(self, actions) -> None:
+        """Replan from these branch actions instead of the policy's."""
+        self.forced = np.asarray(actions, dtype=int)
+
+    def actions(self, state) -> np.ndarray:
+        if self.forced is not None:
+            return self.forced
+        if self.policy is None:
+            return np.zeros(self.num_branches, dtype=int)
+        vec = self.state_vector(state)
+        p = self.policy
+        got = (p.input_dim, p.num_branches, p.actions_per_branch)
+        want = (vec.size, self.num_branches, SHARE_LEVELS)
+        if got != want:
+            raise ShapeMismatch(f"policy (inputs, branches, actions) {got} does "
+                                f"not match the orchestrator's {want}")
+        return learn.greedy_actions(p, vec)
+
+    def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
+        if slot % self.epoch_slots == 0:
+            self.replan(state)
+            self._last_cpu = {u: a[1] for u, a in self.cached.items()}
+        return self.cached
+
+
+class Orchestrator(PolicyOrchestrator):
     """Per-epoch composition: cluster -> group shares -> user-level solver.
 
-    Serves as the per-slot allocation callback for the simulator; replans
-    every `epoch_slots` slots and caches the result in between.  Group
-    shares come from the policy network unless `force` has set them (the
-    training environment injects exploratory actions this way).
+    The policy's six branches are a bandwidth and a compute share level
+    per group in GROUPS.
     """
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
                  catalog: VideoCatalog, cfg: ScenarioConfig, params: DemandParams):
-        self.models = models
-        self.policy = policy
+        super().__init__(models, policy, cfg, 2 * len(GROUPS))
         self.catalog = catalog
-        self.cfg = cfg
         self.params = params
-        self.epoch_slots = cfg.agent.epoch_slots
-        self.forced_shares: dict[int, tuple[float, float]] | None = None
-        self.cached: dict[int, tuple[float, float]] = {}
         self._warm: dict[tuple[int, int], dict] = {}
-        self._last_cpu: dict[int, float] = {}
-
-    def force(self, actions) -> None:
-        """Replan from the group shares these branch actions encode instead
-        of the policy's."""
-        self.forced_shares = shares_from_actions(actions, sorted(cluster_users(self.models)))
 
     def state_vector(self, state) -> np.ndarray:
-        return group_state_vector(self.group_states(state),
-                                  self.cfg.playback.max_buffer_s)
-
-    def group_states(self, state) -> list[GroupState]:
+        """Fixed-width policy input, one block per group in GROUPS: mean
+        buffer over the max buffer, computing load (fraction of the compute
+        cap), mean quality and the group's one-hot; zeros for an absent
+        group."""
         groups = cluster_users(self.models)
         cap = state.cpu_cap if state.cpu_cap > 0 else 1.0
-        out = []
-        for g in sorted(groups):
+        max_buffer_s = self.cfg.playback.max_buffer_s
+        levels = self.catalog.quality_levels_bps
+        out = np.zeros(len(GROUPS) * GROUP_STATE_FEATURES)
+        for i, g in enumerate(GROUPS):
+            if g not in groups:
+                continue
             members = groups[g]
-            bufs = [state.runtime[u].buffer for u in members]
-            quals = [self.catalog.quality_of(
-                self.catalog.quality_levels_bps[state.runtime[u].tier])
-                for u in members]
+            buf = float(np.mean([state.runtime[u].buffer for u in members]))
             load = sum(self._last_cpu.get(u, 0.0) for u in members) / cap
-            one_hot = tuple(1.0 if gg == g else 0.0 for gg in GROUPS)
-            out.append(GroupState(g, float(np.mean(bufs)), load,
-                                  float(np.mean(quals)), one_hot))
+            quality = float(np.mean([self.catalog.quality_of(
+                levels[state.runtime[u].tier]) for u in members]))
+            block = i * GROUP_STATE_FEATURES
+            out[block:block + 3] = (min(buf / max_buffer_s, 1.0), min(load, 1.0),
+                                    quality)
+            out[block + 3 + i] = 1.0
         return out
 
     def _member(self, state, user: int) -> AllocMember:
@@ -539,13 +529,8 @@ class Orchestrator:
                            state.runtime[user].eff_ewma)
 
     def replan(self, state) -> None:
-        states = self.group_states(state)
-        if self.forced_shares is not None:
-            shares = self.forced_shares
-        else:
-            shares = group_allocate(states, self.policy,
-                                    self.cfg.playback.max_buffer_s)
         groups = cluster_users(self.models)
+        shares = shares_from_actions(self.actions(state), sorted(groups))
         # group budgets anchor on the slice reservations; the policy's shares
         # redistribute a bounded fraction of the reserved pool, so learned
         # corrections matter even when slices are saturated but never strip
@@ -573,12 +558,6 @@ class Orchestrator:
                 self._warm[(g, bs)] = cell_alloc
                 alloc.update(cell_alloc)
         self.cached = alloc
-        self._last_cpu = {u: a[1] for u, a in alloc.items()}
-
-    def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        if slot % self.epoch_slots == 0 or not self.cached:
-            self.replan(state)
-        return self.cached
 
 
 def epoch_reward(period_samples, models: dict[int, qoe.QoEModel],
@@ -600,8 +579,7 @@ def epoch_reward(period_samples, models: dict[int, qoe.QoEModel],
 
 
 def planning_qoe(member: AllocMember, bw_hz: float, cpu_cps: float,
-                 catalog: VideoCatalog,
-                 params: DemandParams = DemandParams()) -> float:
+                 catalog: VideoCatalog, params: DemandParams) -> float:
     """Predicted interior QoE of one user at an allocation (planning proxy)."""
     c = utility_consts(member, catalog, params)
     s = qoe.MOS_HI
@@ -616,7 +594,7 @@ def planning_qoe(member: AllocMember, bw_hz: float, cpu_cps: float,
 
 
 def slice_gain(member: AllocMember, demand: ResourceDemand,
-               catalog: VideoCatalog, params: DemandParams = DemandParams()
+               catalog: VideoCatalog, params: DemandParams
                ) -> Callable[[float, float], float]:
     """One user's slice curve for `da2.abstract_demand`: a function of the
     demand fractions (f_bw, f_cpu) giving the planning QoE plus the

@@ -27,7 +27,6 @@ BR_MAX_ROUNDS = 100  # best-response rounds before the game is flagged unconverg
 class CellDemand:
     total_bw_hz: float = 0.0
     total_cpu_cps: float = 0.0
-    user_count: int = 0
     # marginal QoE gain per granted quantum, nonincreasing
     curve_bw: np.ndarray = field(default_factory=lambda: np.zeros(0))
     curve_cpu: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -90,7 +89,6 @@ def abstract_demand(demands: list[ResourceDemand],
         cell = cells.setdefault(key, CellDemand())
         cell.total_bw_hz += d.bandwidth_hz
         cell.total_cpu_cps += d.compute_cps
-        cell.user_count += 1
         if utilities is not None and d.user in utilities:
             gains_by_cell.setdefault(key, []).append(utilities[d.user])
         else:

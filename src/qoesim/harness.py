@@ -91,6 +91,8 @@ def capacity_violations(res: runner.RunResult) -> int:
     `res.slot_records` that exceed the reservations summed over the window's
     `res.slice_rows`.  A run without slot records counts 0.
     """
+    if res.slot_records is None:
+        return 0
     bw_caps: dict[tuple[int, int], float] = {}
     group_cpu: dict[tuple[int, int], float] = {}
     for (w, _, g, bs, bw, cpu, _) in res.slice_rows:
@@ -161,12 +163,13 @@ WINDOWS_HEADER = ["window", "start_slot", "end_slot", "window_minutes",
                   "mechanism", "ela_ratio"]
 
 
-def emit_run(out_dir: str, cfg: scenario.ScenarioConfig, res: runner.RunResult,
-             elas: dict[int, float], trace_level: str = "full") -> dict:
-    """Write one run's CSV artifacts; returns the summary fragment."""
+def emit_run(out_dir: str, res: runner.RunResult,
+             elas: dict[int, float]) -> tuple[dict, list[float]]:
+    """Write one run's CSV artifacts, `slots_*.csv` when the run kept slot
+    records; returns the summary fragment and the run's QoE samples."""
     tag = f"{res.scheme}_seed{res.seed}"
     os.makedirs(out_dir, exist_ok=True)
-    if trace_level == "full":
+    if res.slot_records is not None:
         _write_slots(os.path.join(out_dir, f"slots_{tag}.csv"), res.slot_records)
     _write_csv(os.path.join(out_dir, f"demands_{tag}.csv"), DEMANDS_HEADER,
                res.demand_rows)
@@ -189,8 +192,7 @@ def emit_run(out_dir: str, cfg: scenario.ScenarioConfig, res: runner.RunResult,
         "qoe_samples": len(qoe_samples),
         "qoe_box": box_stats(qoe_samples).as_dict(),
         "capacity_violations": capacity_violations(res),
-        "_qoe_values": qoe_samples,  # stripped before serialization
-    }
+    }, qoe_samples
 
 
 def _seed_job(args) -> tuple[dict, list[float]]:
@@ -202,9 +204,7 @@ def _seed_job(args) -> tuple[dict, list[float]]:
     if policy_out is not None and sr.policy is not None:
         from . import learn
         learn.save_network(sr.policy, policy_out)
-    frag = emit_run(out_dir, cfg, res, sr.elas, trace_level)
-    qoe_values = frag.pop("_qoe_values")
-    return frag, qoe_values
+    return emit_run(out_dir, res, sr.elas)
 
 
 def _worker_count(n_jobs: int) -> int:

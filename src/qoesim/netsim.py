@@ -41,33 +41,13 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import qoe
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .scenario import ChannelConfig, ScenarioConfig, UserProfile
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    path_loss_exponent: float
-    ref_loss_db: float  # loss at 1 m
-    shadowing_sigma_db: float
-    noise_density_dbm_hz: float
-
-    def __post_init__(self):
-        if self.path_loss_exponent < 2.0:
-            raise ValidationError("path_loss_exponent must be >= 2")
-        if self.shadowing_sigma_db < 0.0:
-            raise ValidationError("shadowing_sigma_db must be >= 0")
-
-    @classmethod
-    def from_config(cls, cc: ChannelConfig) -> "ChannelModel":
-        return cls(cc.path_loss_exponent, cc.ref_loss_db,
-                   cc.shadowing_sigma_db, cc.noise_density_dbm_hz)
 
 
 class SlotRecord(NamedTuple):
@@ -88,7 +68,7 @@ class SlotRecord(NamedTuple):
 SLOT_COLUMNS = SlotRecord._fields
 
 
-def mean_path_loss(distance_m: float, model: ChannelModel) -> float:
+def mean_path_loss(distance_m: float, model: ChannelConfig) -> float:
     """Deterministic log-distance component of the path loss."""
     return model.ref_loss_db + 10.0 * model.path_loss_exponent * math.log10(distance_m)
 
@@ -129,7 +109,7 @@ def complexity_of_speed(speed_kmh: float,
 
 
 def behavior_env_trace(profile: UserProfile, t_s: float,
-                       max_swipe_rate_per_min: float = 18.0,
+                       max_swipe_rate_per_min: float,
                        complexity_increases_with_speed: bool = True) -> tuple[float, float]:
     """Ground-truth (B, C) at time t; both clamped into [1, 2]."""
     return (behavior_of_rate(swipe_rate(profile.swipe_rate_params, t_s),
@@ -215,7 +195,7 @@ class SimState:
         self.profiles = profiles
         self.catalog = cfg.video_catalog()
         self.base_stations = cfg.base_stations()
-        self.channel = ChannelModel.from_config(cfg.channel)
+        self.channel = cfg.channel
         self.slot_s = cfg.slot_s
         self.period_slots = max(int(round(cfg.playback.eval_period_s / cfg.slot_s)), 1)
         self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]

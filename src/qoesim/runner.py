@@ -46,7 +46,7 @@ class RunResult:
     scheme: str
     seed: int
     windows: list[WindowLog]
-    slot_records: list[netsim.SlotRecord]
+    slot_records: list[netsim.SlotRecord] | None  # None: not collected
     demand_rows: list[tuple]   # (window, user, bw, cpu, feasible)
     slice_rows: list[tuple]    # (window, minutes, group, bs, bw, cpu, mechanism)
     models: dict[int, qoe.QoEModel]
@@ -289,7 +289,7 @@ class SchemeRun:
                 {u: float(np.mean(v)) for u, v in means.items()}, samples))
             self._maybe_refit(samples)
             w_idx += 1
-        return RunResult(self.scheme.value, self.seed, windows, records or [],
+        return RunResult(self.scheme.value, self.seed, windows, records,
                          demand_rows, slice_rows, dict(self.models), self.reward_curve,
                          list(state.arrival_log))
 

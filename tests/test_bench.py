@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from qoesim import bench, da1, learn, qoe, scenario
+from qoesim import bench, da1, da2, learn, netsim, qoe, scenario
 from qoesim.bench import SchemeId
 from qoesim.errors import ShapeMismatch
 
 CFG = scenario.ScenarioConfig()
 CAT = CFG.video_catalog()
-PARAMS = da1.DemandParams()
+# the demand parameters the expected values below were worked out with
+PARAMS = da1.DemandParams(headroom=1.3, cpu_headroom=1.0, arrival_rate_per_min=6.0,
+                          eval_period_s=10.0, margin_mos=0.0)
 
 
 class TestRoundRobinAllocate:
@@ -72,20 +74,21 @@ class TestHslaDemand:
         assert sla.bandwidth_hz < mine.bandwidth_hz
 
 
+def mixed_models(k):
+    return {u: qoe.QoEModel(1 + u % 3, (0.5, 0.5), 0.2, 50) for u in range(k)}
+
+
+def world(k):
+    cfg = scenario.parse_overrides({"num_users": str(k), "preset_mode": "free"})
+    profiles = scenario.sample_users(cfg, np.random.default_rng(0))
+    return cfg, netsim.SimState(cfg, profiles)
+
+
 class TestPdrlOrchestrator:
-    def _models(self, k):
-        return {u: qoe.QoEModel(1 + u % 3, (0.5, 0.5), 0.2, 50) for u in range(k)}
-
-    def _state(self, k):
-        cfg = scenario.parse_overrides({"num_users": str(k), "preset_mode": "free"})
-        from qoesim import netsim
-        profiles = scenario.sample_users(cfg, np.random.default_rng(0))
-        return cfg, netsim.SimState(cfg, profiles)
-
     def test_zero_policy_uniform_shares(self):
         k = 6
-        cfg, state = self._state(k)
-        orch = bench.PdrlOrchestrator(self._models(k), None, cfg)
+        cfg, state = world(k)
+        orch = bench.PdrlOrchestrator(mixed_models(k), None, cfg)
         alloc = orch(state, 0)
         by_bs = {}
         for p in state.profiles:
@@ -99,11 +102,21 @@ class TestPdrlOrchestrator:
 
     def test_shape_mismatch_on_user_count_change(self):
         k = 6
-        cfg, state = self._state(k)
+        cfg, state = world(k)
         rng = np.random.default_rng(1)
         policy = learn.BdqNetwork(bench.PDRL_USER_FEATURES * 4, (8,), 8,
                                   da1.SHARE_LEVELS, rng=rng)
-        orch = bench.PdrlOrchestrator(self._models(k), policy, cfg)
+        orch = bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
+        with pytest.raises(ShapeMismatch):
+            orch(state, 0)
+
+    def test_shape_mismatch_on_action_count(self):
+        # a checkpoint with more share levels would decode to shares above 1
+        k = 6
+        cfg, state = world(k)
+        policy = learn.BdqNetwork(bench.PDRL_USER_FEATURES * k, (8,), 2 * k,
+                                  da1.SHARE_LEVELS + 1, rng=np.random.default_rng(1))
+        orch = bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
         with pytest.raises(ShapeMismatch):
             orch(state, 0)
 
@@ -130,6 +143,38 @@ class TestPdrlOrchestrator:
             sr.train_policies(state, rng)
             assert len(rewards) == 18
             assert sr.reward_curve == [float(np.mean(rewards))]
+
+
+class TestLearnedOrchestrators:
+    def _orchestrator(self, scheme, policy, cfg, models):
+        if scheme is SchemeId.PDRL_L1:
+            return bench.PdrlOrchestrator(models, policy, cfg)
+        return da1.Orchestrator(models, policy, cfg.video_catalog(), cfg,
+                                da1.DemandParams.from_config(cfg))
+
+    @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
+                             ids=lambda s: s.value)
+    def test_forcing_the_greedy_actions_replans_as_the_policy(self, scheme):
+        k = 6
+        cfg, state = world(k)
+        groups = da1.GROUPS  # mixed_models(6) has users in all three
+        state.apply_slice(da2.SliceConfig(
+            {(g, b.id): b.dl_bandwidth_hz / len(groups)
+             for g in groups for b in state.base_stations},
+            {g: cfg.edge.capacity_cps / len(groups) for g in groups}))
+        # a few slots in, so buffers and tiers differ between users
+        netsim.advance_slots(state, bench.RoundRobinOrchestrator(), 7,
+                             np.random.default_rng(3))
+        forced = self._orchestrator(scheme, None, cfg, mixed_models(k))
+        vec = forced.state_vector(state)
+        policy = learn.BdqNetwork(vec.size, (16,), forced.num_branches,
+                                  da1.SHARE_LEVELS, rng=np.random.default_rng(4))
+        actions = learn.greedy_actions(policy, vec)
+        assert len(set(actions.tolist())) > 1  # not the all-equal decode
+        by_policy = self._orchestrator(scheme, policy, cfg, mixed_models(k))
+        forced.force(actions)
+        alloc = forced(state, 0)
+        assert alloc and alloc == by_policy(state, 0)
 
 
 class TestGenericModel:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from qoesim.errors import ShapeMismatch
 
 CFG = scenario.ScenarioConfig()
 CAT = CFG.video_catalog()
+# the demand parameters the expected values below were worked out with
+PARAMS = da1.DemandParams(headroom=1.3, cpu_headroom=1.0, arrival_rate_per_min=6.0,
+                          eval_period_s=10.0, margin_mos=0.0)
 
 
 def profile(seed=0):
@@ -20,9 +24,29 @@ def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
     return da1.AllocMember(user, struct, ela, ibar, eff)
 
 
-def gstate(group, buf=10.0, load=0.3, quality=0.5):
-    one_hot = tuple(1.0 if g == group else 0.0 for g in da1.GROUPS)
-    return da1.GroupState(group, buf, load, quality, one_hot)
+def group_orch(groups, policy=None, rng=None):
+    """An orchestrator over one user per entry of `groups` (a user's group
+    is its model structure), and a world state for its state vector.
+    Buffers, tiers and last compute grants are drawn from `rng`, or sit
+    mid-range without one."""
+    models = {u: qoe.QoEModel(g, (0.5, 0.5), 0.1, 30) for u, g in enumerate(groups)}
+    orch = da1.Orchestrator(models, policy, CAT, CFG, PARAMS)
+    cap = CFG.edge.capacity_cps
+    n_tiers = len(CAT.quality_levels_bps)
+    if rng is None:
+        runtime = [SimpleNamespace(buffer=10.0, tier=n_tiers // 2) for _ in groups]
+        orch._last_cpu = {u: 0.3 * cap for u in models}
+    else:
+        runtime = [SimpleNamespace(buffer=rng.uniform(0, 30),
+                                   tier=int(rng.integers(n_tiers))) for _ in groups]
+        orch._last_cpu = {u: rng.random() * cap / len(groups) for u in models}
+    return orch, SimpleNamespace(runtime=runtime, cpu_cap=cap)
+
+
+def group_shares(groups, policy=None, rng=None):
+    """Per-group (bandwidth, compute) shares of the orchestrator's actions."""
+    orch, state = group_orch(groups, policy, rng)
+    return da1.shares_from_actions(orch.actions(state), sorted(set(groups)))
 
 
 class TestEmulateContext:
@@ -61,7 +85,7 @@ class TestPredictDemand:
     def _demand(self, struct, ela, ibar_ctx=1.0, eff=2.0, alpha=0.0, beta=0.0):
         model = qoe.QoEModel(struct, (alpha, beta), 0.1, 100)
         traj = np.full((60, 2), ibar_ctx)
-        return da1.predict_demand(model, ela, traj, CAT, eff)
+        return da1.predict_demand(model, ela, traj, CAT, eff, PARAMS)
 
     def test_mos_floor_gives_min_tier(self):
         d = self._demand(2, 1.0)
@@ -85,7 +109,7 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (rng.uniform(0, 1), rng.uniform(0, 1)), 0.1, 50)
             traj = rng.uniform(1, 2, (40, 2))
             ela = rng.uniform(3, 5)
-            d = da1.predict_demand(model, ela, traj, CAT, 2.0)
+            d = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS)
             ibar = da1.mean_impact(model, traj)
             achievable = []
             for r in CAT.quality_levels_bps:
@@ -113,13 +137,13 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (alpha, beta), 0.1, 50)
             traj = rng.uniform(1, 2, (30, 2))
             elas = np.sort(rng.uniform(1, 5, 4))
-            bws = [da1.predict_demand(model, e, traj, CAT, 2.0).bandwidth_hz
+            bws = [da1.predict_demand(model, e, traj, CAT, 2.0, PARAMS).bandwidth_hz
                    for e in elas]
             assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bws, bws[1:]))
             # shrinking the impact factor (harsher context) never lowers demand
             harsher = np.clip(traj + 0.4, 1, 2)
-            d_soft = da1.predict_demand(model, 4.0, traj, CAT, 2.0)
-            d_hard = da1.predict_demand(model, 4.0, harsher, CAT, 2.0)
+            d_soft = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
+            d_hard = da1.predict_demand(model, 4.0, harsher, CAT, 2.0, PARAMS)
             assert d_hard.bandwidth_hz >= d_soft.bandwidth_hz - 1e-9
 
 
@@ -146,13 +170,14 @@ class TestClusterUsers:
 
 
 class TestGroupAllocate:
+    """The group level: the orchestrator's actions decoded to group shares."""
+
     def test_single_group_full_shares(self):
-        shares = da1.group_allocate([gstate(2)], None)
-        assert shares == {2: (1.0, 1.0)}
+        assert group_shares([2]) == {2: (1.0, 1.0)}
 
     def test_zero_policy_equal_shares(self):
         net = learn.BdqNetwork(18, (8,), 6, da1.SHARE_LEVELS, rng=None)
-        shares = da1.group_allocate([gstate(1), gstate(2), gstate(3)], net)
+        shares = group_shares([1, 2, 3], net)
         for g in (1, 2, 3):
             assert shares[g] == (pytest.approx(1 / 3), pytest.approx(1 / 3))
 
@@ -160,17 +185,26 @@ class TestGroupAllocate:
         rng = np.random.default_rng(7)
         net = learn.BdqNetwork(18, (16,), 6, da1.SHARE_LEVELS, rng=rng)
         for _ in range(20):
-            states = [gstate(g, buf=rng.uniform(0, 30), load=rng.random(),
-                             quality=rng.random())
-                      for g in (1, 2, 3) if rng.random() < 0.8] or [gstate(1)]
-            shares = da1.group_allocate(states, net)
+            groups = [g for g in (1, 2, 3) if rng.random() < 0.8] or [1]
+            groups *= int(rng.integers(1, 3))  # one or two users per group
+            shares = group_shares(groups, net, rng)
             for res in (0, 1):
                 assert sum(s[res] for s in shares.values()) == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
         net = learn.BdqNetwork(7, (8,), 6, 11, rng=None)
         with pytest.raises(ShapeMismatch):
-            da1.group_allocate([gstate(1)], net)
+            group_shares([1], net)
+
+    def test_absent_group_block_is_zero(self):
+        width = da1.GROUP_STATE_FEATURES
+        orch, state = group_orch([3, 1, 3], rng=np.random.default_rng(11))
+        vec = orch.state_vector(state)
+        assert vec.shape == (len(da1.GROUPS) * width,)
+        assert vec[width:2 * width].tolist() == [0.0] * width  # group 2
+        assert vec[3:width].tolist() == [1.0, 0.0, 0.0]
+        assert vec[2 * width + 3:].tolist() == [0.0, 0.0, 1.0]
+        assert vec[:3].any() and vec[2 * width:2 * width + 3].any()
 
     def test_trained_policy_prefers_dominant_group(self):
         # synthetic two-group game: group 2's shares are twice as valuable
@@ -180,8 +214,8 @@ class TestGroupAllocate:
             actions_per_branch = da1.SHARE_LEVELS
 
             def __init__(self):
-                self.states = [gstate(1), gstate(2)]
-                self.vec = da1.group_state_vector(self.states)
+                orch, state = group_orch([1, 2])
+                self.vec = orch.state_vector(state)
 
             def reset(self):
                 return self.vec
@@ -196,20 +230,20 @@ class TestGroupAllocate:
                                gamma=0.0, eps_decay_steps=600, batch_size=32,
                                target_sync=50)
         net, _ = learn.train_episodes(ShareEnv(), hp, rng)
-        shares = da1.group_allocate([gstate(1), gstate(2)], net)
+        shares = group_shares([1, 2], net)
         assert shares[2][0] > shares[1][0]
         assert shares[2][1] > shares[1][1]
 
 
 class TestUserAllocate:
     def test_single_user_gets_everything(self):
-        alloc, rep = da1.user_allocate([member()], 4e6, 8e8, CAT)
+        alloc, rep = da1.user_allocate([member()], 4e6, 8e8, CAT, PARAMS)
         assert alloc[0] == (pytest.approx(4e6), pytest.approx(8e8))
         assert rep.converged
 
     def test_identical_users_split_equally(self):
         mems = [member(user=i) for i in range(2)]
-        alloc, rep = da1.user_allocate(mems, 6e6, 1e9, CAT)
+        alloc, rep = da1.user_allocate(mems, 6e6, 1e9, CAT, PARAMS)
         assert alloc[0][0] == pytest.approx(alloc[1][0], abs=1e-6 * 6e6)
         assert alloc[0][1] == pytest.approx(alloc[1][1], abs=1e-6 * 1e9)
 
@@ -221,7 +255,7 @@ class TestUserAllocate:
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.3, 6.0)) for i in range(n)]
             bw, cpu = rng.uniform(1e5, 2e7), rng.uniform(1e8, 5e9)
-            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT)
+            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT, PARAMS)
             assert sum(a[0] for a in alloc.values()) <= bw * (1 + 1e-9)
             assert sum(a[1] for a in alloc.values()) <= cpu * (1 + 1e-9)
             assert all(a[0] >= 0 and a[1] >= 0 for a in alloc.values())
@@ -230,13 +264,13 @@ class TestUserAllocate:
 
     def test_grid_search_oracle_two_users(self):
         rng = np.random.default_rng(10)
-        params = da1.DemandParams()
+        params = PARAMS
         for _ in range(10):
             mems = [member(user=i, struct=int(rng.integers(1, 4)),
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.5, 4.0)) for i in range(2)]
             bw, cpu = rng.uniform(5e5, 1e7), rng.uniform(2e8, 2e9)
-            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT)
+            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT, PARAMS)
             c0, c1 = (da1.utility_consts(m, CAT, params) for m in mems)
             best = -np.inf
             fracs = np.linspace(0, 1, 101)
@@ -249,14 +283,14 @@ class TestUserAllocate:
             assert rep.objective >= best - 1e-3 * abs(best)
 
     def test_zero_budget(self):
-        alloc, rep = da1.user_allocate([member()], 0.0, 0.0, CAT)
+        alloc, rep = da1.user_allocate([member()], 0.0, 0.0, CAT, PARAMS)
         assert alloc[0] == (0.0, 0.0)
         assert rep.converged
 
     def test_warm_start_converges_fast(self):
         mems = [member(user=i, ela=3 + i * 0.5) for i in range(3)]
-        alloc, cold = da1.user_allocate(mems, 5e6, 1e9, CAT)
-        _, warm = da1.user_allocate(mems, 5e6, 1e9, CAT, warm_start=alloc)
+        alloc, cold = da1.user_allocate(mems, 5e6, 1e9, CAT, PARAMS)
+        _, warm = da1.user_allocate(mems, 5e6, 1e9, CAT, PARAMS, warm_start=alloc)
         assert warm.iterations <= max(cold.iterations // 2, 10)
         assert warm.objective >= cold.objective - 1e-9
 
@@ -350,6 +384,8 @@ members_st = st.lists(st.builds(
     eff_bps_per_hz=st.floats(1e-4, 8.0)), min_size=1, max_size=7)
 params_st = st.builds(da1.DemandParams, headroom=st.floats(1.0, 2.0),
                       cpu_headroom=st.floats(1.0, 2.0),
+                      arrival_rate_per_min=st.just(6.0),
+                      eval_period_s=st.just(10.0),
                       margin_mos=st.floats(0.0, 0.5))
 bw_st = st.floats(0.0, 3e7)
 cpu_st = st.floats(0.0, 6e9)

@@ -25,7 +25,7 @@ def make_dist(cell_specs):
     for key, (cb, cc) in cell_specs.items():
         cells[key] = da2.CellDemand(
             total_bw_hz=len(cb) * Q_BW, total_cpu_cps=len(cc) * Q_CPU,
-            user_count=1, curve_bw=np.array(cb, dtype=float),
+            curve_bw=np.array(cb, dtype=float),
             curve_cpu=np.array(cc, dtype=float))
     return da2.DemandDistribution(cells, Q_BW, Q_CPU)
 
@@ -49,7 +49,6 @@ class TestAbstractDemand:
         cell = dist.cells[(1, 0)]
         assert cell.total_bw_hz == d.bandwidth_hz
         assert cell.total_cpu_cps == d.compute_cps
-        assert cell.user_count == 1
 
     def test_same_label_sums(self):
         dist = da2.abstract_demand([demand(0, 1.0, 2.0), demand(1, 3.0, 4.0)],
@@ -70,7 +69,6 @@ class TestAbstractDemand:
             expect_cpu = sum(d.compute_cps for d in demands if members[d.user] == key)
             assert cell.total_bw_hz == pytest.approx(expect_bw)
             assert cell.total_cpu_cps == pytest.approx(expect_cpu)
-            assert cell.user_count == sum(1 for d in demands if members[d.user] == key)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -325,7 +323,7 @@ def slicing_cases(draw):
     for key in itertools.product((1, 2, 3), (0, 1)):
         total_bw, curve_bw = cell_side(Q_BW)
         total_cpu, curve_cpu = cell_side(Q_CPU)
-        cells[key] = da2.CellDemand(total_bw, total_cpu, 1, curve_bw, curve_cpu)
+        cells[key] = da2.CellDemand(total_bw, total_cpu, curve_bw, curve_cpu)
     bw_caps = {bs: draw(st.floats(0.0, 8.0)) * Q_BW for bs in (0, 1)}
     cpu_cap = draw(st.floats(0.0, 8.0)) * Q_CPU
     price = draw(st.floats(0.0, 1.5))

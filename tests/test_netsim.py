@@ -10,7 +10,7 @@ from qoesim import netsim, qoe, scenario
 
 
 def default_channel():
-    return netsim.ChannelModel(3.0, 30.0, 0.0, -167.0)
+    return scenario.ChannelConfig(3.0, 30.0, 0.0, -167.0)
 
 
 def full_slice(cfg, groups=(1, 2, 3)):
@@ -97,7 +97,8 @@ class TestBehaviorEnvTrace:
             4.0, 1, (0.5, 0.5))
 
     def test_lower_bounds(self):
-        b, c = netsim.behavior_env_trace(self._profile(2.0, 0.0), 0.0)
+        b, c = netsim.behavior_env_trace(self._profile(2.0, 0.0), 0.0,
+                                         max_swipe_rate_per_min=18.0)
         assert (b, c) == (1.0, 1.0)
 
     def test_upper_bounds(self):
@@ -106,18 +107,20 @@ class TestBehaviorEnvTrace:
         assert (b, c) == (2.0, 2.0)
 
     def test_speed_midpoint(self):
-        _, c = netsim.behavior_env_trace(self._profile(21.0, 5.0), 0.0)
+        _, c = netsim.behavior_env_trace(self._profile(21.0, 5.0), 0.0,
+                                         max_swipe_rate_per_min=18.0)
         assert c == pytest.approx(1.5)
 
     def test_inverted_complexity_flag(self):
         _, c = netsim.behavior_env_trace(self._profile(40.0, 5.0), 0.0,
+                                         max_swipe_rate_per_min=18.0,
                                          complexity_increases_with_speed=False)
         assert c == 1.0
 
     def test_range_over_time(self):
         p = self._profile(25.0, 9.0, amp=3.0, period=120.0)
         for t in np.linspace(0, 600, 61):
-            b, c = netsim.behavior_env_trace(p, t)
+            b, c = netsim.behavior_env_trace(p, t, max_swipe_rate_per_min=18.0)
             assert 1.0 <= b <= 2.0 and 1.0 <= c <= 2.0
 
 
@@ -253,8 +256,8 @@ def ref_swipe_rate(profile, t_s):
     return max(mean + amp * math.sin(2.0 * math.pi * t_s / period), 0.0)
 
 
-def ref_behavior_env_trace(profile, t_s, max_swipe_rate_per_min=18.0,
-                           complexity_increases_with_speed=True):
+def ref_behavior_env_trace(profile, t_s, max_swipe_rate_per_min,
+                           complexity_increases_with_speed):
     b = 1.0 + min(max(ref_swipe_rate(profile, t_s) / max_swipe_rate_per_min, 0.0), 1.0)
     v = profile.speed_kmh
     frac = (v - 2.0) / 38.0 if complexity_increases_with_speed else (40.0 - v) / 38.0
