@@ -55,7 +55,7 @@ class ExplorationOrchestrator:
     """Bootstrap allocator: random per-epoch weights shake quality and
     rebuffer levels across users so the model fits see informative data."""
 
-    def __init__(self, rng: np.random.Generator, epoch_slots: int = 10):
+    def __init__(self, rng: np.random.Generator, epoch_slots: int):
         self.rng = rng
         self.epoch_slots = epoch_slots
         self.cached: dict[int, tuple[float, float]] = {}
@@ -98,7 +98,7 @@ def wo_da_demands(cfg: ScenarioConfig, elas: dict[int, float],
 
 def hsla_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
                 catalog: VideoCatalog, eff_bps_per_hz: float,
-                params: da1.DemandParams, user: int = -1) -> da1.ResourceDemand:
+                params: da1.DemandParams, user: int) -> da1.ResourceDemand:
     """SLA-style demand: pick the tier whose bare QoS score meets the ELA,
     ignoring the context impact entirely."""
     qos_only = qoe.QoEModel(model.structure_index, (0.0, 0.0),
@@ -132,9 +132,12 @@ class PdrlOrchestrator(da1.PolicyOrchestrator):
     """Five-layer BDQN drives per-user shares directly (two branches per
     user: bandwidth and compute), renormalized within each BS pool."""
 
+    hidden_layers = 3  # the five-layer variant
+
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
                  cfg: ScenarioConfig):
-        super().__init__(models, policy, cfg, 2 * len(models))
+        super().__init__(models, policy, cfg, PDRL_USER_FEATURES * len(models),
+                         2 * len(models))
 
     def state_vector(self, state) -> np.ndarray:
         return pdrl_state_vector(state, self.models, self._last_cpu)

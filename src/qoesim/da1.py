@@ -22,8 +22,9 @@ array path, 4.4 ms against 15.9 ms at 7 users and 9.9 ms against 15.9 ms at
 16.  Arrays win only above about 25 users per cell (0.7x at 32, 0.4x at
 64), which no preset produces; an array path belongs with a user-count axis
 far above 24 users.  The kernel inlines `_cap1` and `_softmin`, whose
-call and tuple cost outweighed their arithmetic; `planning_qoe` keeps
-calling them, and a reference test holds the kernel to them bit for bit.
+call and tuple cost outweighed their arithmetic, and a reference test holds
+the kernel to them bit for bit.  `planning_qoe` keeps calling them, on the
+same per-user `UtilityConsts`, which `slice_gain` builds once per user.
 """
 from __future__ import annotations
 
@@ -89,10 +90,10 @@ class DemandParams:
 
 
 def emulate_context(profile: UserProfile, horizon_slots: int,
-                    rng: np.random.Generator, *, t0_slot: int = 0,
-                    slot_s: float = 1.0, max_swipe_rate_per_min: float,
-                    complexity_increases_with_speed: bool = True,
-                    noise: float = 0.0) -> np.ndarray:
+                    rng: np.random.Generator, *, t0_slot: int, slot_s: float,
+                    max_swipe_rate_per_min: float,
+                    complexity_increases_with_speed: bool,
+                    noise: float) -> np.ndarray:
     """Predicted (B, C) trajectory over the horizon, bounded noise included."""
     # netsim.behavior_env_trace per slot, with the speed-only C taken once
     params = profile.swipe_rate_params
@@ -123,7 +124,7 @@ def _stall_bandwidth(bitrate_bps: float, eff: float, stall_budget_s: float,
 
 def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
                    catalog: VideoCatalog, eff_bps_per_hz: float,
-                   params: DemandParams, user: int = -1) -> ResourceDemand:
+                   params: DemandParams, user: int) -> ResourceDemand:
     """Minimum-cost (bandwidth, compute) meeting the ELA on window average.
 
     Scans the quality ladder after inverting the structure's QoS score in
@@ -347,9 +348,9 @@ class SolverReport:
 
 def user_allocate(members: list[AllocMember], bw_budget_hz: float,
                   cpu_budget_cps: float, catalog: VideoCatalog,
-                  params: DemandParams, max_iters: int = 500,
-                  warm_start: dict[int, tuple[float, float]] | None = None,
-                  tol_step: float = 1e-12
+                  params: DemandParams, max_iters: int,
+                  warm_start: dict[int, tuple[float, float]] | None,
+                  tol_step: float
                   ) -> tuple[dict[int, tuple[float, float]], SolverReport]:
     """Concave utility maximization over the group budget.
 
@@ -439,16 +440,27 @@ class PolicyOrchestrator:
     every `epoch_slots` slots and returns the cached allocation in between.
     A replan's actions are the forced ones when `force` has set them (the
     training environment injects exploratory actions this way), else the
-    policy's greedy actions, else all zero.  A subclass gives
-    `state_vector(state)` and `replan(state)`, which decodes the actions
-    into `cached`.
+    policy's greedy actions, else all zero.  The orchestrator owns the
+    policy's shape (`input_dim`, `num_branches` of SHARE_LEVELS actions and
+    the trunk depth `hidden_layers`) and refuses a policy of another shape.
+    A subclass sets `hidden_layers` and gives `state_vector(state)` and
+    `replan(state)`, which decodes the actions into `cached`.
     """
 
+    hidden_layers: int
+
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
-                 cfg: ScenarioConfig, num_branches: int):
+                 cfg: ScenarioConfig, input_dim: int, num_branches: int):
+        if policy is not None:
+            got = (policy.input_dim, policy.num_branches, policy.actions_per_branch)
+            want = (input_dim, num_branches, SHARE_LEVELS)
+            if got != want:
+                raise ShapeMismatch(f"policy (inputs, branches, actions) {got} does "
+                                    f"not match the orchestrator's {want}")
         self.models = models
         self.policy = policy
         self.cfg = cfg
+        self.input_dim = input_dim
         self.num_branches = num_branches
         self.epoch_slots = cfg.agent.epoch_slots
         self.forced: np.ndarray | None = None
@@ -464,14 +476,7 @@ class PolicyOrchestrator:
             return self.forced
         if self.policy is None:
             return np.zeros(self.num_branches, dtype=int)
-        vec = self.state_vector(state)
-        p = self.policy
-        got = (p.input_dim, p.num_branches, p.actions_per_branch)
-        want = (vec.size, self.num_branches, SHARE_LEVELS)
-        if got != want:
-            raise ShapeMismatch(f"policy (inputs, branches, actions) {got} does "
-                                f"not match the orchestrator's {want}")
-        return learn.greedy_actions(p, vec)
+        return learn.greedy_actions(self.policy, self.state_vector(state))
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
         if slot % self.epoch_slots == 0:
@@ -487,9 +492,12 @@ class Orchestrator(PolicyOrchestrator):
     per group in GROUPS.
     """
 
+    hidden_layers = 2  # a four-layer network
+
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
                  catalog: VideoCatalog, cfg: ScenarioConfig, params: DemandParams):
-        super().__init__(models, policy, cfg, 2 * len(GROUPS))
+        super().__init__(models, policy, cfg, len(GROUPS) * GROUP_STATE_FEATURES,
+                         2 * len(GROUPS))
         self.catalog = catalog
         self.params = params
         self._warm: dict[tuple[int, int], dict] = {}
@@ -561,27 +569,22 @@ class Orchestrator(PolicyOrchestrator):
 
 
 def epoch_reward(period_samples, models: dict[int, qoe.QoEModel],
-                 elas: dict[int, float]) -> tuple[float, dict[int, float]]:
+                 elas: dict[int, float]) -> float:
     """Learning feedback for one epoch: mean over groups of the group QoE
-    minus twice the mean ELA shortfall.  Also returns per-group mean QoE."""
-    groups = cluster_users(models)
+    minus twice the mean ELA shortfall."""
     by_user = {ps.user: ps.sample.qoe for ps in period_samples}
-    feedback = {}
     rewards = []
-    for g, members in groups.items():
+    for members in cluster_users(models).values():
         vals = [by_user[u] for u in members if u in by_user]
         if not vals:
             continue
         short = [max(elas[u] - by_user[u], 0.0) for u in members if u in by_user]
-        feedback[g] = float(np.mean(vals))
-        rewards.append(feedback[g] - SHORTFALL_WEIGHT * float(np.mean(short)))
-    return (float(np.mean(rewards)) if rewards else 0.0), feedback
+        rewards.append(float(np.mean(vals)) - SHORTFALL_WEIGHT * float(np.mean(short)))
+    return float(np.mean(rewards)) if rewards else 0.0
 
 
-def planning_qoe(member: AllocMember, bw_hz: float, cpu_cps: float,
-                 catalog: VideoCatalog, params: DemandParams) -> float:
+def planning_qoe(c: UtilityConsts, bw_hz: float, cpu_cps: float) -> float:
     """Predicted interior QoE of one user at an allocation (planning proxy)."""
-    c = utility_consts(member, catalog, params)
     s = qoe.MOS_HI
     if c.struct != 1:  # quality term
         q_bw, _ = _cap1((c.eff * bw_hz / c.bw_headroom - c.r_lo) / c.r_span)
@@ -590,7 +593,7 @@ def planning_qoe(member: AllocMember, bw_hz: float, cpu_cps: float,
     if c.struct != 2:  # rebuffer term, gated by the hard min of the two rates
         service = min(c.eff * bw_hz, cpu_cps * c.r_lo / c.c0)
         s -= qoe.REBUFFER_SLOPE * (c.stall_bits / (service + c.stall_floor))
-    return member.mean_impact * s
+    return c.ibar * s
 
 
 def slice_gain(member: AllocMember, demand: ResourceDemand,
@@ -604,6 +607,6 @@ def slice_gain(member: AllocMember, demand: ResourceDemand,
     bw, cpu = demand.bandwidth_hz, demand.compute_cps
 
     def gain(f_bw: float, f_cpu: float) -> float:
-        e = planning_qoe(member, f_bw * bw, f_cpu * cpu, catalog, params)
+        e = planning_qoe(c, f_bw * bw, f_cpu * cpu)
         return e + weight * min(e, target)
     return gain

@@ -71,14 +71,12 @@ def _marginal_curve(total: float, quantum: float, gains: list,
 
 def abstract_demand(demands: list[ResourceDemand],
                     memberships: dict[int, tuple[int, int]],
-                    utilities: dict[int, object] | None = None,
-                    quantum_bw_hz: float = 1e6,
-                    quantum_cpu_cps: float = 0.5e9) -> DemandDistribution:
+                    utilities: dict[int, object], quantum_bw_hz: float,
+                    quantum_cpu_cps: float) -> DemandDistribution:
     """Aggregate per-user demands into per-(group, BS) totals with
     marginal-gain curves.
 
-    `utilities[user]` maps demand fractions (f_bw, f_cpu) to predicted QoE;
-    users without one contribute a unit linear gain.
+    `utilities[user]` maps demand fractions (f_bw, f_cpu) to predicted QoE.
     """
     cells: dict[tuple[int, int], CellDemand] = {}
     gains_by_cell: dict[tuple[int, int], list] = {}
@@ -89,10 +87,7 @@ def abstract_demand(demands: list[ResourceDemand],
         cell = cells.setdefault(key, CellDemand())
         cell.total_bw_hz += d.bandwidth_hz
         cell.total_cpu_cps += d.compute_cps
-        if utilities is not None and d.user in utilities:
-            gains_by_cell.setdefault(key, []).append(utilities[d.user])
-        else:
-            gains_by_cell.setdefault(key, []).append(lambda fb, fc: 0.5 * (fb + fc))
+        gains_by_cell.setdefault(key, []).append(utilities[d.user])
     for key, cell in cells.items():
         cell.curve_bw = _marginal_curve(cell.total_bw_hz, quantum_bw_hz,
                                         gains_by_cell[key], 0)

@@ -50,7 +50,7 @@ class BdqNetwork:
 
     def __init__(self, input_dim: int, hidden: tuple[int, ...],
                  num_branches: int, actions_per_branch: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None):
         if num_branches < 1:
             raise ShapeMismatch(f"num_branches {num_branches} must be >= 1")
         self.input_dim = input_dim

@@ -101,7 +101,7 @@ def behavior_of_rate(rate_per_min: float, max_swipe_rate_per_min: float) -> floa
 
 
 def complexity_of_speed(speed_kmh: float,
-                        complexity_increases_with_speed: bool = True) -> float:
+                        complexity_increases_with_speed: bool) -> float:
     """Environmental complexity C of a walking/driving speed, clamped into [1, 2]."""
     v = speed_kmh
     frac = (v - 2.0) / 38.0 if complexity_increases_with_speed else (40.0 - v) / 38.0
@@ -110,7 +110,7 @@ def complexity_of_speed(speed_kmh: float,
 
 def behavior_env_trace(profile: UserProfile, t_s: float,
                        max_swipe_rate_per_min: float,
-                       complexity_increases_with_speed: bool = True) -> tuple[float, float]:
+                       complexity_increases_with_speed: bool) -> tuple[float, float]:
     """Ground-truth (B, C) at time t; both clamped into [1, 2]."""
     return (behavior_of_rate(swipe_rate(profile.swipe_rate_params, t_s),
                              max_swipe_rate_per_min),

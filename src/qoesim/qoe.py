@@ -220,7 +220,7 @@ def model_rmse(model: QoEModel, samples: list[FactorSample]) -> float:
 
 
 def should_update(old: QoEModel, recent: list[FactorSample],
-                  rmse_tolerance: float = 1.5) -> bool:
+                  rmse_tolerance: float) -> bool:
     """True when the old model has drifted: recent RMSE exceeds the fit RMSE
     by more than the tolerance factor."""
     return model_rmse(old, recent) > rmse_tolerance * (old.fit_rmse + 1e-9)

@@ -225,19 +225,11 @@ class SchemeRun:
         episode_epochs = max(int(TRAIN_EPISODE_MINUTES * 60.0 / cfg.slot_s
                                  / cfg.agent.epoch_slots), 1)
         episodes = max(int(round(self.train_epochs / episode_epochs)), 1)
-        emu_rng = _lane(self.seed, _LANE_EMU_TRAIN)
-        if self.scheme is SchemeId.PDRL_L1:
-            k = len(self.profiles)
-            env = _TrainEnv(self, state, train_rng, emu_rng, episode_epochs,
-                            bench.PDRL_USER_FEATURES * k, 2 * k)
-            hidden = (cfg.train.hidden_width,) * 3  # five-layer variant
-        else:
-            env = _TrainEnv(self, state, train_rng, emu_rng, episode_epochs,
-                            len(da1.GROUPS) * da1.GROUP_STATE_FEATURES,
-                            2 * len(da1.GROUPS))
-            hidden = (cfg.train.hidden_width,) * 2  # four-layer
+        env = _TrainEnv(self, state, train_rng, _lane(self.seed, _LANE_EMU_TRAIN),
+                        episode_epochs)
         hp = learn.Hyperparams(
-            episodes=episodes, max_steps=episode_epochs, hidden=hidden,
+            episodes=episodes, max_steps=episode_epochs,
+            hidden=(cfg.train.hidden_width,) * env.orch.hidden_layers,
             lr=cfg.train.lr, gamma=cfg.train.gamma,
             eps_start=cfg.train.eps_start, eps_end=cfg.train.eps_end,
             eps_decay_steps=int(0.8 * episodes * episode_epochs),
@@ -325,21 +317,21 @@ class SchemeRun:
 class _TrainEnv:
     """Training environment: one episode = one short slicing window.  A step
     forces the actions on the scheme's orchestrator for one epoch and scores
-    the epoch with `da1.epoch_reward`."""
+    the epoch with `da1.epoch_reward`.  The policy's shape (state width,
+    branches, actions per branch) is the orchestrator's."""
 
     actions_per_branch = da1.SHARE_LEVELS
 
     def __init__(self, run: SchemeRun, state: netsim.SimState,
-                 traffic_rng, emu_rng, episode_epochs: int,
-                 state_dim: int, num_branches: int):
+                 traffic_rng, emu_rng, episode_epochs: int):
         self.run = run
         self.state = state
         self.traffic_rng = traffic_rng
         self.emu_rng = emu_rng
         self.episode_epochs = episode_epochs
-        self.state_dim = state_dim
-        self.num_branches = num_branches
         self.orch = run.make_orchestrator()  # no policy yet: actions are forced
+        self.state_dim = self.orch.input_dim
+        self.num_branches = self.orch.num_branches
         self.epoch_i = 0
 
     def reset(self):
@@ -357,8 +349,8 @@ class _TrainEnv:
         mark = len(self.state.period_samples)
         netsim.advance_slots(self.state, self.orch, self.run.cfg.agent.epoch_slots,
                              self.traffic_rng)
-        reward, _ = da1.epoch_reward(self.state.period_samples[mark:],
-                                     self.run.models, self.run.elas)
+        reward = da1.epoch_reward(self.state.period_samples[mark:],
+                                  self.run.models, self.run.elas)
         self.epoch_i += 1
         done = self.epoch_i >= self.episode_epochs
         return self.orch.state_vector(self.state), reward, done

@@ -56,8 +56,8 @@ class TestHslaDemand:
         model = qoe.QoEModel(2, (0.7, 0.4), 0.2, 100)
         traj = np.ones((20, 2))
         for ela in (3.0, 3.7, 4.4):
-            mine = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS)
-            sla = bench.hsla_demand(model, ela, traj, CAT, 2.0, PARAMS)
+            mine = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
+            sla = bench.hsla_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
             assert sla.bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert sla.compute_cps == pytest.approx(mine.compute_cps)
 
@@ -66,8 +66,8 @@ class TestHslaDemand:
         # covers the bare QoS threshold
         model = qoe.QoEModel(2, (1.0, 1.0), 0.2, 100)
         traj = np.full((20, 2), 2.0)
-        mine = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
-        sla = bench.hsla_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
+        mine = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
+        sla = bench.hsla_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
         assert not mine.feasible
         assert sla.feasible
         assert sla.compute_cps < mine.compute_cps
@@ -102,23 +102,21 @@ class TestPdrlOrchestrator:
 
     def test_shape_mismatch_on_user_count_change(self):
         k = 6
-        cfg, state = world(k)
+        cfg, _ = world(k)
         rng = np.random.default_rng(1)
         policy = learn.BdqNetwork(bench.PDRL_USER_FEATURES * 4, (8,), 8,
                                   da1.SHARE_LEVELS, rng=rng)
-        orch = bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
         with pytest.raises(ShapeMismatch):
-            orch(state, 0)
+            bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
 
     def test_shape_mismatch_on_action_count(self):
         # a checkpoint with more share levels would decode to shares above 1
         k = 6
-        cfg, state = world(k)
+        cfg, _ = world(k)
         policy = learn.BdqNetwork(bench.PDRL_USER_FEATURES * k, (8,), 2 * k,
                                   da1.SHARE_LEVELS + 1, rng=np.random.default_rng(1))
-        orch = bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
         with pytest.raises(ShapeMismatch):
-            orch(state, 0)
+            bench.PdrlOrchestrator(mixed_models(k), policy, cfg)
 
     def test_reward_definition_shared_with_proposed(self, monkeypatch):
         # both learned schemes train in one environment, which scores every
@@ -129,7 +127,7 @@ class TestPdrlOrchestrator:
 
         def spy(*args):
             out = real(*args)
-            rewards.append(out[0])
+            rewards.append(out)
             return out
 
         monkeypatch.setattr(da1, "epoch_reward", spy)

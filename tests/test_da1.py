@@ -24,6 +24,26 @@ def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
     return da1.AllocMember(user, struct, ela, ibar, eff)
 
 
+def emulate(p, horizon, rng, noise, t0_slot=0):
+    """`da1.emulate_context` on one-second slots at the default config's
+    swipe ceiling, complexity rising with speed."""
+    return da1.emulate_context(
+        p, horizon, rng, t0_slot=t0_slot, slot_s=1.0,
+        max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min,
+        complexity_increases_with_speed=True, noise=noise)
+
+
+def env_trace(p, t_s):
+    return netsim.behavior_env_trace(p, t_s, CFG.users.max_swipe_rate_per_min,
+                                     complexity_increases_with_speed=True)
+
+
+def solve(mems, bw, cpu, warm_start=None):
+    """`da1.user_allocate` run to a tight solve."""
+    return da1.user_allocate(mems, bw, cpu, CAT, PARAMS, max_iters=500,
+                             warm_start=warm_start, tol_step=1e-12)
+
+
 def group_orch(groups, policy=None, rng=None):
     """An orchestrator over one user per entry of `groups` (a user's group
     is its model structure), and a world state for its state vector.
@@ -52,31 +72,24 @@ def group_shares(groups, policy=None, rng=None):
 class TestEmulateContext:
     def test_zero_noise_matches_analytic_process(self):
         p = profile(1)
-        traj = da1.emulate_context(p, 50, np.random.default_rng(0), noise=0.0,
-                                   max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min)
+        traj = emulate(p, 50, np.random.default_rng(0), noise=0.0)
         for i in range(50):
-            b, c = netsim.behavior_env_trace(p, float(i), CFG.users.max_swipe_rate_per_min)
+            b, c = env_trace(p, float(i))
             assert traj[i, 0] == b and traj[i, 1] == c
 
     def test_horizon_one_consistent_with_netsim(self):
         p = profile(2)
-        traj = da1.emulate_context(p, 1, np.random.default_rng(0), t0_slot=17,
-                                   noise=0.0,
-                                   max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min)
-        assert tuple(traj[0]) == netsim.behavior_env_trace(
-            p, 17.0, CFG.users.max_swipe_rate_per_min)
+        traj = emulate(p, 1, np.random.default_rng(0), t0_slot=17, noise=0.0)
+        assert tuple(traj[0]) == env_trace(p, 17.0)
 
     def test_noise_bounded_and_small_error(self):
         p = profile(3)
         noise = 0.05
         errs = []
         for seed in range(100):
-            traj = da1.emulate_context(p, 30, np.random.default_rng(seed),
-                                       noise=noise,
-                                       max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min)
+            traj = emulate(p, 30, np.random.default_rng(seed), noise=noise)
             assert traj.min() >= 1.0 and traj.max() <= 2.0
-            truth = da1.emulate_context(p, 30, np.random.default_rng(0), noise=0.0,
-                                        max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min)
+            truth = emulate(p, 30, np.random.default_rng(0), noise=0.0)
             errs.append(np.abs(traj - truth).mean())
         assert np.mean(errs) < noise
 
@@ -85,7 +98,7 @@ class TestPredictDemand:
     def _demand(self, struct, ela, ibar_ctx=1.0, eff=2.0, alpha=0.0, beta=0.0):
         model = qoe.QoEModel(struct, (alpha, beta), 0.1, 100)
         traj = np.full((60, 2), ibar_ctx)
-        return da1.predict_demand(model, ela, traj, CAT, eff, PARAMS)
+        return da1.predict_demand(model, ela, traj, CAT, eff, PARAMS, user=-1)
 
     def test_mos_floor_gives_min_tier(self):
         d = self._demand(2, 1.0)
@@ -109,7 +122,7 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (rng.uniform(0, 1), rng.uniform(0, 1)), 0.1, 50)
             traj = rng.uniform(1, 2, (40, 2))
             ela = rng.uniform(3, 5)
-            d = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS)
+            d = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
             ibar = da1.mean_impact(model, traj)
             achievable = []
             for r in CAT.quality_levels_bps:
@@ -137,13 +150,14 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (alpha, beta), 0.1, 50)
             traj = rng.uniform(1, 2, (30, 2))
             elas = np.sort(rng.uniform(1, 5, 4))
-            bws = [da1.predict_demand(model, e, traj, CAT, 2.0, PARAMS).bandwidth_hz
-                   for e in elas]
+            bws = [da1.predict_demand(model, e, traj, CAT, 2.0, PARAMS,
+                                      user=-1).bandwidth_hz for e in elas]
             assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bws, bws[1:]))
             # shrinking the impact factor (harsher context) never lowers demand
             harsher = np.clip(traj + 0.4, 1, 2)
-            d_soft = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS)
-            d_hard = da1.predict_demand(model, 4.0, harsher, CAT, 2.0, PARAMS)
+            d_soft = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
+            d_hard = da1.predict_demand(model, 4.0, harsher, CAT, 2.0, PARAMS,
+                                         user=-1)
             assert d_hard.bandwidth_hz >= d_soft.bandwidth_hz - 1e-9
 
 
@@ -237,13 +251,13 @@ class TestGroupAllocate:
 
 class TestUserAllocate:
     def test_single_user_gets_everything(self):
-        alloc, rep = da1.user_allocate([member()], 4e6, 8e8, CAT, PARAMS)
+        alloc, rep = solve([member()], 4e6, 8e8)
         assert alloc[0] == (pytest.approx(4e6), pytest.approx(8e8))
         assert rep.converged
 
     def test_identical_users_split_equally(self):
         mems = [member(user=i) for i in range(2)]
-        alloc, rep = da1.user_allocate(mems, 6e6, 1e9, CAT, PARAMS)
+        alloc, rep = solve(mems, 6e6, 1e9)
         assert alloc[0][0] == pytest.approx(alloc[1][0], abs=1e-6 * 6e6)
         assert alloc[0][1] == pytest.approx(alloc[1][1], abs=1e-6 * 1e9)
 
@@ -255,7 +269,7 @@ class TestUserAllocate:
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.3, 6.0)) for i in range(n)]
             bw, cpu = rng.uniform(1e5, 2e7), rng.uniform(1e8, 5e9)
-            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT, PARAMS)
+            alloc, rep = solve(mems, bw, cpu)
             assert sum(a[0] for a in alloc.values()) <= bw * (1 + 1e-9)
             assert sum(a[1] for a in alloc.values()) <= cpu * (1 + 1e-9)
             assert all(a[0] >= 0 and a[1] >= 0 for a in alloc.values())
@@ -270,7 +284,7 @@ class TestUserAllocate:
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.5, 4.0)) for i in range(2)]
             bw, cpu = rng.uniform(5e5, 1e7), rng.uniform(2e8, 2e9)
-            alloc, rep = da1.user_allocate(mems, bw, cpu, CAT, PARAMS)
+            alloc, rep = solve(mems, bw, cpu)
             c0, c1 = (da1.utility_consts(m, CAT, params) for m in mems)
             best = -np.inf
             fracs = np.linspace(0, 1, 101)
@@ -283,14 +297,14 @@ class TestUserAllocate:
             assert rep.objective >= best - 1e-3 * abs(best)
 
     def test_zero_budget(self):
-        alloc, rep = da1.user_allocate([member()], 0.0, 0.0, CAT, PARAMS)
+        alloc, rep = solve([member()], 0.0, 0.0)
         assert alloc[0] == (0.0, 0.0)
         assert rep.converged
 
     def test_warm_start_converges_fast(self):
         mems = [member(user=i, ela=3 + i * 0.5) for i in range(3)]
-        alloc, cold = da1.user_allocate(mems, 5e6, 1e9, CAT, PARAMS)
-        _, warm = da1.user_allocate(mems, 5e6, 1e9, CAT, PARAMS, warm_start=alloc)
+        alloc, cold = solve(mems, 5e6, 1e9)
+        _, warm = solve(mems, 5e6, 1e9, warm_start=alloc)
         assert warm.iterations <= max(cold.iterations // 2, 10)
         assert warm.objective >= cold.objective - 1e-9
 
@@ -484,7 +498,7 @@ class TestUtilityKernel:
         s = {1: qoe.MOS_HI - qoe.REBUFFER_SLOPE * stall,
              2: 1.0 + qoe.QUALITY_SLOPE * q_join,
              3: 1.0 + qoe.QUALITY_SLOPE * q_join - qoe.REBUFFER_SLOPE * stall}
-        assert math.isclose(da1.planning_qoe(m, bw, cpu, CAT, params),
+        assert math.isclose(da1.planning_qoe(c, bw, cpu),
                              m.mean_impact * s[m.structure_index], rel_tol=1e-12)
 
 

@@ -18,6 +18,14 @@ def demand(user, bw_mhz, cpu_gc, feasible=True):
     return ResourceDemand(user, bw_mhz * 1e6, cpu_gc * 1e9, feasible)
 
 
+def abstract(demands, memberships, utilities=None):
+    """`da2.abstract_demand` at 1 MHz and 0.5 GCycles/s quanta; users
+    without a utility get a unit linear gain."""
+    gains = {d.user: lambda fb, fc: 0.5 * (fb + fc) for d in demands}
+    gains.update(utilities or {})
+    return da2.abstract_demand(demands, memberships, gains, Q_BW, Q_CPU)
+
+
 def make_dist(cell_specs):
     """cell_specs: {(group, bs): (curve_bw list, curve_cpu list)} with curves
     given in marginal MOS per quantum (already nonincreasing)."""
@@ -45,14 +53,14 @@ def alloc_value(dist, reserved_bw, reserved_cpu_quanta):
 class TestAbstractDemand:
     def test_singleton(self):
         d = demand(0, 2.0, 0.4)
-        dist = da2.abstract_demand([d], {0: (1, 0)})
+        dist = abstract([d], {0: (1, 0)})
         cell = dist.cells[(1, 0)]
         assert cell.total_bw_hz == d.bandwidth_hz
         assert cell.total_cpu_cps == d.compute_cps
 
     def test_same_label_sums(self):
-        dist = da2.abstract_demand([demand(0, 1.0, 2.0), demand(1, 3.0, 4.0)],
-                                   {0: (2, 1), 1: (2, 1)})
+        dist = abstract([demand(0, 1.0, 2.0), demand(1, 3.0, 4.0)],
+                        {0: (2, 1), 1: (2, 1)})
         cell = dist.cells[(2, 1)]
         assert cell.total_bw_hz == pytest.approx(4e6)
         assert cell.total_cpu_cps == pytest.approx(6e9)
@@ -63,7 +71,7 @@ class TestAbstractDemand:
         for u in range(30):
             demands.append(demand(u, rng.uniform(0.5, 4), rng.uniform(0.1, 0.5)))
             members[u] = (int(rng.integers(1, 4)), int(rng.integers(0, 2)))
-        dist = da2.abstract_demand(demands, members)
+        dist = abstract(demands, members)
         for key, cell in dist.cells.items():
             expect_bw = sum(d.bandwidth_hz for d in demands if members[d.user] == key)
             expect_cpu = sum(d.compute_cps for d in demands if members[d.user] == key)
@@ -75,22 +83,22 @@ class TestAbstractDemand:
         demands = [demand(u, rng.uniform(1, 3), rng.uniform(0.1, 0.5))
                    for u in range(10)]
         members = {u: (1 + u % 3, u % 2) for u in range(10)}
-        d1 = da2.abstract_demand(demands, members)
-        d2 = da2.abstract_demand(demands[::-1], members)
+        d1 = abstract(demands, members)
+        d2 = abstract(demands[::-1], members)
         for key in d1.cells:
             assert d1.cells[key].total_bw_hz == pytest.approx(d2.cells[key].total_bw_hz)
             assert d1.cells[key].total_cpu_cps == pytest.approx(d2.cells[key].total_cpu_cps)
 
     def test_unlabeled_demand(self):
         with pytest.raises(UnlabeledDemand):
-            da2.abstract_demand([demand(7, 1, 1)], {0: (1, 0)})
+            abstract([demand(7, 1, 1)], {0: (1, 0)})
 
     def test_curves_nonincreasing(self):
         # concave saturating per-user gain
         utilities = {0: lambda fb, fc: 3.0 * (1 - np.exp(-2 * fb)) * (1 - 0.5 * np.exp(-2 * fc)),
                      1: lambda fb, fc: 2.0 * min(fb, 1.0) + 1.0 * min(fc, 1.0)}
-        dist = da2.abstract_demand([demand(0, 5, 2), demand(1, 3, 1)],
-                                   {0: (1, 0), 1: (1, 0)}, utilities)
+        dist = abstract([demand(0, 5, 2), demand(1, 3, 1)],
+                        {0: (1, 0), 1: (1, 0)}, utilities)
         cell = dist.cells[(1, 0)]
         for curve in (cell.curve_bw, cell.curve_cpu):
             assert len(curve) > 0

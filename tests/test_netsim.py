@@ -98,17 +98,20 @@ class TestBehaviorEnvTrace:
 
     def test_lower_bounds(self):
         b, c = netsim.behavior_env_trace(self._profile(2.0, 0.0), 0.0,
-                                         max_swipe_rate_per_min=18.0)
+                                         max_swipe_rate_per_min=18.0,
+                                         complexity_increases_with_speed=True)
         assert (b, c) == (1.0, 1.0)
 
     def test_upper_bounds(self):
         b, c = netsim.behavior_env_trace(self._profile(40.0, 99.0), 0.0,
-                                         max_swipe_rate_per_min=18.0)
+                                         max_swipe_rate_per_min=18.0,
+                                         complexity_increases_with_speed=True)
         assert (b, c) == (2.0, 2.0)
 
     def test_speed_midpoint(self):
         _, c = netsim.behavior_env_trace(self._profile(21.0, 5.0), 0.0,
-                                         max_swipe_rate_per_min=18.0)
+                                         max_swipe_rate_per_min=18.0,
+                                         complexity_increases_with_speed=True)
         assert c == pytest.approx(1.5)
 
     def test_inverted_complexity_flag(self):
@@ -120,7 +123,8 @@ class TestBehaviorEnvTrace:
     def test_range_over_time(self):
         p = self._profile(25.0, 9.0, amp=3.0, period=120.0)
         for t in np.linspace(0, 600, 61):
-            b, c = netsim.behavior_env_trace(p, t, max_swipe_rate_per_min=18.0)
+            b, c = netsim.behavior_env_trace(p, t, max_swipe_rate_per_min=18.0,
+                                             complexity_increases_with_speed=True)
             assert 1.0 <= b <= 2.0 and 1.0 <= c <= 2.0
 
 

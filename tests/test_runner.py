@@ -128,3 +128,45 @@ class TestSchemeRun:
         assert sr.policy is not None
         for p, q in zip(sr.policy.params(), net.params()):
             assert np.array_equal(p, q)
+
+    def test_slice_curves_build_each_users_constants_once(self, monkeypatch):
+        # a user's planning curve reads the constants its slice gain built
+        cfg = fast_cfg()
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
+                              train_epochs=0)
+        state = sr.bootstrap(np.random.default_rng(1))
+        sr.fit_models(state)
+        traces = sr.context_traces(state, 60, np.random.default_rng(2))
+        calls = []
+        real = da1.utility_consts
+
+        def counted(member, *args):
+            calls.append(member.user)
+            return real(member, *args)
+
+        monkeypatch.setattr(da1, "utility_consts", counted)
+        sr.build_slices(state, traces)
+        assert sorted(calls) == list(range(cfg.num_users))
+
+
+@pytest.mark.parametrize("scheme, depth", [(SchemeId.PROPOSED, 2),
+                                           (SchemeId.HSLA_L2, 2),
+                                           (SchemeId.PDRL_L1, 3)],
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_trained_policy_has_the_orchestrators_shape(scheme, depth):
+    # the orchestrator owns its policy's shape: training builds the policy
+    # the evaluation then reads
+    cfg = fast_cfg(**{"agent.bootstrap_minutes": 2})
+    sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False,
+                          train_epochs=18)  # one episode
+    rng = np.random.default_rng(0)
+    state = sr.bootstrap(rng)
+    sr.fit_models(state)
+    sr.train_policies(state, rng)
+    assert sr.policy.hidden == (cfg.train.hidden_width,) * depth
+    orch = sr.make_orchestrator()
+    assert orch.policy is sr.policy
+    assert (sr.policy.input_dim, sr.policy.num_branches,
+            sr.policy.actions_per_branch) == (orch.input_dim, orch.num_branches,
+                                              da1.SHARE_LEVELS)
+    assert orch.state_vector(state).size == orch.input_dim
