@@ -24,7 +24,7 @@ array path, 4.4 ms against 15.9 ms at 7 users and 9.9 ms against 15.9 ms at
 far above 24 users.  The kernel inlines `_cap1` and `_softmin`, whose
 call and tuple cost outweighed their arithmetic, and a reference test holds
 the kernel to them bit for bit.  `planning_qoe` keeps calling them, on the
-same per-user `UtilityConsts`, which `slice_gain` builds once per user.
+same per-user `UtilityConsts` record that the solver reads.
 """
 from __future__ import annotations
 
@@ -56,16 +56,6 @@ class ResourceDemand:
     bandwidth_hz: float
     compute_cps: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class AllocMember:
-    """Solver view of one user: fitted model plus channel efficiency."""
-    user: int
-    structure_index: int
-    ela: float
-    mean_impact: float  # window-average I(B, C) under the fitted model
-    eff_bps_per_hz: float
 
 
 @dataclass(frozen=True)
@@ -211,7 +201,8 @@ def _softmin(a: float, b: float) -> tuple[float, float, float]:
 
 
 class UtilityConsts(NamedTuple):
-    """Per-user constants of the planning utility."""
+    """One planned user: the constants of their planning utility."""
+    user: int
     struct: int
     ibar: float
     ela: float  # ELA plus the demand noise margin
@@ -227,14 +218,15 @@ class UtilityConsts(NamedTuple):
     stall_floor: float
 
 
-def utility_consts(member: AllocMember, catalog: VideoCatalog,
-                   params: DemandParams) -> UtilityConsts:
-    """The kernel's constants for one user, built once per solve."""
+def utility_consts(user: int, structure_index: int, ela: float,
+                   mean_impact: float, eff_bps_per_hz: float,
+                   catalog: VideoCatalog, params: DemandParams) -> UtilityConsts:
+    """The kernel's constants for one user, from their fitted model."""
     # the solver chases the same noise margin the demand predictor targets;
     # a user whose target is unreachable drops the shortfall chase (plain
     # QoE maximization) so winnable users keep the contested resources
-    ela = member.ela + params.margin_mos
-    shortfall_w = (SHORTFALL_WEIGHT if ela <= qoe.MOS_HI * member.mean_impact + 1e-9
+    ela = ela + params.margin_mos
+    shortfall_w = (SHORTFALL_WEIGHT if ela <= qoe.MOS_HI * mean_impact + 1e-9
                    else 0.0)
     r_lo = catalog.min_bitrate
     c0, c1 = catalog.compute_cost_coeffs
@@ -242,8 +234,8 @@ def utility_consts(member: AllocMember, catalog: VideoCatalog,
     # startup bits needing download per evaluation period; the floor pins
     # the zero-resource stall at one full period
     stall_bits = arrivals * catalog.segment_duration_s * r_lo
-    return UtilityConsts(member.structure_index, member.mean_impact, ela,
-                         shortfall_w, max(member.eff_bps_per_hz, 1e-3), r_lo,
+    return UtilityConsts(user, structure_index, mean_impact, ela,
+                         shortfall_w, max(eff_bps_per_hz, 1e-3), r_lo,
                          catalog.max_bitrate - r_lo, c0, c1, params.headroom,
                          params.cpu_headroom, stall_bits,
                          stall_bits / params.eval_period_s)
@@ -258,7 +250,7 @@ def utility_value_grad(c: UtilityConsts, bw: float, cpu: float
     corners so the ascent never loses its gradient; stalls use a smooth
     service-rate proxy.  Concave throughout.
     """
-    (struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
+    (_, struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
      bw_headroom, cpu_headroom, stall_bits, stall_floor) = c
     tau = _CORNER_TAU
     bw_den = bw_headroom * r_span
@@ -346,9 +338,8 @@ class SolverReport:
     objective: float
 
 
-def user_allocate(members: list[AllocMember], bw_budget_hz: float,
-                  cpu_budget_cps: float, catalog: VideoCatalog,
-                  params: DemandParams, max_iters: int,
+def user_allocate(members: list[UtilityConsts], bw_budget_hz: float,
+                  cpu_budget_cps: float, max_iters: int,
                   warm_start: dict[int, tuple[float, float]] | None,
                   tol_step: float
                   ) -> tuple[dict[int, tuple[float, float]], SolverReport]:
@@ -364,10 +355,9 @@ def user_allocate(members: list[AllocMember], bw_budget_hz: float,
     if bw_budget_hz <= 0.0 and cpu_budget_cps <= 0.0:
         return ({m.user: (0.0, 0.0) for m in members},
                 SolverReport(True, 0, 0.0, 0.0))
-    consts = [utility_consts(m, catalog, params) for m in members]
     if n == 1:
         # utilities are strictly increasing: a lone member takes the budget
-        v, _, _ = utility_value_grad(consts[0], bw_budget_hz, cpu_budget_cps)
+        v, _, _ = utility_value_grad(members[0], bw_budget_hz, cpu_budget_cps)
         return ({members[0].user: (bw_budget_hz, cpu_budget_cps)},
                 SolverReport(True, 0, 0.0, v))
 
@@ -390,7 +380,7 @@ def user_allocate(members: list[AllocMember], bw_budget_hz: float,
         # zeroes its gradient block so that resource stays untouched
         total = 0.0
         gb_, gc_ = [], []
-        for c, fb, fc in zip(consts, xb_, xc_):
+        for c, fb, fc in zip(members, xb_, xc_):
             v, d_bw, d_cpu = utility_value_grad(c, fb * bw_budget_hz,
                                                 fc * cpu_budget_cps)
             total += v
@@ -526,15 +516,16 @@ class Orchestrator(PolicyOrchestrator):
             out[block + 3 + i] = 1.0
         return out
 
-    def _member(self, state, user: int) -> AllocMember:
+    def _member(self, state, user: int) -> UtilityConsts:
         model = self.models[user]
         p = state.profiles[user]
         b, c = netsim.behavior_env_trace(
             p, state.t * state.slot_s, self.cfg.users.max_swipe_rate_per_min,
             self.cfg.users.complexity_increases_with_speed)
-        return AllocMember(user, model.structure_index, p.ela,
-                           qoe.impact(b, c, *model.impact_params),
-                           state.runtime[user].eff_ewma)
+        return utility_consts(user, model.structure_index, p.ela,
+                              qoe.impact(b, c, *model.impact_params),
+                              state.runtime[user].eff_ewma, self.catalog,
+                              self.params)
 
     def replan(self, state) -> None:
         groups = cluster_users(self.models)
@@ -560,9 +551,8 @@ class Orchestrator(PolicyOrchestrator):
                 mems = [self._member(state, u) for u in cell_users]
                 # replanning every epoch tolerates a coarse inner solve
                 cell_alloc, _ = user_allocate(
-                    mems, bw_budget, cpu_budget, self.catalog, self.params,
-                    max_iters=40, warm_start=self._warm.get((g, bs)),
-                    tol_step=2e-4)
+                    mems, bw_budget, cpu_budget, max_iters=40,
+                    warm_start=self._warm.get((g, bs)), tol_step=2e-4)
                 self._warm[(g, bs)] = cell_alloc
                 alloc.update(cell_alloc)
         self.cached = alloc
@@ -596,13 +586,11 @@ def planning_qoe(c: UtilityConsts, bw_hz: float, cpu_cps: float) -> float:
     return c.ibar * s
 
 
-def slice_gain(member: AllocMember, demand: ResourceDemand,
-               catalog: VideoCatalog, params: DemandParams
+def slice_gain(c: UtilityConsts, demand: ResourceDemand
                ) -> Callable[[float, float], float]:
     """One user's slice curve for `da2.abstract_demand`: a function of the
     demand fractions (f_bw, f_cpu) giving the planning QoE plus the
     ELA-chase bonus below target, weighted as in the user-level solver."""
-    c = utility_consts(member, catalog, params)
     weight, target = c.shortfall_w, c.ela
     bw, cpu = demand.bandwidth_hz, demand.compute_cps
 

@@ -46,7 +46,7 @@ class DemandDistribution:
 class SliceConfig:
     reserved_bw: dict[tuple[int, int], float]
     reserved_cpu: dict[int, float]
-    mechanism: str = "greedy"
+    mechanism: str  # "greedy" or "game"
 
 
 def _cell_value(gains: list, frac: float, resource: int) -> float:

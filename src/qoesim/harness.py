@@ -1,7 +1,8 @@
 """Experiment driver: metrics, result files, and multi-seed comparisons.
 
 One experiment = (scenario, scheme, seed list).  Each seed runs the full
-bootstrap/train/evaluate pipeline and emits per-run CSVs plus a merged
+bootstrap/train/evaluate pipeline and emits per-run CSVs, whose rows come
+from the run's window records (`runner.WindowLog`), plus a merged
 summary.json that validates against the shipped schema.
 
 Each run's `capacity_violations` comes from `capacity_violations`, which
@@ -88,31 +89,30 @@ def capacity_violations(res: runner.RunResult) -> int:
     """Count per-slot grants above the window's summed slice reservations.
 
     Counts the (slot, BS) bandwidth sums and the per-slot compute sums of
-    `res.slot_records` that exceed the reservations summed over the window's
-    `res.slice_rows`.  A run without slot records counts 0.
+    `res.slot_records` that exceed the window's slice reservations, summed
+    per BS and over groups.  A run without slot records counts 0.
     """
     if res.slot_records is None:
         return 0
-    bw_caps: dict[tuple[int, int], float] = {}
-    group_cpu: dict[tuple[int, int], float] = {}
-    for (w, _, g, bs, bw, cpu, _) in res.slice_rows:
-        bw_caps[(w, bs)] = bw_caps.get((w, bs), 0.0) + bw
-        group_cpu[(w, g)] = cpu  # repeated on each of the group's BS rows
-    cpu_caps: dict[int, float] = {}
-    for (w, _), cpu in group_cpu.items():
-        cpu_caps[w] = cpu_caps.get(w, 0.0) + cpu
+    bw_caps, cpu_caps = [], []
+    for w in res.windows:
+        per_bs: dict[int, float] = {}
+        for (_, bs), bw in sorted(w.slice.reserved_bw.items()):
+            per_bs[bs] = per_bs.get(bs, 0.0) + bw
+        bw_caps.append(per_bs)
+        cpu_caps.append(sum(cpu for _, cpu in sorted(w.slice.reserved_cpu.items())))
     starts = [w.start_slot for w in res.windows]
     used_bw: dict[tuple[int, int, int], float] = {}
     used_cpu: dict[tuple[int, int], float] = {}
     for r in res.slot_records:
-        w = res.windows[bisect.bisect_right(starts, r.t) - 1].index
-        key = (w, r.t, r.serving_bs)
+        i = bisect.bisect_right(starts, r.t) - 1
+        key = (i, r.t, r.serving_bs)
         used_bw[key] = used_bw.get(key, 0.0) + r.allocated_bw_hz
-        used_cpu[(w, r.t)] = used_cpu.get((w, r.t), 0.0) + r.allocated_compute_cps
-    over_bw = sum(1 for (w, _, bs), used in used_bw.items()
-                  if used > bw_caps.get((w, bs), 0.0) * (1 + 1e-9) + 1e-6)
-    over_cpu = sum(1 for (w, _), used in used_cpu.items()
-                   if used > cpu_caps.get(w, 0.0) * (1 + 1e-9) + 1e-3)
+        used_cpu[(i, r.t)] = used_cpu.get((i, r.t), 0.0) + r.allocated_compute_cps
+    over_bw = sum(1 for (i, _, bs), used in used_bw.items()
+                  if used > bw_caps[i].get(bs, 0.0) * (1 + 1e-9) + 1e-6)
+    over_cpu = sum(1 for (i, _), used in used_cpu.items()
+                   if used > cpu_caps[i] * (1 + 1e-9) + 1e-3)
     return over_bw + over_cpu
 
 
@@ -172,18 +172,17 @@ def emit_run(out_dir: str, res: runner.RunResult,
     if res.slot_records is not None:
         _write_slots(os.path.join(out_dir, f"slots_{tag}.csv"), res.slot_records)
     _write_csv(os.path.join(out_dir, f"demands_{tag}.csv"), DEMANDS_HEADER,
-               res.demand_rows)
+               ((w.index, u, d.bandwidth_hz, d.compute_cps, d.feasible)
+                for w in res.windows for u, d in sorted(w.demands.items())))
     _write_csv(os.path.join(out_dir, f"slices_{tag}.csv"), SLICES_HEADER,
-               res.slice_rows)
-    window_rows = []
-    ratios = []
-    for w in res.windows:
-        ratio = ela_ratio(w.user_mean_qoe, elas)
-        ratios.append(ratio)
-        window_rows.append((w.index, w.start_slot, w.end_slot,
-                            w.window_minutes, w.mechanism, ratio))
+               ((w.index, w.window_minutes, g, bs, bw,
+                 w.slice.reserved_cpu.get(g, 0.0), w.slice.mechanism)
+                for w in res.windows
+                for (g, bs), bw in sorted(w.slice.reserved_bw.items())))
+    ratios = [ela_ratio(w.user_mean_qoe, elas) for w in res.windows]
     _write_csv(os.path.join(out_dir, f"windows_{tag}.csv"), WINDOWS_HEADER,
-               window_rows)
+               ((w.index, w.start_slot, w.end_slot, w.window_minutes,
+                 w.slice.mechanism, ratio) for w, ratio in zip(res.windows, ratios)))
     qoe_samples = [ps.sample.qoe for w in res.windows for ps in w.samples]
     return {
         "seed": res.seed,

@@ -249,17 +249,17 @@ class ReplayBuffer:
 
 @dataclass
 class Hyperparams:
-    episodes: int = 500
-    max_steps: int = 1
-    hidden: tuple[int, ...] = (64, 64)
-    lr: float = 0.003
-    gamma: float = 0.9
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_steps: int = 0  # 0: decay over the whole training run
-    batch_size: int = 64
-    replay_capacity: int = 10_000
-    target_sync: int = 200
+    episodes: int
+    max_steps: int
+    hidden: tuple[int, ...]
+    lr: float
+    gamma: float
+    eps_start: float
+    eps_end: float
+    eps_decay_steps: int  # steps over which epsilon falls to eps_end
+    batch_size: int
+    replay_capacity: int
+    target_sync: int
 
 
 def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
@@ -272,15 +272,13 @@ def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
                      env.actions_per_branch, rng=rng)
     target = net.copy()
     buffer = ReplayBuffer(hp.replay_capacity)
-    total_steps = max(hp.episodes * hp.max_steps, 1)
-    decay_steps = hp.eps_decay_steps or total_steps
     rewards_per_episode = []
     step_count = 0
     for _ in range(hp.episodes):
         state = np.asarray(env.reset(), dtype=float)
         ep_rewards = []
         for _ in range(hp.max_steps):
-            frac = min(step_count / decay_steps, 1.0)
+            frac = min(step_count / hp.eps_decay_steps, 1.0)
             eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
             explore = rng.random(env.num_branches) < eps
             random_actions = rng.integers(0, env.actions_per_branch,

@@ -207,7 +207,6 @@ class SimState:
         self.bw_caps: dict[int, float] = {b.id: b.dl_bandwidth_hz for b in self.base_stations}
         self.cpu_cap: float = cfg.edge.capacity_cps
         self.period_samples: list[PeriodSample] = []
-        self.arrival_log: list[tuple[int, int]] = []  # (slot, user) swipe events
         # pre-computed per-BS, per-tier and per-user constants
         self._bs_xy = [b.position for b in self.base_stations]
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
@@ -301,7 +300,6 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     max_swipe = state.cfg.users.max_swipe_rate_per_min
     abr = state.cfg.playback.abr_safety
     period = state.period_slots
-    arrivals = state.arrival_log
     log2, exp, sin, floor = math.log2, math.exp, math.sin, math.floor
     two_pi = 2.0 * math.pi
     slot_seg = slot + seg
@@ -359,7 +357,6 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
                 rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
-                arrivals.append((t, i))
 
             tier = rt.tier
             buffer = rt.buffer

@@ -10,7 +10,7 @@ window length and the slices read the same predicted future.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,14 @@ TRAIN_EPISODE_MINUTES = 3.0
 
 @dataclass
 class WindowLog:
+    """One evaluated window: its span, its slice, the demands the slice was
+    built from and the QoE it delivered; the harness writes its rows."""
     index: int
     start_slot: int
     end_slot: int
     window_minutes: float
-    mechanism: str
+    slice: da2.SliceConfig
+    demands: dict[int, da1.ResourceDemand]
     user_mean_qoe: dict[int, float]
     samples: list[netsim.PeriodSample]
 
@@ -47,11 +50,8 @@ class RunResult:
     seed: int
     windows: list[WindowLog]
     slot_records: list[netsim.SlotRecord] | None  # None: not collected
-    demand_rows: list[tuple]   # (window, user, bw, cpu, feasible)
-    slice_rows: list[tuple]    # (window, minutes, group, bs, bw, cpu, mechanism)
     models: dict[int, qoe.QoEModel]
-    reward_curve: list[float] = field(default_factory=list)
-    eval_arrivals: list[tuple[int, int]] = field(default_factory=list)
+    reward_curve: list[float]
 
 
 def _lane(seed: int, key: int) -> np.random.Generator:
@@ -171,11 +171,11 @@ class SchemeRun:
         utilities = {}
         for p in self.profiles:
             model = self.models[p.id]
-            member = da1.AllocMember(
+            c = da1.utility_consts(
                 p.id, model.structure_index, p.ela,
-                da1.mean_impact(model, traces[p.id]), state.runtime[p.id].eff_ewma)
-            utilities[p.id] = da1.slice_gain(member, demands[p.id],
-                                             self.catalog, self.params)
+                da1.mean_impact(model, traces[p.id]), state.runtime[p.id].eff_ewma,
+                self.catalog, self.params)
+            utilities[p.id] = da1.slice_gain(c, demands[p.id])
         dist = da2.abstract_demand(demands.values(), memberships, utilities,
                                    cfg.slicing.quantum_bw_hz,
                                    cfg.slicing.quantum_cpu_cps)
@@ -186,7 +186,7 @@ class SchemeRun:
                 slc, dist, self._bs_caps, self._cpu_cap,
                 cfg.slicing.price_mos_per_quantum)
         # list every (present group, BS) pair, 0 where the group has no
-        # demand at that BS, so each window's slices rows cover the grid
+        # demand at that BS, so each window's slice rows cover the grid
         for g in set(group_of.values()):
             for bs in self._bs_caps:
                 slc.reserved_bw.setdefault((g, bs), 0.0)
@@ -232,7 +232,7 @@ class SchemeRun:
             hidden=(cfg.train.hidden_width,) * env.orch.hidden_layers,
             lr=cfg.train.lr, gamma=cfg.train.gamma,
             eps_start=cfg.train.eps_start, eps_end=cfg.train.eps_end,
-            eps_decay_steps=int(0.8 * episodes * episode_epochs),
+            eps_decay_steps=max(int(0.8 * episodes * episode_epochs), 1),
             batch_size=cfg.train.batch_size,
             replay_capacity=cfg.train.replay_capacity,
             target_sync=cfg.train.target_sync)
@@ -251,9 +251,6 @@ class SchemeRun:
         period = state.period_slots
         windows: list[WindowLog] = []
         records: list[netsim.SlotRecord] | None = [] if self.collect_slots else None
-        demand_rows = []
-        slice_rows = []
-        w_idx = 0
         while state.t < total_slots:
             traces = self.context_traces(
                 state, min(DYNAMICS_HORIZON_SLOTS, total_slots - state.t), emu_rng)
@@ -261,13 +258,6 @@ class SchemeRun:
             w_slots = min(int(w_min * 60.0 / cfg.slot_s), total_slots - state.t)
             w_slots = max((w_slots // period) * period, period)
             slc, demands = self.build_slices(state, traces)
-            for u in sorted(demands):
-                d = demands[u]
-                demand_rows.append((w_idx, u, d.bandwidth_hz, d.compute_cps,
-                                    d.feasible))
-            for (g, bs), bw in sorted(slc.reserved_bw.items()):
-                slice_rows.append((w_idx, w_min, g, bs, bw,
-                                   slc.reserved_cpu.get(g, 0.0), slc.mechanism))
             start = state.t
             mark = len(state.period_samples)
             state.apply_slice(slc)
@@ -277,13 +267,11 @@ class SchemeRun:
             for ps in samples:
                 means.setdefault(ps.user, []).append(ps.sample.qoe)
             windows.append(WindowLog(
-                w_idx, start, state.t, w_min, slc.mechanism,
+                len(windows), start, state.t, w_min, slc, demands,
                 {u: float(np.mean(v)) for u, v in means.items()}, samples))
             self._maybe_refit(samples)
-            w_idx += 1
         return RunResult(self.scheme.value, self.seed, windows, records,
-                         demand_rows, slice_rows, dict(self.models), self.reward_curve,
-                         list(state.arrival_log))
+                         dict(self.models), self.reward_curve)
 
     def _maybe_refit(self, samples: list[netsim.PeriodSample]) -> None:
         if self.scheme is SchemeId.WITHOUT_DA:

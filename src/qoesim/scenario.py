@@ -18,6 +18,11 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PAPER_USER_COUNTS = (16, 18, 20, 22, 24)
+# a patrol loop's half-sides (metres) and its margin inside the region
+_LOOP_HALF_MIN_M = 60.0
+_LOOP_HALF_MAX_M = 200.0
+_LOOP_MARGIN_M = 10.0
+_MIN_REGION_SIDE_M = 2.0 * (_LOOP_HALF_MAX_M + _LOOP_MARGIN_M)
 
 # Free-space reference loss at 1 m for a 700 MHz carrier: 20*log10(4*pi/lambda).
 _REF_LOSS_700MHZ_DB = 20.0 * math.log10(4.0 * math.pi * 700e6 / 299792458.0)
@@ -330,6 +335,15 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("users.impact bounds invalid")
     if u.max_swipe_rate_per_min <= 0:
         raise ValidationError("users.max_swipe_rate_per_min must be > 0")
+    for lo, hi in (("swipe_mean_min_per_min", "swipe_mean_max_per_min"),
+                   ("swipe_amp_min_per_min", "swipe_amp_max_per_min"),
+                   ("swipe_period_min_s", "swipe_period_max_s")):
+        if getattr(u, lo) > getattr(u, hi):
+            raise ValidationError(f"users.{lo} must not exceed users.{hi}")
+    for side in ("width_m", "height_m"):
+        if getattr(cfg.region, side) < _MIN_REGION_SIDE_M:
+            raise ValidationError(f"region.{side} must be >= {_MIN_REGION_SIDE_M:g} "
+                                  "to hold the largest patrol loop")
     if cfg.channel.path_loss_exponent < 2.0:
         raise ValidationError("channel.path_loss_exponent must be >= 2")
     if cfg.channel.shadowing_sigma_db < 0:
@@ -340,6 +354,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("edge.capacity_cps must be > 0")
     if cfg.agent.epoch_slots < 1:
         raise ValidationError("agent.epoch_slots must be >= 1")
+    if not 0.0 <= cfg.agent.share_pool_frac <= 1.0:
+        raise ValidationError("agent.share_pool_frac must lie in [0, 1]")
     # the planning utility divides by the tier span, the lowest tier, both
     # compute-cost coefficients and both demand headrooms
     cat = cfg.catalog
@@ -425,10 +441,10 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 def _rect_loop(rng: np.random.Generator, region: RegionConfig) -> tuple[tuple[float, float], ...]:
     """Rectangular patrol loop fully inside the region."""
-    half_w = rng.uniform(60.0, 200.0)
-    half_h = rng.uniform(60.0, 200.0)
-    cx = rng.uniform(half_w + 10.0, region.width_m - half_w - 10.0)
-    cy = rng.uniform(half_h + 10.0, region.height_m - half_h - 10.0)
+    half_w = rng.uniform(_LOOP_HALF_MIN_M, _LOOP_HALF_MAX_M)
+    half_h = rng.uniform(_LOOP_HALF_MIN_M, _LOOP_HALF_MAX_M)
+    cx = rng.uniform(half_w + _LOOP_MARGIN_M, region.width_m - half_w - _LOOP_MARGIN_M)
+    cy = rng.uniform(half_h + _LOOP_MARGIN_M, region.height_m - half_h - _LOOP_MARGIN_M)
     corners = ((cx - half_w, cy - half_h), (cx + half_w, cy - half_h),
                (cx + half_w, cy + half_h), (cx - half_w, cy + half_h))
     start = int(rng.integers(0, 4))

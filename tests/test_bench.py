@@ -159,7 +159,7 @@ class TestLearnedOrchestrators:
         state.apply_slice(da2.SliceConfig(
             {(g, b.id): b.dl_bandwidth_hz / len(groups)
              for g in groups for b in state.base_stations},
-            {g: cfg.edge.capacity_cps / len(groups) for g in groups}))
+            {g: cfg.edge.capacity_cps / len(groups) for g in groups}, "greedy"))
         # a few slots in, so buffers and tiers differ between users
         netsim.advance_slots(state, bench.RoundRobinOrchestrator(), 7,
                              np.random.default_rng(3))

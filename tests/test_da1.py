@@ -21,7 +21,8 @@ def profile(seed=0):
 
 
 def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
-    return da1.AllocMember(user, struct, ela, ibar, eff)
+    """One planned user's constants under the test's demand parameters."""
+    return da1.utility_consts(user, struct, ela, ibar, eff, CAT, PARAMS)
 
 
 def emulate(p, horizon, rng, noise, t0_slot=0):
@@ -40,7 +41,7 @@ def env_trace(p, t_s):
 
 def solve(mems, bw, cpu, warm_start=None):
     """`da1.user_allocate` run to a tight solve."""
-    return da1.user_allocate(mems, bw, cpu, CAT, PARAMS, max_iters=500,
+    return da1.user_allocate(mems, bw, cpu, max_iters=500,
                              warm_start=warm_start, tol_step=1e-12)
 
 
@@ -241,8 +242,9 @@ class TestGroupAllocate:
 
         rng = np.random.default_rng(8)
         hp = learn.Hyperparams(episodes=800, max_steps=1, hidden=(32,), lr=0.02,
-                               gamma=0.0, eps_decay_steps=600, batch_size=32,
-                               target_sync=50)
+                               gamma=0.0, eps_start=1.0, eps_end=0.05,
+                               eps_decay_steps=600, batch_size=32,
+                               replay_capacity=10_000, target_sync=50)
         net, _ = learn.train_episodes(ShareEnv(), hp, rng)
         shares = group_shares([1, 2], net)
         assert shares[2][0] > shares[1][0]
@@ -278,14 +280,13 @@ class TestUserAllocate:
 
     def test_grid_search_oracle_two_users(self):
         rng = np.random.default_rng(10)
-        params = PARAMS
         for _ in range(10):
             mems = [member(user=i, struct=int(rng.integers(1, 4)),
                            ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
                            eff=rng.uniform(0.5, 4.0)) for i in range(2)]
             bw, cpu = rng.uniform(5e5, 1e7), rng.uniform(2e8, 2e9)
             alloc, rep = solve(mems, bw, cpu)
-            c0, c1 = (da1.utility_consts(m, CAT, params) for m in mems)
+            c0, c1 = mems
             best = -np.inf
             fracs = np.linspace(0, 1, 101)
             for fb in fracs:
@@ -331,20 +332,11 @@ def _ref_smooth_min(a, b, tau=da1._CORNER_TAU):
     return lo - tau * np.log(0.5 * tot), wa / tot, wb / tot
 
 
-def ref_value_grad(members, bw, cpu, catalog, params):
-    """Per-user utilities and (bw, cpu) gradients over member arrays."""
-    struct = np.array([m.structure_index for m in members])
-    ibar = np.array([m.mean_impact for m in members])
-    ela = np.array([m.ela for m in members]) + params.margin_mos
-    shortfall_w = np.where(ela <= qoe.MOS_HI * ibar + 1e-9, da1.SHORTFALL_WEIGHT, 0.0)
-    eff = np.array([max(m.eff_bps_per_hz, 1e-3) for m in members])
-    r_lo = catalog.min_bitrate
-    r_span = catalog.max_bitrate - r_lo
-    c0, c1 = catalog.compute_cost_coeffs
-    hb, hc = params.headroom, params.cpu_headroom
-    arrivals = params.arrival_rate_per_min / 60.0 * params.eval_period_s
-    stall_bits = arrivals * catalog.segment_duration_s * r_lo
-    stall_floor = stall_bits / params.eval_period_s
+def ref_value_grad(members, bw, cpu):
+    """Per-user utilities and (bw, cpu) gradients over arrays of the
+    members' `UtilityConsts` fields."""
+    (_, struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1, hb, hc,
+     stall_bits, stall_floor) = map(np.array, zip(*members))
     is_q, has_stall = struct != 1, struct != 2
 
     q_bw, dclip_bw = _ref_smooth_cap1((eff * bw / hb - r_lo) / r_span)
@@ -389,25 +381,27 @@ def ref_project_capped_simplex(x):
     return np.maximum(x - css[rho - 1] / rho, 0.0)
 
 
-members_st = st.lists(st.builds(
-    da1.AllocMember,
-    user=st.just(0),
-    structure_index=st.integers(1, 3),
-    ela=st.floats(3.0, 5.0),
-    mean_impact=st.floats(0.2, 1.0),
-    eff_bps_per_hz=st.floats(1e-4, 8.0)), min_size=1, max_size=7)
 params_st = st.builds(da1.DemandParams, headroom=st.floats(1.0, 2.0),
                       cpu_headroom=st.floats(1.0, 2.0),
                       arrival_rate_per_min=st.just(6.0),
                       eval_period_s=st.just(10.0),
                       margin_mos=st.floats(0.0, 0.5))
+member_args_st = st.fixed_dictionaries(dict(
+    user=st.just(0),
+    structure_index=st.integers(1, 3),
+    ela=st.floats(3.0, 5.0),
+    mean_impact=st.floats(0.2, 1.0),
+    eff_bps_per_hz=st.floats(1e-4, 8.0)))
+members_st = st.lists(st.builds(lambda kw, params: da1.utility_consts(
+    **kw, catalog=CAT, params=params), member_args_st, params_st),
+    min_size=1, max_size=7)
 bw_st = st.floats(0.0, 3e7)
 cpu_st = st.floats(0.0, 6e9)
 
 
 def ref_utility_value_grad(c, bw, cpu):
     """The kernel as it was before `_cap1` and `_softmin` were inlined."""
-    (struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
+    (_, struct, ibar, ela, shortfall_w, eff, r_lo, r_span, c0, c1,
      bw_headroom, cpu_headroom, stall_bits, stall_floor) = c
     bw_den = bw_headroom * r_span
     cpu_den = cpu_headroom * c1
@@ -439,10 +433,26 @@ def ref_utility_value_grad(c, bw, cpu):
 
 
 class TestUtilityKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(member_args_st, params_st)
+    def test_consts_of_one_user(self, kw, params):
+        # the constants that the numpy reference takes as given
+        c = da1.utility_consts(**kw, catalog=CAT, params=params)
+        ibar = kw["mean_impact"]
+        ela = kw["ela"] + params.margin_mos
+        arrivals = params.arrival_rate_per_min / 60.0 * params.eval_period_s
+        stall_bits = arrivals * CAT.segment_duration_s * CAT.min_bitrate
+        assert c == (kw["user"], kw["structure_index"], ibar, ela,
+                     da1.SHORTFALL_WEIGHT if ela <= qoe.MOS_HI * ibar + 1e-9 else 0.0,
+                     max(kw["eff_bps_per_hz"], 1e-3), CAT.min_bitrate,
+                     CAT.max_bitrate - CAT.min_bitrate, *CAT.compute_cost_coeffs,
+                     params.headroom, params.cpu_headroom, stall_bits,
+                     stall_bits / params.eval_period_s)
+
     @settings(max_examples=600, deadline=None)
-    @given(members_st, params_st, st.sampled_from(["raw", "corner", "tie"]), st.data())
-    def test_bit_identical_to_helper_kernel(self, mems, params, mode, data):
-        c = da1.utility_consts(mems[0], CAT, params)
+    @given(members_st, st.sampled_from(["raw", "corner", "tie"]), st.data())
+    def test_bit_identical_to_helper_kernel(self, mems, mode, data):
+        c = mems[0]
         if mode == "raw":  # anywhere, including the saturated ends
             bw = data.draw(bw_st | st.sampled_from([0.0, 1e-300, 1e12]))
             cpu = data.draw(cpu_st | st.sampled_from([0.0, 1e-300, 1e15]))
@@ -456,22 +466,20 @@ class TestUtilityKernel:
         assert da1.utility_value_grad(c, bw, cpu) == ref_utility_value_grad(c, bw, cpu)
 
     @settings(max_examples=300, deadline=None)
-    @given(members_st, params_st, st.data())
-    def test_matches_numpy_reference(self, mems, params, data):
+    @given(members_st, st.data())
+    def test_matches_numpy_reference(self, mems, data):
         bws = data.draw(st.lists(bw_st, min_size=len(mems), max_size=len(mems)))
         cpus = data.draw(st.lists(cpu_st, min_size=len(mems), max_size=len(mems)))
-        util, gb, gc = ref_value_grad(mems, np.array(bws), np.array(cpus), CAT, params)
-        for i, m in enumerate(mems):
-            c = da1.utility_consts(m, CAT, params)
+        util, gb, gc = ref_value_grad(mems, np.array(bws), np.array(cpus))
+        for i, c in enumerate(mems):
             got = da1.utility_value_grad(c, bws[i], cpus[i])
             for a, b in zip(got, (util[i], gb[i], gc[i])):
                 assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(members_st, params_st, bw_st, cpu_st)
-    def test_gradient_matches_central_differences(self, mems, params, bw, cpu):
-        m = mems[0]
-        c = da1.utility_consts(m, CAT, params)
+    @given(members_st, bw_st, cpu_st)
+    def test_gradient_matches_central_differences(self, mems, bw, cpu):
+        c = mems[0]
         _, d_bw, d_cpu = da1.utility_value_grad(c, bw, cpu)
         # steps of 1e-5 in normalized quality units; the corner rounding
         # (tau = 0.02) keeps the third derivative small at that scale
@@ -486,11 +494,10 @@ class TestUtilityKernel:
         assert fd_cpu == pytest.approx(d_cpu, rel=1e-4, abs=1e-6 * unit_cpu)
 
     @settings(max_examples=200, deadline=None)
-    @given(members_st, params_st, bw_st, cpu_st)
-    def test_planning_qoe_matches_reference_terms(self, mems, params, bw, cpu):
+    @given(members_st, bw_st, cpu_st)
+    def test_planning_qoe_matches_reference_terms(self, mems, bw, cpu):
         # planning QoE: same quality support, hard min of the stall service
-        m = mems[0]
-        c = da1.utility_consts(m, CAT, params)
+        c = mems[0]
         q_bw = _ref_smooth_cap1(np.array((c.eff * bw / c.bw_headroom - c.r_lo) / c.r_span))[0]
         q_cpu = _ref_smooth_cap1(np.array((cpu / c.cpu_headroom - c.c0) / c.c1))[0]
         q_join = float(_ref_smooth_min(q_bw, q_cpu)[0])
@@ -499,7 +506,7 @@ class TestUtilityKernel:
              2: 1.0 + qoe.QUALITY_SLOPE * q_join,
              3: 1.0 + qoe.QUALITY_SLOPE * q_join - qoe.REBUFFER_SLOPE * stall}
         assert math.isclose(da1.planning_qoe(c, bw, cpu),
-                             m.mean_impact * s[m.structure_index], rel_tol=1e-12)
+                             c.ibar * s[c.struct], rel_tol=1e-12)
 
 
 class TestProjectCappedSimplex:

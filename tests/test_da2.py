@@ -308,7 +308,7 @@ class TestBestResponseAdjust:
         # an increasing marginal curve breaks the potential-game premise: the
         # best response drops both quanta and loses the large second gain
         dist = make_dist({(1, 0): ([0.1, 5.0], [])})
-        init = da2.SliceConfig({(1, 0): 2 * Q_BW}, {1: 0.0})
+        init = da2.SliceConfig({(1, 0): 2 * Q_BW}, {1: 0.0}, "greedy")
         with pytest.raises(PotentialDecrease, match="potential"):
             da2.best_response_adjust(init, dist, {0: 4 * Q_BW}, 4 * Q_CPU,
                                      price=1.0)

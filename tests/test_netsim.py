@@ -355,7 +355,6 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
                 rt.tier = ref_pick_tier(state, i, cpu)
-                state.arrival_log.append((t, i))
 
             bitrate = cat.quality_levels_bps[rt.tier]
             cost = state._costs[rt.tier]
@@ -423,7 +422,7 @@ ORCHESTRATORS = {"round_robin": lambda seed: round_robin,
 def _world_state(state):
     runtime = [tuple(getattr(rt, f) for f in netsim._UserRuntime.__slots__)
                for rt in state.runtime]
-    return state.t, runtime, state.period_samples, state.arrival_log
+    return state.t, runtime, state.period_samples
 
 
 class TestKernelMatchesReference:

@@ -70,18 +70,34 @@ ALWAYS_PASSED_ALLOWED = {
 }
 
 
+def field_arguments(node: ast.ClassDef) -> ast.arguments | None:
+    """A class's annotated fields as the positional parameters of its
+    generated constructor (a dataclass's or a NamedTuple's), in field
+    order; None when it has no fields."""
+    fields = [sub for sub in node.body
+              if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+    if not fields:
+        return None
+    return ast.arguments(posonlyargs=[], args=[ast.arg(f.target.id) for f in fields],
+                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
+                         defaults=[f.value for f in fields if f.value is not None])
+
+
 def callables(tree: ast.Module, module: str):
     """(call name, dotted path, parameters, count of leading implicit
     parameters) of each top-level function, each method of a top-level
-    class and each class constructor (its `__init__`'s parameters, None
-    without one)."""
+    class and each class constructor: its `__init__`'s parameters, or
+    without one its fields (None when it has neither)."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, f"{module}.{node.name}", node.args, 0
         elif isinstance(node, ast.ClassDef):
             methods = [sub for sub in node.body if isinstance(sub, ast.FunctionDef)]
             init = next((m.args for m in methods if m.name == "__init__"), None)
-            yield node.name, f"{module}.{node.name}", init, 1
+            if init is None:
+                yield node.name, f"{module}.{node.name}", field_arguments(node), 0
+            else:
+                yield node.name, f"{module}.{node.name}", init, 1
             for m in methods:
                 if m.name != "__init__":
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"

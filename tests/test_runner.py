@@ -21,14 +21,20 @@ def proposed_run():
     return runner.SchemeRun(fast_cfg(), SchemeId.PROPOSED, 3, train_epochs=20).execute()
 
 
+@pytest.fixture(scope="module")
+def four_window_run():
+    cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
+    return runner.SchemeRun(cfg, SchemeId.PROPOSED, 3, train_epochs=0).execute()
+
+
 class TestSchemeRun:
     def test_deterministic_results(self):
         cfg = fast_cfg()
         r1 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
         r2 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
         assert r1.slot_records == r2.slot_records
-        assert r1.demand_rows == r2.demand_rows
-        assert r1.slice_rows == r2.slice_rows
+        assert [w.demands for w in r1.windows] == [w.demands for w in r2.windows]
+        assert [w.slice for w in r1.windows] == [w.slice for w in r2.windows]
         assert [w.user_mean_qoe for w in r1.windows] == \
             [w.user_mean_qoe for w in r2.windows]
 
@@ -41,7 +47,7 @@ class TestSchemeRun:
 
     def test_slot_conservation_against_slices(self, proposed_run):
         # per (window, slot, bs): allocated bw never exceeds the summed
-        # reservations recorded in the slice rows; per slot, nor does compute
+        # reservations of the window's slice; per slot, nor does compute
         assert proposed_run.slot_records
         assert harness.capacity_violations(proposed_run) == 0
 
@@ -55,12 +61,35 @@ class TestSchemeRun:
         tampered = dataclasses.replace(proposed_run, slot_records=recs)
         assert harness.capacity_violations(tampered) == 1
 
+    @pytest.mark.parametrize("field", ["reserved_bw", "reserved_cpu"])
+    def test_capacity_check_counts_a_lowered_reservation(self, four_window_run,
+                                                         field):
+        # zero the second window's reservations: each of its (slot, BS)
+        # bandwidth sums, or each of its slots' compute sums, that grants
+        # anything is over the slice
+        run = four_window_run
+        assert len(run.windows) == 4
+        w = run.windows[1]
+        slc = dataclasses.replace(
+            w.slice, **{field: dict.fromkeys(getattr(w.slice, field), 0.0)})
+        windows = list(run.windows)
+        windows[1] = dataclasses.replace(w, slice=slc)
+        tampered = dataclasses.replace(run, windows=windows)
+        inside = [r for r in run.slot_records if w.start_slot <= r.t < w.end_slot]
+        if field == "reserved_bw":
+            granting = {(r.t, r.serving_bs) for r in inside if r.allocated_bw_hz > 0.0}
+        else:
+            granting = {r.t for r in inside if r.allocated_compute_cps > 0.0}
+        assert granting
+        assert harness.capacity_violations(tampered) == len(granting)
+        assert harness.capacity_violations(run) == 0
+
     def test_wo_da_fixed_window(self):
         cfg = fast_cfg()
         res = runner.SchemeRun(cfg, SchemeId.WITHOUT_DA, 1, collect_slots=False).execute()
         assert all(w.window_minutes == cfg.slicing.wo_da_window_min
                    for w in res.windows)
-        assert all(w.mechanism == "greedy" for w in res.windows)
+        assert all(w.slice.mechanism == "greedy" for w in res.windows)
 
     def test_windows_tile_the_evaluation(self):
         cfg = fast_cfg()
@@ -96,8 +125,8 @@ class TestSchemeRun:
         res = runner.SchemeRun(cfg, SchemeId.HSLA_L2, 1, collect_slots=False,
                                train_epochs=20).execute()
         for w in res.windows:
-            users = {r[1] for r in res.demand_rows if r[0] == w.index}
-            assert users == set(range(cfg.num_users))
+            assert set(w.demands) == set(range(cfg.num_users))
+            assert all(d.user == u for u, d in w.demands.items())
 
     def test_policy_checkpoint_roundtrip(self, tmp_path):
         from qoesim import harness
@@ -140,9 +169,9 @@ class TestSchemeRun:
         calls = []
         real = da1.utility_consts
 
-        def counted(member, *args):
-            calls.append(member.user)
-            return real(member, *args)
+        def counted(user, *args):
+            calls.append(user)
+            return real(user, *args)
 
         monkeypatch.setattr(da1, "utility_consts", counted)
         sr.build_slices(state, traces)

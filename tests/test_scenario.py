@@ -77,6 +77,14 @@ class TestLoadScenario:
         ("slicing.window_minutes", "15, 12, 9, 6, 0"),
         ("slicing.wo_da_window_min", "0"),
         ("slicing.wo_da_window_min", "-9"),
+        ("agent.share_pool_frac", "-0.5"),
+        ("agent.share_pool_frac", "1.5"),
+        ("users.swipe_mean_min_per_min", "10"),
+        ("users.swipe_mean_max_per_min", "2"),
+        ("users.swipe_amp_min_per_min", "4"),
+        ("users.swipe_period_max_s", "100"),
+        ("region.width_m", "419"),
+        ("region.height_m", "419"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
@@ -195,6 +203,14 @@ class TestSampleUsers:
                 w, h = cfg.region.width_m, cfg.region.height_m
                 assert all(0 <= x <= w and 0 <= y <= h for x, y in p.waypoints)
                 assert p.waypoints[0] == p.waypoints[-1]
+
+    def test_smallest_valid_region_holds_every_loop(self):
+        side = "420"
+        cfg = scenario.validate_config(scenario.parse_overrides(
+            {"region.width_m": side, "region.height_m": side}))
+        for seed in range(40):
+            for p in scenario.sample_users(cfg, np.random.default_rng(seed)):
+                assert all(0 <= x <= 420 and 0 <= y <= 420 for x, y in p.waypoints)
 
 
 class TestDomainTypes:
