@@ -49,11 +49,19 @@ class BoxStats:
                 "outliers": self.outliers}
 
 
-def ela_ratio(user_mean_qoe: dict[int, float], elas: dict[int, float]) -> float:
+def user_means(samples: list[netsim.PeriodSample]) -> dict[int, float]:
+    """Each user's mean QoE over a window's period samples."""
+    per_user: dict[int, list[float]] = {}
+    for ps in samples:
+        per_user.setdefault(ps.user, []).append(ps.sample.qoe)
+    return {u: float(np.mean(v)) for u, v in per_user.items()}
+
+
+def ela_ratio(means: dict[int, float], elas: dict[int, float]) -> float:
     """Fraction of users whose window-mean QoE met their ELA."""
-    if not user_mean_qoe:
+    if not means:
         raise EmptyWindow("no records in window")
-    met = sum(1 for u, m in user_mean_qoe.items() if m >= elas[u])
+    met = sum(1 for u, m in means.items() if m >= elas[u])
     return met / len(elas)
 
 
@@ -179,7 +187,7 @@ def emit_run(out_dir: str, res: runner.RunResult,
                  w.slice.reserved_cpu.get(g, 0.0), w.slice.mechanism)
                 for w in res.windows
                 for (g, bs), bw in sorted(w.slice.reserved_bw.items())))
-    ratios = [ela_ratio(w.user_mean_qoe, elas) for w in res.windows]
+    ratios = [ela_ratio(user_means(w.samples), elas) for w in res.windows]
     _write_csv(os.path.join(out_dir, f"windows_{tag}.csv"), WINDOWS_HEADER,
                ((w.index, w.start_slot, w.end_slot, w.window_minutes,
                  w.slice.mechanism, ratio) for w, ratio in zip(res.windows, ratios)))

@@ -197,7 +197,7 @@ class SimState:
         self.base_stations = cfg.base_stations()
         self.channel = cfg.channel
         self.slot_s = cfg.slot_s
-        self.period_slots = max(int(round(cfg.playback.eval_period_s / cfg.slot_s)), 1)
+        self.period_slots = cfg.period_slots()
         self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]
         self.runtime = [_UserRuntime() for _ in profiles]
         self.t = 0

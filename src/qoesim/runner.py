@@ -40,7 +40,6 @@ class WindowLog:
     window_minutes: float
     slice: da2.SliceConfig
     demands: dict[int, da1.ResourceDemand]
-    user_mean_qoe: dict[int, float]
     samples: list[netsim.PeriodSample]
 
 
@@ -263,12 +262,8 @@ class SchemeRun:
             state.apply_slice(slc)
             netsim.advance_slots(state, orch, w_slots, eval_rng, records)
             samples = state.period_samples[mark:]
-            means: dict[int, list[float]] = {}
-            for ps in samples:
-                means.setdefault(ps.user, []).append(ps.sample.qoe)
-            windows.append(WindowLog(
-                len(windows), start, state.t, w_min, slc, demands,
-                {u: float(np.mean(v)) for u, v in means.items()}, samples))
+            windows.append(WindowLog(len(windows), start, state.t, w_min, slc,
+                                     demands, samples))
             self._maybe_refit(samples)
         return RunResult(self.scheme.value, self.seed, windows, records,
                          dict(self.models), self.reward_curve)

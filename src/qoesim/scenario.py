@@ -231,6 +231,10 @@ class ScenarioConfig:
                             (self.catalog.compute_cost_c0_cps,
                              self.catalog.compute_cost_c1_cps))
 
+    def period_slots(self) -> int:
+        """Slots per QoE evaluation period (at least one)."""
+        return max(int(round(self.playback.eval_period_s / self.slot_s)), 1)
+
 
 def _coerce(raw: str, target_type, key: str):
     raw = raw.strip()
@@ -350,6 +354,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("channel.shadowing_sigma_db must be >= 0")
     if cfg.playback.eval_period_s < cfg.slot_s:
         raise ValidationError("playback.eval_period_s must span at least one slot")
+    # the evaluation advances whole periods: a partial one would run past the end
+    total_slots, period = int(cfg.sim_duration_s / cfg.slot_s), cfg.period_slots()
+    if total_slots < period or total_slots % period:
+        raise ValidationError(f"sim_duration_s must span a positive whole number of "
+                              f"evaluation periods ({period} slots each)")
+    if cfg.playback.max_buffer_s <= 0:
+        raise ValidationError("playback.max_buffer_s must be > 0")
     if cfg.edge.capacity_cps <= 0:
         raise ValidationError("edge.capacity_cps must be > 0")
     if cfg.agent.epoch_slots < 1:

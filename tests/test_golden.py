@@ -49,5 +49,6 @@ def tier_counts(res: runner.RunResult, catalog) -> list[list[int]]:
 def test_window_ela_ratios(seed, scheme):
     sr = runner.SchemeRun(fast_cfg(), scheme, seed, train_epochs=TRAIN_EPOCHS)
     res = sr.execute()
-    ratios = [harness.ela_ratio(w.user_mean_qoe, sr.elas) for w in res.windows]
+    ratios = [harness.ela_ratio(harness.user_means(w.samples), sr.elas)
+              for w in res.windows]
     assert (ratios, tier_counts(res, sr.catalog)) == GOLDEN[(seed, scheme)]

@@ -1,5 +1,6 @@
 import json
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,15 +30,12 @@ def rand_net(rng, input_dim=3, hidden=(4,), branches=2, actions=3):
 
 
 def rand_batch(rng, net, n=5):
-    batch = []
-    for _ in range(n):
-        batch.append(learn.Transition(
-            state=rng.normal(size=net.input_dim),
-            action=rng.integers(0, net.actions_per_branch, net.num_branches),
-            reward=float(rng.normal()),
-            next_state=rng.normal(size=net.input_dim),
-            terminal=bool(rng.random() < 0.3)))
-    return batch
+    return learn.Batch(
+        states=rng.normal(size=(n, net.input_dim)),
+        actions=rng.integers(0, net.actions_per_branch, (n, net.num_branches)),
+        rewards=rng.normal(size=n),
+        next_states=rng.normal(size=(n, net.input_dim)),
+        alive=(rng.random(n) >= 0.3).astype(float))
 
 
 class TestForward:
@@ -91,11 +89,11 @@ class TestBackward:
     def test_gamma_zero_loss_closed_form(self):
         rng = np.random.default_rng(3)
         net = rand_net(rng)
-        tr = learn.Transition(rng.normal(size=3), np.array([1, 2]), 0.7,
-                              rng.normal(size=3), False)
-        q = learn.forward(net, tr.state)
+        batch = learn.Batch(rng.normal(size=(1, 3)), np.array([[1, 2]]),
+                            np.array([0.7]), rng.normal(size=(1, 3)), np.ones(1))
+        q = learn.forward(net, batch.states[0])
         expected = np.mean([(q[0, 1] - 0.7) ** 2, (q[1, 2] - 0.7) ** 2])
-        loss = learn.backward(net, [tr], net.copy(), 0.0, lr=0.0)
+        loss = learn.backward(net, batch, net.copy(), 0.0, lr=0.0)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_check_central_differences(self):
@@ -143,8 +141,20 @@ class TestBackward:
 
     def test_empty_batch(self):
         net = tiny_net()
-        with pytest.raises(ShapeMismatch):
-            learn.backward(net, [], net.copy(), 0.9, 0.1)
+        empty = learn.Batch(np.empty((0, 2)), np.empty((0, 2), dtype=int),
+                            np.empty(0), np.empty((0, 2)), np.empty(0))
+        with pytest.raises(ShapeMismatch, match="empty batch"):
+            learn.backward(net, empty, net.copy(), 0.9, 0.1)
+        with pytest.raises(ShapeMismatch, match="empty batch"):
+            learn.loss_and_gradients(net, empty, np.empty(0))
+
+    def test_state_width_rejected(self):
+        rng = np.random.default_rng(7)
+        net = rand_net(rng)
+        batch = rand_batch(rng, net, n=3)
+        wide = batch._replace(states=rng.normal(size=(3, net.input_dim + 1)))
+        with pytest.raises(ShapeMismatch, match="state dim"):
+            learn.loss_and_gradients(net, wide, np.zeros(3))
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_action_rejected(self, bad):
@@ -152,7 +162,7 @@ class TestBackward:
         rng = np.random.default_rng(6)
         net = rand_net(rng)
         batch = rand_batch(rng, net, n=3)
-        batch[1].action[0] = bad
+        batch.actions[1, 0] = bad
         with pytest.raises(ShapeMismatch):
             learn.loss_and_gradients(net, batch, np.zeros(3))
 
@@ -215,6 +225,145 @@ class TestTraining:
         assert c1 == c2
 
 
+# -- the list-of-transitions replay buffer the column buffer replaced --------
+
+
+class Transition(NamedTuple):
+    state: np.ndarray
+    action: np.ndarray
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
+
+
+class ListReplayBuffer:
+    """One object per transition; every sample restacks the batch."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.pos = 0
+
+    def push(self, state, action, reward, next_state, terminal):
+        tr = Transition(np.asarray(state, dtype=float), action.copy(),
+                        float(reward), np.asarray(next_state, dtype=float),
+                        bool(terminal))
+        if len(self.items) < self.capacity:
+            self.items.append(tr)
+        else:
+            self.items[self.pos] = tr
+        self.pos = (self.pos + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.items), batch_size)
+        picked = [self.items[i] for i in idx]
+        return learn.Batch(np.stack([tr.state for tr in picked]),
+                           np.stack([tr.action for tr in picked]),
+                           np.array([tr.reward for tr in picked]),
+                           np.stack([tr.next_state for tr in picked]),
+                           np.array([0.0 if tr.terminal else 1.0 for tr in picked]))
+
+
+def list_buffer_train_episodes(env, hp, rng):
+    """`learn.train_episodes` on a `ListReplayBuffer` of `hp.replay_capacity`."""
+    net = learn.BdqNetwork(env.state_dim, hp.hidden, env.num_branches,
+                           env.actions_per_branch, rng=rng)
+    target = net.copy()
+    buffer = ListReplayBuffer(hp.replay_capacity)
+    curve = []
+    step_count = 0
+    for _ in range(hp.episodes):
+        state = np.asarray(env.reset(), dtype=float)
+        ep_rewards = []
+        for _ in range(hp.max_steps):
+            frac = min(step_count / hp.eps_decay_steps, 1.0)
+            eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
+            explore = rng.random(env.num_branches) < eps
+            random_actions = rng.integers(0, env.actions_per_branch,
+                                          env.num_branches)
+            actions = np.where(explore, random_actions,
+                               learn.greedy_actions(net, state))
+            next_state, reward, done = env.step(actions)
+            buffer.push(state, actions, reward, next_state, done)
+            ep_rewards.append(float(reward))
+            state = np.asarray(next_state, dtype=float)
+            step_count += 1
+            if len(buffer.items) >= hp.batch_size:
+                learn.backward(net, buffer.sample(hp.batch_size, rng), target,
+                               hp.gamma, hp.lr)
+                if step_count % hp.target_sync == 0:
+                    target.sync_from(net)
+            if done:
+                break
+        curve.append(float(np.mean(ep_rewards)))
+    return net, curve
+
+
+class StickyBanditEnv(BanditEnv):
+    """`BanditEnv` whose episodes run on: a step ends one with chance 0.3."""
+
+    def step(self, actions):
+        state, reward, _ = super().step(actions)
+        return state, reward, bool(self.rng.random() < 0.3)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReplayMatchesListBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 12), extra=st.integers(1, 30),
+           state_dim=st.integers(1, 4), branches=st.integers(1, 3),
+           batch_size=st.integers(1, 16), seed=st.integers(0, 2**16))
+    def test_sampled_columns_bit_identical(self, capacity, extra, state_dim,
+                                           branches, batch_size, seed):
+        # more pushes than rows: the ring wraps, and is sampled throughout
+        rng = np.random.default_rng(seed)
+        cols = learn.ReplayBuffer(capacity, state_dim, branches)
+        ref = ListReplayBuffer(capacity)
+        col_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(capacity + extra):
+            row = (rng.normal(size=state_dim), rng.integers(0, 5, branches),
+                   rng.normal(), rng.normal(size=state_dim), rng.random() < 0.3)
+            cols.push(*row)
+            ref.push(*row)
+            assert cols.size == len(ref.items)
+            for got, want in zip(cols.sample(batch_size, col_rng),
+                                 ref.sample(batch_size, ref_rng)):
+                assert_same_bits(got, want)
+        assert_same_bits(col_rng.random(4), ref_rng.random(4))
+
+    def test_push_copies_the_callers_arrays(self):
+        buf = learn.ReplayBuffer(4, 2, 2)
+        state, next_state = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        action = np.array([0, 1])
+        buf.push(state, action, 0.5, next_state, False)
+        state[:], action[:], next_state[:] = -1.0, 2, -1.0
+        got = buf.sample(3, np.random.default_rng(0))
+        assert np.array_equal(got.states, [[1.0, 2.0]] * 3)
+        assert np.array_equal(got.actions, [[0, 1]] * 3)
+        assert np.array_equal(got.next_states, [[3.0, 4.0]] * 3)
+        assert np.array_equal(got.rewards, [0.5] * 3)
+        assert np.array_equal(got.alive, [1.0] * 3)
+
+    @pytest.mark.parametrize("env_cls,gamma", [(BanditEnv, 0.0),
+                                               (StickyBanditEnv, 0.9)])
+    @pytest.mark.parametrize("capacity", [40, 10_000])
+    def test_training_bit_identical(self, env_cls, gamma, capacity):
+        # 40 rows wrap the ring; 10,000 is cut to the 120-episode run's pushes
+        hp = bandit_hp(episodes=120, max_steps=4, batch_size=16, gamma=gamma,
+                       eps_decay_steps=200, replay_capacity=capacity,
+                       target_sync=10)
+        (net, curve), (ref_net, ref_curve) = [
+            train(env_cls(np.random.default_rng(5)), hp, np.random.default_rng(5))
+            for train in (learn.train_episodes, list_buffer_train_episodes)]
+        assert curve == ref_curve
+        for p, r in zip(net.params(), ref_net.params()):
+            assert_same_bits(p, r)
+
+
 # -- per-branch reference for the stacked advantage heads --------------------
 
 
@@ -230,17 +379,14 @@ def ref_forward_batch(net, states):
 
 
 def ref_td_targets(target_net, batch, gamma):
-    q_next = ref_forward_batch(target_net, np.stack([tr.next_state for tr in batch]))
+    q_next = ref_forward_batch(target_net, batch.next_states)
     bootstrap = q_next.max(axis=2).mean(axis=1)
-    rewards = np.array([tr.reward for tr in batch])
-    alive = np.array([0.0 if tr.terminal else 1.0 for tr in batch])
-    return rewards + gamma * alive * bootstrap
+    return batch.rewards + gamma * batch.alive * bootstrap
 
 
 def ref_loss_and_gradients(net, batch, targets):
-    n = len(batch)
-    states = np.stack([tr.state for tr in batch])
-    actions = np.stack([tr.action for tr in batch])
+    states, actions = batch.states, batch.actions
+    n = len(states)
     acts = learn._trunk_forward(net, states)
     h = acts[-1]
     v = h @ net.value_w + net.value_b
@@ -307,7 +453,7 @@ class TestStackedHeadsMatchReference:
         rng = np.random.default_rng(seed)
         net = rand_net(rng, input_dim, tuple(hidden), branches, actions)
         batch = rand_batch(rng, net, n=n)
-        states = np.stack([tr.state for tr in batch])
+        states = batch.states
 
         q = learn.forward_batch(net, states)
         assert q.flags.c_contiguous

@@ -35,8 +35,28 @@ class TestSchemeRun:
         assert r1.slot_records == r2.slot_records
         assert [w.demands for w in r1.windows] == [w.demands for w in r2.windows]
         assert [w.slice for w in r1.windows] == [w.slice for w in r2.windows]
-        assert [w.user_mean_qoe for w in r1.windows] == \
-            [w.user_mean_qoe for w in r2.windows]
+        assert [w.samples for w in r1.windows] == [w.samples for w in r2.windows]
+
+    @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
+                             ids=lambda s: s.value)
+    def test_bdq_updates_deterministic(self, scheme, monkeypatch):
+        # a batch of 8 fills within 30 epochs, so the BDQ update runs
+        calls = []
+        backward = learn.backward
+
+        def counted(*args):
+            calls.append(args)
+            return backward(*args)
+
+        monkeypatch.setattr(learn, "backward", counted)
+        cfg = fast_cfg(**{"train.batch_size": 8})
+        runs = [runner.SchemeRun(cfg, scheme, 1, collect_slots=False,
+                                 train_epochs=30) for _ in range(2)]
+        curves = [sr.execute().reward_curve for sr in runs]
+        assert len(calls) > 0
+        assert curves[0] == curves[1]
+        for p, q in zip(runs[0].policy.params(), runs[1].policy.params()):
+            assert p.tobytes() == q.tobytes()
 
     def test_no_capacity_violations_any_scheme(self):
         cfg = fast_cfg()

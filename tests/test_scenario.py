@@ -85,6 +85,9 @@ class TestLoadScenario:
         ("users.swipe_period_max_s", "100"),
         ("region.width_m", "419"),
         ("region.height_m", "419"),
+        ("sim_duration_s", "725"),
+        ("sim_duration_s", "0.5"),
+        ("playback.max_buffer_s", "0"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
