@@ -16,7 +16,7 @@ import enum
 import numpy as np
 
 from . import da1, netsim, qoe
-from .scenario import ScenarioConfig, VideoCatalog
+from .scenario import ScenarioConfig
 
 
 class SchemeId(enum.Enum):
@@ -86,31 +86,29 @@ def generic_model(cfg: ScenarioConfig) -> qoe.QoEModel:
 
 
 def wo_da_demands(cfg: ScenarioConfig, elas: dict[int, float],
-                  mean_eff: float, catalog: VideoCatalog,
-                  params: da1.DemandParams) -> dict[int, da1.ResourceDemand]:
+                  mean_eff: float) -> dict[int, da1.ResourceDemand]:
     """Generic-model demand at the population-average context."""
     model = generic_model(cfg)
     traj = np.full((8, 2), 1.5)
-    return {u: da1.predict_demand(model, elas[u], traj, catalog, mean_eff,
-                                  params, user=u)
+    return {u: da1.predict_demand(model, elas[u], traj, mean_eff, cfg, user=u)
             for u in elas}
 
 
 def hsla_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
-                catalog: VideoCatalog, eff_bps_per_hz: float,
-                params: da1.DemandParams, user: int) -> da1.ResourceDemand:
+                eff_bps_per_hz: float, cfg: ScenarioConfig,
+                user: int) -> da1.ResourceDemand:
     """SLA-style demand: pick the tier whose bare QoS score meets the ELA,
     ignoring the context impact entirely."""
     qos_only = qoe.QoEModel(model.structure_index, (0.0, 0.0),
                             model.fit_rmse, model.sample_count)
-    return da1.predict_demand(qos_only, ela, trajectory, catalog,
-                              eff_bps_per_hz, params, user=user)
+    return da1.predict_demand(qos_only, ela, trajectory, eff_bps_per_hz, cfg,
+                              user=user)
 
 
 def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
                       last_cpu: dict[int, float]) -> np.ndarray:
     """Concatenated per-user feature blocks in user-id order."""
-    cat = state.catalog
+    cat = state.cfg.catalog
     cap = state.cpu_cap if state.cpu_cap > 0 else 1.0
     blocks = []
     for p in state.profiles:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import learn, netsim, qoe
 from .errors import ShapeMismatch
-from .scenario import ScenarioConfig, UserProfile, VideoCatalog
+from .scenario import ScenarioConfig, UserProfile
 
 GROUPS = (1, 2, 3)
 GROUP_STATE_FEATURES = 6  # buffer, computing load, quality + 3 one-hot
@@ -56,27 +56,6 @@ class ResourceDemand:
     bandwidth_hz: float
     compute_cps: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class DemandParams:
-    headroom: float
-    # transcode-capacity multiple over the steady-state tier cost, covering
-    # post-swipe catch-up bursts (1.0 = provision exactly real-time cost)
-    cpu_headroom: float
-    arrival_rate_per_min: float
-    eval_period_s: float
-    # demand targets sit this far above the ELA so the sampled window mean
-    # clears the threshold despite generator noise (0 = aim exactly at ELA)
-    margin_mos: float
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "DemandParams":
-        return cls(headroom=cfg.agent.demand_headroom,
-                   cpu_headroom=cfg.agent.demand_cpu_headroom,
-                   arrival_rate_per_min=cfg.arrival_rate_per_min,
-                   eval_period_s=cfg.playback.eval_period_s,
-                   margin_mos=cfg.agent.demand_margin_mos)
 
 
 def emulate_context(profile: UserProfile, horizon_slots: int,
@@ -104,17 +83,16 @@ def mean_impact(model: qoe.QoEModel, trajectory: np.ndarray) -> float:
 
 
 def _stall_bandwidth(bitrate_bps: float, eff: float, stall_budget_s: float,
-                     p: DemandParams, segment_s: float) -> float:
+                     cfg: ScenarioConfig) -> float:
     """Bandwidth keeping expected per-period startup stalls within budget."""
-    arrivals = p.arrival_rate_per_min / 60.0 * p.eval_period_s
-    need = arrivals * segment_s * bitrate_bps / (eff * max(stall_budget_s,
-                                                           MIN_STALL_BUDGET_S))
-    return need
+    arrivals = cfg.arrival_rate_per_min / 60.0 * cfg.playback.eval_period_s
+    return arrivals * cfg.catalog.segment_duration_s * bitrate_bps / (
+        eff * max(stall_budget_s, MIN_STALL_BUDGET_S))
 
 
 def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
-                   catalog: VideoCatalog, eff_bps_per_hz: float,
-                   params: DemandParams, user: int) -> ResourceDemand:
+                   eff_bps_per_hz: float, cfg: ScenarioConfig,
+                   user: int) -> ResourceDemand:
     """Minimum-cost (bandwidth, compute) meeting the ELA on window average.
 
     Scans the quality ladder after inverting the structure's QoS score in
@@ -124,9 +102,9 @@ def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
     eff = max(eff_bps_per_hz, 1e-3)
     i_bar = mean_impact(model, trajectory)
     feasible = ela / i_bar <= qoe.MOS_HI + 1e-9
-    needed_s = (ela + params.margin_mos) / i_bar
+    needed_s = (ela + cfg.agent.demand_margin_mos) / i_bar
+    catalog = cfg.catalog
     levels = catalog.quality_levels_bps
-    seg = catalog.segment_duration_s
     struct = model.structure_index
 
     # Stall budget shrinks with the required score; structure 3 halves it to
@@ -146,10 +124,10 @@ def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
         tier_rate = levels[-1]
         stall_budget = MIN_STALL_BUDGET_S if struct != 2 else math.inf
 
-    bw = params.headroom * tier_rate / eff
+    bw = cfg.agent.demand_headroom * tier_rate / eff
     if stall_budget is not math.inf:
-        bw = max(bw, _stall_bandwidth(tier_rate, eff, stall_budget, params, seg))
-    cpu = params.cpu_headroom * catalog.compute_cost_cps(tier_rate)
+        bw = max(bw, _stall_bandwidth(tier_rate, eff, stall_budget, cfg))
+    cpu = cfg.agent.demand_cpu_headroom * catalog.compute_cost_cps(tier_rate)
     return ResourceDemand(user, bw, cpu, feasible)
 
 
@@ -220,25 +198,27 @@ class UtilityConsts(NamedTuple):
 
 def utility_consts(user: int, structure_index: int, ela: float,
                    mean_impact: float, eff_bps_per_hz: float,
-                   catalog: VideoCatalog, params: DemandParams) -> UtilityConsts:
+                   cfg: ScenarioConfig) -> UtilityConsts:
     """The kernel's constants for one user, from their fitted model."""
     # the solver chases the same noise margin the demand predictor targets;
     # a user whose target is unreachable drops the shortfall chase (plain
     # QoE maximization) so winnable users keep the contested resources
-    ela = ela + params.margin_mos
+    ela = ela + cfg.agent.demand_margin_mos
     shortfall_w = (SHORTFALL_WEIGHT if ela <= qoe.MOS_HI * mean_impact + 1e-9
                    else 0.0)
+    catalog = cfg.catalog
     r_lo = catalog.min_bitrate
-    c0, c1 = catalog.compute_cost_coeffs
-    arrivals = params.arrival_rate_per_min / 60.0 * params.eval_period_s
+    period_s = cfg.playback.eval_period_s
+    arrivals = cfg.arrival_rate_per_min / 60.0 * period_s
     # startup bits needing download per evaluation period; the floor pins
     # the zero-resource stall at one full period
     stall_bits = arrivals * catalog.segment_duration_s * r_lo
     return UtilityConsts(user, structure_index, mean_impact, ela,
                          shortfall_w, max(eff_bps_per_hz, 1e-3), r_lo,
-                         catalog.max_bitrate - r_lo, c0, c1, params.headroom,
-                         params.cpu_headroom, stall_bits,
-                         stall_bits / params.eval_period_s)
+                         catalog.max_bitrate - r_lo, catalog.compute_cost_c0_cps,
+                         catalog.compute_cost_c1_cps, cfg.agent.demand_headroom,
+                         cfg.agent.demand_cpu_headroom, stall_bits,
+                         stall_bits / period_s)
 
 
 def utility_value_grad(c: UtilityConsts, bw: float, cpu: float
@@ -485,11 +465,9 @@ class Orchestrator(PolicyOrchestrator):
     hidden_layers = 2  # a four-layer network
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
-                 catalog: VideoCatalog, cfg: ScenarioConfig, params: DemandParams):
+                 cfg: ScenarioConfig):
         super().__init__(models, policy, cfg, len(GROUPS) * GROUP_STATE_FEATURES,
                          2 * len(GROUPS))
-        self.catalog = catalog
-        self.params = params
         self._warm: dict[tuple[int, int], dict] = {}
 
     def state_vector(self, state) -> np.ndarray:
@@ -500,7 +478,8 @@ class Orchestrator(PolicyOrchestrator):
         groups = cluster_users(self.models)
         cap = state.cpu_cap if state.cpu_cap > 0 else 1.0
         max_buffer_s = self.cfg.playback.max_buffer_s
-        levels = self.catalog.quality_levels_bps
+        catalog = self.cfg.catalog
+        levels = catalog.quality_levels_bps
         out = np.zeros(len(GROUPS) * GROUP_STATE_FEATURES)
         for i, g in enumerate(GROUPS):
             if g not in groups:
@@ -508,7 +487,7 @@ class Orchestrator(PolicyOrchestrator):
             members = groups[g]
             buf = float(np.mean([state.runtime[u].buffer for u in members]))
             load = sum(self._last_cpu.get(u, 0.0) for u in members) / cap
-            quality = float(np.mean([self.catalog.quality_of(
+            quality = float(np.mean([catalog.quality_of(
                 levels[state.runtime[u].tier]) for u in members]))
             block = i * GROUP_STATE_FEATURES
             out[block:block + 3] = (min(buf / max_buffer_s, 1.0), min(load, 1.0),
@@ -524,8 +503,7 @@ class Orchestrator(PolicyOrchestrator):
             self.cfg.users.complexity_increases_with_speed)
         return utility_consts(user, model.structure_index, p.ela,
                               qoe.impact(b, c, *model.impact_params),
-                              state.runtime[user].eff_ewma, self.catalog,
-                              self.params)
+                              state.runtime[user].eff_ewma, self.cfg)
 
     def replan(self, state) -> None:
         groups = cluster_users(self.models)

@@ -193,7 +193,6 @@ class SimState:
     def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
         self.cfg = cfg
         self.profiles = profiles
-        self.catalog = cfg.video_catalog()
         self.base_stations = cfg.base_stations()
         self.channel = cfg.channel
         self.slot_s = cfg.slot_s
@@ -211,9 +210,9 @@ class SimState:
         self._bs_xy = [b.position for b in self.base_stations]
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
                             for b in self.base_stations]
-        levels = self.catalog.quality_levels_bps
-        self._qualities = [self.catalog.quality_of(r) for r in levels]
-        self._costs = [self.catalog.compute_cost_cps(r) for r in levels]
+        levels = cfg.catalog.quality_levels_bps
+        self._qualities = [cfg.catalog.quality_of(r) for r in levels]
+        self._costs = [cfg.catalog.compute_cost_cps(r) for r in levels]
         pos_c = cfg.users.complexity_increases_with_speed
         self._users = [
             _UserConsts(p.swipe_rate_params, complexity_of_speed(p.speed_kmh, pos_c),
@@ -291,8 +290,8 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     slot = state.slot_s
     sigma = state.channel.shadowing_sigma_db
     noise = state.channel.noise_density_dbm_hz
-    seg = state.catalog.segment_duration_s
-    levels = state.catalog.quality_levels_bps
+    seg = state.cfg.catalog.segment_duration_s
+    levels = state.cfg.catalog.quality_levels_bps
     costs = state._costs
     qualities = state._qualities
     psd = state._psd_dbm_hz

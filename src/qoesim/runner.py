@@ -69,8 +69,6 @@ class SchemeRun:
         self.collect_slots = collect_slots
         self.train_epochs = cfg.train.epochs if train_epochs is None else train_epochs
         self.policy_in = policy_in
-        self.catalog = cfg.video_catalog()
-        self.params = da1.DemandParams.from_config(cfg)
         self.profiles = scenario.sample_users(cfg, _lane(seed, _LANE_USERS))
         self.elas = {p.id: p.ela for p in self.profiles}
         self.models: dict[int, qoe.QoEModel] = {}
@@ -94,13 +92,13 @@ class SchemeRun:
         return state
 
     def fit_models(self, state: netsim.SimState) -> None:
-        by_user: dict[int, list[qoe.FactorSample]] = {}
-        for ps in state.period_samples:
-            by_user.setdefault(ps.user, []).append(ps.sample)
         if self.scheme is SchemeId.WITHOUT_DA:
             generic = bench.generic_model(self.cfg)
             self.models = {p.id: generic for p in self.profiles}
             return
+        by_user: dict[int, list[qoe.FactorSample]] = {}
+        for ps in state.period_samples:
+            by_user.setdefault(ps.user, []).append(ps.sample)
         for p in self.profiles:
             samples = by_user.get(p.id, [])
             try:
@@ -144,19 +142,16 @@ class SchemeRun:
                         ) -> dict[int, da1.ResourceDemand]:
         if self.scheme is SchemeId.WITHOUT_DA:
             effs = [state.runtime[p.id].eff_ewma for p in self.profiles]
-            return bench.wo_da_demands(self.cfg, self.elas, float(np.mean(effs)),
-                                       self.catalog, self.params)
+            return bench.wo_da_demands(self.cfg, self.elas, float(np.mean(effs)))
         demands = {}
         for p in self.profiles:
             eff = state.runtime[p.id].eff_ewma
             if self.scheme is SchemeId.HSLA_L2:
                 demands[p.id] = bench.hsla_demand(
-                    self.models[p.id], p.ela, traces[p.id], self.catalog,
-                    eff, self.params, user=p.id)
+                    self.models[p.id], p.ela, traces[p.id], eff, self.cfg, user=p.id)
             else:
                 demands[p.id] = da1.predict_demand(
-                    self.models[p.id], p.ela, traces[p.id], self.catalog,
-                    eff, self.params, user=p.id)
+                    self.models[p.id], p.ela, traces[p.id], eff, self.cfg, user=p.id)
         return demands
 
     def build_slices(self, state: netsim.SimState,
@@ -173,7 +168,7 @@ class SchemeRun:
             c = da1.utility_consts(
                 p.id, model.structure_index, p.ela,
                 da1.mean_impact(model, traces[p.id]), state.runtime[p.id].eff_ewma,
-                self.catalog, self.params)
+                cfg)
             utilities[p.id] = da1.slice_gain(c, demands[p.id])
         dist = da2.abstract_demand(demands.values(), memberships, utilities,
                                    cfg.slicing.quantum_bw_hz,
@@ -204,10 +199,9 @@ class SchemeRun:
     def make_orchestrator(self):
         if self.scheme is SchemeId.WITHOUT_DA:
             return bench.RoundRobinOrchestrator()
-        if self.scheme is SchemeId.PDRL_L1:
-            return bench.PdrlOrchestrator(self.models, self.policy, self.cfg)
-        return da1.Orchestrator(self.models, self.policy, self.catalog,
-                                self.cfg, self.params)
+        orchestrator = (bench.PdrlOrchestrator if self.scheme is SchemeId.PDRL_L1
+                        else da1.Orchestrator)
+        return orchestrator(self.models, self.policy, self.cfg)
 
     # -- phase 2: policy training ------------------------------------------------
 

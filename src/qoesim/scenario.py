@@ -35,44 +35,6 @@ class BaseStation:
     dl_bandwidth_hz: float
     tx_power_dbm: float
 
-    def __post_init__(self):
-        if self.dl_bandwidth_hz <= 0:
-            raise ValidationError(f"base station {self.id}: dl_bandwidth_hz must be > 0")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValidationError(f"base station {self.id}: tx_power_dbm not finite")
-
-
-@dataclass(frozen=True)
-class VideoCatalog:
-    quality_levels_bps: tuple[float, ...]
-    segment_duration_s: float
-    # transcode cost in cycles per video-second: c0 + c1 * normalized quality
-    compute_cost_coeffs: tuple[float, float]
-
-    def __post_init__(self):
-        lv = self.quality_levels_bps
-        if any(b >= a for a, b in zip(lv[1:], lv)):
-            raise ValidationError("catalog.quality_levels_bps must be strictly increasing")
-        if self.segment_duration_s <= 0:
-            raise ValidationError("catalog.segment_duration_s must be > 0")
-
-    @property
-    def min_bitrate(self) -> float:
-        return self.quality_levels_bps[0]
-
-    @property
-    def max_bitrate(self) -> float:
-        return self.quality_levels_bps[-1]
-
-    def quality_of(self, bitrate_bps: float) -> float:
-        """Normalized quality of a level: 0 at the min tier, 1 at the max."""
-        return (bitrate_bps - self.min_bitrate) / (self.max_bitrate - self.min_bitrate)
-
-    def compute_cost_cps(self, bitrate_bps: float) -> float:
-        """Cycles/s to transcode this tier in real time."""
-        c0, c1 = self.compute_cost_coeffs
-        return c0 + c1 * self.quality_of(bitrate_bps)
-
 
 @dataclass(frozen=True)
 class UserProfile:
@@ -117,8 +79,26 @@ class EdgeConfig:
 class CatalogConfig:
     quality_levels_bps: tuple[float, ...] = (500e3, 1e6, 1.5e6, 2e6, 2.5e6, 3e6)
     segment_duration_s: float = 1.0
+    # transcode cost in cycles per video-second: c0 + c1 * normalized quality
     compute_cost_c0_cps: float = 0.1e9
     compute_cost_c1_cps: float = 0.4e9
+
+    @property
+    def min_bitrate(self) -> float:
+        return self.quality_levels_bps[0]
+
+    @property
+    def max_bitrate(self) -> float:
+        return self.quality_levels_bps[-1]
+
+    def quality_of(self, bitrate_bps: float) -> float:
+        """Normalized quality of a level: 0 at the min tier, 1 at the max."""
+        return (bitrate_bps - self.min_bitrate) / (self.max_bitrate - self.min_bitrate)
+
+    def compute_cost_cps(self, bitrate_bps: float) -> float:
+        """Cycles/s to transcode this tier in real time."""
+        return (self.compute_cost_c0_cps
+                + self.compute_cost_c1_cps * self.quality_of(bitrate_bps))
 
 
 @dataclass(frozen=True)
@@ -166,7 +146,11 @@ class PlaybackConfig:
 class AgentConfig:
     epoch_slots: int = 10
     demand_headroom: float = 1.3
+    # transcode-capacity multiple over the steady-state tier cost, covering
+    # post-swipe catch-up bursts (1.0 = provision exactly real-time cost)
     demand_cpu_headroom: float = 1.6
+    # demand targets sit this far above the ELA so the sampled window mean
+    # clears the threshold despite generator noise (0 = aim exactly at ELA)
     demand_margin_mos: float = 0.25
     bootstrap_minutes: float = 12.0
     refit_tolerance: float = 1.5
@@ -224,12 +208,6 @@ class ScenarioConfig:
         return [BaseStation(i, (self.radio.bs_x_m[i], self.radio.bs_y_m[i]),
                             self.radio.dl_bandwidth_hz, self.radio.tx_power_dbm)
                 for i in range(self.radio.num_bs)]
-
-    def video_catalog(self) -> VideoCatalog:
-        return VideoCatalog(self.catalog.quality_levels_bps,
-                            self.catalog.segment_duration_s,
-                            (self.catalog.compute_cost_c0_cps,
-                             self.catalog.compute_cost_c1_cps))
 
     def period_slots(self) -> int:
         """Slots per QoE evaluation period (at least one)."""
@@ -313,6 +291,11 @@ def parse_scenario_text(text: str) -> dict[str, str]:
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant; messages name the offending field."""
+    for key, val in _leaves(cfg):
+        # every comparison below is false for nan
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (val if isinstance(val, tuple) else (val,))):
+            raise ValidationError(f"{key} must be finite")
     if cfg.preset_mode not in ("paper", "free"):
         raise ValidationError("preset_mode must be 'paper' or 'free'")
     if cfg.preset_mode == "paper" and cfg.num_users not in PAPER_USER_COUNTS:
@@ -329,14 +312,16 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     r = cfg.radio
     if r.num_bs < 1 or len(r.bs_x_m) < r.num_bs or len(r.bs_y_m) < r.num_bs:
         raise ValidationError("radio.num_bs exceeds provided coordinates")
+    if r.dl_bandwidth_hz <= 0:
+        raise ValidationError("radio.dl_bandwidth_hz must be > 0")
     u = cfg.users
     if not (2.0 <= u.speed_min_kmh <= u.speed_max_kmh <= 40.0):
-        raise ValidationError(
-            f"users.speed bounds [{u.speed_min_kmh}, {u.speed_max_kmh}] outside [2, 40]")
+        raise ValidationError("users.speed_min_kmh <= users.speed_max_kmh must lie in "
+                              f"[2, 40], got [{u.speed_min_kmh}, {u.speed_max_kmh}]")
     if not (3.0 <= u.ela_min <= u.ela_max <= 5.0):
-        raise ValidationError("users.ela bounds outside [3, 5]")
-    if u.impact_min < 0 or u.impact_min > u.impact_max:
-        raise ValidationError("users.impact bounds invalid")
+        raise ValidationError("users.ela_min <= users.ela_max must lie in [3, 5]")
+    if not 0.0 <= u.impact_min <= u.impact_max:
+        raise ValidationError("users.impact_min <= users.impact_max must be >= 0")
     if u.max_swipe_rate_per_min <= 0:
         raise ValidationError("users.max_swipe_rate_per_min must be > 0")
     for lo, hi in (("swipe_mean_min_per_min", "swipe_mean_max_per_min"),
@@ -365,15 +350,22 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("edge.capacity_cps must be > 0")
     if cfg.agent.epoch_slots < 1:
         raise ValidationError("agent.epoch_slots must be >= 1")
+    if cfg.agent.refit_window < 1:
+        raise ValidationError("agent.refit_window must be >= 1")
     if not 0.0 <= cfg.agent.share_pool_frac <= 1.0:
         raise ValidationError("agent.share_pool_frac must lie in [0, 1]")
     # the planning utility divides by the tier span, the lowest tier, both
     # compute-cost coefficients and both demand headrooms
     cat = cfg.catalog
-    if len(cat.quality_levels_bps) < 2:
+    lv = cat.quality_levels_bps
+    if len(lv) < 2:
         raise ValidationError("catalog.quality_levels_bps needs at least two tiers")
-    if cat.quality_levels_bps[0] <= 0:
+    if any(b >= a for a, b in zip(lv[1:], lv)):
+        raise ValidationError("catalog.quality_levels_bps must be strictly increasing")
+    if lv[0] <= 0:
         raise ValidationError("catalog.quality_levels_bps must be > 0")
+    if cat.segment_duration_s <= 0:
+        raise ValidationError("catalog.segment_duration_s must be > 0")
     if cat.compute_cost_c0_cps <= 0:
         raise ValidationError("catalog.compute_cost_c0_cps must be > 0")
     if cat.compute_cost_c1_cps <= 0:
@@ -408,9 +400,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("slicing.window_minutes entries must be > 0")
     if cfg.slicing.wo_da_window_min <= 0:
         raise ValidationError("slicing.wo_da_window_min must be > 0")
-    # constructing the typed entities runs their own invariant checks
-    cfg.base_stations()
-    cfg.video_catalog()
     return cfg
 
 
@@ -423,17 +412,20 @@ def load_scenario(path: str, overrides: dict[str, str] | None = None) -> Scenari
     return validate_config(parse_overrides(pairs))
 
 
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Emit the full config in the file syntax (stable key order)."""
-    lines = []
+def _leaves(cfg: ScenarioConfig):
+    """(dotted path, value) of every config field, in declaration order."""
     for f in fields(ScenarioConfig):
         val = getattr(cfg, f.name)
         if dataclasses.is_dataclass(val):
             for sub in fields(val):
-                lines.append(f"{f.name}.{sub.name} = {_fmt(getattr(val, sub.name))}")
+                yield f"{f.name}.{sub.name}", getattr(val, sub.name)
         else:
-            lines.append(f"{f.name} = {_fmt(val)}")
-    return "\n".join(lines) + "\n"
+            yield f.name, val
+
+
+def serialize_config(cfg: ScenarioConfig) -> str:
+    """Emit the full config in the file syntax (stable key order)."""
+    return "".join(f"{key} = {_fmt(val)}\n" for key, val in _leaves(cfg))
 
 
 def _fmt(v) -> str:

@@ -5,11 +5,9 @@ from qoesim import bench, da1, da2, learn, netsim, qoe, scenario
 from qoesim.bench import SchemeId
 from qoesim.errors import ShapeMismatch
 
+from test_da1 import PLAN
+
 CFG = scenario.ScenarioConfig()
-CAT = CFG.video_catalog()
-# the demand parameters the expected values below were worked out with
-PARAMS = da1.DemandParams(headroom=1.3, cpu_headroom=1.0, arrival_rate_per_min=6.0,
-                          eval_period_s=10.0, margin_mos=0.0)
 
 
 class TestRoundRobinAllocate:
@@ -40,10 +38,9 @@ class TestWoDaDemands:
         model = qoe.QoEModel(3, (mean, mean), 0.5, 0)
         traj = np.full((10, 2), 1.5)
         elas = {u: 3.4 for u in range(4)}
-        generic = bench.wo_da_demands(CFG, elas, 2.0, CAT, PARAMS)
+        generic = bench.wo_da_demands(PLAN, elas, 2.0)
         for u in elas:
-            mine = da1.predict_demand(model, elas[u], traj, CAT, 2.0,
-                                      PARAMS, user=u)
+            mine = da1.predict_demand(model, elas[u], traj, 2.0, PLAN, user=u)
             assert generic[u].bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert generic[u].compute_cps == pytest.approx(mine.compute_cps)
             assert generic[u].feasible == mine.feasible
@@ -56,8 +53,8 @@ class TestHslaDemand:
         model = qoe.QoEModel(2, (0.7, 0.4), 0.2, 100)
         traj = np.ones((20, 2))
         for ela in (3.0, 3.7, 4.4):
-            mine = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
-            sla = bench.hsla_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
+            mine = da1.predict_demand(model, ela, traj, 2.0, PLAN, user=-1)
+            sla = bench.hsla_demand(model, ela, traj, 2.0, PLAN, user=-1)
             assert sla.bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert sla.compute_cps == pytest.approx(mine.compute_cps)
 
@@ -66,8 +63,8 @@ class TestHslaDemand:
         # covers the bare QoS threshold
         model = qoe.QoEModel(2, (1.0, 1.0), 0.2, 100)
         traj = np.full((20, 2), 2.0)
-        mine = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
-        sla = bench.hsla_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
+        mine = da1.predict_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
+        sla = bench.hsla_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
         assert not mine.feasible
         assert sla.feasible
         assert sla.compute_cps < mine.compute_cps
@@ -145,10 +142,9 @@ class TestPdrlOrchestrator:
 
 class TestLearnedOrchestrators:
     def _orchestrator(self, scheme, policy, cfg, models):
-        if scheme is SchemeId.PDRL_L1:
-            return bench.PdrlOrchestrator(models, policy, cfg)
-        return da1.Orchestrator(models, policy, cfg.video_catalog(), cfg,
-                                da1.DemandParams.from_config(cfg))
+        orchestrator = (bench.PdrlOrchestrator if scheme is SchemeId.PDRL_L1
+                        else da1.Orchestrator)
+        return orchestrator(models, policy, cfg)
 
     @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
                              ids=lambda s: s.value)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -10,10 +11,22 @@ from qoesim import da1, learn, netsim, qoe, scenario
 from qoesim.errors import ShapeMismatch
 
 CFG = scenario.ScenarioConfig()
-CAT = CFG.video_catalog()
-# the demand parameters the expected values below were worked out with
-PARAMS = da1.DemandParams(headroom=1.3, cpu_headroom=1.0, arrival_rate_per_min=6.0,
-                          eval_period_s=10.0, margin_mos=0.0)
+CAT = CFG.catalog
+
+
+def planning_cfg(headroom=1.3, cpu_headroom=1.0, margin_mos=0.0):
+    """The default config at 6 arrivals a minute and 10-second periods,
+    with these demand headrooms and noise margin."""
+    return dataclasses.replace(
+        CFG, arrival_rate_per_min=6.0,
+        playback=dataclasses.replace(CFG.playback, eval_period_s=10.0),
+        agent=dataclasses.replace(CFG.agent, demand_headroom=headroom,
+                                  demand_cpu_headroom=cpu_headroom,
+                                  demand_margin_mos=margin_mos))
+
+
+# the planning config the expected values below were worked out with
+PLAN = planning_cfg()
 
 
 def profile(seed=0):
@@ -22,7 +35,7 @@ def profile(seed=0):
 
 def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
     """One planned user's constants under the test's demand parameters."""
-    return da1.utility_consts(user, struct, ela, ibar, eff, CAT, PARAMS)
+    return da1.utility_consts(user, struct, ela, ibar, eff, PLAN)
 
 
 def emulate(p, horizon, rng, noise, t0_slot=0):
@@ -51,7 +64,7 @@ def group_orch(groups, policy=None, rng=None):
     Buffers, tiers and last compute grants are drawn from `rng`, or sit
     mid-range without one."""
     models = {u: qoe.QoEModel(g, (0.5, 0.5), 0.1, 30) for u, g in enumerate(groups)}
-    orch = da1.Orchestrator(models, policy, CAT, CFG, PARAMS)
+    orch = da1.Orchestrator(models, policy, PLAN)
     cap = CFG.edge.capacity_cps
     n_tiers = len(CAT.quality_levels_bps)
     if rng is None:
@@ -99,7 +112,7 @@ class TestPredictDemand:
     def _demand(self, struct, ela, ibar_ctx=1.0, eff=2.0, alpha=0.0, beta=0.0):
         model = qoe.QoEModel(struct, (alpha, beta), 0.1, 100)
         traj = np.full((60, 2), ibar_ctx)
-        return da1.predict_demand(model, ela, traj, CAT, eff, PARAMS, user=-1)
+        return da1.predict_demand(model, ela, traj, eff, PLAN, user=-1)
 
     def test_mos_floor_gives_min_tier(self):
         d = self._demand(2, 1.0)
@@ -123,7 +136,7 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (rng.uniform(0, 1), rng.uniform(0, 1)), 0.1, 50)
             traj = rng.uniform(1, 2, (40, 2))
             ela = rng.uniform(3, 5)
-            d = da1.predict_demand(model, ela, traj, CAT, 2.0, PARAMS, user=-1)
+            d = da1.predict_demand(model, ela, traj, 2.0, PLAN, user=-1)
             ibar = da1.mean_impact(model, traj)
             achievable = []
             for r in CAT.quality_levels_bps:
@@ -151,13 +164,13 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (alpha, beta), 0.1, 50)
             traj = rng.uniform(1, 2, (30, 2))
             elas = np.sort(rng.uniform(1, 5, 4))
-            bws = [da1.predict_demand(model, e, traj, CAT, 2.0, PARAMS,
+            bws = [da1.predict_demand(model, e, traj, 2.0, PLAN,
                                       user=-1).bandwidth_hz for e in elas]
             assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bws, bws[1:]))
             # shrinking the impact factor (harsher context) never lowers demand
             harsher = np.clip(traj + 0.4, 1, 2)
-            d_soft = da1.predict_demand(model, 4.0, traj, CAT, 2.0, PARAMS, user=-1)
-            d_hard = da1.predict_demand(model, 4.0, harsher, CAT, 2.0, PARAMS,
+            d_soft = da1.predict_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
+            d_hard = da1.predict_demand(model, 4.0, harsher, 2.0, PLAN,
                                          user=-1)
             assert d_hard.bandwidth_hz >= d_soft.bandwidth_hz - 1e-9
 
@@ -381,10 +394,8 @@ def ref_project_capped_simplex(x):
     return np.maximum(x - css[rho - 1] / rho, 0.0)
 
 
-params_st = st.builds(da1.DemandParams, headroom=st.floats(1.0, 2.0),
+params_st = st.builds(planning_cfg, headroom=st.floats(1.0, 2.0),
                       cpu_headroom=st.floats(1.0, 2.0),
-                      arrival_rate_per_min=st.just(6.0),
-                      eval_period_s=st.just(10.0),
                       margin_mos=st.floats(0.0, 0.5))
 member_args_st = st.fixed_dictionaries(dict(
     user=st.just(0),
@@ -392,8 +403,8 @@ member_args_st = st.fixed_dictionaries(dict(
     ela=st.floats(3.0, 5.0),
     mean_impact=st.floats(0.2, 1.0),
     eff_bps_per_hz=st.floats(1e-4, 8.0)))
-members_st = st.lists(st.builds(lambda kw, params: da1.utility_consts(
-    **kw, catalog=CAT, params=params), member_args_st, params_st),
+members_st = st.lists(st.builds(lambda kw, cfg: da1.utility_consts(**kw, cfg=cfg),
+                                member_args_st, params_st),
     min_size=1, max_size=7)
 bw_st = st.floats(0.0, 3e7)
 cpu_st = st.floats(0.0, 6e9)
@@ -435,19 +446,20 @@ def ref_utility_value_grad(c, bw, cpu):
 class TestUtilityKernel:
     @settings(max_examples=200, deadline=None)
     @given(member_args_st, params_st)
-    def test_consts_of_one_user(self, kw, params):
+    def test_consts_of_one_user(self, kw, cfg):
         # the constants that the numpy reference takes as given
-        c = da1.utility_consts(**kw, catalog=CAT, params=params)
+        c = da1.utility_consts(**kw, cfg=cfg)
         ibar = kw["mean_impact"]
-        ela = kw["ela"] + params.margin_mos
-        arrivals = params.arrival_rate_per_min / 60.0 * params.eval_period_s
+        ela = kw["ela"] + cfg.agent.demand_margin_mos
+        arrivals = cfg.arrival_rate_per_min / 60.0 * cfg.playback.eval_period_s
         stall_bits = arrivals * CAT.segment_duration_s * CAT.min_bitrate
         assert c == (kw["user"], kw["structure_index"], ibar, ela,
                      da1.SHORTFALL_WEIGHT if ela <= qoe.MOS_HI * ibar + 1e-9 else 0.0,
                      max(kw["eff_bps_per_hz"], 1e-3), CAT.min_bitrate,
-                     CAT.max_bitrate - CAT.min_bitrate, *CAT.compute_cost_coeffs,
-                     params.headroom, params.cpu_headroom, stall_bits,
-                     stall_bits / params.eval_period_s)
+                     CAT.max_bitrate - CAT.min_bitrate, CAT.compute_cost_c0_cps,
+                     CAT.compute_cost_c1_cps, cfg.agent.demand_headroom,
+                     cfg.agent.demand_cpu_headroom, stall_bits,
+                     stall_bits / cfg.playback.eval_period_s)
 
     @settings(max_examples=600, deadline=None)
     @given(members_st, st.sampled_from(["raw", "corner", "tie"]), st.data())

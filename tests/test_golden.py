@@ -51,4 +51,4 @@ def test_window_ela_ratios(seed, scheme):
     res = sr.execute()
     ratios = [harness.ela_ratio(harness.user_means(w.samples), sr.elas)
               for w in res.windows]
-    assert (ratios, tier_counts(res, sr.catalog)) == GOLDEN[(seed, scheme)]
+    assert (ratios, tier_counts(res, sr.cfg.catalog)) == GOLDEN[(seed, scheme)]

@@ -222,7 +222,7 @@ class TestRunWindow:
         cfg, state = make_state(num_users=4)
         recs = run_under_slice(state, full_slice(cfg), round_robin,
                                np.random.default_rng(17), 100)
-        cat = cfg.video_catalog()
+        cat = cfg.catalog
         valid_q = {cat.quality_of(b) for b in cat.quality_levels_bps}
         assert {round(r.quality, 9) for r in recs} <= {round(q, 9) for q in valid_q}
 
@@ -273,7 +273,7 @@ def ref_pick_tier(state, user, cpu_cps):
     rt = state.runtime[user]
     budget = state.cfg.playback.abr_safety * rt.rate_ewma
     tier = 0
-    for i, bitrate in enumerate(state.catalog.quality_levels_bps):
+    for i, bitrate in enumerate(state.cfg.catalog.quality_levels_bps):
         if bitrate <= budget and state._costs[i] <= cpu_cps:
             tier = i
     return tier
@@ -307,7 +307,7 @@ def ref_enforce_caps(state, alloc):
 def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
     k = len(state.profiles)
     n_bs = len(state.base_stations)
-    cat = state.catalog
+    cat = state.cfg.catalog
     slot = state.slot_s
     sigma = state.channel.shadowing_sigma_db
     noise = state.channel.noise_density_dbm_hz

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import pathlib
 import re
 import typing
@@ -11,6 +12,22 @@ from hypothesis import strategies as st
 
 from qoesim import scenario
 from qoesim.errors import ParseError, ValidationError
+
+
+def leaf_fields(cls, prefix=""):
+    """Dotted paths and types of a config class's non-dataclass fields."""
+    out = []
+    for name, t in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(t):
+            out += leaf_fields(t, f"{prefix}{name}.")
+        else:
+            out.append((prefix + name, t))
+    return out
+
+
+# the float and tuple-of-float fields of the config
+FLOAT_LEAVES = [key for key, t in leaf_fields(scenario.ScenarioConfig)
+                if t is float or float in getattr(t, "__args__", ())]
 
 
 def load_text(tmp_path, text, overrides=None):
@@ -88,11 +105,44 @@ class TestLoadScenario:
         ("sim_duration_s", "725"),
         ("sim_duration_s", "0.5"),
         ("playback.max_buffer_s", "0"),
+        ("catalog.quality_levels_bps", "1000000, 1000000"),
+        ("catalog.segment_duration_s", "0"),
+        ("radio.dl_bandwidth_hz", "0"),
+        ("radio.tx_power_dbm", "inf"),
+        ("agent.refit_window", "0"),
+        ("channel.shadowing_sigma_db", "nan"),
+        ("channel.shadowing_sigma_db", "inf"),
+        ("channel.noise_density_dbm_hz", "nan"),
+        ("channel.noise_density_dbm_hz", "-inf"),
+        ("playback.abr_safety", "nan"),
+        ("playback.abr_safety", "-inf"),
+        ("radio.bs_x_m", "250, nan"),
+        ("radio.bs_x_m", "-inf, 750"),
+        ("users.speed_min_kmh", "1"),
+        ("users.speed_max_kmh", "41"),
+        ("users.ela_min", "2"),
+        ("users.ela_max", "6"),
+        ("users.impact_min", "-1"),
+        ("users.impact_max", "0.1"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
         with pytest.raises(ValidationError, match=re.escape(key)):
             scenario.validate_config(cfg)
+
+    @pytest.mark.parametrize("key", FLOAT_LEAVES)
+    def test_rejects_nan_naming_the_field(self, key):
+        # a tuple field gets nan in its first entry
+        cfg = scenario.ScenarioConfig()
+        block, _, name = key.rpartition(".")
+        owner = getattr(cfg, block) if block else cfg
+        old = getattr(owner, name)
+        owner = dataclasses.replace(owner, **{
+            name: (math.nan, *old[1:]) if isinstance(old, tuple) else math.nan})
+        if block:
+            owner = dataclasses.replace(cfg, **{block: owner})
+        with pytest.raises(ValidationError, match=re.escape(key)):
+            scenario.validate_config(owner)
 
     def test_roundtrip(self, tmp_path):
         cfg = scenario.validate_config(scenario.ScenarioConfig())
@@ -114,17 +164,6 @@ class TestLoadScenario:
         assert scenario.config_hash(c3) != scenario.config_hash(c1)
 
 
-def leaf_fields(cls, prefix=""):
-    """Dotted paths and names of a config class's non-dataclass fields."""
-    out = []
-    for name, t in typing.get_type_hints(cls).items():
-        if dataclasses.is_dataclass(t):
-            out += leaf_fields(t, f"{prefix}{name}.")
-        else:
-            out.append((prefix + name, name))
-    return out
-
-
 class TestConfigFieldsRead:
     def test_every_leaf_field_is_read(self):
         # a config field that no package code reads as an attribute is a
@@ -133,8 +172,8 @@ class TestConfigFieldsRead:
         read = {node.attr for path in src.rglob("*.py")
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-        unread = [key for key, name in leaf_fields(scenario.ScenarioConfig)
-                  if name not in read]
+        unread = [key for key, _ in leaf_fields(scenario.ScenarioConfig)
+                  if key.rpartition(".")[2] not in read]
         assert unread == []
 
 
@@ -218,15 +257,46 @@ class TestSampleUsers:
 
 class TestDomainTypes:
     def test_catalog_quality_mapping(self):
-        cat = scenario.ScenarioConfig().video_catalog()
+        cat = scenario.ScenarioConfig().catalog
         assert cat.quality_of(500e3) == 0.0
         assert cat.quality_of(3e6) == 1.0
         assert cat.quality_of(1.75e6) == pytest.approx(0.5)
 
-    def test_catalog_requires_increasing_levels(self):
-        with pytest.raises(ValidationError):
-            scenario.VideoCatalog((1e6, 1e6), 1.0, (1e8, 4e8))
 
-    def test_base_station_invariants(self):
-        with pytest.raises(ValidationError):
-            scenario.BaseStation(0, (0, 0), 0.0, 30.0)
+# the functions that may raise ValidationError: config invariants live in
+# validate_config, and a sampled profile checks its own draws
+VALIDATORS = {"scenario.validate_config", "scenario.parse_overrides",
+              "scenario.UserProfile.__post_init__"}
+
+
+def raised_name(exc: ast.expr | None) -> str | None:
+    """The name of a raised class or of the class a raise calls."""
+    node = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def validation_raisers(tree: ast.AST, prefix: str) -> set[str]:
+    """Dotted paths of the functions and methods under `tree` that raise
+    ValidationError themselves."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            path = f"{prefix}.{node.name}"
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(sub, ast.Raise) and raised_name(sub.exc) == "ValidationError"
+                    for sub in ast.walk(node)):
+                out.add(path)
+            out |= validation_raisers(node, path)
+    return out
+
+
+class TestConfigChecksInOnePlace:
+    def test_only_the_validators_raise_validation_error(self):
+        src = pathlib.Path(scenario.__file__).parent
+        raisers = set()
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            raisers |= validation_raisers(tree, path.stem)
+        assert sorted(raisers - VALIDATORS) == []
+        # an allowance that no longer raises goes
+        assert VALIDATORS <= raisers
