@@ -1,17 +1,17 @@
-"""Benchmark orchestration/slicing strategies, drop-in against the proposed
-two-level agent pipeline.
+"""The four control schemes, each a record of five choices (`SchemeSpec`):
 
-* w/o DA: one generic QoE model for everyone, round-robin in-slot
-  scheduling, greedy slicing at a fixed window.
-* PDRL-L1: a deeper (five-layer) branch-dueling network maps the
-  concatenated user states straight to per-user shares, bypassing the
-  clustering and the convex solver; level two unchanged.
-* HSLA-L2: demand estimation from bare QoS thresholds (SLA tier per user's
-  ELA, context impact ignored); level one unchanged.
+| scheme   | models           | window   | demand rule   | L2 slicer     | L1 orchestrator        |
+|----------|------------------|----------|---------------|---------------|------------------------|
+| proposed | fitted, refitted | adaptive | ela_demands   | greedy + game | da1.Orchestrator       |
+| wo-da    | generic_model    | fixed    | wo_da_demands | greedy        | RoundRobinOrchestrator |
+| pdrl-l1  | fitted, refitted | adaptive | ela_demands   | greedy + game | PdrlOrchestrator       |
+| hsla-l2  | fitted, refitted | adaptive | hsla_demands  | greedy + game | da1.Orchestrator       |
 """
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -85,24 +85,29 @@ def generic_model(cfg: ScenarioConfig) -> qoe.QoEModel:
     return qoe.QoEModel(3, (mean, mean), 0.5, 0)
 
 
-def wo_da_demands(cfg: ScenarioConfig, elas: dict[int, float],
-                  mean_eff: float) -> dict[int, da1.ResourceDemand]:
-    """Generic-model demand at the population-average context."""
-    model = generic_model(cfg)
-    traj = np.full((8, 2), 1.5)
-    return {u: da1.predict_demand(model, elas[u], traj, mean_eff, cfg, user=u)
+def ela_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
+                traces: dict[int, np.ndarray], effs: dict[int, float],
+                cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
+    """Each user's demand for their ELA under their model and context trace."""
+    return {u: da1.predict_demand(models[u], elas[u], traces[u], effs[u], cfg, user=u)
             for u in elas}
 
 
-def hsla_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
-                eff_bps_per_hz: float, cfg: ScenarioConfig,
-                user: int) -> da1.ResourceDemand:
-    """SLA-style demand: pick the tier whose bare QoS score meets the ELA,
-    ignoring the context impact entirely."""
-    qos_only = qoe.QoEModel(model.structure_index, (0.0, 0.0),
-                            model.fit_rmse, model.sample_count)
-    return da1.predict_demand(qos_only, ela, trajectory, eff_bps_per_hz, cfg,
-                              user=user)
+def wo_da_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
+                  traces: dict[int, np.ndarray], effs: dict[int, float],
+                  cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
+    """ELA demand at the population-average context and efficiency."""
+    mean_eff = float(np.mean(list(effs.values())))
+    return ela_demands(models, elas, dict.fromkeys(elas, np.full((8, 2), 1.5)),
+                       dict.fromkeys(elas, mean_eff), cfg)
+
+
+def hsla_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
+                 traces: dict[int, np.ndarray], effs: dict[int, float],
+                 cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
+    """SLA-style ELA demand from the bare QoS score, ignoring the context."""
+    qos_only = {u: replace(m, impact_params=(0.0, 0.0)) for u, m in models.items()}
+    return ela_demands(qos_only, elas, traces, effs, cfg)
 
 
 def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
@@ -157,3 +162,31 @@ class PdrlOrchestrator(da1.PolicyOrchestrator):
                 frac = raw_bw[u] / tot if tot > 0 else 1.0 / len(users)
                 alloc[u][0] = frac * state.bw_caps.get(bs, 0.0)
         self.cached = {u: (a[0], a[1]) for u, a in alloc.items()}
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """A control scheme as its five choices.  A layer that tracing wraps
+    (`da1.predict_demand`, the `da2` functions) is called through its module."""
+    fitted_models: bool    # fitted per user and refitted; else generic_model
+    adaptive_window: bool  # da2.dynamics_to_window; else slicing.wo_da_window_min
+    demand: Callable[..., dict[int, da1.ResourceDemand]]  # a demand rule above
+    game: bool             # da2.best_response_adjust after greedy when scarce
+    orchestrator: type     # the L1 orchestrator; a da1.PolicyOrchestrator trains
+
+    @property
+    def learned(self) -> bool:
+        """A scheme whose orchestrator runs a policy trains it."""
+        return issubclass(self.orchestrator, da1.PolicyOrchestrator)
+
+
+PROPOSED = SchemeSpec(fitted_models=True, adaptive_window=True, demand=ela_demands,
+                      game=True, orchestrator=da1.Orchestrator)
+WITHOUT_DA = SchemeSpec(fitted_models=False, adaptive_window=False, demand=wo_da_demands,
+                        game=False, orchestrator=RoundRobinOrchestrator)
+PDRL_L1 = replace(PROPOSED, orchestrator=PdrlOrchestrator)
+HSLA_L2 = replace(PROPOSED, demand=hsla_demands)
+
+SPECS = {SchemeId.PROPOSED: PROPOSED, SchemeId.WITHOUT_DA: WITHOUT_DA,
+         SchemeId.PDRL_L1: PDRL_L1, SchemeId.HSLA_L2: HSLA_L2}
+

@@ -171,11 +171,11 @@ WINDOWS_HEADER = ["window", "start_slot", "end_slot", "window_minutes",
                   "mechanism", "ela_ratio"]
 
 
-def emit_run(out_dir: str, res: runner.RunResult,
+def emit_run(out_dir: str, scheme: str, res: runner.RunResult,
              elas: dict[int, float]) -> tuple[dict, list[float]]:
-    """Write one run's CSV artifacts, `slots_*.csv` when the run kept slot
-    records; returns the summary fragment and the run's QoE samples."""
-    tag = f"{res.scheme}_seed{res.seed}"
+    """Write one run of `scheme` as CSV artifacts, `slots_*.csv` when the run
+    kept slot records; returns the summary fragment and the QoE samples."""
+    tag = f"{scheme}_seed{res.seed}"
     os.makedirs(out_dir, exist_ok=True)
     if res.slot_records is not None:
         _write_slots(os.path.join(out_dir, f"slots_{tag}.csv"), res.slot_records)
@@ -211,7 +211,7 @@ def _seed_job(args) -> tuple[dict, list[float]]:
     if policy_out is not None and sr.policy is not None:
         from . import learn
         learn.save_network(sr.policy, policy_out)
-    return emit_run(out_dir, res, sr.elas)
+    return emit_run(out_dir, scheme.value, res, sr.elas)
 
 
 def _worker_count(n_jobs: int) -> int:

@@ -203,7 +203,7 @@ class SimState:
         # the applied slice config and the per-BS bandwidth and total compute
         # caps it installs (the hardware until a slice is applied)
         self.slice = None
-        self.bw_caps: dict[int, float] = {b.id: b.dl_bandwidth_hz for b in self.base_stations}
+        self.bw_caps = cfg.bw_caps()
         self.cpu_cap: float = cfg.edge.capacity_cps
         self.period_samples: list[PeriodSample] = []
         # pre-computed per-BS, per-tier and per-user constants

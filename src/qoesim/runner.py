@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bench, da1, da2, learn, netsim, qoe, scenario
-from .bench import SchemeId
 
 # rng lane keys (append to the run seed)
 _LANE_USERS = 11
@@ -45,7 +44,6 @@ class WindowLog:
 
 @dataclass
 class RunResult:
-    scheme: str
     seed: int
     windows: list[WindowLog]
     slot_records: list[netsim.SlotRecord] | None  # None: not collected
@@ -58,13 +56,14 @@ def _lane(seed: int, key: int) -> np.random.Generator:
 
 
 class SchemeRun:
-    """Owns all mutable pieces of one scheme/seed execution."""
+    """Owns all mutable pieces of one run of a `bench.SchemeSpec` (or of a
+    `bench.SPECS` key), and reads only the spec's choices."""
 
-    def __init__(self, cfg: scenario.ScenarioConfig, scheme: SchemeId, seed: int,
+    def __init__(self, cfg: scenario.ScenarioConfig, scheme, seed: int,
                  collect_slots: bool = True, train_epochs: int | None = None,
                  policy_in: str | None = None):
         self.cfg = cfg
-        self.scheme = scheme
+        self.spec = bench.SPECS.get(scheme, scheme)
         self.seed = seed
         self.collect_slots = collect_slots
         self.train_epochs = cfg.train.epochs if train_epochs is None else train_epochs
@@ -76,7 +75,7 @@ class SchemeRun:
         self.policy: learn.BdqNetwork | None = None
         self.reward_curve: list[float] = []
         self._recent: dict[int, list[qoe.FactorSample]] = {}
-        self._bs_caps = {b.id: b.dl_bandwidth_hz for b in cfg.base_stations()}
+        self._bs_caps = cfg.bw_caps()
         self._cpu_cap = cfg.edge.capacity_cps
 
     # -- phase 1: bootstrap + model fitting ------------------------------------
@@ -92,7 +91,7 @@ class SchemeRun:
         return state
 
     def fit_models(self, state: netsim.SimState) -> None:
-        if self.scheme is SchemeId.WITHOUT_DA:
+        if not self.spec.fitted_models:
             generic = bench.generic_model(self.cfg)
             self.models = {p.id: generic for p in self.profiles}
             return
@@ -126,7 +125,7 @@ class SchemeRun:
 
     def dynamics_window(self, state: netsim.SimState,
                         traces: dict[int, np.ndarray]) -> float:
-        if self.scheme is SchemeId.WITHOUT_DA:
+        if not self.spec.adaptive_window:
             return self.cfg.slicing.wo_da_window_min
         full = []
         for p in self.profiles:
@@ -137,28 +136,12 @@ class SchemeRun:
         return da2.dynamics_to_window(full, self.cfg.slicing.dynamics_thresholds,
                                       self.cfg.slicing.window_minutes)
 
-    def compute_demands(self, state: netsim.SimState,
-                        traces: dict[int, np.ndarray]
-                        ) -> dict[int, da1.ResourceDemand]:
-        if self.scheme is SchemeId.WITHOUT_DA:
-            effs = [state.runtime[p.id].eff_ewma for p in self.profiles]
-            return bench.wo_da_demands(self.cfg, self.elas, float(np.mean(effs)))
-        demands = {}
-        for p in self.profiles:
-            eff = state.runtime[p.id].eff_ewma
-            if self.scheme is SchemeId.HSLA_L2:
-                demands[p.id] = bench.hsla_demand(
-                    self.models[p.id], p.ela, traces[p.id], eff, self.cfg, user=p.id)
-            else:
-                demands[p.id] = da1.predict_demand(
-                    self.models[p.id], p.ela, traces[p.id], eff, self.cfg, user=p.id)
-        return demands
-
     def build_slices(self, state: netsim.SimState,
                      traces: dict[int, np.ndarray]
                      ) -> tuple[da2.SliceConfig, dict[int, da1.ResourceDemand]]:
         cfg = self.cfg
-        demands = self.compute_demands(state, traces)
+        effs = {p.id: state.runtime[p.id].eff_ewma for p in self.profiles}
+        demands = self.spec.demand(self.models, self.elas, traces, effs, cfg)
         group_of = self.group_of()
         memberships = {u: (group_of[u], state.runtime[u].serving_bs)
                        for u in demands}
@@ -167,15 +150,13 @@ class SchemeRun:
             model = self.models[p.id]
             c = da1.utility_consts(
                 p.id, model.structure_index, p.ela,
-                da1.mean_impact(model, traces[p.id]), state.runtime[p.id].eff_ewma,
-                cfg)
+                da1.mean_impact(model, traces[p.id]), effs[p.id], cfg)
             utilities[p.id] = da1.slice_gain(c, demands[p.id])
         dist = da2.abstract_demand(demands.values(), memberships, utilities,
                                    cfg.slicing.quantum_bw_hz,
                                    cfg.slicing.quantum_cpu_cps)
         slc = da2.greedy_slice(dist, self._bs_caps, self._cpu_cap)
-        scarce = self._is_scarce(dist)
-        if scarce and self.scheme is not SchemeId.WITHOUT_DA:
+        if self.spec.game and self._is_scarce(dist):
             slc, _ = da2.best_response_adjust(
                 slc, dist, self._bs_caps, self._cpu_cap,
                 cfg.slicing.price_mos_per_quantum)
@@ -197,17 +178,15 @@ class SchemeRun:
         return any(v > self._bs_caps.get(bs, 0.0) for bs, v in per_bs.items())
 
     def make_orchestrator(self):
-        if self.scheme is SchemeId.WITHOUT_DA:
-            return bench.RoundRobinOrchestrator()
-        orchestrator = (bench.PdrlOrchestrator if self.scheme is SchemeId.PDRL_L1
-                        else da1.Orchestrator)
-        return orchestrator(self.models, self.policy, self.cfg)
+        if not self.spec.learned:
+            return self.spec.orchestrator()
+        return self.spec.orchestrator(self.models, self.policy, self.cfg)
 
     # -- phase 2: policy training ------------------------------------------------
 
     def train_policies(self, state: netsim.SimState,
                        train_rng: np.random.Generator) -> None:
-        if self.scheme is SchemeId.WITHOUT_DA:
+        if not self.spec.learned:
             return
         if self.policy_in is not None:
             self.policy = learn.load_network(self.policy_in)
@@ -259,11 +238,11 @@ class SchemeRun:
             windows.append(WindowLog(len(windows), start, state.t, w_min, slc,
                                      demands, samples))
             self._maybe_refit(samples)
-        return RunResult(self.scheme.value, self.seed, windows, records,
+        return RunResult(self.seed, windows, records,
                          dict(self.models), self.reward_curve)
 
     def _maybe_refit(self, samples: list[netsim.PeriodSample]) -> None:
-        if self.scheme is SchemeId.WITHOUT_DA:
+        if not self.spec.fitted_models:
             return
         cfg = self.cfg
         for ps in samples:

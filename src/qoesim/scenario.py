@@ -209,6 +209,10 @@ class ScenarioConfig:
                             self.radio.dl_bandwidth_hz, self.radio.tx_power_dbm)
                 for i in range(self.radio.num_bs)]
 
+    def bw_caps(self) -> dict[int, float]:
+        """Each BS's downlink bandwidth, by BS id: the hardware caps."""
+        return {b.id: b.dl_bandwidth_hz for b in self.base_stations()}
+
     def period_slots(self) -> int:
         """Slots per QoE evaluation period (at least one)."""
         return max(int(round(self.playback.eval_period_s / self.slot_s)), 1)

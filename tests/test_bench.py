@@ -29,6 +29,13 @@ class TestSchemeId:
         assert {s.value for s in SchemeId} == {"proposed", "wo-da", "pdrl-l1",
                                                "hsla-l2"}
 
+    def test_every_scheme_has_a_spec(self):
+        assert set(bench.SPECS) == set(SchemeId)
+        assert bench.SPECS[SchemeId.HSLA_L2] is bench.HSLA_L2
+
+    def test_a_policy_orchestrator_trains(self):
+        assert [bench.SPECS[s].learned for s in SchemeId] == [True, False, True, True]
+
 
 class TestWoDaDemands:
     def test_homogeneous_population_matches_per_user_model(self):
@@ -38,12 +45,22 @@ class TestWoDaDemands:
         model = qoe.QoEModel(3, (mean, mean), 0.5, 0)
         traj = np.full((10, 2), 1.5)
         elas = {u: 3.4 for u in range(4)}
-        generic = bench.wo_da_demands(PLAN, elas, 2.0)
+        # the rule reads neither the users' traces nor their own
+        # efficiencies, only the efficiencies' mean (2.0)
+        generic = bench.wo_da_demands(
+            dict.fromkeys(elas, model), elas, dict.fromkeys(elas, np.ones((10, 2))),
+            dict(zip(elas, (1.0, 3.0, 1.5, 2.5))), PLAN)
         for u in elas:
             mine = da1.predict_demand(model, elas[u], traj, 2.0, PLAN, user=u)
             assert generic[u].bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert generic[u].compute_cps == pytest.approx(mine.compute_cps)
             assert generic[u].feasible == mine.feasible
+
+
+def one_user(rule, model, ela, trajectory, eff_bps_per_hz):
+    """A demand rule's demand for one user (id -1)."""
+    return rule({-1: model}, {-1: ela}, {-1: trajectory}, {-1: eff_bps_per_hz},
+                PLAN)[-1]
 
 
 class TestHslaDemand:
@@ -53,8 +70,8 @@ class TestHslaDemand:
         model = qoe.QoEModel(2, (0.7, 0.4), 0.2, 100)
         traj = np.ones((20, 2))
         for ela in (3.0, 3.7, 4.4):
-            mine = da1.predict_demand(model, ela, traj, 2.0, PLAN, user=-1)
-            sla = bench.hsla_demand(model, ela, traj, 2.0, PLAN, user=-1)
+            mine = one_user(bench.ela_demands, model, ela, traj, 2.0)
+            sla = one_user(bench.hsla_demands, model, ela, traj, 2.0)
             assert sla.bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert sla.compute_cps == pytest.approx(mine.compute_cps)
 
@@ -63,8 +80,8 @@ class TestHslaDemand:
         # covers the bare QoS threshold
         model = qoe.QoEModel(2, (1.0, 1.0), 0.2, 100)
         traj = np.full((20, 2), 2.0)
-        mine = da1.predict_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
-        sla = bench.hsla_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
+        mine = one_user(bench.ela_demands, model, 4.0, traj, 2.0)
+        sla = one_user(bench.hsla_demands, model, 4.0, traj, 2.0)
         assert not mine.feasible
         assert sla.feasible
         assert sla.compute_cps < mine.compute_cps
@@ -142,9 +159,7 @@ class TestPdrlOrchestrator:
 
 class TestLearnedOrchestrators:
     def _orchestrator(self, scheme, policy, cfg, models):
-        orchestrator = (bench.PdrlOrchestrator if scheme is SchemeId.PDRL_L1
-                        else da1.Orchestrator)
-        return orchestrator(models, policy, cfg)
+        return bench.SPECS[scheme].orchestrator(models, policy, cfg)
 
     @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
                              ids=lambda s: s.value)

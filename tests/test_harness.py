@@ -111,7 +111,7 @@ class TestRunExperiment:
         cfg = fast_cfg()
         sr = runner.SchemeRun(cfg, SchemeId.WITHOUT_DA, 2)
         res = sr.execute()
-        harness.emit_run(str(tmp_path), res, sr.elas)
+        harness.emit_run(str(tmp_path), SchemeId.WITHOUT_DA.value, res, sr.elas)
         period = int(cfg.playback.eval_period_s / cfg.slot_s)
         pairs = harness.recompute_window_ratios(
             str(tmp_path / "slots_wo-da_seed2.csv"),

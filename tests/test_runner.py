@@ -1,10 +1,14 @@
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 from qoesim import bench, da1, harness, learn, runner, scenario
 from qoesim.bench import SchemeId
+
+from test_public_names import loaded_names
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
         "catalog.segment_duration_s": "0.5"}
@@ -196,6 +200,33 @@ class TestSchemeRun:
         monkeypatch.setattr(da1, "utility_consts", counted)
         sr.build_slices(state, traces)
         assert sorted(calls) == list(range(cfg.num_users))
+
+
+class TestSchemeSpec:
+    """An ablation is a spec built with `dataclasses.replace`; the run reads
+    only the spec, so no part of the package is patched."""
+
+    def ablation_run(self, **choices):
+        cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
+        spec = dataclasses.replace(bench.PROPOSED, **choices)
+        return cfg, runner.SchemeRun(cfg, spec, 3, collect_slots=False,
+                                     train_epochs=0).execute()
+
+    def test_greedy_only(self, four_window_run):
+        _, res = self.ablation_run(game=False)
+        assert "game" in {w.slice.mechanism for w in four_window_run.windows}
+        assert {w.slice.mechanism for w in res.windows} == {"greedy"}
+
+    def test_fixed_window(self, four_window_run):
+        cfg, res = self.ablation_run(adaptive_window=False)
+        assert {w.window_minutes for w in four_window_run.windows} == {3.0}
+        assert {w.window_minutes for w in res.windows} == {cfg.slicing.wo_da_window_min}
+
+    def test_runner_names_no_scheme(self):
+        # a branch on which scheme runs would load the id or a member's name
+        tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
+        scheme_names = {"SchemeId"} | {s.name for s in SchemeId}
+        assert sorted(loaded_names(tree) & scheme_names) == []
 
 
 @pytest.mark.parametrize("scheme, depth", [(SchemeId.PROPOSED, 2),
