@@ -171,7 +171,7 @@ class SchemeSpec:
     fitted_models: bool    # fitted per user and refitted; else generic_model
     adaptive_window: bool  # da2.dynamics_to_window; else slicing.wo_da_window_min
     demand: Callable[..., dict[int, da1.ResourceDemand]]  # a demand rule above
-    game: bool             # da2.best_response_adjust after greedy when scarce
+    game: bool             # da2.slice_window plays the game after greedy when scarce
     orchestrator: type     # the L1 orchestrator; a da1.PolicyOrchestrator trains
 
     @property

@@ -77,8 +77,7 @@ def emulate_context(profile: UserProfile, horizon_slots: int,
 
 
 def mean_impact(model: qoe.QoEModel, trajectory: np.ndarray) -> float:
-    alpha, beta = model.impact_params
-    i = 1.0 / (1.0 + alpha * (trajectory[:, 0] - 1.0) + beta * (trajectory[:, 1] - 1.0))
+    i = qoe.impact(trajectory[:, 0], trajectory[:, 1], *model.impact_params)
     return float(i.mean())
 
 

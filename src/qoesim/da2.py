@@ -1,5 +1,7 @@
-"""Level-two digital agent: demand abstraction, adaptive slice windows,
-greedy slicing, and game-based slice adjustment.
+"""Level-two digital agent: the slice policy.  Demand abstraction, adaptive
+slice windows, greedy slicing and game-based slice adjustment, and
+`slice_window`, the one call that builds a window's slice: greedy, then the
+game only where demand exceeds capacity, with every (group, BS) pair listed.
 
 Slicing operates on resource quanta (default 1 MHz bandwidth, 0.5 GCycles/s
 compute).  Each (group, base station) cell carries a nonincreasing
@@ -13,11 +15,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .da1 import ResourceDemand
-from .errors import PotentialDecrease, UnlabeledDemand
+from .errors import PotentialDecrease
+from .scenario import SlicingConfig
 
 POSITION_SCALE_M = 10.0  # meters of per-slot displacement treated as one unit
 BR_MAX_ROUNDS = 100  # best-response rounds before the game is flagged unconverged
@@ -40,6 +44,15 @@ class DemandDistribution:
 
     def groups(self) -> list[int]:
         return sorted({g for g, _ in self.cells})
+
+    def is_scarce(self, bw_caps: dict[int, float], cpu_cap: float) -> bool:
+        """True when the demand exceeds the compute pool or some BS's bandwidth."""
+        per_bs: dict[int, float] = {}
+        for (_, bs), cell in self.cells.items():
+            per_bs[bs] = per_bs.get(bs, 0.0) + cell.total_bw_hz
+        if sum(cell.total_cpu_cps for cell in self.cells.values()) > cpu_cap:
+            return True
+        return any(v > bw_caps.get(bs, 0.0) for bs, v in per_bs.items())
 
 
 @dataclass
@@ -69,25 +82,22 @@ def _marginal_curve(total: float, quantum: float, gains: list,
     return np.minimum.accumulate(marginals)
 
 
-def abstract_demand(demands: list[ResourceDemand],
-                    memberships: dict[int, tuple[int, int]],
-                    utilities: dict[int, object], quantum_bw_hz: float,
+# one user's slice input: their demand, their (group, BS) cell and their
+# gain, a function of the demand fractions (f_bw, f_cpu) giving predicted QoE
+Member = tuple[ResourceDemand, tuple[int, int], Callable[[float, float], float]]
+
+
+def abstract_demand(members: list[Member], quantum_bw_hz: float,
                     quantum_cpu_cps: float) -> DemandDistribution:
     """Aggregate per-user demands into per-(group, BS) totals with
-    marginal-gain curves.
-
-    `utilities[user]` maps demand fractions (f_bw, f_cpu) to predicted QoE.
-    """
+    marginal-gain curves."""
     cells: dict[tuple[int, int], CellDemand] = {}
     gains_by_cell: dict[tuple[int, int], list] = {}
-    for d in demands:
-        if d.user not in memberships:
-            raise UnlabeledDemand(f"demand for user {d.user} has no (group, BS) label")
-        key = memberships[d.user]
+    for d, key, gain in members:
         cell = cells.setdefault(key, CellDemand())
         cell.total_bw_hz += d.bandwidth_hz
         cell.total_cpu_cps += d.compute_cps
-        gains_by_cell.setdefault(key, []).append(utilities[d.user])
+        gains_by_cell.setdefault(key, []).append(gain)
     for key, cell in cells.items():
         cell.curve_bw = _marginal_curve(cell.total_bw_hz, quantum_bw_hz,
                                         gains_by_cell[key], 0)
@@ -261,3 +271,22 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
     reserved_cpu = {g: q * q_cpu for g, q in cpu_q.items()}
     cfg = SliceConfig(reserved_bw, reserved_cpu, mechanism="game")
     return cfg, BrReport(converged, rounds, trace)
+
+
+def slice_window(members: list[Member], bw_caps: dict[int, float],
+                 cpu_cap: float, slicing_cfg: SlicingConfig,
+                 game: bool) -> SliceConfig:
+    """One window's slice: greedy over the members' demand distribution, then
+    the game when `game` is set and demand exceeds capacity.  Every (present
+    group, BS) pair is listed, 0 where the group has no demand at that BS, so
+    each window's slice rows cover the grid."""
+    dist = abstract_demand(members, slicing_cfg.quantum_bw_hz,
+                           slicing_cfg.quantum_cpu_cps)
+    slc = greedy_slice(dist, bw_caps, cpu_cap)
+    if game and dist.is_scarce(bw_caps, cpu_cap):
+        slc, _ = best_response_adjust(slc, dist, bw_caps, cpu_cap,
+                                      slicing_cfg.price_mos_per_quantum)
+    for g in {g for _, (g, _), _ in members}:
+        for bs in bw_caps:
+            slc.reserved_bw.setdefault((g, bs), 0.0)
+    return slc

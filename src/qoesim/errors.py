@@ -37,10 +37,6 @@ class PotentialDecrease(QoesimError):
     """A best-response move lowered the slicing game's potential."""
 
 
-class UnlabeledDemand(QoesimError):
-    """Resource demand lacks a (group, base station) membership label."""
-
-
 class EmptyWindow(QoesimError):
     """Metric requested over a window with no records."""
 

@@ -68,8 +68,9 @@ class FactorSample:
     c: float  # environmental complexity in [1, 2]
 
 
-def qos_score(structure_index: int, r: float, q: float) -> float:
-    """QoS base score S for one structure, clamped to the MOS scale."""
+def qos_score(structure_index: int, r, q):
+    """QoS base score S for one structure, clamped to the MOS scale; `r` and
+    `q` are scalars or sample columns."""
     if structure_index == 1:
         s = 5.0 - REBUFFER_SLOPE * r
     elif structure_index == 2:
@@ -78,19 +79,21 @@ def qos_score(structure_index: int, r: float, q: float) -> float:
         s = 1.0 + QUALITY_SLOPE * q - REBUFFER_SLOPE * r
     else:
         raise UnknownStructure(f"structure_index={structure_index}")
-    return min(max(s, MOS_LO), MOS_HI)
+    return np.minimum(np.maximum(s, MOS_LO), MOS_HI)
 
 
-def impact(b: float, c: float, alpha: float, beta: float) -> float:
-    """Context impact factor I(B, C); equals 1 at the neutral context."""
+def impact(b, c, alpha: float, beta: float):
+    """Context impact factor I(B, C), equal to 1 at the neutral context; `b`
+    and `c` are scalars or sample columns."""
     return 1.0 / (1.0 + alpha * (b - 1.0) + beta * (c - 1.0))
 
 
-def eval_qoe(model: QoEModel, r: float, q: float, b: float, c: float) -> float:
-    """Predicted QoE under a fitted model, clamped to the MOS scale."""
+def eval_qoe(model: QoEModel, r, q, b, c):
+    """Predicted QoE under a fitted model, clamped to the MOS scale; the
+    factors are scalars or sample columns."""
     alpha, beta = model.impact_params
     e = qos_score(model.structure_index, r, q) * impact(b, c, alpha, beta)
-    return min(max(e, MOS_LO), MOS_HI)
+    return np.minimum(np.maximum(e, MOS_LO), MOS_HI)
 
 
 def truncated_normal_from_uniform(mu, sigma, u, lo=MOS_LO, hi=MOS_HI):
@@ -137,19 +140,6 @@ def sample_columns(samples: list[FactorSample]) -> SampleColumns:
                          np.column_stack([b1, c1]))
 
 
-def _qos_vec(structure_index, r, q):
-    """Clamped QoS score S of every sample."""
-    if structure_index == 1:
-        s = 5.0 - REBUFFER_SLOPE * r
-    elif structure_index == 2:
-        s = 1.0 + QUALITY_SLOPE * q
-    elif structure_index == 3:
-        s = 1.0 + QUALITY_SLOPE * q - REBUFFER_SLOPE * r
-    else:
-        raise UnknownStructure(f"structure_index={structure_index}")
-    return np.minimum(np.maximum(s, MOS_LO), MOS_HI)
-
-
 def fit_columns(structure_index: int, cols: SampleColumns,
                 start: tuple[float, float] = (0.5, 0.5),
                 max_iter: int = 200) -> QoEModel:
@@ -165,7 +155,7 @@ def fit_columns(structure_index: int, cols: SampleColumns,
         raise InsufficientData("impact parameters unidentifiable: (B, C) constant")
     qoe, b1, c1, bc1 = cols.qoe, cols.b1, cols.c1, cols.bc1
     # S does not depend on (alpha, beta): only I and the prediction move
-    s = _qos_vec(structure_index, cols.r, cols.q)
+    s = qos_score(structure_index, cols.r, cols.q)
     eye = np.eye(2)
     params = np.array(start, dtype=float)
     i = 1.0 / (1.0 + params[0] * b1 + params[1] * c1)
@@ -214,9 +204,12 @@ def fit_columns(structure_index: int, cols: SampleColumns,
 
 
 def model_rmse(model: QoEModel, samples: list[FactorSample]) -> float:
-    """RMSE of a fitted model's predictions on a sample set."""
-    err = [s.qoe - eval_qoe(model, s.r, s.q, s.b, s.c) for s in samples]
-    return math.sqrt(sum(e * e for e in err) / len(err))
+    """RMSE of a fitted model's predictions on a sample set.  The squares are
+    summed in order, as Python's `sum` does: a pairwise sum moves the last
+    bits, which can flip a refit decision."""
+    cols = sample_columns(samples)
+    err = cols.qoe - eval_qoe(model, cols.r, cols.q, cols.b, cols.c)
+    return math.sqrt(sum((err * err).tolist()) / len(err))
 
 
 def should_update(old: QoEModel, recent: list[FactorSample],
@@ -234,9 +227,8 @@ def columns_log_likelihood(model: QoEModel, cols: SampleColumns) -> float:
     """
     var = STRUCTURE_VARIANCE[model.structure_index]
     sigma = math.sqrt(var)
-    alpha, beta = model.impact_params
-    mean = (_qos_vec(model.structure_index, cols.r, cols.q)
-            * (1.0 / (1.0 + alpha * cols.b1 + beta * cols.c1)))
+    mean = (qos_score(model.structure_index, cols.r, cols.q)
+            * impact(cols.b, cols.c, *model.impact_params))
     z = np.maximum(ndtr((MOS_HI - mean) / sigma) - ndtr((MOS_LO - mean) / sigma),
                    1e-300)
     ll = (-0.5 * math.log(2.0 * math.pi * var)

@@ -106,9 +106,6 @@ class SchemeRun:
                 model = bench.generic_model(self.cfg)
             self.models[p.id] = model
 
-    def group_of(self) -> dict[int, int]:
-        return {u: m.structure_index for u, m in self.models.items()}
-
     # -- slicing path (shared by training and evaluation) -----------------------
 
     def context_traces(self, state: netsim.SimState, horizon: int,
@@ -142,40 +139,18 @@ class SchemeRun:
         cfg = self.cfg
         effs = {p.id: state.runtime[p.id].eff_ewma for p in self.profiles}
         demands = self.spec.demand(self.models, self.elas, traces, effs, cfg)
-        group_of = self.group_of()
-        memberships = {u: (group_of[u], state.runtime[u].serving_bs)
-                       for u in demands}
-        utilities = {}
+        members = []
         for p in self.profiles:
             model = self.models[p.id]
             c = da1.utility_consts(
                 p.id, model.structure_index, p.ela,
                 da1.mean_impact(model, traces[p.id]), effs[p.id], cfg)
-            utilities[p.id] = da1.slice_gain(c, demands[p.id])
-        dist = da2.abstract_demand(demands.values(), memberships, utilities,
-                                   cfg.slicing.quantum_bw_hz,
-                                   cfg.slicing.quantum_cpu_cps)
-        slc = da2.greedy_slice(dist, self._bs_caps, self._cpu_cap)
-        if self.spec.game and self._is_scarce(dist):
-            slc, _ = da2.best_response_adjust(
-                slc, dist, self._bs_caps, self._cpu_cap,
-                cfg.slicing.price_mos_per_quantum)
-        # list every (present group, BS) pair, 0 where the group has no
-        # demand at that BS, so each window's slice rows cover the grid
-        for g in set(group_of.values()):
-            for bs in self._bs_caps:
-                slc.reserved_bw.setdefault((g, bs), 0.0)
+            members.append((demands[p.id],
+                            (model.structure_index, state.runtime[p.id].serving_bs),
+                            da1.slice_gain(c, demands[p.id])))
+        slc = da2.slice_window(members, self._bs_caps, self._cpu_cap, cfg.slicing,
+                               self.spec.game)
         return slc, demands
-
-    def _is_scarce(self, dist: da2.DemandDistribution) -> bool:
-        per_bs: dict[int, float] = {}
-        cpu = 0.0
-        for (g, bs), cell in dist.cells.items():
-            per_bs[bs] = per_bs.get(bs, 0.0) + cell.total_bw_hz
-            cpu += cell.total_cpu_cps
-        if cpu > self._cpu_cap:
-            return True
-        return any(v > self._bs_caps.get(bs, 0.0) for bs, v in per_bs.items())
 
     def make_orchestrator(self):
         if not self.spec.learned:

@@ -328,6 +328,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("users.impact_min <= users.impact_max must be >= 0")
     if u.max_swipe_rate_per_min <= 0:
         raise ValidationError("users.max_swipe_rate_per_min must be > 0")
+    if u.swipe_period_min_s <= 0:  # the swipe sinusoid divides by its period
+        raise ValidationError("users.swipe_period_min_s must be > 0")
     for lo, hi in (("swipe_mean_min_per_min", "swipe_mean_max_per_min"),
                    ("swipe_amp_min_per_min", "swipe_amp_max_per_min"),
                    ("swipe_period_min_s", "swipe_period_max_s")):
@@ -348,6 +350,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if total_slots < period or total_slots % period:
         raise ValidationError(f"sim_duration_s must span a positive whole number of "
                               f"evaluation periods ({period} slots each)")
+    # the summary's box statistics need four QoE samples, one per user and period
+    samples = cfg.num_users * (total_slots // period)
+    if samples < 4:
+        raise ValidationError(f"sim_duration_s and num_users give {samples} evaluation "
+                              "samples (one per user and period), need >= 4")
     if cfg.playback.max_buffer_s <= 0:
         raise ValidationError("playback.max_buffer_s must be > 0")
     if cfg.edge.capacity_cps <= 0:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qoesim import da2, scenario
 from qoesim.da1 import ResourceDemand
-from qoesim.errors import PotentialDecrease, UnlabeledDemand
+from qoesim.errors import PotentialDecrease
 
 Q_BW = 1e6
 Q_CPU = 0.5e9
@@ -18,12 +18,17 @@ def demand(user, bw_mhz, cpu_gc, feasible=True):
     return ResourceDemand(user, bw_mhz * 1e6, cpu_gc * 1e9, feasible)
 
 
+def members(demands, memberships, utilities=None):
+    """One (demand, (group, BS), gain) record per user; users without a
+    utility get a unit linear gain."""
+    utilities = utilities or {}
+    return [(d, memberships[d.user],
+             utilities.get(d.user, lambda fb, fc: 0.5 * (fb + fc))) for d in demands]
+
+
 def abstract(demands, memberships, utilities=None):
-    """`da2.abstract_demand` at 1 MHz and 0.5 GCycles/s quanta; users
-    without a utility get a unit linear gain."""
-    gains = {d.user: lambda fb, fc: 0.5 * (fb + fc) for d in demands}
-    gains.update(utilities or {})
-    return da2.abstract_demand(demands, memberships, gains, Q_BW, Q_CPU)
+    """`da2.abstract_demand` at 1 MHz and 0.5 GCycles/s quanta."""
+    return da2.abstract_demand(members(demands, memberships, utilities), Q_BW, Q_CPU)
 
 
 def make_dist(cell_specs):
@@ -88,10 +93,6 @@ class TestAbstractDemand:
         for key in d1.cells:
             assert d1.cells[key].total_bw_hz == pytest.approx(d2.cells[key].total_bw_hz)
             assert d1.cells[key].total_cpu_cps == pytest.approx(d2.cells[key].total_cpu_cps)
-
-    def test_unlabeled_demand(self):
-        with pytest.raises(UnlabeledDemand):
-            abstract([demand(7, 1, 1)], {0: (1, 0)})
 
     def test_curves_nonincreasing(self):
         # concave saturating per-user gain
@@ -312,6 +313,33 @@ class TestBestResponseAdjust:
         with pytest.raises(PotentialDecrease, match="potential"):
             da2.best_response_adjust(init, dist, {0: 4 * Q_BW}, 4 * Q_CPU,
                                      price=1.0)
+
+
+class TestSliceWindow:
+    SLICING = scenario.SlicingConfig()
+    CAPS = {0: 10 * Q_BW, 1: 10 * Q_BW, 2: 10 * Q_BW}
+    CPU_CAP = 10 * Q_CPU
+
+    def window(self, demands, memberships, game=True):
+        return da2.slice_window(members(demands, memberships), self.CAPS,
+                                self.CPU_CAP, self.SLICING, game)
+
+    def test_game_only_when_scarce(self):
+        labels = {0: (1, 0), 1: (2, 0)}
+        ample = [demand(0, 3, 1), demand(1, 4, 1)]
+        assert self.window(ample, labels).mechanism == "greedy"
+        over_bs = [demand(0, 6, 1), demand(1, 5, 1)]  # 11 MHz at a 10 MHz BS
+        over_cpu = [demand(0, 3, 3), demand(1, 4, 3)]  # 12 quanta of 10
+        for scarce in (over_bs, over_cpu):
+            assert self.window(scarce, labels).mechanism == "game"
+            assert self.window(scarce, labels, game=False).mechanism == "greedy"
+
+    def test_lists_every_present_group_at_every_bs(self):
+        slc = self.window([demand(0, 2, 1), demand(1, 3, 1), demand(2, 1, 1)],
+                          {0: (1, 0), 1: (3, 0), 2: (3, 2)})
+        assert sorted(slc.reserved_bw) == [(g, bs) for g in (1, 3) for bs in (0, 1, 2)]
+        assert slc.reserved_bw[(1, 0)] == 2 * Q_BW
+        assert slc.reserved_bw[(1, 1)] == slc.reserved_bw[(3, 1)] == 0.0
 
 
 @st.composite

@@ -228,6 +228,12 @@ class TestSchemeSpec:
         scheme_names = {"SchemeId"} | {s.name for s in SchemeId}
         assert sorted(loaded_names(tree) & scheme_names) == []
 
+    def test_runner_leaves_the_slice_policy_to_da2(self):
+        # a window's slice is one da2.slice_window call
+        tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
+        slicers = {"abstract_demand", "greedy_slice", "best_response_adjust"}
+        assert sorted(loaded_names(tree) & slicers) == []
+
 
 @pytest.mark.parametrize("scheme, depth", [(SchemeId.PROPOSED, 2),
                                            (SchemeId.HSLA_L2, 2),

@@ -100,6 +100,7 @@ class TestLoadScenario:
         ("users.swipe_mean_max_per_min", "2"),
         ("users.swipe_amp_min_per_min", "4"),
         ("users.swipe_period_max_s", "100"),
+        ("users.swipe_period_min_s", "0"),
         ("region.width_m", "419"),
         ("region.height_m", "419"),
         ("sim_duration_s", "725"),
@@ -129,6 +130,15 @@ class TestLoadScenario:
         cfg = scenario.parse_overrides({key: value})
         with pytest.raises(ValidationError, match=re.escape(key)):
             scenario.validate_config(cfg)
+
+    def test_rejects_too_few_evaluation_samples(self):
+        # one user over three periods would leave the summary's box
+        # statistics three QoE samples; a fourth period gives them four
+        cfg = scenario.parse_overrides({"preset_mode": "free", "num_users": "1",
+                                        "sim_duration_s": "30"})
+        with pytest.raises(ValidationError, match="sim_duration_s and num_users"):
+            scenario.validate_config(cfg)
+        scenario.validate_config(dataclasses.replace(cfg, sim_duration_s=40.0))
 
     @pytest.mark.parametrize("key", FLOAT_LEAVES)
     def test_rejects_nan_naming_the_field(self, key):
