@@ -58,18 +58,22 @@ class ResourceDemand:
     feasible: bool
 
 
-def emulate_context(profile: UserProfile, horizon_slots: int,
-                    rng: np.random.Generator, *, t0_slot: int, slot_s: float,
+def emulate_context(profile: UserProfile, paths: netsim.UserPaths,
+                    horizon_slots: int, rng: np.random.Generator, *, t0_slot: int,
                     max_swipe_rate_per_min: float,
                     complexity_increases_with_speed: bool,
                     noise: float) -> np.ndarray:
-    """Predicted (B, C) trajectory over the horizon, bounded noise included."""
-    # netsim.behavior_env_trace per slot, with the speed-only C taken once
-    params = profile.swipe_rate_params
-    c = netsim.complexity_of_speed(profile.speed_kmh, complexity_increases_with_speed)
-    out = np.array([(netsim.behavior_of_rate(
-        netsim.swipe_rate(params, (t0_slot + i) * slot_s), max_swipe_rate_per_min), c)
-        for i in range(horizon_slots)], dtype=float).reshape(horizon_slots, 2)
+    """Predicted (B, C) trajectory over the horizon, bounded noise included.
+
+    B comes from the user's swipe rates in the run's path table (a stored
+    row that no reader has reached yet is filled here), through an array
+    clamp bit-equal to `netsim.behavior_of_rate`.  C depends on the speed
+    only."""
+    x = paths.swipes(profile.id, t0_slot, horizon_slots) / max_swipe_rate_per_min
+    out = np.empty((horizon_slots, 2))
+    out[:, 0] = 1.0 + np.minimum(np.maximum(x, 0.0), 1.0)
+    out[:, 1] = netsim.complexity_of_speed(profile.speed_kmh,
+                                           complexity_increases_with_speed)
     if noise > 0.0:
         out += rng.uniform(-noise, noise, out.shape)
         np.clip(out, 1.0, 2.0, out=out)
@@ -494,12 +498,12 @@ class Orchestrator(PolicyOrchestrator):
             out[block + 3 + i] = 1.0
         return out
 
-    def _member(self, state, user: int) -> UtilityConsts:
+    def _member(self, state, user: int, swipe: float) -> UtilityConsts:
         model = self.models[user]
         p = state.profiles[user]
-        b, c = netsim.behavior_env_trace(
-            p, state.t * state.slot_s, self.cfg.users.max_swipe_rate_per_min,
-            self.cfg.users.complexity_increases_with_speed)
+        b = netsim.behavior_of_rate(swipe, self.cfg.users.max_swipe_rate_per_min)
+        c = netsim.complexity_of_speed(p.speed_kmh,
+                                       self.cfg.users.complexity_increases_with_speed)
         return utility_consts(user, model.structure_index, p.ela,
                               qoe.impact(b, c, *model.impact_params),
                               state.runtime[user].eff_ewma, self.cfg)
@@ -507,6 +511,7 @@ class Orchestrator(PolicyOrchestrator):
     def replan(self, state) -> None:
         groups = cluster_users(self.models)
         shares = shares_from_actions(self.actions(state), sorted(groups))
+        swipes = state.paths.row(state.t)[2]
         # group budgets anchor on the slice reservations; the policy's shares
         # redistribute a bounded fraction of the reserved pool, so learned
         # corrections matter even when slices are saturated but never strip
@@ -525,7 +530,7 @@ class Orchestrator(PolicyOrchestrator):
                 bw_budget = ((1.0 - lam) * res_bw.get((g, bs), 0.0)
                              + share_bw * pool_bw.get(bs, 0.0))
                 cpu_budget = cpu_budget_g * len(cell_users) / len(members)
-                mems = [self._member(state, u) for u in cell_users]
+                mems = [self._member(state, u, swipes[u]) for u in cell_users]
                 # replanning every epoch tolerates a coarse inner solve
                 cell_alloc, _ = user_allocate(
                     mems, bw_budget, cpu_budget, max_iters=40,

@@ -16,7 +16,9 @@ heads is one wider BLAS call that accumulates in another order, and its
 results differ in the last bits.  Two summation orders are kept on
 purpose: Q arrays are made C-contiguous (n, D, A) before any reduction over
 the branch axis, and the trunk's input gradient adds the value-head term
-first and then each branch's term in branch order.
+first and then each branch's term in branch order, one in-place add per
+branch.  The branch terms are computed `_DH_CHUNK` branches at a time into
+one reused block, so the update holds no (D, n, H) array of them.
 
 Training is plain DQN-style TD learning with an experience replay buffer,
 a periodically synced target network, epsilon-greedy exploration and
@@ -38,6 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatch
+
+_DH_CHUNK = 8  # advantage branches whose input-gradient terms one block holds
 
 
 class Batch(NamedTuple):
@@ -188,16 +192,16 @@ def loss_and_gradients(net: BdqNetwork, batch: Batch, targets: np.ndarray):
     g_a[sel] += g_q.T
     grads["adv_w"] = np.matmul(h.T, g_a)
     grads["adv_b"] = g_a.sum(axis=1)
-    # dh adds the value term, then each branch's term, in branch order.  A
-    # sum over the leading axis adds slice by slice only while the other
-    # axes hold more than one element (numpy sums a lone axis pairwise), so
-    # every slice carries one spare element.
-    terms = np.empty((d_count + 1, h.size + 1))
-    terms[:, -1] = 0.0
-    heads = terms[:, :-1].reshape(d_count + 1, *h.shape)  # a view
-    heads[0] = g_v @ net.value_w.T
-    np.matmul(g_a, net.adv_w.transpose(0, 2, 1), out=heads[1:])
-    dh = terms.sum(axis=0)[:-1].reshape(h.shape)
+    # dh adds the value term, then each branch's term, in branch order; the
+    # branch terms come _DH_CHUNK at a time through one reused block
+    dh = g_v @ net.value_w.T
+    block = np.empty((min(_DH_CHUNK, d_count), *h.shape))
+    for c in range(0, d_count, _DH_CHUNK):
+        part = block[:min(_DH_CHUNK, d_count - c)]
+        np.matmul(g_a[c:c + _DH_CHUNK], net.adv_w[c:c + _DH_CHUNK].transpose(0, 2, 1),
+                  out=part)
+        for term in part:
+            dh += term
     # trunk
     for layer in reversed(range(len(net.trunk_w))):
         mask = acts[layer + 1] > 0.0

@@ -9,12 +9,23 @@ byte-identical across schemes: every slot draws shadowing for every
 (user, BS) pair plus one arrival uniform and one MOS uniform per user,
 regardless of the allocation decisions.
 
+A user's path draws no randomness: the serving BS (least mean path loss,
+the lowest BS index on ties), that BS's mean path loss and the swipe rate
+are functions of (user, slot) alone.  One `UserPaths` table per run holds
+them, and both lanes' states and the planners read it.  The evaluation
+lane re-walks slots that the bootstrap and training lanes walked before,
+and the planners read the slots ahead of the world step, so each row is
+filled once, on first use, by whichever reader reaches it first.  Storage
+stops at the evaluation span (`sim_duration_s / slot_s` slots), the one
+range every lane walks: training can walk ten times as far at the paper
+preset, and the rows past the span are computed per call and not kept.
+
 The world step (`advance_slots`) is one scalar kernel on Python floats.
 Each slot it
   1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
      turns both into lists;
-  2. moves every user and attaches it to the BS of least mean path loss
-     (`_attach`);
+  2. reads the slot's serving BSs, path losses and swipe rates from the
+     path table and attaches every user to its BS;
   3. calls the orchestrator, then per user in id order clips the request to
      what the slice caps have left, and steps the radio rate, the swipe
      arrival, the tier pick, the segment download, playback and the MOS mean.
@@ -23,18 +34,18 @@ of the call) over the sampled slots since the last map: the uniforms are
 drawn per slot as before, and only the records and period samples, which
 no orchestrator reads, hold the samples.  Mapping once per call would hold
 a whole window's pending rows at once (+2 MB peak on a 12-minute traced run).
-Per-user, per-BS and per-tier constants (swipe parameters, complexity, true
-alpha/beta, structure, MOS sigma, BS positions, tier qualities and costs)
-are built once by `SimState`.
+Per-user, per-BS and per-tier constants (complexity, true alpha/beta,
+structure, MOS sigma, tier qualities and costs) are built once by
+`SimState`.
 
-The kernel is scalar because a slot holds 16 users and 2 base stations at
-the paper presets, where numpy's per-call overhead outweighs its arithmetic,
-and because numpy's `log10`, `sin` and `exp` may differ from `math` in the
-last bit, which would move every artifact.  An array step belongs with a
-user-count axis far above 24 users.  For the same per-call reason the
-kernel inlines the swipe, playback, rate and QoS-times-impact arithmetic and
-writes `min`/`max` as conditionals.  The helpers (`swipe_rate`,
-`step_playback`, `qoe.qos_score`, ...) stay the one definition that other
+The kernel and the table's fill are scalar because a slot holds 16 users
+and 2 base stations at the paper presets, where numpy's per-call overhead
+outweighs its arithmetic, and because numpy's `log10`, `sin` and `exp` may
+differ from `math` in the last bit, which would move every artifact.  An
+array step belongs with a user-count axis far above 24 users.  For the same
+per-call reason the kernel inlines the playback, rate and QoS-times-impact
+arithmetic and writes `min`/`max` as conditionals.  The helpers
+(`step_playback`, `qoe.qos_score`, ...) stay the one definition that other
 callers use, and a reference test built on them holds the kernel to them
 bit for bit.
 """
@@ -108,15 +119,6 @@ def complexity_of_speed(speed_kmh: float,
     return 1.0 + min(max(frac, 0.0), 1.0)
 
 
-def behavior_env_trace(profile: UserProfile, t_s: float,
-                       max_swipe_rate_per_min: float,
-                       complexity_increases_with_speed: bool) -> tuple[float, float]:
-    """Ground-truth (B, C) at time t; both clamped into [1, 2]."""
-    return (behavior_of_rate(swipe_rate(profile.swipe_rate_params, t_s),
-                             max_swipe_rate_per_min),
-            complexity_of_speed(profile.speed_kmh, complexity_increases_with_speed))
-
-
 def pick_tier(rate_budget_bps: float, cpu_cps: float, levels_bps, costs_cps) -> int:
     """Highest tier whose bitrate fits the rate budget and whose transcode
     cost fits the compute grant; tier 0 when none does."""
@@ -156,6 +158,88 @@ class PathWalker:
                 return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
         return self.pts[-1]
 
+    def positions(self, t_s: np.ndarray) -> np.ndarray:
+        """`position` at each of the times, as an (n, 2) array.  The same
+        arithmetic on arrays, with `np.remainder` for `%` and `searchsorted`
+        for the scan, so every coordinate is bit-equal to `position`'s."""
+        t_s = np.asarray(t_s, dtype=float)
+        pts = np.array(self.pts)
+        if self.perimeter == 0.0:
+            return np.repeat(pts[:1], len(t_s), axis=0)
+        cum = np.array(self.cum)
+        s = np.remainder(self.speed_mps * t_s, self.perimeter)
+        i = np.searchsorted(cum[1:], s)  # the first leg that ends at or past s
+        seg_len = cum[i + 1] - cum[i]
+        moving = seg_len > 0
+        f = np.where(moving, (s - cum[i]) / np.where(moving, seg_len, 1.0), 0.0)
+        return pts[i] + f[:, None] * (pts[i + 1] - pts[i])
+
+
+class UserPaths:
+    """Each user's serving BS, that BS's mean path loss (dB) and the swipe
+    rate (after its clamp at 0), per slot, for one run.
+
+    Rows of the first `span` slots are stored, one `(span, users)` array per
+    column, and filled in slot order on first use; later rows are computed
+    per call and not stored.  The fill is the world step's scalar code.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
+        self.slot_s = cfg.slot_s
+        self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]
+        self._swipe = [p.swipe_rate_params for p in profiles]
+        self._bs_xy = [b.position for b in cfg.base_stations()]
+        self._ref_loss_db = cfg.channel.ref_loss_db
+        self._ten_n = 10.0 * cfg.channel.path_loss_exponent
+        self.span = int(cfg.sim_duration_s / cfg.slot_s)
+        shape = (self.span, len(profiles))
+        self.serving_bs = np.empty(shape, dtype=np.int8)
+        self.loss_db = np.empty(shape)
+        self.swipe = np.empty(shape)
+        self.filled = 0  # rows [0, filled) hold their values
+
+    def _walk(self, t: int) -> tuple[list[int], list[float], list[float]]:
+        """Slot t's row, computed: each user attaches to the BS of least mean
+        path loss (`mean_path_loss` at a distance of at least 1 m)."""
+        t_s = t * self.slot_s
+        ref, ten_n = self._ref_loss_db, self._ten_n
+        hypot, log10, inf = math.hypot, math.log10, math.inf
+        bs_xy = self._bs_xy
+        serving, losses = [], []
+        for walker in self.walkers:
+            x, y = walker.position(t_s)
+            best, best_loss = 0, inf
+            for j, (bx, by) in enumerate(bs_xy):
+                d = hypot(x - bx, y - by)
+                loss = ref + ten_n * log10(1.0 if 1.0 > d else d)
+                if loss < best_loss:
+                    best, best_loss = j, loss
+            serving.append(best)
+            losses.append(best_loss)
+        return serving, losses, [swipe_rate(params, t_s) for params in self._swipe]
+
+    def _fill(self, end: int) -> None:
+        for t in range(self.filled, end):
+            self.serving_bs[t], self.loss_db[t], self.swipe[t] = self._walk(t)
+        self.filled = max(self.filled, end)
+
+    def row(self, t: int) -> tuple[list[int], list[float], list[float]]:
+        """Slot t's serving BSs, path losses and swipe rates, one per user."""
+        if t >= self.span:
+            return self._walk(t)
+        self._fill(t + 1)
+        return (self.serving_bs[t].tolist(), self.loss_db[t].tolist(),
+                self.swipe[t].tolist())
+
+    def swipes(self, user: int, t0: int, n: int) -> np.ndarray:
+        """The user's swipe rates over slots [t0, t0 + n)."""
+        stored = min(t0 + n, self.span)
+        self._fill(stored)
+        params = self._swipe[user]
+        past = [swipe_rate(params, t * self.slot_s)
+                for t in range(max(t0, self.span), t0 + n)]
+        return np.concatenate((self.swipe[t0:stored, user], past))
+
 
 class _UserRuntime:
     __slots__ = ("tier", "seg_fluid", "buffer", "period_rebuffer", "rate_ewma",
@@ -179,7 +263,6 @@ class PeriodSample(NamedTuple):
 
 class _UserConsts(NamedTuple):
     """Per-user constants of the world step, built once per `SimState`."""
-    swipe: tuple[float, float, float]  # (mean, amplitude, period_s) per minute
     complexity: float  # C depends on the speed only
     structure: int
     alpha: float  # true impact parameters
@@ -188,16 +271,17 @@ class _UserConsts(NamedTuple):
 
 
 class SimState:
-    """Mutable world state for one simulation run."""
+    """Mutable world state for one simulation run, on the run's path table."""
 
-    def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
+    def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile],
+                 paths: UserPaths):
         self.cfg = cfg
         self.profiles = profiles
+        self.paths = paths
         self.base_stations = cfg.base_stations()
         self.channel = cfg.channel
         self.slot_s = cfg.slot_s
         self.period_slots = cfg.period_slots()
-        self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]
         self.runtime = [_UserRuntime() for _ in profiles]
         self.t = 0
         # the applied slice config and the per-BS bandwidth and total compute
@@ -207,7 +291,6 @@ class SimState:
         self.cpu_cap: float = cfg.edge.capacity_cps
         self.period_samples: list[PeriodSample] = []
         # pre-computed per-BS, per-tier and per-user constants
-        self._bs_xy = [b.position for b in self.base_stations]
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
                             for b in self.base_stations]
         levels = cfg.catalog.quality_levels_bps
@@ -215,7 +298,7 @@ class SimState:
         self._costs = [cfg.catalog.compute_cost_cps(r) for r in levels]
         pos_c = cfg.users.complexity_increases_with_speed
         self._users = [
-            _UserConsts(p.swipe_rate_params, complexity_of_speed(p.speed_kmh, pos_c),
+            _UserConsts(complexity_of_speed(p.speed_kmh, pos_c),
                         p.structure_index, *p.true_impact_params,
                         math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index]))
             for p in profiles]
@@ -252,28 +335,6 @@ def users_by_bs(state: SimState, users) -> dict[int, list[int]]:
     return out
 
 
-def _attach(state: SimState, t_s: float) -> list[float]:
-    """Serve every user from the BS of least mean path loss at time t_s (the
-    lowest BS index on ties); returns each user's loss to it, in dB."""
-    # mean_path_loss with its constants and the math functions bound once
-    ref = state.channel.ref_loss_db
-    ten_n = 10.0 * state.channel.path_loss_exponent
-    hypot, log10, inf = math.hypot, math.log10, math.inf
-    bs_xy = state._bs_xy
-    losses = []
-    for walker, rt in zip(state.walkers, state.runtime):
-        x, y = walker.position(t_s)
-        best, best_loss = 0, inf
-        for j, (bx, by) in enumerate(bs_xy):
-            d = hypot(x - bx, y - by)
-            loss = ref + ten_n * log10(1.0 if 1.0 > d else d)
-            if loss < best_loss:
-                best, best_loss = j, loss
-        rt.serving_bs = best
-        losses.append(best_loss)
-    return losses
-
-
 def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                   rng: np.random.Generator,
                   records: list[SlotRecord] | None = None) -> None:
@@ -299,14 +360,15 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     max_swipe = state.cfg.users.max_swipe_rate_per_min
     abr = state.cfg.playback.abr_safety
     period = state.period_slots
-    log2, exp, sin, floor = math.log2, math.exp, math.sin, math.floor
-    two_pi = 2.0 * math.pi
+    paths = state.paths
+    runtime = state.runtime
+    log2, exp, floor = math.log2, math.exp, math.floor
     slot_seg = slot + seg
     r_slope, q_slope = qoe.REBUFFER_SLOPE, qoe.QUALITY_SLOPE
     mos_lo, mos_hi = qoe.MOS_LO, qoe.MOS_HI
-    # per user: swipe (mean, amplitude, period), C, the C term of the
-    # impact factor, structure, alpha, MOS sigma and the runtime record
-    users = [(*uc.swipe, uc.complexity, uc.beta * (uc.complexity - 1.0),
+    # per user: C, the C term of the impact factor, structure, alpha, MOS
+    # sigma and the runtime record
+    users = [(uc.complexity, uc.beta * (uc.complexity - 1.0),
               uc.structure, uc.alpha, uc.mos_sigma, rt)
              for uc, rt in zip(state._users, state.runtime)]
     # MOS draws awaiting the truncated-normal map, in draw order
@@ -317,20 +379,19 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
 
     for step in range(n_slots):
         t = state.t
-        t_s = t * slot
-        wt = two_pi * t_s
         # fixed-order stochastic inputs (scheme-independent)
         shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
         uni = rng.random((k, 2)).tolist()
-        loss = _attach(state, t_s)
+        serving, loss, swipes = paths.row(t)
+        for rt, bs in zip(runtime, serving):
+            rt.serving_bs = bs
         alloc = orchestrator(state, step)
         bw_left = dict(state.bw_caps)
         cpu_left = state.cpu_cap
         period_end = (t + 1) % period == 0
         sampled = records is not None or period_end
 
-        for i, (sw_mean, sw_amp, sw_period, c, c_term, structure, alpha,
-                mos_sigma, rt) in enumerate(users):
+        for i, (c, c_term, structure, alpha, mos_sigma, rt) in enumerate(users):
             # `lo if lo > x else x` below is max(x, lo) and `hi if hi < x
             # else x` is min(x, hi), without the builtin's call
             # grant in user-id order from what the slice caps have left
@@ -350,8 +411,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
             # swipe arrival: abandon current video, fresh startup
-            swipe = sw_mean + sw_amp * sin(wt / sw_period)  # swipe_rate
-            swipe = 0.0 if 0.0 > swipe else swipe
+            swipe = swipes[i]
             if uni[i][0] < 1.0 - exp(-swipe / 60.0 * slot):
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0

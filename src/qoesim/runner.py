@@ -6,7 +6,11 @@ frozen windowed evaluation on an independent traffic lane.  Random streams
 are keyed per purpose so training randomness never leaks into evaluation
 traffic and all schemes consume identical scenario/traffic streams.
 Each evaluation window is planned from one emulated context trace: the
-window length and the slices read the same predicted future.
+window length and the slices read the same predicted future.  One
+`netsim.UserPaths` table per run holds every user's serving BS, path loss
+and swipe rate by slot; the bootstrap-and-training state, the evaluation
+state and the context emulator all read it, so the evaluation re-walks no
+slot that an earlier lane walked.
 """
 from __future__ import annotations
 
@@ -69,6 +73,7 @@ class SchemeRun:
         self.train_epochs = cfg.train.epochs if train_epochs is None else train_epochs
         self.policy_in = policy_in
         self.profiles = scenario.sample_users(cfg, _lane(seed, _LANE_USERS))
+        self.paths = netsim.UserPaths(cfg, self.profiles)
         self.elas = {p.id: p.ela for p in self.profiles}
         self.models: dict[int, qoe.QoEModel] = {}
         # the group policy, or the per-user one for PDRL-L1
@@ -83,7 +88,7 @@ class SchemeRun:
     def bootstrap(self, train_rng: np.random.Generator) -> netsim.SimState:
         cfg = self.cfg
         # no slice: the explorer shares out the hardware caps the state starts with
-        state = netsim.SimState(cfg, self.profiles)
+        state = netsim.SimState(cfg, self.profiles, self.paths)
         slots = int(cfg.agent.bootstrap_minutes * 60.0 / cfg.slot_s)
         explorer = bench.ExplorationOrchestrator(
             _lane(self.seed, _LANE_EXPLORE), cfg.agent.epoch_slots)
@@ -114,7 +119,7 @@ class SchemeRun:
         out = {}
         for p in self.profiles:
             out[p.id] = da1.emulate_context(
-                p, horizon, emu_rng, t0_slot=state.t, slot_s=cfg.slot_s,
+                p, self.paths, horizon, emu_rng, t0_slot=state.t,
                 max_swipe_rate_per_min=cfg.users.max_swipe_rate_per_min,
                 complexity_increases_with_speed=cfg.users.complexity_increases_with_speed,
                 noise=cfg.agent.context_noise)
@@ -126,9 +131,8 @@ class SchemeRun:
             return self.cfg.slicing.wo_da_window_min
         full = []
         for p in self.profiles:
-            walker = state.walkers[p.id]
-            pos = np.array([walker.position((state.t + i) * state.slot_s)
-                            for i in range(len(traces[p.id]))])
+            t_s = (state.t + np.arange(len(traces[p.id]))) * state.slot_s
+            pos = self.paths.walkers[p.id].positions(t_s)
             full.append(np.column_stack([traces[p.id], pos]))
         return da2.dynamics_to_window(full, self.cfg.slicing.dynamics_thresholds,
                                       self.cfg.slicing.window_minutes)
@@ -190,7 +194,7 @@ class SchemeRun:
 
     def evaluate(self) -> RunResult:
         cfg = self.cfg
-        state = netsim.SimState(cfg, self.profiles)
+        state = netsim.SimState(cfg, self.profiles, self.paths)
         eval_rng = _lane(self.seed, _LANE_EVAL)
         emu_rng = _lane(self.seed, _LANE_EMU_EVAL)
         orch = self.make_orchestrator()

@@ -316,6 +316,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     r = cfg.radio
     if r.num_bs < 1 or len(r.bs_x_m) < r.num_bs or len(r.bs_y_m) < r.num_bs:
         raise ValidationError("radio.num_bs exceeds provided coordinates")
+    if r.num_bs > 127:  # netsim.UserPaths stores a serving BS as an int8
+        raise ValidationError("radio.num_bs must be <= 127")
     if r.dl_bandwidth_hz <= 0:
         raise ValidationError("radio.dl_bandwidth_hz must be > 0")
     u = cfg.users

@@ -95,7 +95,7 @@ def mixed_models(k):
 def world(k):
     cfg = scenario.parse_overrides({"num_users": str(k), "preset_mode": "free"})
     profiles = scenario.sample_users(cfg, np.random.default_rng(0))
-    return cfg, netsim.SimState(cfg, profiles)
+    return cfg, netsim.SimState(cfg, profiles, netsim.UserPaths(cfg, profiles))
 
 
 class TestPdrlOrchestrator:

@@ -38,18 +38,20 @@ def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
     return da1.utility_consts(user, struct, ela, ibar, eff, PLAN)
 
 
-def emulate(p, horizon, rng, noise, t0_slot=0):
-    """`da1.emulate_context` on one-second slots at the default config's
-    swipe ceiling, complexity rising with speed."""
+def emulate(p, horizon, rng, noise, t0_slot=0, cfg=CFG):
+    """`da1.emulate_context` for the one user `p` on the config's slots (the
+    default config's are one second long) at its swipe ceiling, complexity
+    rising with speed."""
     return da1.emulate_context(
-        p, horizon, rng, t0_slot=t0_slot, slot_s=1.0,
-        max_swipe_rate_per_min=CFG.users.max_swipe_rate_per_min,
+        p, netsim.UserPaths(cfg, [p]), horizon, rng, t0_slot=t0_slot,
+        max_swipe_rate_per_min=cfg.users.max_swipe_rate_per_min,
         complexity_increases_with_speed=True, noise=noise)
 
 
 def env_trace(p, t_s):
-    return netsim.behavior_env_trace(p, t_s, CFG.users.max_swipe_rate_per_min,
-                                     complexity_increases_with_speed=True)
+    rate = netsim.swipe_rate(p.swipe_rate_params, t_s)
+    return (netsim.behavior_of_rate(rate, CFG.users.max_swipe_rate_per_min),
+            netsim.complexity_of_speed(p.speed_kmh, True))
 
 
 def solve(mems, bw, cpu, warm_start=None):
@@ -95,6 +97,28 @@ class TestEmulateContext:
         p = profile(2)
         traj = emulate(p, 1, np.random.default_rng(0), t0_slot=17, noise=0.0)
         assert tuple(traj[0]) == env_trace(p, 17.0)
+
+    @pytest.mark.parametrize("t0", [0, 45, 100], ids=["stored", "across", "past"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_bit_equal_to_the_slot_by_slot_trace(self, t0, noise):
+        # the path table stores 60 slots here: a horizon from t0 = 45 runs past
+        # them, and one from t0 = 100 lies wholly beyond
+        cfg = dataclasses.replace(CFG, sim_duration_s=60.0)
+        max_swipe = cfg.users.max_swipe_rate_per_min
+        for seed in range(8):
+            p = profile(seed)
+            c = netsim.complexity_of_speed(p.speed_kmh, True)
+            want = np.array([(netsim.behavior_of_rate(netsim.swipe_rate(
+                p.swipe_rate_params, (t0 + i) * cfg.slot_s), max_swipe), c)
+                for i in range(30)], dtype=float).reshape(30, 2)
+            rng = np.random.default_rng(seed)
+            if noise > 0.0:
+                want += rng.uniform(-noise, noise, want.shape)
+                np.clip(want, 1.0, 2.0, out=want)
+            rng_got = np.random.default_rng(seed)
+            got = emulate(p, 30, rng_got, noise=noise, t0_slot=t0, cfg=cfg)
+            assert got.tobytes() == want.tobytes()
+            assert rng_got.random() == rng.random()
 
     def test_noise_bounded_and_small_error(self):
         p = profile(3)

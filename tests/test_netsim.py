@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoesim import netsim, qoe, scenario
+from qoesim import da1, netsim, qoe, runner, scenario
+
+from test_public_names import loaded_names
 
 
 def default_channel():
@@ -39,7 +43,7 @@ def make_state(seed=1, **over):
     over.setdefault("preset_mode", "free")
     cfg = scenario.parse_overrides({k: str(v) for k, v in over.items()})
     profiles = scenario.sample_users(cfg, np.random.default_rng(seed))
-    return cfg, netsim.SimState(cfg, profiles)
+    return cfg, netsim.SimState(cfg, profiles, netsim.UserPaths(cfg, profiles))
 
 
 def run_under_slice(state, slc, orchestrator, rng, n_slots):
@@ -90,6 +94,14 @@ class TestStepPlayback:
         assert rebuf == 0.0
 
 
+def env_trace(profile, t_s, max_swipe_rate_per_min, complexity_increases_with_speed):
+    """Ground-truth (B, C) at time t from the package's definitions."""
+    rate = netsim.swipe_rate(profile.swipe_rate_params, t_s)
+    return (netsim.behavior_of_rate(rate, max_swipe_rate_per_min),
+            netsim.complexity_of_speed(profile.speed_kmh,
+                                       complexity_increases_with_speed))
+
+
 class TestBehaviorEnvTrace:
     def _profile(self, speed, mean, amp=0.0, period=300.0):
         return scenario.UserProfile(
@@ -97,25 +109,25 @@ class TestBehaviorEnvTrace:
             4.0, 1, (0.5, 0.5))
 
     def test_lower_bounds(self):
-        b, c = netsim.behavior_env_trace(self._profile(2.0, 0.0), 0.0,
+        b, c = env_trace(self._profile(2.0, 0.0), 0.0,
                                          max_swipe_rate_per_min=18.0,
                                          complexity_increases_with_speed=True)
         assert (b, c) == (1.0, 1.0)
 
     def test_upper_bounds(self):
-        b, c = netsim.behavior_env_trace(self._profile(40.0, 99.0), 0.0,
+        b, c = env_trace(self._profile(40.0, 99.0), 0.0,
                                          max_swipe_rate_per_min=18.0,
                                          complexity_increases_with_speed=True)
         assert (b, c) == (2.0, 2.0)
 
     def test_speed_midpoint(self):
-        _, c = netsim.behavior_env_trace(self._profile(21.0, 5.0), 0.0,
+        _, c = env_trace(self._profile(21.0, 5.0), 0.0,
                                          max_swipe_rate_per_min=18.0,
                                          complexity_increases_with_speed=True)
         assert c == pytest.approx(1.5)
 
     def test_inverted_complexity_flag(self):
-        _, c = netsim.behavior_env_trace(self._profile(40.0, 5.0), 0.0,
+        _, c = env_trace(self._profile(40.0, 5.0), 0.0,
                                          max_swipe_rate_per_min=18.0,
                                          complexity_increases_with_speed=False)
         assert c == 1.0
@@ -123,7 +135,7 @@ class TestBehaviorEnvTrace:
     def test_range_over_time(self):
         p = self._profile(25.0, 9.0, amp=3.0, period=120.0)
         for t in np.linspace(0, 600, 61):
-            b, c = netsim.behavior_env_trace(p, t, max_swipe_rate_per_min=18.0,
+            b, c = env_trace(p, t, max_swipe_rate_per_min=18.0,
                                              complexity_increases_with_speed=True)
             assert 1.0 <= b <= 2.0 and 1.0 <= c <= 2.0
 
@@ -202,7 +214,7 @@ class TestRunWindow:
         y0 = cfg.radio.bs_y_m[0]
         user = scenario.UserProfile(0, ((x0, y0), (x0, y0 + 100.0), (x0, y0)), 2.0,
                                     (6.0, 0.0, 300.0), 4.0, 1, (0.5, 0.5))
-        state = netsim.SimState(cfg, [user])
+        state = netsim.SimState(cfg, [user], netsim.UserPaths(cfg, [user]))
         recs = run_under_slice(state, full_slice(cfg), round_robin,
                                np.random.default_rng(1), 1)
         assert recs[0].serving_bs == 0
@@ -248,6 +260,63 @@ class TestPathWalker:
         # a full lap takes 40 s
         x, y = w.position(40.0)
         assert (x, y) == pytest.approx((0.0, 0.0))
+
+    # waypoints on a coarse grid, so that legs repeat a point (zero length)
+    # and a loop can collapse to one point (zero perimeter)
+    @settings(max_examples=60, deadline=None)
+    @given(pts=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        min_size=1, max_size=7),
+           scale=st.sampled_from([1.0, 37.5, 0.1]),
+           speed=st.floats(2.0, 40.0), slot_s=st.sampled_from([0.25, 1.0, 0.7]),
+           start=st.integers(0, 25_000), n=st.integers(0, 200))
+    def test_positions_bit_equal_to_position(self, pts, scale, speed, slot_s,
+                                             start, n):
+        w = netsim.PathWalker([(x * scale, y * scale) for x, y in pts], speed)
+        t_s = (start + np.arange(n)) * slot_s
+        want = np.array([w.position(t) for t in t_s.tolist()]).reshape(n, 2)
+        got = w.positions(t_s)
+        assert got.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_positions_of_a_single_point_loop(self):
+        w = netsim.PathWalker([(3.0, -2.0)], 10.0)
+        assert w.perimeter == 0.0
+        assert w.positions(np.arange(3.0)).tolist() == [[3.0, -2.0]] * 3
+
+
+class TestUserPaths:
+    def test_rows_match_a_fresh_walk_on_each_side_of_the_span(self):
+        cfg, state = make_state(num_users=5, sim_duration_s=20)
+        paths = state.paths
+        assert paths.span == 20
+        rows = [paths.row(t) for t in (25, 3, 19, 20, 0)]
+        assert paths.filled == 20  # row 19 filled every row before it
+        fresh = netsim.UserPaths(cfg, state.profiles)
+        assert rows == [fresh._walk(t) for t in (25, 3, 19, 20, 0)]
+        for u in range(5):
+            assert paths.swipes(u, 12, 15).tolist() == [
+                fresh._walk(t)[2][u] for t in range(12, 27)]
+
+    def test_stored_size_is_span_times_users_times_17_bytes(self):
+        cfg, state = make_state(num_users=7, sim_duration_s=30)
+        paths = state.paths
+        paths.row(100)
+        paths.swipes(3, 25, 50)
+        assert paths.filled == paths.span == 30
+        stored = paths.serving_bs.nbytes + paths.loss_db.nbytes + paths.swipe.nbytes
+        assert stored == 30 * 7 * 17
+
+
+def test_one_source_for_the_paths():
+    # the world step, the context emulator and the orchestrator read each
+    # user's serving BS, path loss and swipe rate from the run's path table
+    for module in (da1, runner):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        walks = {"swipe_rate", "behavior_env_trace", "position"}
+        assert sorted(loaded_names(tree) & walks) == []
+    tree = ast.parse(pathlib.Path(netsim.__file__).read_text(encoding="utf-8"))
+    assert "_attach" not in {node.name for node in ast.walk(tree)
+                             if isinstance(node, ast.FunctionDef)}
 
 
 # -- reference world step ------------------------------------------------------
@@ -325,7 +394,7 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
         shadow = rng.normal(0.0, 1.0, (k, n_bs))
         uni = rng.random((k, 2))
 
-        positions = [w.position(t_s) for w in state.walkers]
+        positions = [w.position(t_s) for w in state.paths.walkers]
         pl = np.empty((k, n_bs))
         for i, p in enumerate(state.profiles):
             x, y = positions[i]
@@ -448,3 +517,32 @@ class TestKernelMatchesReference:
                 step(state, orchestrator, n, rng, records)
             results.append((records, _world_state(state), rng.random()))
         assert results[0] == results[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(4, 16), slot_s=st.sampled_from([0.25, 1.0]),
+           seed=st.integers(0, 2**16), first=st.integers(0, 60),
+           calls=st.lists(st.integers(1, 23), min_size=1, max_size=4))
+    def test_table_filled_by_another_state(self, k, slot_s, seed, first, calls):
+        # a short span (10 s), so that the walks run past the stored rows
+        over = {"num_users": k, "slot_s": slot_s, "sim_duration_s": 10,
+                "radio.num_bs": 3, "radio.bs_x_m": "250, 750, 500",
+                "radio.bs_y_m": "500, 500, 900"}
+        results = []
+        for step, warm in ((netsim.advance_slots, False), (netsim.advance_slots, True),
+                           (ref_advance_slots, False)):
+            cfg, state = make_state(seed=seed, **over)
+            if warm:  # another state on the same table walks first
+                other = netsim.SimState(cfg, state.profiles, state.paths)
+                other.apply_slice(full_slice(cfg))
+                netsim.advance_slots(other, _hog, first,
+                                     np.random.default_rng(seed + 1))
+            state.apply_slice(full_slice(cfg))
+            orchestrator = _RandomRequests(seed)
+            rng = np.random.default_rng(seed)
+            records = []
+            # the last call ends past the span
+            for n in [*calls, max(state.paths.span + 1 - sum(calls), 1)]:
+                step(state, orchestrator, n, rng, records)
+            results.append((records, _world_state(state), rng.random()))
+        assert state.t > state.paths.span
+        assert results[0] == results[1] == results[2]

@@ -131,6 +131,16 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=re.escape(key)):
             scenario.validate_config(cfg)
 
+    def test_rejects_a_bs_index_past_int8(self):
+        # the path table stores each user's serving BS as an int8
+        coords = ", ".join(["500"] * 128)
+        cfg = scenario.parse_overrides({"radio.num_bs": "128", "radio.bs_x_m": coords,
+                                        "radio.bs_y_m": coords})
+        with pytest.raises(ValidationError, match=re.escape("radio.num_bs")):
+            scenario.validate_config(cfg)
+        scenario.validate_config(dataclasses.replace(
+            cfg, radio=dataclasses.replace(cfg.radio, num_bs=127)))
+
     def test_rejects_too_few_evaluation_samples(self):
         # one user over three periods would leave the summary's box
         # statistics three QoE samples; a fourth period gives them four
