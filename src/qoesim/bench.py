@@ -111,8 +111,9 @@ def hsla_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
 
 
 def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
-                      last_cpu: dict[int, float]) -> np.ndarray:
-    """Concatenated per-user feature blocks in user-id order."""
+                      alloc: dict[int, tuple[float, float]]) -> np.ndarray:
+    """Concatenated per-user feature blocks in user-id order; the load
+    feature is the user's compute grant in `alloc`, the last replan's."""
     cat = state.cfg.catalog
     cap = state.cpu_cap if state.cpu_cap > 0 else 1.0
     blocks = []
@@ -125,7 +126,7 @@ def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
             cat.quality_of(cat.quality_levels_bps[rt.tier]),
             min(rt.eff_ewma / 8.0, 1.0),
             (p.ela - 3.0) / 2.0,
-            min(last_cpu.get(p.id, 0.0) / cap, 1.0),
+            min(alloc.get(p.id, (0.0, 0.0))[1] / cap, 1.0),
             *one_hot,
         ])
     return np.concatenate(blocks)
@@ -143,7 +144,7 @@ class PdrlOrchestrator(da1.PolicyOrchestrator):
                          2 * len(models))
 
     def state_vector(self, state) -> np.ndarray:
-        return pdrl_state_vector(state, self.models, self._last_cpu)
+        return pdrl_state_vector(state, self.models, self.cached)
 
     def replan(self, state) -> None:
         k = len(state.profiles)

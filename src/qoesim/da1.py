@@ -60,20 +60,14 @@ class ResourceDemand:
 
 def emulate_context(profile: UserProfile, paths: netsim.UserPaths,
                     horizon_slots: int, rng: np.random.Generator, *, t0_slot: int,
-                    max_swipe_rate_per_min: float,
-                    complexity_increases_with_speed: bool,
                     noise: float) -> np.ndarray:
     """Predicted (B, C) trajectory over the horizon, bounded noise included.
 
-    B comes from the user's swipe rates in the run's path table (a stored
-    row that no reader has reached yet is filled here), through an array
-    clamp bit-equal to `netsim.behavior_of_rate`.  C depends on the speed
-    only."""
-    x = paths.swipes(profile.id, t0_slot, horizon_slots) / max_swipe_rate_per_min
+    B and C are the user's in the run's path table (a stored row that no
+    reader has reached yet is filled here)."""
     out = np.empty((horizon_slots, 2))
-    out[:, 0] = 1.0 + np.minimum(np.maximum(x, 0.0), 1.0)
-    out[:, 1] = netsim.complexity_of_speed(profile.speed_kmh,
-                                           complexity_increases_with_speed)
+    out[:, 0] = paths.behaviors(profile.id, t0_slot, horizon_slots)
+    out[:, 1] = paths.complexity[profile.id]
     if noise > 0.0:
         out += rng.uniform(-noise, noise, out.shape)
         np.clip(out, 1.0, 2.0, out=out)
@@ -438,7 +432,6 @@ class PolicyOrchestrator:
         self.epoch_slots = cfg.agent.epoch_slots
         self.forced: np.ndarray | None = None
         self.cached: dict[int, tuple[float, float]] = {}
-        self._last_cpu: dict[int, float] = {}
 
     def force(self, actions) -> None:
         """Replan from these branch actions instead of the policy's."""
@@ -454,7 +447,6 @@ class PolicyOrchestrator:
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
         if slot % self.epoch_slots == 0:
             self.replan(state)
-            self._last_cpu = {u: a[1] for u, a in self.cached.items()}
         return self.cached
 
 
@@ -489,7 +481,7 @@ class Orchestrator(PolicyOrchestrator):
                 continue
             members = groups[g]
             buf = float(np.mean([state.runtime[u].buffer for u in members]))
-            load = sum(self._last_cpu.get(u, 0.0) for u in members) / cap
+            load = sum(self.cached.get(u, (0.0, 0.0))[1] for u in members) / cap
             quality = float(np.mean([catalog.quality_of(
                 levels[state.runtime[u].tier]) for u in members]))
             block = i * GROUP_STATE_FEATURES
@@ -498,20 +490,17 @@ class Orchestrator(PolicyOrchestrator):
             out[block + 3 + i] = 1.0
         return out
 
-    def _member(self, state, user: int, swipe: float) -> UtilityConsts:
+    def _member(self, state, user: int, behavior: float) -> UtilityConsts:
         model = self.models[user]
-        p = state.profiles[user]
-        b = netsim.behavior_of_rate(swipe, self.cfg.users.max_swipe_rate_per_min)
-        c = netsim.complexity_of_speed(p.speed_kmh,
-                                       self.cfg.users.complexity_increases_with_speed)
-        return utility_consts(user, model.structure_index, p.ela,
-                              qoe.impact(b, c, *model.impact_params),
-                              state.runtime[user].eff_ewma, self.cfg)
+        impact = qoe.impact(behavior, state.paths.complexity[user],
+                            *model.impact_params)
+        return utility_consts(user, model.structure_index, state.profiles[user].ela,
+                              impact, state.runtime[user].eff_ewma, self.cfg)
 
     def replan(self, state) -> None:
         groups = cluster_users(self.models)
         shares = shares_from_actions(self.actions(state), sorted(groups))
-        swipes = state.paths.row(state.t)[2]
+        behaviors = state.paths.row(state.t)[3]
         # group budgets anchor on the slice reservations; the policy's shares
         # redistribute a bounded fraction of the reserved pool, so learned
         # corrections matter even when slices are saturated but never strip
@@ -530,7 +519,7 @@ class Orchestrator(PolicyOrchestrator):
                 bw_budget = ((1.0 - lam) * res_bw.get((g, bs), 0.0)
                              + share_bw * pool_bw.get(bs, 0.0))
                 cpu_budget = cpu_budget_g * len(cell_users) / len(members)
-                mems = [self._member(state, u, swipes[u]) for u in cell_users]
+                mems = [self._member(state, u, behaviors[u]) for u in cell_users]
                 # replanning every epoch tolerates a coarse inner solve
                 cell_alloc, _ = user_allocate(
                     mems, bw_budget, cpu_budget, max_iters=40,

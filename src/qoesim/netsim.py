@@ -9,23 +9,29 @@ byte-identical across schemes: every slot draws shadowing for every
 (user, BS) pair plus one arrival uniform and one MOS uniform per user,
 regardless of the allocation decisions.
 
-A user's path draws no randomness: the serving BS (least mean path loss,
-the lowest BS index on ties), that BS's mean path loss and the swipe rate
-are functions of (user, slot) alone.  One `UserPaths` table per run holds
-them, and both lanes' states and the planners read it.  The evaluation
-lane re-walks slots that the bootstrap and training lanes walked before,
-and the planners read the slots ahead of the world step, so each row is
-filled once, on first use, by whichever reader reaches it first.  Storage
-stops at the evaluation span (`sim_duration_s / slot_s` slots), the one
-range every lane walks: training can walk ten times as far at the paper
-preset, and the rows past the span are computed per call and not kept.
+A user's path and swipe process draw no randomness: the serving BS (least
+mean path loss, the lowest BS index on ties), that BS's mean path loss, the
+probability that a swipe arrives in the slot and the behavioral dynamics B
+are functions of (user, slot) alone, and the environmental complexity C is
+a function of the user.  One `UserPaths` table per run holds them, and both
+lanes' states and the planners read it.  B and C are stored, not derived by
+each reader, because three readers need them: the world step's MOS mean,
+the context emulator's trace and the L1 orchestrator's planning impact.
+The evaluation lane re-walks slots that the bootstrap and training lanes
+walked before, and the planners read the slots ahead of the world step, so
+each row is filled once, on first use, by whichever reader reaches it
+first.  Storage stops at the evaluation span (`ScenarioConfig.eval_slots`),
+the one range every lane walks: training can walk ten times as far at the
+paper preset, and the rows past the span are computed per call and not
+kept.
 
 The world step (`advance_slots`) is one scalar kernel on Python floats.
 Each slot it
   1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
      turns both into lists;
-  2. reads the slot's serving BSs, path losses and swipe rates from the
-     path table and attaches every user to its BS;
+  2. reads the slot's serving BSs, path losses, swipe-arrival
+     probabilities and B values from the path table and attaches every
+     user to its BS;
   3. calls the orchestrator, then per user in id order clips the request to
      what the slice caps have left, and steps the radio rate, the swipe
      arrival, the tier pick, the segment download, playback and the MOS mean.
@@ -34,9 +40,9 @@ of the call) over the sampled slots since the last map: the uniforms are
 drawn per slot as before, and only the records and period samples, which
 no orchestrator reads, hold the samples.  Mapping once per call would hold
 a whole window's pending rows at once (+2 MB peak on a 12-minute traced run).
-Per-user, per-BS and per-tier constants (complexity, true alpha/beta,
-structure, MOS sigma, tier qualities and costs) are built once by
-`SimState`.
+Per-user, per-BS and per-tier constants (the table's complexity, true
+alpha/beta, structure, MOS sigma, tier qualities and costs) are built once
+by `SimState`.
 
 The kernel and the table's fill are scalar because a slot holds 16 users
 and 2 base stations at the paper presets, where numpy's per-call overhead
@@ -176,31 +182,41 @@ class PathWalker:
 
 
 class UserPaths:
-    """Each user's serving BS, that BS's mean path loss (dB) and the swipe
-    rate (after its clamp at 0), per slot, for one run.
+    """Each user's path and swipe process, turned into the context that the
+    world step, the context emulator and the L1 orchestrator read.
 
-    Rows of the first `span` slots are stored, one `(span, users)` array per
-    column, and filled in slot order on first use; later rows are computed
-    per call and not stored.  The fill is the world step's scalar code.
+    Per slot and user it holds the serving BS, that BS's mean path loss
+    (dB), the probability that a swipe arrives in the slot and the
+    behavioral dynamics B of the swipe rate; per user it holds the
+    environmental complexity C (`complexity`).  Rows of the first `span`
+    slots are stored, one `(span, users)` array per column, and filled in
+    slot order on first use; later rows are computed per call and not
+    stored.  One scalar derivation fills both: `_walk` for a whole row,
+    through `_swipe_context` for the arrival probability and B.
     """
 
     def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
         self.slot_s = cfg.slot_s
         self.walkers = [PathWalker(p.waypoints, p.speed_kmh) for p in profiles]
         self._swipe = [p.swipe_rate_params for p in profiles]
+        self._max_swipe = cfg.users.max_swipe_rate_per_min
+        self.complexity = [complexity_of_speed(
+            p.speed_kmh, cfg.users.complexity_increases_with_speed) for p in profiles]
         self._bs_xy = [b.position for b in cfg.base_stations()]
         self._ref_loss_db = cfg.channel.ref_loss_db
         self._ten_n = 10.0 * cfg.channel.path_loss_exponent
-        self.span = int(cfg.sim_duration_s / cfg.slot_s)
+        self.span = cfg.eval_slots()
         shape = (self.span, len(profiles))
         self.serving_bs = np.empty(shape, dtype=np.int8)
         self.loss_db = np.empty(shape)
-        self.swipe = np.empty(shape)
+        self.arrival = np.empty(shape)
+        self.behavior = np.empty(shape)
         self.filled = 0  # rows [0, filled) hold their values
 
-    def _walk(self, t: int) -> tuple[list[int], list[float], list[float]]:
+    def _walk(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
         """Slot t's row, computed: each user attaches to the BS of least mean
-        path loss (`mean_path_loss` at a distance of at least 1 m)."""
+        path loss (`mean_path_loss` at a distance of at least 1 m), and the
+        swipe rate gives the arrival probability and B."""
         t_s = t * self.slot_s
         ref, ten_n = self._ref_loss_db, self._ten_n
         hypot, log10, inf = math.hypot, math.log10, math.inf
@@ -216,29 +232,38 @@ class UserPaths:
                     best, best_loss = j, loss
             serving.append(best)
             losses.append(best_loss)
-        return serving, losses, [swipe_rate(params, t_s) for params in self._swipe]
+        return (serving, losses, *self._swipe_context(t_s, self._swipe))
+
+    def _swipe_context(self, t_s: float, swipes) -> tuple[list[float], list[float]]:
+        """The swipe-arrival probability in the slot at t_s and B, one per
+        swipe process of `swipes`."""
+        rates = [swipe_rate(params, t_s) for params in swipes]
+        return ([1.0 - math.exp(-rate / 60.0 * self.slot_s) for rate in rates],
+                [behavior_of_rate(rate, self._max_swipe) for rate in rates])
 
     def _fill(self, end: int) -> None:
         for t in range(self.filled, end):
-            self.serving_bs[t], self.loss_db[t], self.swipe[t] = self._walk(t)
+            (self.serving_bs[t], self.loss_db[t], self.arrival[t],
+             self.behavior[t]) = self._walk(t)
         self.filled = max(self.filled, end)
 
-    def row(self, t: int) -> tuple[list[int], list[float], list[float]]:
-        """Slot t's serving BSs, path losses and swipe rates, one per user."""
+    def row(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
+        """Slot t's serving BSs, path losses, swipe-arrival probabilities and
+        B values, one per user."""
         if t >= self.span:
             return self._walk(t)
         self._fill(t + 1)
         return (self.serving_bs[t].tolist(), self.loss_db[t].tolist(),
-                self.swipe[t].tolist())
+                self.arrival[t].tolist(), self.behavior[t].tolist())
 
-    def swipes(self, user: int, t0: int, n: int) -> np.ndarray:
-        """The user's swipe rates over slots [t0, t0 + n)."""
+    def behaviors(self, user: int, t0: int, n: int) -> np.ndarray:
+        """The user's B over slots [t0, t0 + n)."""
         stored = min(t0 + n, self.span)
         self._fill(stored)
-        params = self._swipe[user]
-        past = [swipe_rate(params, t * self.slot_s)
+        swipe = self._swipe[user:user + 1]
+        past = [self._swipe_context(t * self.slot_s, swipe)[1][0]
                 for t in range(max(t0, self.span), t0 + n)]
-        return np.concatenate((self.swipe[t0:stored, user], past))
+        return np.concatenate((self.behavior[t0:stored, user], past))
 
 
 class _UserRuntime:
@@ -263,7 +288,7 @@ class PeriodSample(NamedTuple):
 
 class _UserConsts(NamedTuple):
     """Per-user constants of the world step, built once per `SimState`."""
-    complexity: float  # C depends on the speed only
+    complexity: float  # C, from the run's path table
     structure: int
     alpha: float  # true impact parameters
     beta: float
@@ -296,12 +321,10 @@ class SimState:
         levels = cfg.catalog.quality_levels_bps
         self._qualities = [cfg.catalog.quality_of(r) for r in levels]
         self._costs = [cfg.catalog.compute_cost_cps(r) for r in levels]
-        pos_c = cfg.users.complexity_increases_with_speed
         self._users = [
-            _UserConsts(complexity_of_speed(p.speed_kmh, pos_c),
-                        p.structure_index, *p.true_impact_params,
+            _UserConsts(c, p.structure_index, *p.true_impact_params,
                         math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index]))
-            for p in profiles]
+            for c, p in zip(paths.complexity, profiles)]
 
     # -- slice application ----------------------------------------------------
 
@@ -357,12 +380,11 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     qualities = state._qualities
     psd = state._psd_dbm_hz
     max_buf = state.cfg.playback.max_buffer_s
-    max_swipe = state.cfg.users.max_swipe_rate_per_min
     abr = state.cfg.playback.abr_safety
     period = state.period_slots
     paths = state.paths
     runtime = state.runtime
-    log2, exp, floor = math.log2, math.exp, math.floor
+    log2, floor = math.log2, math.floor
     slot_seg = slot + seg
     r_slope, q_slope = qoe.REBUFFER_SLOPE, qoe.QUALITY_SLOPE
     mos_lo, mos_hi = qoe.MOS_LO, qoe.MOS_HI
@@ -382,7 +404,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
         # fixed-order stochastic inputs (scheme-independent)
         shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
         uni = rng.random((k, 2)).tolist()
-        serving, loss, swipes = paths.row(t)
+        serving, loss, arrivals, behaviors = paths.row(t)
         for rt, bs in zip(runtime, serving):
             rt.serving_bs = bs
         alloc = orchestrator(state, step)
@@ -411,8 +433,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
             # swipe arrival: abandon current video, fresh startup
-            swipe = swipes[i]
-            if uni[i][0] < 1.0 - exp(-swipe / 60.0 * slot):
+            if uni[i][0] < arrivals[i]:
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
                 rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
@@ -443,9 +464,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
             buffer = rt.buffer = max_buf if max_buf < x else x
 
             if sampled:
-                x = swipe / max_swipe
-                x = 0.0 if 0.0 > x else x
-                b = 1.0 + (1.0 if 1.0 < x else x)  # behavior_of_rate
+                b = behaviors[i]
                 q = qualities[tier]
                 rb = rt.period_rebuffer
                 # qoe.qos_score * qoe.impact

@@ -7,10 +7,11 @@ are keyed per purpose so training randomness never leaks into evaluation
 traffic and all schemes consume identical scenario/traffic streams.
 Each evaluation window is planned from one emulated context trace: the
 window length and the slices read the same predicted future.  One
-`netsim.UserPaths` table per run holds every user's serving BS, path loss
-and swipe rate by slot; the bootstrap-and-training state, the evaluation
-state and the context emulator all read it, so the evaluation re-walks no
-slot that an earlier lane walked.
+`netsim.UserPaths` table per run holds every user's serving BS, path loss,
+swipe-arrival probability and B by slot, and C; the bootstrap-and-training
+state, the evaluation state, the context emulator and the L1 orchestrator
+all read it, so the evaluation re-walks no slot that an earlier lane
+walked and no reader derives a user's context itself.
 """
 from __future__ import annotations
 
@@ -115,15 +116,10 @@ class SchemeRun:
 
     def context_traces(self, state: netsim.SimState, horizon: int,
                        emu_rng: np.random.Generator) -> dict[int, np.ndarray]:
-        cfg = self.cfg
-        out = {}
-        for p in self.profiles:
-            out[p.id] = da1.emulate_context(
-                p, self.paths, horizon, emu_rng, t0_slot=state.t,
-                max_swipe_rate_per_min=cfg.users.max_swipe_rate_per_min,
-                complexity_increases_with_speed=cfg.users.complexity_increases_with_speed,
-                noise=cfg.agent.context_noise)
-        return out
+        return {p.id: da1.emulate_context(p, self.paths, horizon, emu_rng,
+                                          t0_slot=state.t,
+                                          noise=self.cfg.agent.context_noise)
+                for p in self.profiles}
 
     def dynamics_window(self, state: netsim.SimState,
                         traces: dict[int, np.ndarray]) -> float:
@@ -198,7 +194,7 @@ class SchemeRun:
         eval_rng = _lane(self.seed, _LANE_EVAL)
         emu_rng = _lane(self.seed, _LANE_EMU_EVAL)
         orch = self.make_orchestrator()
-        total_slots = int(cfg.sim_duration_s / cfg.slot_s)
+        total_slots = cfg.eval_slots()
         period = state.period_slots
         windows: list[WindowLog] = []
         records: list[netsim.SlotRecord] | None = [] if self.collect_slots else None

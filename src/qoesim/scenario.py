@@ -217,6 +217,10 @@ class ScenarioConfig:
         """Slots per QoE evaluation period (at least one)."""
         return max(int(round(self.playback.eval_period_s / self.slot_s)), 1)
 
+    def eval_slots(self) -> int:
+        """Slots of the frozen evaluation."""
+        return int(self.sim_duration_s / self.slot_s)
+
 
 def _coerce(raw: str, target_type, key: str):
     raw = raw.strip()
@@ -348,7 +352,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.playback.eval_period_s < cfg.slot_s:
         raise ValidationError("playback.eval_period_s must span at least one slot")
     # the evaluation advances whole periods: a partial one would run past the end
-    total_slots, period = int(cfg.sim_duration_s / cfg.slot_s), cfg.period_slots()
+    total_slots, period = cfg.eval_slots(), cfg.period_slots()
     if total_slots < period or total_slots % period:
         raise ValidationError(f"sim_duration_s must span a positive whole number of "
                               f"evaluation periods ({period} slots each)")

@@ -40,12 +40,10 @@ def member(user=0, struct=2, ela=4.0, ibar=0.8, eff=2.0):
 
 def emulate(p, horizon, rng, noise, t0_slot=0, cfg=CFG):
     """`da1.emulate_context` for the one user `p` on the config's slots (the
-    default config's are one second long) at its swipe ceiling, complexity
-    rising with speed."""
-    return da1.emulate_context(
-        p, netsim.UserPaths(cfg, [p]), horizon, rng, t0_slot=t0_slot,
-        max_swipe_rate_per_min=cfg.users.max_swipe_rate_per_min,
-        complexity_increases_with_speed=True, noise=noise)
+    default config's are one second long), swipe ceiling and complexity
+    (rising with speed)."""
+    return da1.emulate_context(p, netsim.UserPaths(cfg, [p]), horizon, rng,
+                               t0_slot=t0_slot, noise=noise)
 
 
 def env_trace(p, t_s):
@@ -71,11 +69,11 @@ def group_orch(groups, policy=None, rng=None):
     n_tiers = len(CAT.quality_levels_bps)
     if rng is None:
         runtime = [SimpleNamespace(buffer=10.0, tier=n_tiers // 2) for _ in groups]
-        orch._last_cpu = {u: 0.3 * cap for u in models}
+        orch.cached = {u: (0.0, 0.3 * cap) for u in models}
     else:
         runtime = [SimpleNamespace(buffer=rng.uniform(0, 30),
                                    tier=int(rng.integers(n_tiers))) for _ in groups]
-        orch._last_cpu = {u: rng.random() * cap / len(groups) for u in models}
+        orch.cached = {u: (0.0, rng.random() * cap / len(groups)) for u in models}
     return orch, SimpleNamespace(runtime=runtime, cpu_cap=cap)
 
 

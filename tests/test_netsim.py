@@ -294,29 +294,48 @@ class TestUserPaths:
         fresh = netsim.UserPaths(cfg, state.profiles)
         assert rows == [fresh._walk(t) for t in (25, 3, 19, 20, 0)]
         for u in range(5):
-            assert paths.swipes(u, 12, 15).tolist() == [
-                fresh._walk(t)[2][u] for t in range(12, 27)]
+            assert paths.behaviors(u, 12, 15).tolist() == [
+                fresh._walk(t)[3][u] for t in range(12, 27)]
 
-    def test_stored_size_is_span_times_users_times_17_bytes(self):
+    def test_behaviors_bit_equal_to_the_swipe_rate_on_each_side_of_the_span(self):
+        cfg, state = make_state(num_users=6, sim_duration_s=20)
+        paths = state.paths
+        max_swipe = cfg.users.max_swipe_rate_per_min
+        for p in state.profiles:
+            want = [netsim.behavior_of_rate(netsim.swipe_rate(
+                p.swipe_rate_params, t * cfg.slot_s), max_swipe) for t in range(8, 35)]
+            got = paths.behaviors(p.id, 8, 27)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_stored_size_is_span_times_users_times_25_bytes(self):
         cfg, state = make_state(num_users=7, sim_duration_s=30)
         paths = state.paths
         paths.row(100)
-        paths.swipes(3, 25, 50)
+        paths.behaviors(3, 25, 50)
         assert paths.filled == paths.span == 30
-        stored = paths.serving_bs.nbytes + paths.loss_db.nbytes + paths.swipe.nbytes
-        assert stored == 30 * 7 * 17
+        stored = sum(col.nbytes for col in (paths.serving_bs, paths.loss_db,
+                                            paths.arrival, paths.behavior))
+        assert stored == 30 * 7 * 25
 
 
 def test_one_source_for_the_paths():
     # the world step, the context emulator and the orchestrator read each
-    # user's serving BS, path loss and swipe rate from the run's path table
+    # user's serving BS, path loss, swipe-arrival probability, B and C from
+    # the run's path table
     for module in (da1, runner):
         tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
         walks = {"swipe_rate", "behavior_env_trace", "position"}
         assert sorted(loaded_names(tree) & walks) == []
+    derivations = {"complexity_of_speed", "behavior_of_rate", "swipe_rate"}
+    for path in pathlib.Path(netsim.__file__).parent.glob("*.py"):
+        if path.stem != "netsim":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert sorted(loaded_names(tree) & derivations) == [], path.stem
     tree = ast.parse(pathlib.Path(netsim.__file__).read_text(encoding="utf-8"))
-    assert "_attach" not in {node.name for node in ast.walk(tree)
-                             if isinstance(node, ast.FunctionDef)}
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_attach" not in functions
+    assert "exp" not in loaded_names(functions["advance_slots"])
 
 
 # -- reference world step ------------------------------------------------------

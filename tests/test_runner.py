@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qoesim import bench, da1, harness, learn, runner, scenario
+from qoesim import bench, da1, da2, harness, learn, runner, scenario
 from qoesim.bench import SchemeId
 
 from test_public_names import loaded_names
@@ -143,6 +143,34 @@ class TestSchemeRun:
         res = sr.evaluate()
         assert len(res.windows) > 1
         assert calls == list(range(cfg.num_users)) * len(res.windows)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "build_slices reads the serving-BS mirror on the state's runtime, "
+        "which a fresh state holds at BS 0 until its first slot (see CHANGES.md)"))
+    def test_each_window_is_planned_in_the_cells_of_its_first_slot(self, monkeypatch):
+        cfg = fast_cfg(sim_duration_s=720,
+                       **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
+                              train_epochs=0)
+        sr.fit_models(sr.bootstrap(np.random.default_rng(1)))
+        starts, cells = [], []
+        build, slice_window = sr.build_slices, da2.slice_window
+
+        def spy_build(state, traces):
+            starts.append(state.t)
+            return build(state, traces)
+
+        def spy_slice_window(members, *args):
+            cells.append([bs for _, (_, bs), _ in members])
+            return slice_window(members, *args)
+
+        monkeypatch.setattr(sr, "build_slices", spy_build)
+        monkeypatch.setattr(da2, "slice_window", spy_slice_window)
+        res = sr.evaluate()
+        first = sr.paths.row(0)[0]
+        if len(res.windows) < 2 or 1 not in first:
+            pytest.fail("the run must span windows and start a user at BS 1")
+        assert cells == [sr.paths.row(t)[0] for t in starts]
 
     def test_demand_rows_cover_all_users(self):
         cfg = fast_cfg()

@@ -282,6 +282,17 @@ class TestDomainTypes:
         assert cat.quality_of(3e6) == 1.0
         assert cat.quality_of(1.75e6) == pytest.approx(0.5)
 
+    def test_eval_slots_is_the_one_slot_count_of_the_evaluation(self):
+        cfg = scenario.parse_overrides({"sim_duration_s": "720", "slot_s": "0.25"})
+        assert cfg.eval_slots() == 2880
+        # every other reader of the duration asks eval_slots for the count
+        src = pathlib.Path(scenario.__file__).parent
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                        and getattr(node.left, "attr", None) == "sim_duration_s"):
+                    assert getattr(node.left.value, "id", None) == "self", path.stem
+
 
 # the functions that may raise ValidationError: config invariants live in
 # validate_config, and a sampled profile checks its own draws
