@@ -120,7 +120,7 @@ def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],
     for p in state.profiles:
         rt = state.runtime[p.id]
         struct = models[p.id].structure_index
-        one_hot = [1.0 if s == struct else 0.0 for s in (1, 2, 3)]
+        one_hot = [1.0 if s == struct else 0.0 for s in qoe.STRUCTURES]
         blocks.append([
             min(rt.buffer / state.cfg.playback.max_buffer_s, 1.0),
             cat.quality_of(cat.quality_levels_bps[rt.tier]),

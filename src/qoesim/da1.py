@@ -40,7 +40,7 @@ from . import learn, netsim, qoe
 from .errors import ShapeMismatch
 from .scenario import ScenarioConfig, UserProfile
 
-GROUPS = (1, 2, 3)
+GROUPS = qoe.STRUCTURES  # one policy group per QoE model structure
 GROUP_STATE_FEATURES = 6  # buffer, computing load, quality + 3 one-hot
 SHARE_LEVELS = 11  # {0.0, 0.1, ..., 1.0}
 SHORTFALL_WEIGHT = 2.0

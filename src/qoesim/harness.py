@@ -21,7 +21,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -44,9 +44,7 @@ class BoxStats:
     outliers: int
 
     def as_dict(self) -> dict:
-        return {"median": self.median, "q1": self.q1, "q3": self.q3,
-                "whisker_lo": self.whisker_lo, "whisker_hi": self.whisker_hi,
-                "outliers": self.outliers}
+        return asdict(self)
 
 
 def user_means(samples: list[netsim.PeriodSample]) -> dict[int, float]:

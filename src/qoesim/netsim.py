@@ -1,9 +1,11 @@
 """Time-slotted network simulation: mobility, wireless rates, video playback.
 
-One `SimState` holds everything mutable for a single run.
-`SimState.apply_slice` installs a slicing window's per-BS bandwidth and
-total compute caps, and `advance_slots` advances the state under them,
-pulling per-user allocations from an orchestrator callback each slot.
+One `SimState` holds only the world of a single run: its clock, each user's
+playback and rate record, and the slice caps.  `SimState.apply_slice`
+installs a slicing window's per-BS bandwidth and total compute caps, and
+`advance_slots` advances the state under them, pulling per-user allocations
+from an orchestrator callback each slot; it returns the period samples (the
+users' QoE feedback) that it draws, and keeps none.
 All randomness flows through one generator so the traffic stream is
 byte-identical across schemes: every slot draws shadowing for every
 (user, BS) pair plus one arrival uniform and one MOS uniform per user,
@@ -14,9 +16,10 @@ mean path loss, the lowest BS index on ties), that BS's mean path loss, the
 probability that a swipe arrives in the slot and the behavioral dynamics B
 are functions of (user, slot) alone, and the environmental complexity C is
 a function of the user.  One `UserPaths` table per run holds them, and both
-lanes' states and the planners read it.  B and C are stored, not derived by
-each reader, because three readers need them: the world step's MOS mean,
-the context emulator's trace and the L1 orchestrator's planning impact.
+lanes' states and the planners read it: no one else stores a user's cell.
+B and C are stored, not derived by each reader, because three readers need
+them: the world step's MOS mean, the context emulator's trace and the L1
+orchestrator's planning impact.
 The evaluation lane re-walks slots that the bootstrap and training lanes
 walked before, and the planners read the slots ahead of the world step, so
 each row is filled once, on first use, by whichever reader reaches it
@@ -30,8 +33,7 @@ Each slot it
   1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
      turns both into lists;
   2. reads the slot's serving BSs, path losses, swipe-arrival
-     probabilities and B values from the path table and attaches every
-     user to its BS;
+     probabilities and B values from the path table;
   3. calls the orchestrator, then per user in id order clips the request to
      what the slice caps have left, and steps the radio rate, the swipe
      arrival, the tier pick, the segment download, playback and the MOS mean.
@@ -40,9 +42,9 @@ of the call) over the sampled slots since the last map: the uniforms are
 drawn per slot as before, and only the records and period samples, which
 no orchestrator reads, hold the samples.  Mapping once per call would hold
 a whole window's pending rows at once (+2 MB peak on a 12-minute traced run).
-Per-user, per-BS and per-tier constants (the table's complexity, true
-alpha/beta, structure, MOS sigma, tier qualities and costs) are built once
-by `SimState`.
+Per-user, per-BS and per-tier constants (the table's complexity, the C
+term of the true impact factor, true alpha, structure, MOS sigma, tier
+qualities and costs) are built once by `SimState`.
 
 The kernel and the table's fill are scalar because a slot holds 16 users
 and 2 base stations at the paper presets, where numpy's per-call overhead
@@ -268,7 +270,7 @@ class UserPaths:
 
 class _UserRuntime:
     __slots__ = ("tier", "seg_fluid", "buffer", "period_rebuffer", "rate_ewma",
-                 "eff_ewma", "serving_bs")
+                 "eff_ewma")
 
     def __init__(self):
         self.tier = 0
@@ -277,22 +279,12 @@ class _UserRuntime:
         self.period_rebuffer = 0.0
         self.rate_ewma = 0.0
         self.eff_ewma = 1.0
-        self.serving_bs = 0
 
 
 class PeriodSample(NamedTuple):
     t: int
     user: int
     sample: qoe.FactorSample
-
-
-class _UserConsts(NamedTuple):
-    """Per-user constants of the world step, built once per `SimState`."""
-    complexity: float  # C, from the run's path table
-    structure: int
-    alpha: float  # true impact parameters
-    beta: float
-    mos_sigma: float
 
 
 class SimState:
@@ -314,17 +306,18 @@ class SimState:
         self.slice = None
         self.bw_caps = cfg.bw_caps()
         self.cpu_cap: float = cfg.edge.capacity_cps
-        self.period_samples: list[PeriodSample] = []
         # pre-computed per-BS, per-tier and per-user constants
         self._psd_dbm_hz = [b.tx_power_dbm - 10.0 * math.log10(b.dl_bandwidth_hz)
                             for b in self.base_stations]
         levels = cfg.catalog.quality_levels_bps
         self._qualities = [cfg.catalog.quality_of(r) for r in levels]
         self._costs = [cfg.catalog.compute_cost_cps(r) for r in levels]
-        self._users = [
-            _UserConsts(c, p.structure_index, *p.true_impact_params,
-                        math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index]))
-            for c, p in zip(paths.complexity, profiles)]
+        # per user, as the kernel unpacks it: C, the C term of the true impact
+        # factor, structure, true alpha, MOS sigma and the runtime record
+        self._users = [(c, p.true_impact_params[1] * (c - 1.0), p.structure_index,
+                        p.true_impact_params[0],
+                        math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index]), rt)
+                       for c, p, rt in zip(paths.complexity, profiles, self.runtime)]
 
     # -- slice application ----------------------------------------------------
 
@@ -350,24 +343,26 @@ class SimState:
 
 
 def users_by_bs(state: SimState, users) -> dict[int, list[int]]:
-    """Group user ids by serving BS, keeping the first-seen order of both
-    the base stations and the users within each."""
+    """Group user ids by serving BS in slot `state.t`, the one being stepped,
+    keeping the first-seen order of the base stations and of their users."""
+    serving = state.paths.row(state.t)[0]
     out: dict[int, list[int]] = {}
     for u in users:
-        out.setdefault(state.runtime[u].serving_bs, []).append(u)
+        out.setdefault(serving[u], []).append(u)
     return out
 
 
 def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                   rng: np.random.Generator,
-                  records: list[SlotRecord] | None = None) -> None:
-    """Advance the world n_slots, drawing all stochastic inputs in fixed order.
+                  records: list[SlotRecord] | None = None) -> list[PeriodSample]:
+    """Advance the world n_slots, drawing all stochastic inputs in fixed order,
+    and return the period samples drawn: one per user at each
+    evaluation-period end, in slot and then user-id order.
 
     Grants are clipped to the slice caps in user-id order.  `records` (when
-    given) gets one row per user and slot; `state.period_samples` gets one
-    per user at each evaluation-period end.  Both are filled at each period
-    end and when the call returns, after the MOS draws of the slots since
-    the last fill are mapped at once.
+    given) gets one row per user and slot.  Records and samples are
+    completed at each period end and when the call returns, after the MOS
+    draws of the slots since the last completion are mapped at once.
     """
     k = len(state.profiles)
     n_bs = len(state.base_stations)
@@ -383,16 +378,12 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
     abr = state.cfg.playback.abr_safety
     period = state.period_slots
     paths = state.paths
-    runtime = state.runtime
     log2, floor = math.log2, math.floor
     slot_seg = slot + seg
     r_slope, q_slope = qoe.REBUFFER_SLOPE, qoe.QUALITY_SLOPE
     mos_lo, mos_hi = qoe.MOS_LO, qoe.MOS_HI
-    # per user: C, the C term of the impact factor, structure, alpha, MOS
-    # sigma and the runtime record
-    users = [(uc.complexity, uc.beta * (uc.complexity - 1.0),
-              uc.structure, uc.alpha, uc.mos_sigma, rt)
-             for uc, rt in zip(state._users, state.runtime)]
+    users = state._users
+    samples: list[PeriodSample] = []
     # MOS draws awaiting the truncated-normal map, in draw order
     mus: list[float] = []
     sigmas: list[float] = []
@@ -405,8 +396,6 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
         shadow = rng.normal(0.0, 1.0, (k, n_bs)).tolist()
         uni = rng.random((k, 2)).tolist()
         serving, loss, arrivals, behaviors = paths.row(t)
-        for rt, bs in zip(runtime, serving):
-            rt.serving_bs = bs
         alloc = orchestrator(state, step)
         bw_left = dict(state.bw_caps)
         cpu_left = state.cpu_cap
@@ -418,7 +407,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
             # else x` is min(x, hi), without the builtin's call
             # grant in user-id order from what the slice caps have left
             bw_req, cpu_req = alloc.get(i, (0.0, 0.0))
-            bs = rt.serving_bs
+            bs = serving[i]
             left = bw_left[bs]
             bw = left if left < bw_req else bw_req
             cpu = cpu_left if cpu_left < cpu_req else cpu_req
@@ -485,10 +474,11 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                     rt.period_rebuffer = 0.0
         state.t += 1
         if pending and (period_end or step == n_slots - 1):
-            _emit_samples(state, records, pending, mus, sigmas, mos_unis)
+            _emit_samples(records, samples, pending, mus, sigmas, mos_unis)
+    return samples
 
 
-def _emit_samples(state: SimState, records: list[SlotRecord] | None,
+def _emit_samples(records: list[SlotRecord] | None, samples: list[PeriodSample],
                   pending: list[tuple[tuple, bool]], mus: list[float],
                   sigmas: list[float], unis: list[float]) -> None:
     """Map the pending MOS uniforms to truncated-normal samples in one call,
@@ -501,7 +491,7 @@ def _emit_samples(state: SimState, records: list[SlotRecord] | None,
         if records is not None:
             records.append(rec)
         if period_end:
-            state.period_samples.append(PeriodSample(rec.t, rec.user, qoe.FactorSample(
+            samples.append(PeriodSample(rec.t, rec.user, qoe.FactorSample(
                 mos, rec.rebuffer_period_s, rec.quality, rec.behavior, rec.complexity)))
     for pending_list in (pending, mus, sigmas, unis):
         pending_list.clear()

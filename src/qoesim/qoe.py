@@ -96,8 +96,8 @@ def eval_qoe(model: QoEModel, r, q, b, c):
     return np.minimum(np.maximum(e, MOS_LO), MOS_HI)
 
 
-def truncated_normal_from_uniform(mu, sigma, u, lo=MOS_LO, hi=MOS_HI):
-    """Inverse-CDF map of uniform draws to truncated-normal samples.
+def truncated_normal_from_uniform(mu, sigma, u):
+    """Inverse-CDF map of uniform draws to normal samples truncated to the MOS scale.
 
     Vectorized over mu/sigma/u.  One uniform per draw keeps the consumed
     stream length independent of the distribution parameters.
@@ -106,14 +106,14 @@ def truncated_normal_from_uniform(mu, sigma, u, lo=MOS_LO, hi=MOS_HI):
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
     if sigma.ndim == 0 and float(sigma) == 0.0:
-        return np.clip(mu, lo, hi) + 0.0 * u
+        return np.clip(mu, MOS_LO, MOS_HI) + 0.0 * u
     safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
-    a = ndtr((lo - mu) / safe_sigma)
-    b = ndtr((hi - mu) / safe_sigma)
+    a = ndtr((MOS_LO - mu) / safe_sigma)
+    b = ndtr((MOS_HI - mu) / safe_sigma)
     # Guard the fully-saturated tails where b - a underflows.
     span = np.maximum(b - a, 1e-300)
     x = mu + safe_sigma * ndtri(np.clip(a + u * span, 1e-300, 1.0 - 1e-16))
-    return np.clip(np.where(sigma > 0.0, x, mu), lo, hi)
+    return np.clip(np.where(sigma > 0.0, x, mu), MOS_LO, MOS_HI)
 
 
 class SampleColumns(NamedTuple):

@@ -9,9 +9,11 @@ Each evaluation window is planned from one emulated context trace: the
 window length and the slices read the same predicted future.  One
 `netsim.UserPaths` table per run holds every user's serving BS, path loss,
 swipe-arrival probability and B by slot, and C; the bootstrap-and-training
-state, the evaluation state, the context emulator and the L1 orchestrator
-all read it, so the evaluation re-walks no slot that an earlier lane
-walked and no reader derives a user's context itself.
+state, the evaluation state, the context emulator, the L1 orchestrator and
+the slice cells all read it, so no lane re-walks a slot and no reader
+derives or copies a user's context.  Each world step returns its period
+samples to the one phase that reads them: the fit, an epoch's reward or a
+window's log and refit.
 """
 from __future__ import annotations
 
@@ -86,28 +88,28 @@ class SchemeRun:
 
     # -- phase 1: bootstrap + model fitting ------------------------------------
 
-    def bootstrap(self, train_rng: np.random.Generator) -> netsim.SimState:
+    def bootstrap(self, train_rng: np.random.Generator
+                  ) -> tuple[netsim.SimState, list[netsim.PeriodSample]]:
+        """The training-lane state after the bootstrap, and the samples it drew."""
         cfg = self.cfg
         # no slice: the explorer shares out the hardware caps the state starts with
         state = netsim.SimState(cfg, self.profiles, self.paths)
         slots = int(cfg.agent.bootstrap_minutes * 60.0 / cfg.slot_s)
         explorer = bench.ExplorationOrchestrator(
             _lane(self.seed, _LANE_EXPLORE), cfg.agent.epoch_slots)
-        netsim.advance_slots(state, explorer, slots, train_rng)
-        return state
+        return state, netsim.advance_slots(state, explorer, slots, train_rng)
 
-    def fit_models(self, state: netsim.SimState) -> None:
+    def fit_models(self, samples: list[netsim.PeriodSample]) -> None:
         if not self.spec.fitted_models:
             generic = bench.generic_model(self.cfg)
             self.models = {p.id: generic for p in self.profiles}
             return
         by_user: dict[int, list[qoe.FactorSample]] = {}
-        for ps in state.period_samples:
+        for ps in samples:
             by_user.setdefault(ps.user, []).append(ps.sample)
         for p in self.profiles:
-            samples = by_user.get(p.id, [])
             try:
-                model = qoe.fit_best_structure(samples)
+                model = qoe.fit_best_structure(by_user.get(p.id, []))
             except qoe.InsufficientData:
                 model = bench.generic_model(self.cfg)
             self.models[p.id] = model
@@ -139,6 +141,10 @@ class SchemeRun:
         cfg = self.cfg
         effs = {p.id: state.runtime[p.id].eff_ewma for p in self.profiles}
         demands = self.spec.demand(self.models, self.elas, traces, effs, cfg)
+        # the last stepped slot's cells, BS 0 on a fresh state: ROADMAP item 11,
+        # whose fix reads `self.paths.row(state.t)[0]`, the window's first slot
+        cells = (self.paths.row(state.t - 1)[0] if state.t
+                 else [0] * len(self.profiles))
         members = []
         for p in self.profiles:
             model = self.models[p.id]
@@ -146,7 +152,7 @@ class SchemeRun:
                 p.id, model.structure_index, p.ela,
                 da1.mean_impact(model, traces[p.id]), effs[p.id], cfg)
             members.append((demands[p.id],
-                            (model.structure_index, state.runtime[p.id].serving_bs),
+                            (model.structure_index, cells[p.id]),
                             da1.slice_gain(c, demands[p.id])))
         slc = da2.slice_window(members, self._bs_caps, self._cpu_cap, cfg.slicing,
                                self.spec.game)
@@ -206,10 +212,8 @@ class SchemeRun:
             w_slots = max((w_slots // period) * period, period)
             slc, demands = self.build_slices(state, traces)
             start = state.t
-            mark = len(state.period_samples)
             state.apply_slice(slc)
-            netsim.advance_slots(state, orch, w_slots, eval_rng, records)
-            samples = state.period_samples[mark:]
+            samples = netsim.advance_slots(state, orch, w_slots, eval_rng, records)
             windows.append(WindowLog(len(windows), start, state.t, w_min, slc,
                                      demands, samples))
             self._maybe_refit(samples)
@@ -239,8 +243,9 @@ class SchemeRun:
     def execute(self) -> RunResult:
         # one continuous training-lane generator spans bootstrap and training
         train_rng = _lane(self.seed, _LANE_TRAIN)
-        state = self.bootstrap(train_rng)
-        self.fit_models(state)
+        state, samples = self.bootstrap(train_rng)
+        self.fit_models(samples)
+        del samples  # the fit is their one reader
         self.train_policies(state, train_rng)
         return self.evaluate()
 
@@ -277,11 +282,9 @@ class _TrainEnv:
 
     def step(self, actions):
         self.orch.force(actions)
-        mark = len(self.state.period_samples)
-        netsim.advance_slots(self.state, self.orch, self.run.cfg.agent.epoch_slots,
-                             self.traffic_rng)
-        reward = da1.epoch_reward(self.state.period_samples[mark:],
-                                  self.run.models, self.run.elas)
+        samples = netsim.advance_slots(self.state, self.orch,
+                                       self.run.cfg.agent.epoch_slots, self.traffic_rng)
+        reward = da1.epoch_reward(samples, self.run.models, self.run.elas)
         self.epoch_i += 1
         done = self.epoch_i >= self.episode_epochs
         return self.orch.state_vector(self.state), reward, done

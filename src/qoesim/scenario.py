@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .qoe import STRUCTURES
 
 PAPER_USER_COUNTS = (16, 18, 20, 22, 24)
 # a patrol loop's half-sides (metres) and its margin inside the region
@@ -51,8 +52,8 @@ class UserProfile:
             raise ValidationError(f"user {self.id}: speed_kmh outside [2, 40]")
         if not (3.0 <= self.ela <= 5.0):
             raise ValidationError(f"user {self.id}: ela outside [3, 5]")
-        if self.structure_index not in (1, 2, 3):
-            raise ValidationError(f"user {self.id}: structure_index not in {{1,2,3}}")
+        if self.structure_index not in STRUCTURES:
+            raise ValidationError(f"user {self.id}: structure_index not in {STRUCTURES}")
         if min(self.true_impact_params) < 0:
             raise ValidationError(f"user {self.id}: impact params must be >= 0")
         if len(self.waypoints) < 2:
@@ -494,7 +495,7 @@ def sample_users(cfg: ScenarioConfig, rng: np.random.Generator) -> list[UserProf
             speed_kmh=speed,
             swipe_rate_params=(max(mean, 0.5), amp, period),
             ela=ela,
-            structure_index=1 + i % 3,
+            structure_index=STRUCTURES[i % len(STRUCTURES)],
             true_impact_params=(alpha, beta),
         ))
     return profiles

@@ -105,8 +105,8 @@ class TestPdrlOrchestrator:
         orch = bench.PdrlOrchestrator(mixed_models(k), None, cfg)
         alloc = orch(state, 0)
         by_bs = {}
-        for p in state.profiles:
-            by_bs.setdefault(state.runtime[p.id].serving_bs, []).append(p.id)
+        for u, bs in enumerate(state.paths.row(state.t)[0]):
+            by_bs.setdefault(bs, []).append(u)
         for bs, users in by_bs.items():
             expect = state.bw_caps[bs] / len(users)
             for u in users:
@@ -150,8 +150,8 @@ class TestPdrlOrchestrator:
             rewards.clear()
             sr = runner.SchemeRun(cfg, scheme, 1, train_epochs=18)  # one episode
             rng = np.random.default_rng(0)
-            state = sr.bootstrap(rng)
-            sr.fit_models(state)
+            state, samples = sr.bootstrap(rng)
+            sr.fit_models(samples)
             sr.train_policies(state, rng)
             assert len(rewards) == 18
             assert sr.reward_curve == [float(np.mean(rewards))]

@@ -28,9 +28,7 @@ def full_slice(cfg, groups=(1, 2, 3)):
 
 
 def round_robin(state, t):
-    per_bs = {}
-    for p in state.profiles:
-        per_bs.setdefault(state.runtime[p.id].serving_bs, []).append(p.id)
+    per_bs = netsim.users_by_bs(state, [p.id for p in state.profiles])
     out = {}
     k = len(state.profiles)
     for bs, uids in per_bs.items():
@@ -241,13 +239,34 @@ class TestRunWindow:
     def test_period_samples_collected_and_reset(self):
         cfg, state = make_state(num_users=4)
         n_slots = 100
-        run_under_slice(state, full_slice(cfg), round_robin,
-                        np.random.default_rng(19), n_slots)
+        state.apply_slice(full_slice(cfg))
+        samples = netsim.advance_slots(state, round_robin, n_slots,
+                                       np.random.default_rng(19))
         periods = n_slots // state.period_slots
-        assert len(state.period_samples) == periods * 4
-        for ps in state.period_samples:
+        assert len(samples) == periods * 4
+        for ps in samples:
             assert 1.0 <= ps.sample.qoe <= 5.0
             assert ps.sample.r <= cfg.playback.eval_period_s + cfg.slot_s
+
+    def test_split_call_returns_the_samples_of_one_call(self):
+        # 30 slots end an evaluation period, so the split falls on a boundary
+        returned = []
+        for calls in ((60,), (30, 30)):
+            cfg, state = make_state(num_users=5)
+            state.apply_slice(full_slice(cfg))
+            assert 30 % state.period_slots == 0
+            rng = np.random.default_rng(23)
+            per_call = []
+            for n in calls:
+                start = state.t
+                samples = netsim.advance_slots(state, round_robin, n, rng)
+                ends = [t for t in range(start, state.t)
+                        if (t + 1) % state.period_slots == 0]
+                assert [(ps.t, ps.user) for ps in samples] == [
+                    (t, u) for t in ends for u in range(5)]
+                per_call.append(samples)
+            returned.append([ps for samples in per_call for ps in samples])
+        assert returned[0] == returned[1]
 
 
 class TestPathWalker:
@@ -336,6 +355,15 @@ def test_one_source_for_the_paths():
                  if isinstance(node, ast.FunctionDef)}
     assert "_attach" not in functions
     assert "exp" not in loaded_names(functions["advance_slots"])
+    # the table is the one per-user store of the serving BS, and what the
+    # step measured is returned, not kept on the state
+    assert "serving_bs" not in netsim._UserRuntime.__slots__
+    cfg, state = make_state(num_users=2)
+    assert not hasattr(state, "period_samples")
+    tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
+    cell_reads = {ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("serving_bs", "row")}
+    assert cell_reads == {"self.paths.row"}
 
 
 # -- reference world step ------------------------------------------------------
@@ -367,13 +395,13 @@ def ref_pick_tier(state, user, cpu_cps):
     return tier
 
 
-def ref_enforce_caps(state, alloc):
+def ref_enforce_caps(state, alloc, serving):
     bw_left = dict(state.bw_caps)
     cpu_left = state.cpu_cap
     out = {}
     for p in state.profiles:
         bw_req, cpu_req = alloc.get(p.id, (0.0, 0.0))
-        bs = state.runtime[p.id].serving_bs
+        bs = serving[p.id]
         bw = min(bw_req, bw_left[bs])
         cpu = min(cpu_req, cpu_left)
         bw_left[bs] -= bw
@@ -406,6 +434,7 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
     period = state.period_slots
     mos_sigmas = np.array([math.sqrt(qoe.STRUCTURE_VARIANCE[p.structure_index])
                            for p in state.profiles])
+    period_samples = []
 
     for step in range(n_slots):
         t = state.t
@@ -415,15 +444,16 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
 
         positions = [w.position(t_s) for w in state.paths.walkers]
         pl = np.empty((k, n_bs))
+        serving = []  # this step's own cells, not the path table's
         for i, p in enumerate(state.profiles):
             x, y = positions[i]
             for j, bs in enumerate(state.base_stations):
                 d = max(math.hypot(x - bs.position[0], y - bs.position[1]), 1.0)
                 pl[i, j] = netsim.mean_path_loss(d, state.channel)
-            state.runtime[i].serving_bs = int(np.argmin(pl[i]))
+            serving.append(int(np.argmin(pl[i])))
 
         alloc = orchestrator(state, step)
-        granted = ref_enforce_caps(state, alloc)
+        granted = ref_enforce_caps(state, alloc, serving)
 
         mus = np.empty(k)
         row_cache = []
@@ -475,10 +505,11 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
         if period_end:
             for i in range(k):
                 _, _, _, _, _, rb, q, b, c = row_cache[i]
-                state.period_samples.append(netsim.PeriodSample(
+                period_samples.append(netsim.PeriodSample(
                     t, i, qoe.FactorSample(float(samples[i]), rb, q, b, c)))
                 state.runtime[i].period_rebuffer = 0.0
         state.t += 1
+    return period_samples
 
 
 def _hog(state, t):
@@ -493,11 +524,12 @@ class _RandomRequests:
 
     def __call__(self, state, t):
         out = {}
+        serving = state.paths.row(state.t)[0]
         for p in state.profiles:
             u = self.rng.random(3)
             if u[0] < 0.2:
                 continue  # absent users get nothing
-            bs = state.runtime[p.id].serving_bs
+            bs = serving[p.id]
             out[p.id] = (2.0 * u[1] * state.bw_caps[bs], 2.0 * u[2] * state.cpu_cap)
         return out
 
@@ -510,7 +542,7 @@ ORCHESTRATORS = {"round_robin": lambda seed: round_robin,
 def _world_state(state):
     runtime = [tuple(getattr(rt, f) for f in netsim._UserRuntime.__slots__)
                for rt in state.runtime]
-    return state.t, runtime, state.period_samples
+    return state.t, runtime
 
 
 class TestKernelMatchesReference:
@@ -532,9 +564,9 @@ class TestKernelMatchesReference:
             orchestrator = ORCHESTRATORS[orch](seed)
             rng = np.random.default_rng(seed)
             records = [] if with_records else None
-            for n in calls:  # call lengths need not tile the period
-                step(state, orchestrator, n, rng, records)
-            results.append((records, _world_state(state), rng.random()))
+            # call lengths need not tile the period
+            samples = [step(state, orchestrator, n, rng, records) for n in calls]
+            results.append((records, samples, _world_state(state), rng.random()))
         assert results[0] == results[1]
 
     @settings(max_examples=25, deadline=None)
@@ -560,8 +592,8 @@ class TestKernelMatchesReference:
             rng = np.random.default_rng(seed)
             records = []
             # the last call ends past the span
-            for n in [*calls, max(state.paths.span + 1 - sum(calls), 1)]:
-                step(state, orchestrator, n, rng, records)
-            results.append((records, _world_state(state), rng.random()))
+            samples = [step(state, orchestrator, n, rng, records)
+                       for n in [*calls, max(state.paths.span + 1 - sum(calls), 1)]]
+            results.append((records, samples, _world_state(state), rng.random()))
         assert state.t > state.paths.span
         assert results[0] == results[1] == results[2]

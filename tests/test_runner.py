@@ -131,7 +131,7 @@ class TestSchemeRun:
         cfg = fast_cfg(sim_duration_s=720,
                        **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
         sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False, train_epochs=0)
-        sr.fit_models(sr.bootstrap(np.random.default_rng(1)))
+        sr.fit_models(sr.bootstrap(np.random.default_rng(1))[1])
         calls = []
         emulate = da1.emulate_context
 
@@ -145,14 +145,14 @@ class TestSchemeRun:
         assert calls == list(range(cfg.num_users)) * len(res.windows)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "build_slices reads the serving-BS mirror on the state's runtime, "
-        "which a fresh state holds at BS 0 until its first slot (see CHANGES.md)"))
+        "build_slices reads the cells of the last stepped slot, which are BS 0 "
+        "for every user on a fresh state (ROADMAP item 11)"))
     def test_each_window_is_planned_in_the_cells_of_its_first_slot(self, monkeypatch):
         cfg = fast_cfg(sim_duration_s=720,
                        **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
         sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
                               train_epochs=0)
-        sr.fit_models(sr.bootstrap(np.random.default_rng(1)))
+        sr.fit_models(sr.bootstrap(np.random.default_rng(1))[1])
         starts, cells = [], []
         build, slice_window = sr.build_slices, da2.slice_window
 
@@ -215,8 +215,8 @@ class TestSchemeRun:
         cfg = fast_cfg()
         sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
                               train_epochs=0)
-        state = sr.bootstrap(np.random.default_rng(1))
-        sr.fit_models(state)
+        state, samples = sr.bootstrap(np.random.default_rng(1))
+        sr.fit_models(samples)
         traces = sr.context_traces(state, 60, np.random.default_rng(2))
         calls = []
         real = da1.utility_consts
@@ -274,8 +274,8 @@ def test_trained_policy_has_the_orchestrators_shape(scheme, depth):
     sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False,
                           train_epochs=18)  # one episode
     rng = np.random.default_rng(0)
-    state = sr.bootstrap(rng)
-    sr.fit_models(state)
+    state, samples = sr.bootstrap(rng)
+    sr.fit_models(samples)
     sr.train_policies(state, rng)
     assert sr.policy.hidden == (cfg.train.hidden_width,) * depth
     orch = sr.make_orchestrator()
