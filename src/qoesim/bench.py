@@ -1,11 +1,11 @@
 """The four control schemes, each a record of five choices (`SchemeSpec`):
 
-| scheme   | models           | window   | demand rule   | L2 slicer     | L1 orchestrator        |
-|----------|------------------|----------|---------------|---------------|------------------------|
-| proposed | fitted, refitted | adaptive | ela_demands   | greedy + game | da1.Orchestrator       |
-| wo-da    | generic_model    | fixed    | wo_da_demands | greedy        | RoundRobinOrchestrator |
-| pdrl-l1  | fitted, refitted | adaptive | ela_demands   | greedy + game | PdrlOrchestrator       |
-| hsla-l2  | fitted, refitted | adaptive | hsla_demands  | greedy + game | da1.Orchestrator       |
+| scheme   | models           | window   | demand rule (impact)        | L2 slicer     | L1 orchestrator        |
+|----------|------------------|----------|-----------------------------|---------------|------------------------|
+| proposed | fitted, refitted | adaptive | ela_demands (window mean)   | greedy + game | da1.Orchestrator       |
+| wo-da    | generic_model    | fixed    | wo_da_demands (I(1.5, 1.5)) | greedy        | RoundRobinOrchestrator |
+| pdrl-l1  | fitted, refitted | adaptive | ela_demands (window mean)   | greedy + game | PdrlOrchestrator       |
+| hsla-l2  | fitted, refitted | adaptive | hsla_demands (1)            | greedy + game | da1.Orchestrator       |
 """
 from __future__ import annotations
 
@@ -86,28 +86,28 @@ def generic_model(cfg: ScenarioConfig) -> qoe.QoEModel:
 
 
 def ela_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
-                traces: dict[int, np.ndarray], effs: dict[int, float],
+                i_bars: dict[int, float], effs: dict[int, float],
                 cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
-    """Each user's demand for their ELA under their model and context trace."""
-    return {u: da1.predict_demand(models[u], elas[u], traces[u], effs[u], cfg, user=u)
+    """Each user's demand for their ELA at their window-mean impact."""
+    return {u: da1.predict_demand(models[u].structure_index, elas[u], i_bars[u],
+                                  effs[u], cfg, user=u)
             for u in elas}
 
 
 def wo_da_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
-                  traces: dict[int, np.ndarray], effs: dict[int, float],
+                  i_bars: dict[int, float], effs: dict[int, float],
                   cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
     """ELA demand at the population-average context and efficiency."""
     mean_eff = float(np.mean(list(effs.values())))
-    return ela_demands(models, elas, dict.fromkeys(elas, np.full((8, 2), 1.5)),
-                       dict.fromkeys(elas, mean_eff), cfg)
+    i_avg = {u: qoe.impact(1.5, 1.5, *models[u].impact_params) for u in elas}
+    return ela_demands(models, elas, i_avg, dict.fromkeys(elas, mean_eff), cfg)
 
 
 def hsla_demands(models: dict[int, qoe.QoEModel], elas: dict[int, float],
-                 traces: dict[int, np.ndarray], effs: dict[int, float],
+                 i_bars: dict[int, float], effs: dict[int, float],
                  cfg: ScenarioConfig) -> dict[int, da1.ResourceDemand]:
     """SLA-style ELA demand from the bare QoS score, ignoring the context."""
-    qos_only = {u: replace(m, impact_params=(0.0, 0.0)) for u, m in models.items()}
-    return ela_demands(qos_only, elas, traces, effs, cfg)
+    return ela_demands(models, elas, dict.fromkeys(elas, 1.0), effs, cfg)
 
 
 def pdrl_state_vector(state, models: dict[int, qoe.QoEModel],

@@ -87,39 +87,38 @@ def _stall_bandwidth(bitrate_bps: float, eff: float, stall_budget_s: float,
         eff * max(stall_budget_s, MIN_STALL_BUDGET_S))
 
 
-def predict_demand(model: qoe.QoEModel, ela: float, trajectory: np.ndarray,
+def predict_demand(structure_index: int, ela: float, i_bar: float,
                    eff_bps_per_hz: float, cfg: ScenarioConfig,
                    user: int) -> ResourceDemand:
-    """Minimum-cost (bandwidth, compute) meeting the ELA on window average.
+    """Minimum-cost (bandwidth, compute) meeting the ELA at the window-mean
+    impact `i_bar`.
 
     Scans the quality ladder after inverting the structure's QoS score in
     closed form; an unreachable ELA yields the max-quality demand flagged
     infeasible.
     """
     eff = max(eff_bps_per_hz, 1e-3)
-    i_bar = mean_impact(model, trajectory)
     feasible = ela / i_bar <= qoe.MOS_HI + 1e-9
     needed_s = (ela + cfg.agent.demand_margin_mos) / i_bar
     catalog = cfg.catalog
     levels = catalog.quality_levels_bps
-    struct = model.structure_index
 
     # Stall budget shrinks with the required score; structure 3 halves it to
     # leave slack for quality rounding.  Tier-independent, so the resulting
     # bandwidth stays monotone in the ELA.
     slack_s = max(qoe.MOS_HI - min(needed_s, qoe.MOS_HI), 0.0) / qoe.REBUFFER_SLOPE
-    if struct == 1:
+    if structure_index == 1:
         tier_rate = levels[0]
         stall_budget = slack_s
     else:
         q_star = (min(needed_s, qoe.MOS_HI) - 1.0) / qoe.QUALITY_SLOPE
         tier_rate = next(r for r in levels
                          if catalog.quality_of(r) >= q_star - 1e-9)
-        stall_budget = math.inf if struct == 2 else 0.5 * slack_s
+        stall_budget = math.inf if structure_index == 2 else 0.5 * slack_s
 
     if not feasible:
         tier_rate = levels[-1]
-        stall_budget = MIN_STALL_BUDGET_S if struct != 2 else math.inf
+        stall_budget = math.inf if structure_index == 2 else MIN_STALL_BUDGET_S
 
     bw = cfg.agent.demand_headroom * tier_rate / eff
     if stall_budget is not math.inf:

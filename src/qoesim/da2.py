@@ -106,24 +106,24 @@ def abstract_demand(members: list[Member], quantum_bw_hz: float,
     return DemandDistribution(cells, quantum_bw_hz, quantum_cpu_cps)
 
 
-def dynamics_to_window(traces: list[np.ndarray],
+def dynamics_to_window(traces: list[np.ndarray], positions: list[np.ndarray],
                        thresholds: tuple[float, float, float, float],
                        windows: tuple[float, ...]) -> float:
     """Map context volatility to a slice window length in minutes.
 
-    Each trace is an (n, 4) array of per-slot (B, C, x, y).  The dynamics
-    score averages the slot-to-slot delta spreads over users; higher scores
-    land in later stages, which index later (shorter) entries of the
-    `windows` ladder.
+    Each user has an (n, 2) trace of per-slot (B, C) and an (n, 2) array of
+    per-slot (x, y).  The dynamics score averages the slot-to-slot delta
+    spreads over users; higher scores land in later stages, which index
+    later (shorter) entries of the `windows` ladder.
     """
     scores = []
-    for tr in traces:
+    for tr, pos in zip(traces, positions):
         if len(tr) < 2:
             scores.append(0.0)
             continue
-        d = np.diff(tr, axis=0)
+        d, dp = np.diff(tr, axis=0), np.diff(pos, axis=0)
         scores.append(float(d[:, 0].std() + d[:, 1].std()
-                            + (d[:, 2].std() + d[:, 3].std()) / POSITION_SCALE_M))
+                            + (dp[:, 0].std() + dp[:, 1].std()) / POSITION_SCALE_M))
     score = float(np.mean(scores))
     stage = sum(score > th for th in thresholds)
     return windows[stage]

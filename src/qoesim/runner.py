@@ -5,9 +5,11 @@ samples and fit per-user QoE models; policy training for learned schemes;
 frozen windowed evaluation on an independent traffic lane.  Random streams
 are keyed per purpose so training randomness never leaks into evaluation
 traffic and all schemes consume identical scenario/traffic streams.
-Each evaluation window is planned from one emulated context trace: the
-window length and the slices read the same predicted future.  One
-`netsim.UserPaths` table per run holds every user's serving BS, path loss,
+`SchemeRun.plan_window` plans every window of both lanes (each evaluation
+window, each training episode): it emulates each user's context trace and
+derives their window-mean impact once; the demand rule and the slice gains
+read the impacts, the window length the traces.  One `netsim.UserPaths`
+table per run holds every user's serving BS, path loss,
 swipe-arrival probability and B by slot, and C; the bootstrap-and-training
 state, the evaluation state, the context emulator, the L1 orchestrator and
 the slice cells all read it, so no lane re-walks a slot and no reader
@@ -83,8 +85,6 @@ class SchemeRun:
         self.policy: learn.BdqNetwork | None = None
         self.reward_curve: list[float] = []
         self._recent: dict[int, list[qoe.FactorSample]] = {}
-        self._bs_caps = cfg.bw_caps()
-        self._cpu_cap = cfg.edge.capacity_cps
 
     # -- phase 1: bootstrap + model fitting ------------------------------------
 
@@ -116,47 +116,49 @@ class SchemeRun:
 
     # -- slicing path (shared by training and evaluation) -----------------------
 
-    def context_traces(self, state: netsim.SimState, horizon: int,
-                       emu_rng: np.random.Generator) -> dict[int, np.ndarray]:
-        return {p.id: da1.emulate_context(p, self.paths, horizon, emu_rng,
-                                          t0_slot=state.t,
-                                          noise=self.cfg.agent.context_noise)
-                for p in self.profiles}
+    def plan_window(self, state: netsim.SimState, horizon: int,
+                    emu_rng: np.random.Generator
+                    ) -> tuple[dict[int, np.ndarray], da2.SliceConfig,
+                               dict[int, da1.ResourceDemand]]:
+        """Plan the window that starts at `state.t` and apply its slice.
 
-    def dynamics_window(self, state: netsim.SimState,
-                        traces: dict[int, np.ndarray]) -> float:
-        if not self.spec.adaptive_window:
-            return self.cfg.slicing.wo_da_window_min
-        full = []
-        for p in self.profiles:
-            t_s = (state.t + np.arange(len(traces[p.id]))) * state.slot_s
-            pos = self.paths.walkers[p.id].positions(t_s)
-            full.append(np.column_stack([traces[p.id], pos]))
-        return da2.dynamics_to_window(full, self.cfg.slicing.dynamics_thresholds,
-                                      self.cfg.slicing.window_minutes)
-
-    def build_slices(self, state: netsim.SimState,
-                     traces: dict[int, np.ndarray]
-                     ) -> tuple[da2.SliceConfig, dict[int, da1.ResourceDemand]]:
+        Each user's emulated trace, efficiency and window-mean impact are
+        derived once; the scheme's demand rule and each user's slice gain
+        read them.  Returns the traces (the window length reads them), the
+        slice and the demands."""
         cfg = self.cfg
-        effs = {p.id: state.runtime[p.id].eff_ewma for p in self.profiles}
-        demands = self.spec.demand(self.models, self.elas, traces, effs, cfg)
-        # the last stepped slot's cells, BS 0 on a fresh state: ROADMAP item 11,
+        traces, i_bars, effs = {}, {}, {}
+        for p in self.profiles:
+            traces[p.id] = da1.emulate_context(p, self.paths, horizon, emu_rng,
+                                               t0_slot=state.t,
+                                               noise=cfg.agent.context_noise)
+            i_bars[p.id] = da1.mean_impact(self.models[p.id], traces[p.id])
+            effs[p.id] = state.runtime[p.id].eff_ewma
+        demands = self.spec.demand(self.models, self.elas, i_bars, effs, cfg)
+        # the last stepped slot's cells, BS 0 on a fresh state: ROADMAP item 2,
         # whose fix reads `self.paths.row(state.t)[0]`, the window's first slot
         cells = (self.paths.row(state.t - 1)[0] if state.t
                  else [0] * len(self.profiles))
         members = []
         for p in self.profiles:
-            model = self.models[p.id]
-            c = da1.utility_consts(
-                p.id, model.structure_index, p.ela,
-                da1.mean_impact(model, traces[p.id]), effs[p.id], cfg)
-            members.append((demands[p.id],
-                            (model.structure_index, cells[p.id]),
+            struct = self.models[p.id].structure_index
+            c = da1.utility_consts(p.id, struct, p.ela, i_bars[p.id], effs[p.id], cfg)
+            members.append((demands[p.id], (struct, cells[p.id]),
                             da1.slice_gain(c, demands[p.id])))
-        slc = da2.slice_window(members, self._bs_caps, self._cpu_cap, cfg.slicing,
-                               self.spec.game)
-        return slc, demands
+        slc = da2.slice_window(members, cfg.bw_caps(), cfg.edge.capacity_cps,
+                               cfg.slicing, self.spec.game)
+        state.apply_slice(slc)
+        return traces, slc, demands
+
+    def dynamics_window(self, state: netsim.SimState,
+                        traces: dict[int, np.ndarray]) -> float:
+        if not self.spec.adaptive_window:
+            return self.cfg.slicing.wo_da_window_min
+        t_s = (state.t + np.arange(len(traces[0]))) * state.slot_s
+        return da2.dynamics_to_window(
+            list(traces.values()),
+            [self.paths.walkers[p.id].positions(t_s) for p in self.profiles],
+            self.cfg.slicing.dynamics_thresholds, self.cfg.slicing.window_minutes)
 
     def make_orchestrator(self):
         if not self.spec.learned:
@@ -205,14 +207,12 @@ class SchemeRun:
         windows: list[WindowLog] = []
         records: list[netsim.SlotRecord] | None = [] if self.collect_slots else None
         while state.t < total_slots:
-            traces = self.context_traces(
+            traces, slc, demands = self.plan_window(
                 state, min(DYNAMICS_HORIZON_SLOTS, total_slots - state.t), emu_rng)
             w_min = self.dynamics_window(state, traces)
             w_slots = min(int(w_min * 60.0 / cfg.slot_s), total_slots - state.t)
             w_slots = max((w_slots // period) * period, period)
-            slc, demands = self.build_slices(state, traces)
             start = state.t
-            state.apply_slice(slc)
             samples = netsim.advance_slots(state, orch, w_slots, eval_rng, records)
             windows.append(WindowLog(len(windows), start, state.t, w_min, slc,
                                      demands, samples))
@@ -274,9 +274,7 @@ class _TrainEnv:
         run = self.run
         horizon = min(int(TRAIN_EPISODE_MINUTES * 60.0 / run.cfg.slot_s),
                       DYNAMICS_HORIZON_SLOTS)
-        traces = run.context_traces(self.state, horizon, self.emu_rng)
-        slc, _ = run.build_slices(self.state, traces)
-        self.state.apply_slice(slc)
+        run.plan_window(self.state, horizon, self.emu_rng)
         self.epoch_i = 0
         return self.orch.state_vector(self.state)
 

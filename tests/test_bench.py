@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesim import bench, da1, da2, learn, netsim, qoe, scenario
 from qoesim.bench import SchemeId
@@ -43,24 +47,25 @@ class TestWoDaDemands:
         # generic-model demand agree exactly
         mean = 0.5 * (CFG.users.impact_min + CFG.users.impact_max)
         model = qoe.QoEModel(3, (mean, mean), 0.5, 0)
-        traj = np.full((10, 2), 1.5)
+        i_bar = da1.mean_impact(model, np.full((10, 2), 1.5))
         elas = {u: 3.4 for u in range(4)}
-        # the rule reads neither the users' traces nor their own
+        # the rule reads neither the users' impacts nor their own
         # efficiencies, only the efficiencies' mean (2.0)
         generic = bench.wo_da_demands(
-            dict.fromkeys(elas, model), elas, dict.fromkeys(elas, np.ones((10, 2))),
+            dict.fromkeys(elas, model), elas, dict.fromkeys(elas, 1.0),
             dict(zip(elas, (1.0, 3.0, 1.5, 2.5))), PLAN)
         for u in elas:
-            mine = da1.predict_demand(model, elas[u], traj, 2.0, PLAN, user=u)
+            mine = da1.predict_demand(3, elas[u], i_bar, 2.0, PLAN, user=u)
             assert generic[u].bandwidth_hz == pytest.approx(mine.bandwidth_hz)
             assert generic[u].compute_cps == pytest.approx(mine.compute_cps)
             assert generic[u].feasible == mine.feasible
 
 
 def one_user(rule, model, ela, trajectory, eff_bps_per_hz):
-    """A demand rule's demand for one user (id -1)."""
-    return rule({-1: model}, {-1: ela}, {-1: trajectory}, {-1: eff_bps_per_hz},
-                PLAN)[-1]
+    """A demand rule's demand for one user (id -1) whose window-mean impact
+    is the model's over the trajectory."""
+    return rule({-1: model}, {-1: ela}, {-1: da1.mean_impact(model, trajectory)},
+                {-1: eff_bps_per_hz}, PLAN)[-1]
 
 
 class TestHslaDemand:
@@ -86,6 +91,63 @@ class TestHslaDemand:
         assert sla.feasible
         assert sla.compute_cps < mine.compute_cps
         assert sla.bandwidth_hz < mine.bandwidth_hz
+
+
+# The demand rules as they were when `da1.predict_demand` took a model and
+# a trace: the reference that the impact-taking rules are held to.
+def _old_predict_demand(model, ela, trajectory, eff, cfg, user):
+    return da1.predict_demand(model.structure_index, ela,
+                              da1.mean_impact(model, trajectory), eff, cfg, user=user)
+
+
+def _old_ela_demands(models, elas, traces, effs, cfg):
+    return {u: _old_predict_demand(models[u], elas[u], traces[u], effs[u], cfg, user=u)
+            for u in elas}
+
+
+def _old_wo_da_demands(models, elas, traces, effs, cfg):
+    mean_eff = float(np.mean(list(effs.values())))
+    return _old_ela_demands(models, elas, dict.fromkeys(elas, np.full((8, 2), 1.5)),
+                            dict.fromkeys(elas, mean_eff), cfg)
+
+
+def _old_hsla_demands(models, elas, traces, effs, cfg):
+    qos_only = {u: dataclasses.replace(m, impact_params=(0.0, 0.0))
+                for u, m in models.items()}
+    return _old_ela_demands(qos_only, elas, traces, effs, cfg)
+
+
+unit_st = st.floats(1.0, 2.0)
+user_st = st.tuples(
+    st.builds(qoe.QoEModel, st.integers(1, 3),
+              st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+              st.just(0.2), st.just(50)),
+    st.floats(1.0, 5.0),                                # ELA
+    st.lists(st.tuples(unit_st, unit_st), min_size=1, max_size=40),  # (B, C)
+    st.floats(0.0, 8.0))                                # efficiency
+
+
+def demand_bits(demands):
+    return {u: (d.user, d.bandwidth_hz.hex(), d.compute_cps.hex(), d.feasible)
+            for u, d in demands.items()}
+
+
+@pytest.mark.parametrize("rule, reference", [
+    (bench.ela_demands, _old_ela_demands),
+    (bench.wo_da_demands, _old_wo_da_demands),
+    (bench.hsla_demands, _old_hsla_demands)], ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None)
+@given(users=st.lists(user_st, min_size=1, max_size=6))
+def test_demand_rule_matches_its_trace_reference(rule, reference, users):
+    # each rule reads the window-mean impacts; its reference derives them
+    # from a model and a trace, as the rules once did
+    models = {u: m for u, (m, _, _, _) in enumerate(users)}
+    elas = {u: ela for u, (_, ela, _, _) in enumerate(users)}
+    traces = {u: np.array(tr) for u, (_, _, tr, _) in enumerate(users)}
+    effs = {u: eff for u, (_, _, _, eff) in enumerate(users)}
+    i_bars = {u: da1.mean_impact(models[u], traces[u]) for u in models}
+    assert (demand_bits(rule(models, elas, i_bars, effs, PLAN))
+            == demand_bits(reference(models, elas, traces, effs, PLAN)))
 
 
 def mixed_models(k):

@@ -133,8 +133,8 @@ class TestEmulateContext:
 class TestPredictDemand:
     def _demand(self, struct, ela, ibar_ctx=1.0, eff=2.0, alpha=0.0, beta=0.0):
         model = qoe.QoEModel(struct, (alpha, beta), 0.1, 100)
-        traj = np.full((60, 2), ibar_ctx)
-        return da1.predict_demand(model, ela, traj, eff, PLAN, user=-1)
+        i_bar = da1.mean_impact(model, np.full((60, 2), ibar_ctx))
+        return da1.predict_demand(struct, ela, i_bar, eff, PLAN, user=-1)
 
     def test_mos_floor_gives_min_tier(self):
         d = self._demand(2, 1.0)
@@ -158,8 +158,8 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (rng.uniform(0, 1), rng.uniform(0, 1)), 0.1, 50)
             traj = rng.uniform(1, 2, (40, 2))
             ela = rng.uniform(3, 5)
-            d = da1.predict_demand(model, ela, traj, 2.0, PLAN, user=-1)
             ibar = da1.mean_impact(model, traj)
+            d = da1.predict_demand(struct, ela, ibar, 2.0, PLAN, user=-1)
             achievable = []
             for r in CAT.quality_levels_bps:
                 e = qoe.qos_score(struct, 0.0, CAT.quality_of(r)) * ibar
@@ -186,14 +186,15 @@ class TestPredictDemand:
             model = qoe.QoEModel(struct, (alpha, beta), 0.1, 50)
             traj = rng.uniform(1, 2, (30, 2))
             elas = np.sort(rng.uniform(1, 5, 4))
-            bws = [da1.predict_demand(model, e, traj, 2.0, PLAN,
+            ibar = da1.mean_impact(model, traj)
+            bws = [da1.predict_demand(struct, e, ibar, 2.0, PLAN,
                                       user=-1).bandwidth_hz for e in elas]
             assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bws, bws[1:]))
             # shrinking the impact factor (harsher context) never lowers demand
             harsher = np.clip(traj + 0.4, 1, 2)
-            d_soft = da1.predict_demand(model, 4.0, traj, 2.0, PLAN, user=-1)
-            d_hard = da1.predict_demand(model, 4.0, harsher, 2.0, PLAN,
-                                         user=-1)
+            d_soft = da1.predict_demand(struct, 4.0, ibar, 2.0, PLAN, user=-1)
+            d_hard = da1.predict_demand(struct, 4.0, da1.mean_impact(model, harsher),
+                                        2.0, PLAN, user=-1)
             assert d_hard.bandwidth_hz >= d_soft.bandwidth_hz - 1e-9
 
 

@@ -112,29 +112,31 @@ class TestDynamicsToWindow:
 
     @staticmethod
     def trace(b_std, n=100, seed=0):
+        """One user's (B, C) trace and (x, y) positions."""
         rng = np.random.default_rng(seed)
         b = 1.5 + np.cumsum(rng.normal(0, b_std, n))
-        return np.column_stack([np.clip(b, 1, 2), np.full(n, 1.3),
-                                np.linspace(0, 50, n), np.zeros(n)])
+        return (np.column_stack([np.clip(b, 1, 2), np.full(n, 1.3)]),
+                np.column_stack([np.linspace(0, 50, n), np.zeros(n)]))
+
+    def window(self, trace, positions):
+        return da2.dynamics_to_window([trace], [positions], self.TH, self.LADDER)
 
     def test_static_users_longest_window(self):
-        tr = np.tile([1.2, 1.4, 100.0, 200.0], (50, 1))
-        assert da2.dynamics_to_window([tr], self.TH, self.LADDER) == 15.0
+        assert self.window(np.tile([1.2, 1.4], (50, 1)),
+                           np.tile([100.0, 200.0], (50, 1))) == 15.0
 
     def test_extreme_dynamics_shortest_window(self):
         rng = np.random.default_rng(3)
-        tr = np.column_stack([rng.uniform(1, 2, 200), rng.uniform(1, 2, 200),
-                              rng.uniform(0, 500, 200), rng.uniform(0, 500, 200)])
-        assert da2.dynamics_to_window([tr], self.TH, self.LADDER) == 3.0
+        b, c = rng.uniform(1, 2, 200), rng.uniform(1, 2, 200)
+        x, y = rng.uniform(0, 500, 200), rng.uniform(0, 500, 200)
+        assert self.window(np.column_stack([b, c]), np.column_stack([x, y])) == 3.0
 
     def test_mid_stage_window(self):
-        assert da2.dynamics_to_window([self.trace(0.05)], self.TH,
-                                      self.LADDER) == 9.0
+        assert self.window(*self.trace(0.05)) == 9.0
 
     def test_monotone_in_dynamics(self):
         stds = [0.0, 0.01, 0.03, 0.05, 0.09, 0.2]
-        windows = [da2.dynamics_to_window([self.trace(s, seed=4)], self.TH,
-                                          self.LADDER) for s in stds]
+        windows = [self.window(*self.trace(s, seed=4)) for s in stds]
         assert all(w1 >= w2 for w1, w2 in zip(windows, windows[1:]))
 
 

@@ -145,8 +145,8 @@ class TestSchemeRun:
         assert calls == list(range(cfg.num_users)) * len(res.windows)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "build_slices reads the cells of the last stepped slot, which are BS 0 "
-        "for every user on a fresh state (ROADMAP item 11)"))
+        "plan_window reads the cells of the last stepped slot, which are BS 0 "
+        "for every user on a fresh state (ROADMAP item 2)"))
     def test_each_window_is_planned_in_the_cells_of_its_first_slot(self, monkeypatch):
         cfg = fast_cfg(sim_duration_s=720,
                        **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
@@ -154,17 +154,17 @@ class TestSchemeRun:
                               train_epochs=0)
         sr.fit_models(sr.bootstrap(np.random.default_rng(1))[1])
         starts, cells = [], []
-        build, slice_window = sr.build_slices, da2.slice_window
+        plan, slice_window = sr.plan_window, da2.slice_window
 
-        def spy_build(state, traces):
+        def spy_plan(state, horizon, emu_rng):
             starts.append(state.t)
-            return build(state, traces)
+            return plan(state, horizon, emu_rng)
 
         def spy_slice_window(members, *args):
             cells.append([bs for _, (_, bs), _ in members])
             return slice_window(members, *args)
 
-        monkeypatch.setattr(sr, "build_slices", spy_build)
+        monkeypatch.setattr(sr, "plan_window", spy_plan)
         monkeypatch.setattr(da2, "slice_window", spy_slice_window)
         res = sr.evaluate()
         first = sr.paths.row(0)[0]
@@ -211,23 +211,53 @@ class TestSchemeRun:
             assert np.array_equal(p, q)
 
     def test_slice_curves_build_each_users_constants_once(self, monkeypatch):
-        # a user's planning curve reads the constants its slice gain built
+        # a user's planning curve reads the constants its slice gain built,
+        # and the demand rule and the constants read one window-mean impact
         cfg = fast_cfg()
         sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
                               train_epochs=0)
         state, samples = sr.bootstrap(np.random.default_rng(1))
         sr.fit_models(samples)
-        traces = sr.context_traces(state, 60, np.random.default_rng(2))
-        calls = []
-        real = da1.utility_consts
+        consts, impacts = [], []
+        real_consts, real_impact = da1.utility_consts, da1.mean_impact
 
-        def counted(user, *args):
-            calls.append(user)
-            return real(user, *args)
+        def counted_consts(user, *args):
+            consts.append(user)
+            return real_consts(user, *args)
 
-        monkeypatch.setattr(da1, "utility_consts", counted)
-        sr.build_slices(state, traces)
-        assert sorted(calls) == list(range(cfg.num_users))
+        def counted_impact(model, trajectory):
+            impacts.append(model)
+            return real_impact(model, trajectory)
+
+        monkeypatch.setattr(da1, "utility_consts", counted_consts)
+        monkeypatch.setattr(da1, "mean_impact", counted_impact)
+        sr.plan_window(state, 60, np.random.default_rng(2))
+        assert sorted(consts) == list(range(cfg.num_users))
+        assert impacts == [sr.models[u] for u in range(cfg.num_users)]
+
+    def test_training_episodes_are_planned_by_plan_window(self, monkeypatch):
+        cfg = fast_cfg()
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
+                              train_epochs=0)
+        state, samples = sr.bootstrap(np.random.default_rng(1))
+        sr.fit_models(samples)
+        env = runner._TrainEnv(sr, state, np.random.default_rng(2),
+                               np.random.default_rng(3), episode_epochs=1)
+        planned = []
+        plan = sr.plan_window
+
+        def spy_plan(state, horizon, emu_rng):
+            out = plan(state, horizon, emu_rng)
+            planned.append((state, out[1]))
+            return out
+
+        monkeypatch.setattr(sr, "plan_window", spy_plan)
+        env.reset()
+        # the episode's one plan is of the training-lane state, and its
+        # slice is the one installed
+        assert len(planned) == 1
+        assert planned[0][0] is state
+        assert state.slice is planned[0][1]
 
 
 class TestSchemeSpec:
