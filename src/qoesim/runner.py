@@ -135,10 +135,7 @@ class SchemeRun:
             i_bars[p.id] = da1.mean_impact(self.models[p.id], traces[p.id])
             effs[p.id] = state.runtime[p.id].eff_ewma
         demands = self.spec.demand(self.models, self.elas, i_bars, effs, cfg)
-        # the last stepped slot's cells, BS 0 on a fresh state: ROADMAP item 2,
-        # whose fix reads `self.paths.row(state.t)[0]`, the window's first slot
-        cells = (self.paths.row(state.t - 1)[0] if state.t
-                 else [0] * len(self.profiles))
+        cells = self.paths.row(state.t)[0]  # the window's first slot
         members = []
         for p in self.profiles:
             struct = self.models[p.id].structure_index

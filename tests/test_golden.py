@@ -19,14 +19,14 @@ TRAIN_EPOCHS = 20
 
 # (seed, scheme) -> (window ELA ratios, per-window slot records per tier index)
 GOLDEN = {
-    (1, SchemeId.PROPOSED): ([0.125], [[3214, 381, 222, 255, 306, 1382]]),
-    (1, SchemeId.WITHOUT_DA): ([0.125], [[2718, 92, 162, 204, 189, 2395]]),
-    (1, SchemeId.PDRL_L1): ([0.0625], [[3829, 148, 173, 353, 194, 1063]]),
-    (1, SchemeId.HSLA_L2): ([0.125], [[3326, 304, 210, 234, 308, 1378]]),
-    (2, SchemeId.PROPOSED): ([0.0], [[3992, 371, 210, 328, 212, 647]]),
-    (2, SchemeId.WITHOUT_DA): ([0.0], [[2562, 389, 368, 355, 345, 1741]]),
-    (2, SchemeId.PDRL_L1): ([0.0], [[3402, 497, 505, 466, 347, 543]]),
-    (2, SchemeId.HSLA_L2): ([0.0], [[3807, 499, 220, 302, 229, 703]]),
+    (1, SchemeId.PROPOSED): ([0.1875], [[669, 1058, 525, 266, 334, 2908]]),
+    (1, SchemeId.WITHOUT_DA): ([0.1875], [[133, 254, 287, 345, 416, 4325]]),
+    (1, SchemeId.PDRL_L1): ([0.0], [[1435, 715, 769, 497, 350, 1994]]),
+    (1, SchemeId.HSLA_L2): ([0.1875], [[1823, 356, 309, 500, 312, 2460]]),
+    (2, SchemeId.PROPOSED): ([0.0], [[1003, 552, 749, 769, 711, 1976]]),
+    (2, SchemeId.WITHOUT_DA): ([0.0], [[146, 473, 493, 428, 443, 3777]]),
+    (2, SchemeId.PDRL_L1): ([0.0], [[1676, 398, 506, 628, 761, 1791]]),
+    (2, SchemeId.HSLA_L2): ([0.0], [[1338, 724, 629, 505, 552, 2012]]),
 }
 
 

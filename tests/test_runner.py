@@ -144,9 +144,6 @@ class TestSchemeRun:
         assert len(res.windows) > 1
         assert calls == list(range(cfg.num_users)) * len(res.windows)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "plan_window reads the cells of the last stepped slot, which are BS 0 "
-        "for every user on a fresh state (ROADMAP item 2)"))
     def test_each_window_is_planned_in_the_cells_of_its_first_slot(self, monkeypatch):
         cfg = fast_cfg(sim_duration_s=720,
                        **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
