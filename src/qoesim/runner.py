@@ -9,13 +9,13 @@ traffic and all schemes consume identical scenario/traffic streams.
 window, each training episode): it emulates each user's context trace and
 derives their window-mean impact once; the demand rule and the slice gains
 read the impacts, the window length the traces.  One `netsim.UserPaths`
-table per run holds every user's serving BS, path loss,
-swipe-arrival probability and B by slot, and C; the bootstrap-and-training
-state, the evaluation state, the context emulator, the L1 orchestrator and
-the slice cells all read it, so no lane re-walks a slot and no reader
-derives or copies a user's context.  Each world step returns its period
-samples to the one phase that reads them: the fit, an epoch's reward or a
-window's log and refit.
+table per run holds every user's serving BS, path loss, swipe-arrival
+probability and B by slot, and C; the bootstrap-and-training state, the
+evaluation state, the context emulator, the L1 orchestrator and the slice
+cells all read it, so no lane re-walks a slot and no reader derives or
+copies a user's context.  Each world step returns its period samples to the
+one phase that reads them: the fit, an epoch's reward or a window's log and
+refit.
 """
 from __future__ import annotations
 
