@@ -29,25 +29,17 @@ class SchemeId(enum.Enum):
 PDRL_USER_FEATURES = 8  # buffer, quality, eff, ela + 3 structure one-hot + load
 
 
-def round_robin_allocate(users: list[int], budget: float) -> dict[int, float]:
-    """Equal split of a budget."""
-    if not users:
-        return {}
-    share = budget / len(users)
-    return {u: share for u in users}
-
-
 class RoundRobinOrchestrator:
     """Per-slot equal split of each BS pool and the compute pool."""
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
         users = [p.id for p in state.profiles]
-        cpu_share = round_robin_allocate(users, state.cpu_cap)
+        cpu_share = state.cpu_cap / len(users)
         out = {}
         for bs, bs_users in netsim.users_by_bs(state, users).items():
-            bw_share = round_robin_allocate(bs_users, state.bw_caps.get(bs, 0.0))
+            bw_share = state.bw_caps.get(bs, 0.0) / len(bs_users)
             for u in bs_users:
-                out[u] = (bw_share[u], cpu_share[u])
+                out[u] = (bw_share, cpu_share)
         return out
 
 

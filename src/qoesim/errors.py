@@ -13,10 +13,6 @@ class ValidationError(QoesimError):
     """A config or domain invariant is violated; message names the field."""
 
 
-class DomainError(QoesimError):
-    """Numeric argument outside its mathematical domain."""
-
-
 class ConfigError(QoesimError):
     """Runtime configuration inconsistent with the simulation state."""
 

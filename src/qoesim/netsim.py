@@ -22,11 +22,11 @@ them: the world step's MOS mean, the context emulator's trace and the L1
 orchestrator's planning impact.
 The evaluation lane re-walks slots that the bootstrap and training lanes
 walked before, and the planners read the slots ahead of the world step, so
-each row is filled once, on first use, by whichever reader reaches it
-first.  Storage stops at the evaluation span (`ScenarioConfig.eval_slots`),
-the one range every lane walks: training can walk ten times as far at the
-paper preset, and the rows past the span are computed per call and not
-kept.
+the table is filled when the run builds it; rows past the span are computed
+per call.  Storage stops at the evaluation span
+(`ScenarioConfig.eval_slots`), the one range every lane walks and the
+evaluation reads in full: training can walk ten times as far at the paper
+preset, and the rows past the span are not kept.
 
 The world step (`advance_slots`) is one scalar kernel on Python floats.
 Each slot it
@@ -142,12 +142,9 @@ class PathWalker:
 
     def __init__(self, waypoints, speed_kmh: float):
         self.pts = [(float(x), float(y)) for x, y in waypoints]
-        segs = []
         cum = [0.0]
         for (x0, y0), (x1, y1) in zip(self.pts, self.pts[1:]):
-            d = math.hypot(x1 - x0, y1 - y0)
-            segs.append(d)
-            cum.append(cum[-1] + d)
+            cum.append(cum[-1] + math.hypot(x1 - x0, y1 - y0))
         self.cum = cum
         self.perimeter = cum[-1]
         self.speed_mps = speed_kmh / 3.6
@@ -191,9 +188,9 @@ class UserPaths:
     (dB), the probability that a swipe arrives in the slot and the
     behavioral dynamics B of the swipe rate; per user it holds the
     environmental complexity C (`complexity`).  Rows of the first `span`
-    slots are stored, one `(span, users)` array per column, and filled in
-    slot order on first use; later rows are computed per call and not
-    stored.  One scalar derivation fills both: `_walk` for a whole row,
+    slots are stored, one `(span, users)` array per column, and filled when
+    the run builds the table; rows past the span are computed per call and
+    not stored.  One scalar derivation gives both: `_walk` for a whole row,
     through `_swipe_context` for the arrival probability and B.
     """
 
@@ -213,7 +210,9 @@ class UserPaths:
         self.loss_db = np.empty(shape)
         self.arrival = np.empty(shape)
         self.behavior = np.empty(shape)
-        self.filled = 0  # rows [0, filled) hold their values
+        for t in range(self.span):
+            (self.serving_bs[t], self.loss_db[t], self.arrival[t],
+             self.behavior[t]) = self._walk(t)
 
     def _walk(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
         """Slot t's row, computed: each user attaches to the BS of least mean
@@ -243,25 +242,17 @@ class UserPaths:
         return ([1.0 - math.exp(-rate / 60.0 * self.slot_s) for rate in rates],
                 [behavior_of_rate(rate, self._max_swipe) for rate in rates])
 
-    def _fill(self, end: int) -> None:
-        for t in range(self.filled, end):
-            (self.serving_bs[t], self.loss_db[t], self.arrival[t],
-             self.behavior[t]) = self._walk(t)
-        self.filled = max(self.filled, end)
-
     def row(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
         """Slot t's serving BSs, path losses, swipe-arrival probabilities and
         B values, one per user."""
         if t >= self.span:
             return self._walk(t)
-        self._fill(t + 1)
         return (self.serving_bs[t].tolist(), self.loss_db[t].tolist(),
                 self.arrival[t].tolist(), self.behavior[t].tolist())
 
     def behaviors(self, user: int, t0: int, n: int) -> np.ndarray:
         """The user's B over slots [t0, t0 + n)."""
         stored = min(t0 + n, self.span)
-        self._fill(stored)
         swipe = self._swipe[user:user + 1]
         past = [self._swipe_context(t * self.slot_s, swipe)[1][0]
                 for t in range(max(t0, self.span), t0 + n)]

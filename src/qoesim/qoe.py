@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, InsufficientData, UnknownStructure
+from .errors import InsufficientData, UnknownStructure
 
 MOS_LO = 1.0
 MOS_HI = 5.0
@@ -48,13 +48,6 @@ class QoEModel:
     fit_rmse: float
     sample_count: int
     converged: bool = True
-
-    def __post_init__(self):
-        if self.structure_index not in STRUCTURES:
-            raise UnknownStructure(f"structure_index={self.structure_index}")
-        a, b = self.impact_params
-        if a < 0 or b < 0 or self.fit_rmse < 0:
-            raise DomainError("impact params and rmse must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,6 @@ def truncated_normal_from_uniform(mu, sigma, u):
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u, dtype=float)
-    if sigma.ndim == 0 and float(sigma) == 0.0:
-        return np.clip(mu, MOS_LO, MOS_HI) + 0.0 * u
     safe_sigma = np.where(sigma > 0.0, sigma, 1.0)
     a = ndtr((MOS_LO - mu) / safe_sigma)
     b = ndtr((MOS_HI - mu) / safe_sigma)
@@ -141,13 +132,13 @@ def sample_columns(samples: list[FactorSample]) -> SampleColumns:
 
 
 def fit_columns(structure_index: int, cols: SampleColumns,
-                start: tuple[float, float] = (0.5, 0.5),
                 max_iter: int = 200) -> QoEModel:
     """Levenberg-Marquardt fit of (alpha, beta) with projection onto >= 0.
 
-    Deterministic given the samples (fixed start).  The accepted-step
-    objective is non-increasing by construction; convergence failure is
-    reported via the model's `converged` flag rather than an exception.
+    Deterministic given the samples (fixed start at (0.5, 0.5)).  The
+    accepted-step objective is non-increasing by construction; convergence
+    failure is reported via the model's `converged` flag rather than an
+    exception.
     """
     if len(cols.qoe) < 2:
         raise InsufficientData(f"need >= 2 samples, got {len(cols.qoe)}")
@@ -157,7 +148,7 @@ def fit_columns(structure_index: int, cols: SampleColumns,
     # S does not depend on (alpha, beta): only I and the prediction move
     s = qos_score(structure_index, cols.r, cols.q)
     eye = np.eye(2)
-    params = np.array(start, dtype=float)
+    params = np.array((0.5, 0.5))
     i = 1.0 / (1.0 + params[0] * b1 + params[1] * c1)
     pred = np.minimum(np.maximum(s * i, MOS_LO), MOS_HI)
     resid = qoe - pred

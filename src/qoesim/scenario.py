@@ -47,18 +47,6 @@ class UserProfile:
     structure_index: int
     true_impact_params: tuple[float, float]
 
-    def __post_init__(self):
-        if not (2.0 <= self.speed_kmh <= 40.0):
-            raise ValidationError(f"user {self.id}: speed_kmh outside [2, 40]")
-        if not (3.0 <= self.ela <= 5.0):
-            raise ValidationError(f"user {self.id}: ela outside [3, 5]")
-        if self.structure_index not in STRUCTURES:
-            raise ValidationError(f"user {self.id}: structure_index not in {STRUCTURES}")
-        if min(self.true_impact_params) < 0:
-            raise ValidationError(f"user {self.id}: impact params must be >= 0")
-        if len(self.waypoints) < 2:
-            raise ValidationError(f"user {self.id}: need at least 2 waypoints")
-
 
 # --- config blocks -----------------------------------------------------------
 

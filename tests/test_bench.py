@@ -14,17 +14,38 @@ from test_da1 import PLAN
 CFG = scenario.ScenarioConfig()
 
 
+def still_users_state(xs, bw_caps, cpu_cap):
+    """A state whose user u stands still at (xs[u], 500): next to BS 0 (at
+    x = 250) or BS 1 (at x = 750).  The state's caps are bw_caps and cpu_cap."""
+    cfg = scenario.ScenarioConfig(num_users=len(xs), preset_mode="free",
+                                  sim_duration_s=10.0)
+    profiles = [scenario.UserProfile(u, ((x, 500.0), (x, 500.0)), 2.0,
+                                     (6.0, 1.0, 300.0), 4.0, 3, (0.5, 0.5))
+                for u, x in enumerate(xs)]
+    state = netsim.SimState(cfg, profiles, netsim.UserPaths(cfg, profiles))
+    state.bw_caps = dict(enumerate(bw_caps))
+    state.cpu_cap = cpu_cap
+    return state
+
+
 class TestRoundRobinAllocate:
     def test_equal_division(self):
-        out = bench.round_robin_allocate([0, 1, 2, 3], 8e6)
-        assert all(v == 2e6 for v in out.values())
+        state = still_users_state([240.0, 260.0, 740.0, 760.0, 255.0], (9e6, 8e6), 10e9)
+        assert netsim.users_by_bs(state, range(5)) == {0: [0, 1, 4], 1: [2, 3]}
+        out = bench.RoundRobinOrchestrator()(state, 0)
+        assert out == {0: (3e6, 2e9), 1: (3e6, 2e9), 4: (3e6, 2e9),
+                       2: (4e6, 2e9), 3: (4e6, 2e9)}
 
     def test_single_user_full_budget(self):
-        assert bench.round_robin_allocate([7], 5e6) == {7: 5e6}
+        state = still_users_state([250.0, 260.0, 750.0], (8e6, 5e6), 9e9)
+        out = bench.RoundRobinOrchestrator()(state, 0)
+        assert out[2] == (5e6, 3e9)
 
     def test_permutation_equivariance(self):
-        a = bench.round_robin_allocate([3, 1, 2], 9e6)
-        b = bench.round_robin_allocate([1, 2, 3], 9e6)
+        state = still_users_state([740.0, 240.0, 260.0, 760.0], (9e6, 8e6), 6e9)
+        a = bench.RoundRobinOrchestrator()(state, 0)
+        state.profiles = state.profiles[::-1]
+        b = bench.RoundRobinOrchestrator()(state, 0)
         assert a == b
 
 

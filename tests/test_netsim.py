@@ -309,7 +309,6 @@ class TestUserPaths:
         paths = state.paths
         assert paths.span == 20
         rows = [paths.row(t) for t in (25, 3, 19, 20, 0)]
-        assert paths.filled == 20  # row 19 filled every row before it
         fresh = netsim.UserPaths(cfg, state.profiles)
         assert rows == [fresh._walk(t) for t in (25, 3, 19, 20, 0)]
         for u in range(5):
@@ -331,7 +330,7 @@ class TestUserPaths:
         paths = state.paths
         paths.row(100)
         paths.behaviors(3, 25, 50)
-        assert paths.filled == paths.span == 30
+        assert paths.span == 30
         stored = sum(col.nbytes for col in (paths.serving_bs, paths.loss_db,
                                             paths.arrival, paths.behavior))
         assert stored == 30 * 7 * 25

@@ -413,6 +413,7 @@ class TestFitMatchesReference:
             got = _outcome(fit_on, struct, samples, max_iter=max_iter)
             assert got == _outcome(ref_fit_model, struct, samples, max_iter=max_iter)
             if isinstance(got, qoe.QoEModel):
+                assert min(got.impact_params) >= 0.0 and got.fit_rmse >= 0.0
                 ll = log_likelihood(got, samples)
                 assert ll == ref_structure_log_likelihood(got, samples)
                 if ll > best_ll:

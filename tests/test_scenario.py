@@ -255,16 +255,25 @@ class TestSampleUsers:
         assert abs(np.mean(elas) - 4.0) < 0.02
 
     def test_profile_invariants_over_seeds(self):
-        cfg = scenario.ScenarioConfig()
-        for seed in range(25):
-            for p in scenario.sample_users(cfg, np.random.default_rng(seed)):
-                assert 2.0 <= p.speed_kmh <= 40.0
-                assert 3.0 <= p.ela <= 5.0
-                assert p.structure_index in (1, 2, 3)
-                assert all(v >= 0.2 for v in p.true_impact_params)
-                w, h = cfg.region.width_m, cfg.region.height_m
-                assert all(0 <= x <= w and 0 <= y <= h for x, y in p.waypoints)
-                assert p.waypoints[0] == p.waypoints[-1]
+        # the default config and the valid configs whose ranges are one point
+        for over in ({}, {"users.speed_min_kmh": "2", "users.speed_max_kmh": "2"},
+                     {"users.speed_min_kmh": "40", "users.speed_max_kmh": "40"},
+                     {"users.ela_min": "3", "users.ela_max": "3"},
+                     {"users.ela_min": "5", "users.ela_max": "5"},
+                     {"users.impact_min": "0", "users.impact_max": "0"}):
+            cfg = scenario.validate_config(scenario.parse_overrides(over))
+            u = cfg.users
+            w, h = cfg.region.width_m, cfg.region.height_m
+            for seed in range(25):
+                for p in scenario.sample_users(cfg, np.random.default_rng(seed)):
+                    assert u.speed_min_kmh <= p.speed_kmh <= u.speed_max_kmh
+                    assert u.ela_min <= p.ela <= u.ela_max
+                    assert p.structure_index in (1, 2, 3)
+                    assert all(u.impact_min <= v <= u.impact_max
+                               for v in p.true_impact_params)
+                    assert len(p.waypoints) == 5
+                    assert all(0 <= x <= w and 0 <= y <= h for x, y in p.waypoints)
+                    assert p.waypoints[0] == p.waypoints[-1]
 
     def test_smallest_valid_region_holds_every_loop(self):
         side = "420"
@@ -295,9 +304,8 @@ class TestDomainTypes:
 
 
 # the functions that may raise ValidationError: config invariants live in
-# validate_config, and a sampled profile checks its own draws
-VALIDATORS = {"scenario.validate_config", "scenario.parse_overrides",
-              "scenario.UserProfile.__post_init__"}
+# validate_config
+VALIDATORS = {"scenario.validate_config", "scenario.parse_overrides"}
 
 
 def raised_name(exc: ast.expr | None) -> str | None:
