@@ -46,11 +46,14 @@ Per-user, per-BS and per-tier constants (the table's complexity, the C
 term of the true impact factor, true alpha, structure, MOS sigma, tier
 qualities and costs) are built once by `SimState`.
 
-The kernel and the table's fill are scalar because a slot holds 16 users
-and 2 base stations at the paper presets, where numpy's per-call overhead
-outweighs its arithmetic, and because numpy's `log10`, `sin` and `exp` may
-differ from `math` in the last bit, which would move every artifact.  An
-array step belongs with a user-count axis far above 24 users.  For the same
+The kernel is scalar because a slot holds 16 users and 2 base stations at
+the paper presets, where numpy's per-call overhead outweighs its
+arithmetic, and because numpy's `log10`, `sin` and `exp` may differ from
+`math` in the last bit, which would move every artifact.  An array step
+belongs with a user-count axis far above 24 users.  The table's fill runs
+along the slot axis instead, one user column of the whole span at a time:
+numpy does the exact arithmetic and `math`'s transcendentals are mapped
+over lists, so every stored row is bit-equal to the scalar `_walk`.  For the same
 per-call reason the kernel inlines the playback, rate and QoS-times-impact
 arithmetic and writes `min`/`max` as conditionals.  The helpers
 (`step_playback`, `qoe.qos_score`, ...) stay the one definition that other
@@ -189,9 +192,11 @@ class UserPaths:
     behavioral dynamics B of the swipe rate; per user it holds the
     environmental complexity C (`complexity`).  Rows of the first `span`
     slots are stored, one `(span, users)` array per column, and filled when
-    the run builds the table; rows past the span are computed per call and
-    not stored.  One scalar derivation gives both: `_walk` for a whole row,
-    through `_swipe_context` for the arrival probability and B.
+    the run builds the table, one user column at a time (`_walk_user`);
+    rows past the span are computed per call and not stored.  `_walk` is
+    the scalar derivation of a whole row, through `_swipe_context` for the
+    arrival probability and B: it computes the rows past the span, and the
+    stored rows are bit-equal to it.
     """
 
     def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
@@ -210,9 +215,35 @@ class UserPaths:
         self.loss_db = np.empty(shape)
         self.arrival = np.empty(shape)
         self.behavior = np.empty(shape)
-        for t in range(self.span):
-            (self.serving_bs[t], self.loss_db[t], self.arrival[t],
-             self.behavior[t]) = self._walk(t)
+        t_s = np.arange(self.span) * self.slot_s
+        for u, walker in enumerate(self.walkers):
+            (self.serving_bs[:, u], self.loss_db[:, u], self.arrival[:, u],
+             self.behavior[:, u]) = self._walk_user(u, walker.positions(t_s), t_s)
+
+    def _walk_user(self, u: int, xy: np.ndarray, t_s: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """User u's column of `_walk` at the times t_s, where it stands at xy:
+        the same arithmetic, exact operations in numpy and `math`'s
+        transcendentals mapped over lists (numpy's differ in the last bit),
+        with `np.where` for the builtins' `max` and `min`."""
+        hypot, log10, sin, exp = math.hypot, math.log10, math.sin, math.exp
+        x, y = xy[:, 0], xy[:, 1]
+        best = np.zeros(len(t_s), dtype=np.int8)
+        best_loss = np.full(len(t_s), math.inf)
+        for j, (bx, by) in enumerate(self._bs_xy):
+            d = np.array(list(map(hypot, (x - bx).tolist(), (y - by).tolist())))
+            d = np.where(1.0 > d, 1.0, d)
+            loss = self._ref_loss_db + self._ten_n * np.array(list(map(log10, d.tolist())))
+            nearer = loss < best_loss  # the lowest BS index keeps a tie
+            best = np.where(nearer, j, best)
+            best_loss = np.where(nearer, loss, best_loss)
+        mean, amp, period = self._swipe[u]  # swipe_rate
+        rate = mean + amp * np.array(list(map(sin, (2.0 * math.pi * t_s / period).tolist())))
+        rate = np.where(0.0 > rate, 0.0, rate)
+        arrival = 1.0 - np.array(list(map(exp, (-rate / 60.0 * self.slot_s).tolist())))
+        behavior = rate / self._max_swipe  # behavior_of_rate
+        behavior = np.where(0.0 > behavior, 0.0, behavior)
+        return best, best_loss, arrival, 1.0 + np.where(1.0 < behavior, 1.0, behavior)
 
     def _walk(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
         """Slot t's row, computed: each user attaches to the BS of least mean

@@ -9,13 +9,19 @@ where R is rebuffer seconds per evaluation period, Q the normalized video
 quality, B behavioral dynamics and C environmental complexity (both in
 [1, 2]).  Observed MOS samples are truncated-normal draws around that mean.
 
-The fit's loop is bound by numpy's per-call cost on a few dozen samples, so
-`fit_best_structure` builds the sample columns once for all three
-structures and the loop hoists what the parameters do not move (the
-clamped QoS score).  The damped 2x2 step stays `np.linalg.solve`: a
-closed-form solve differs from LAPACK's `dgesv` in the last bits on about
-a fifth of systems, and matching it needs a fused multiply-add that
-Python's `math` lacks.
+A fit of one structure to a few dozen samples is a serial loop of about a
+hundred trial steps, each bound by numpy's per-call cost, so
+`fit_best_structure` takes every user's sample set at once and
+`fit_columns` runs every (set, structure) problem of one sample count in
+one lock-step loop: one row per problem, each with its own damping,
+iteration count and stop state, dropped from the arrays when it stops.
+Each row's arithmetic is the serial fit's: the stacked `np.matmul` makes
+the same BLAS call per row (`ddot` for r @ r, `syrk` for J.T @ J, `gemv`
+for J.T @ r), and the stacked `np.linalg.solve` calls `dgesv` once per 2x2
+system.  The step stays `dgesv`: a closed-form solve differs from it in
+the last bits on about a fifth of systems, and matching it needs a fused
+multiply-add that Python's `math` lacks.  The loop hoists what the
+parameters do not move (the clamped QoS score).
 """
 from __future__ import annotations
 
@@ -108,8 +114,8 @@ def truncated_normal_from_uniform(mu, sigma, u):
 
 
 class SampleColumns(NamedTuple):
-    """Per-sample columns of a sample set, built once and shared by the
-    three structure fits and their likelihoods."""
+    """Per-sample columns of equal-size sample sets, one row per set, built
+    once and shared by the three structure fits and their likelihoods."""
     qoe: np.ndarray
     r: np.ndarray
     q: np.ndarray
@@ -117,89 +123,139 @@ class SampleColumns(NamedTuple):
     c: np.ndarray
     b1: np.ndarray  # b - 1
     c1: np.ndarray  # c - 1
-    bc1: np.ndarray  # (n, 2) columns b - 1, c - 1
+    bc1: np.ndarray  # (sets, n, 2) columns b - 1, c - 1
 
 
-def sample_columns(samples: list[FactorSample]) -> SampleColumns:
-    """Column view of a sample set."""
-    b = np.array([s.b for s in samples])
-    c = np.array([s.c for s in samples])
+def sample_columns(sets: list[list[FactorSample]]) -> SampleColumns:
+    """Column view of equal-size sample sets, one row per set."""
+    b = np.array([[s.b for s in samples] for samples in sets])
+    c = np.array([[s.c for s in samples] for samples in sets])
     b1, c1 = b - 1.0, c - 1.0
-    return SampleColumns(np.array([s.qoe for s in samples]),
-                         np.array([s.r for s in samples]),
-                         np.array([s.q for s in samples]), b, c, b1, c1,
-                         np.column_stack([b1, c1]))
+    return SampleColumns(np.array([[s.qoe for s in samples] for samples in sets]),
+                         np.array([[s.r for s in samples] for samples in sets]),
+                         np.array([[s.q for s in samples] for samples in sets]),
+                         b, c, b1, c1, np.stack([b1, c1], axis=-1))
 
 
-def fit_columns(structure_index: int, cols: SampleColumns,
-                max_iter: int = 200) -> QoEModel:
-    """Levenberg-Marquardt fit of (alpha, beta) with projection onto >= 0.
+def _unfittable(cols: SampleColumns) -> list[str | None]:
+    """Per row, why its impact parameters cannot be fitted, or None."""
+    sets, n = cols.qoe.shape
+    if n < 2:
+        return [f"need >= 2 samples, got {n}"] * sets
+    flat = (np.ptp(cols.b, axis=1) == 0.0) & (np.ptp(cols.c, axis=1) == 0.0)
+    return ["impact parameters unidentifiable: (B, C) constant" if f else None
+            for f in flat.tolist()]
 
-    Deterministic given the samples (fixed start at (0.5, 0.5)).  The
-    accepted-step objective is non-increasing by construction; convergence
-    failure is reported via the model's `converged` flag rather than an
-    exception.
+
+def _qos_rows(structures: list[int], r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`qos_score` of each row of (r, q) under that row's structure."""
+    s = np.empty_like(r)
+    for idx in sorted(set(structures)):
+        rows = [k for k, st in enumerate(structures) if st == idx]
+        s[rows] = qos_score(idx, r[rows], q[rows])
+    return s
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """`x[k] @ x[k]` for each row k, one BLAS dot per row."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+def fit_columns(structures: list[int], cols: SampleColumns,
+                max_iter: int) -> list[QoEModel]:
+    """Levenberg-Marquardt fit of (alpha, beta) with projection onto >= 0,
+    of structure `structures[k]` on row k of the columns, for all rows in
+    one lock-step loop.
+
+    Each row is its own problem: it keeps its own damping, iteration count
+    and stop state, takes one trial step per pass of the loop and leaves
+    the arrays when it stops, and its arithmetic is that of a fit of the
+    row alone.  Deterministic given the samples (fixed start at (0.5,
+    0.5)).  The accepted-step objective is non-increasing by construction;
+    convergence failure is reported via the model's `converged` flag rather
+    than an exception.
     """
-    if len(cols.qoe) < 2:
-        raise InsufficientData(f"need >= 2 samples, got {len(cols.qoe)}")
-    if np.ptp(cols.b) == 0.0 and np.ptp(cols.c) == 0.0:
-        raise InsufficientData("impact parameters unidentifiable: (B, C) constant")
+    for why in _unfittable(cols):
+        if why is not None:
+            raise InsufficientData(why)
+    count = len(structures)
+    n = cols.qoe.shape[1]
+    out: list[QoEModel | None] = [None] * count
+    row = np.arange(count)
     qoe, b1, c1, bc1 = cols.qoe, cols.b1, cols.c1, cols.bc1
     # S does not depend on (alpha, beta): only I and the prediction move
-    s = qos_score(structure_index, cols.r, cols.q)
-    eye = np.eye(2)
-    params = np.array((0.5, 0.5))
-    i = 1.0 / (1.0 + params[0] * b1 + params[1] * c1)
+    s = _qos_rows(structures, cols.r, cols.q)
+    params = np.full((count, 2), 0.5)
+    i = 1.0 / (1.0 + params[:, :1] * b1 + params[:, 1:] * c1)
     pred = np.minimum(np.maximum(s * i, MOS_LO), MOS_HI)
     resid = qoe - pred
-    sse = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    for _ in range(max_iter):
-        # Jacobian of predictions; rows clamped at the MOS bounds get zero rows.
-        live = (pred > MOS_LO) & (pred < MOS_HI)
-        jac = np.where(live[:, None], (-s * i * i)[:, None] * bc1, 0.0)
-        g = jac.T @ resid
-        h = jac.T @ jac
-        g0, g1 = g.tolist()
-        if abs(g0) < 1e-12 and abs(g1) < 1e-12:
-            converged = True
-            break
-        accepted = False
-        for _ in range(30):
-            step = np.linalg.solve(h + lam * eye, g)
-            cand = np.maximum(params + step, 0.0)
-            i_c = 1.0 / (1.0 + cand[0] * b1 + cand[1] * c1)
-            pred_c = np.minimum(np.maximum(s * i_c, MOS_LO), MOS_HI)
-            resid_c = qoe - pred_c
-            sse_c = float(resid_c @ resid_c)
-            if sse_c <= sse:  # accepted steps never increase the objective
-                small = (sse - sse_c < 1e-14 * (sse + 1e-30)
-                         or float(np.abs(cand - params).max()) < 1e-12)
-                params, pred, i, resid, sse = cand, pred_c, i_c, resid_c, sse_c
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if small:
-                    converged = True
-                break
-            lam *= 3.0
-        if not accepted:
-            # No damping level improves: projected stationary point.
-            converged = True
-        if converged:
-            break
-    n = len(qoe)
-    rmse = math.sqrt(sse / n)
-    return QoEModel(structure_index, (float(params[0]), float(params[1])),
-                    rmse, n, converged)
+    sse = _row_dots(resid)
+    lam = np.full(count, 1e-3)
+    iters = np.zeros(count, dtype=int)  # iterations begun
+    trials = np.zeros(count, dtype=int)  # rejected steps in this iteration
+    fresh = np.ones(count, dtype=bool)  # at the start of an iteration
+    g = np.empty((count, 2))
+    h = np.empty((count, 2, 2))
+    eye = np.eye(2)
+    while len(row):
+        capped = done = np.zeros(len(row), dtype=bool)
+        if fresh.any():
+            # Jacobian of predictions; rows clamped at the MOS bounds get zero rows.
+            live = (pred > MOS_LO) & (pred < MOS_HI)
+            jac = np.where(live[:, :, None], (-s * i * i)[:, :, None] * bc1, 0.0)
+            jac_t = jac.transpose(0, 2, 1)
+            g_new = np.matmul(jac_t, resid[:, :, None])[:, :, 0]
+            h_new = np.matmul(jac_t, jac)
+            if fresh.all():
+                g, h = g_new, h_new
+            else:
+                g = np.where(fresh[:, None], g_new, g)
+                h = np.where(fresh[:, None, None], h_new, h)
+            # max_iter accepted steps stop a fit unconverged before its gradient test
+            capped = fresh & (iters == max_iter)
+            g_abs = np.abs(g)
+            done = capped | (fresh & (np.maximum(g_abs[:, 0], g_abs[:, 1]) < 1e-12))
+            iters += fresh
+            trials[fresh] = 0
+        step = np.linalg.solve(h + lam[:, None, None] * eye, g[:, :, None])[:, :, 0]
+        cand = np.maximum(params + step, 0.0)
+        i_c = 1.0 / (1.0 + cand[:, :1] * b1 + cand[:, 1:] * c1)
+        pred_c = np.minimum(np.maximum(s * i_c, MOS_LO), MOS_HI)
+        resid_c = qoe - pred_c
+        sse_c = _row_dots(resid_c)
+        # accepted steps never increase the objective
+        fresh = (sse_c <= sse) & ~done
+        moved = np.abs(cand - params)
+        small = ((sse - sse_c < 1e-14 * (sse + 1e-30))
+                 | (np.maximum(moved[:, 0], moved[:, 1]) < 1e-12))
+        params = np.where(fresh[:, None], cand, params)
+        i = np.where(fresh[:, None], i_c, i)
+        pred = np.where(fresh[:, None], pred_c, pred)
+        resid = np.where(fresh[:, None], resid_c, resid)
+        sse = np.where(fresh, sse_c, sse)
+        lam = np.where(fresh, np.maximum(lam / 3.0, 1e-12), lam * 3.0)
+        trials += ~fresh
+        # a small step converges; so does an iteration in which no damping
+        # level improves (a projected stationary point)
+        ended = done | (fresh & small) | (trials == 30)
+        if ended.any():
+            for k in np.flatnonzero(ended).tolist():
+                out[row[k]] = QoEModel(structures[row[k]], tuple(params[k].tolist()),
+                                       math.sqrt(float(sse[k]) / n), n, not capped[k])
+            keep = ~ended
+            (row, qoe, b1, c1, bc1, s, params, i, pred, resid, sse, lam, iters,
+             trials, fresh, g, h) = (a[keep] for a in (
+                 row, qoe, b1, c1, bc1, s, params, i, pred, resid, sse, lam,
+                 iters, trials, fresh, g, h))
+    return out
 
 
 def model_rmse(model: QoEModel, samples: list[FactorSample]) -> float:
     """RMSE of a fitted model's predictions on a sample set.  The squares are
     summed in order, as Python's `sum` does: a pairwise sum moves the last
     bits, which can flip a refit decision."""
-    cols = sample_columns(samples)
-    err = cols.qoe - eval_qoe(model, cols.r, cols.q, cols.b, cols.c)
+    cols = sample_columns([samples])
+    err = (cols.qoe - eval_qoe(model, cols.r, cols.q, cols.b, cols.c))[0]
     return math.sqrt(sum((err * err).tolist()) / len(err))
 
 
@@ -210,39 +266,52 @@ def should_update(old: QoEModel, recent: list[FactorSample],
     return model_rmse(old, recent) > rmse_tolerance * (old.fit_rmse + 1e-9)
 
 
-def columns_log_likelihood(model: QoEModel, cols: SampleColumns) -> float:
-    """Truncated-normal log-likelihood of samples under a fitted model.
+def columns_log_likelihood(models: list[QoEModel], cols: SampleColumns) -> list[float]:
+    """Truncated-normal log-likelihood of row k of the samples under
+    `models[k]`, for every row.
 
     Uses the structure's known generator variance, so a hypothesis whose
     residuals are far smaller or larger than that variance scores poorly.
     """
-    var = STRUCTURE_VARIANCE[model.structure_index]
-    sigma = math.sqrt(var)
-    mean = (qos_score(model.structure_index, cols.r, cols.q)
-            * impact(cols.b, cols.c, *model.impact_params))
+    structures = [m.structure_index for m in models]
+    var = np.array([[STRUCTURE_VARIANCE[idx]] for idx in structures])
+    norm = np.array([[-0.5 * math.log(2.0 * math.pi * STRUCTURE_VARIANCE[idx])]
+                     for idx in structures])
+    alpha = np.array([[m.impact_params[0]] for m in models])
+    beta = np.array([[m.impact_params[1]] for m in models])
+    mean = _qos_rows(structures, cols.r, cols.q) * impact(cols.b, cols.c, alpha, beta)
+    sigma = np.sqrt(var)
     z = np.maximum(ndtr((MOS_HI - mean) / sigma) - ndtr((MOS_LO - mean) / sigma),
                    1e-300)
-    ll = (-0.5 * math.log(2.0 * math.pi * var)
+    ll = (norm
           - (cols.qoe - mean) ** 2 / (2.0 * var)
           - np.log(z))
-    return float(ll.sum())
+    return ll.sum(axis=1).tolist()
 
 
-def fit_best_structure(samples: list[FactorSample]) -> QoEModel:
-    """Construct a model from raw feedback: fit each structure, keep the
-    hypothesis with the highest truncated-normal log-likelihood under its
-    own generator variance.  The model uses all four factors (R, Q, B, C).
+def fit_best_structure(sets: list[list[FactorSample]],
+                       max_iter: int = 200) -> list[QoEModel | None]:
+    """Construct a model from each set of raw feedback: fit each structure,
+    keep the hypothesis with the highest truncated-normal log-likelihood
+    under its own generator variance; None where no structure can be
+    fitted.  The models use all four factors (R, Q, B, C).  Every (set,
+    structure) problem of one sample count runs in one `fit_columns` call.
     """
-    cols = sample_columns(samples)
-    best, best_ll = None, -np.inf
-    for idx in STRUCTURES:
-        try:
-            m = fit_columns(idx, cols)
-        except InsufficientData:
+    best: list[QoEModel | None] = [None] * len(sets)
+    best_ll = [-np.inf] * len(sets)
+    by_count: dict[int, list[int]] = {}
+    for j, samples in enumerate(sets):
+        by_count.setdefault(len(samples), []).append(j)
+    for members in by_count.values():
+        cols = sample_columns([sets[j] for j in members])
+        rows = [k for k, why in enumerate(_unfittable(cols)) if why is None]
+        if not rows:
             continue
-        ll = columns_log_likelihood(m, cols)
-        if ll > best_ll:
-            best, best_ll = m, ll
-    if best is None:
-        raise InsufficientData("no structure could be fitted")
+        take = rows * len(STRUCTURES)  # structure-major, as the serial pick
+        cols = SampleColumns(*(a[take] for a in cols))
+        models = fit_columns([idx for idx in STRUCTURES for _ in rows], cols, max_iter)
+        for k, m, ll in zip(take, models, columns_log_likelihood(models, cols)):
+            j = members[k]
+            if ll > best_ll[j]:
+                best[j], best_ll[j] = m, ll
     return best

@@ -104,15 +104,12 @@ class SchemeRun:
             generic = bench.generic_model(self.cfg)
             self.models = {p.id: generic for p in self.profiles}
             return
-        by_user: dict[int, list[qoe.FactorSample]] = {}
+        by_user: dict[int, list[qoe.FactorSample]] = {p.id: [] for p in self.profiles}
         for ps in samples:
-            by_user.setdefault(ps.user, []).append(ps.sample)
-        for p in self.profiles:
-            try:
-                model = qoe.fit_best_structure(by_user.get(p.id, []))
-            except qoe.InsufficientData:
-                model = bench.generic_model(self.cfg)
-            self.models[p.id] = model
+            by_user[ps.user].append(ps.sample)
+        generic = bench.generic_model(self.cfg)
+        fitted = qoe.fit_best_structure(list(by_user.values()))
+        self.models = {u: generic if m is None else m for u, m in zip(by_user, fitted)}
 
     # -- slicing path (shared by training and evaluation) -----------------------
 
@@ -223,17 +220,20 @@ class SchemeRun:
         cfg = self.cfg
         for ps in samples:
             self._recent.setdefault(ps.user, []).append(ps.sample)
+        # a user's check reads only its own model, so the window's refits
+        # run together after every check
+        drifted: dict[int, list[qoe.FactorSample]] = {}
         for u, recent in self._recent.items():
             if len(recent) < 20:
                 continue
             window = recent[-cfg.agent.refit_window:]
             if qoe.should_update(self.models[u], window, cfg.agent.refit_tolerance):
-                try:
-                    model = qoe.fit_best_structure(window)
-                    self.models[u] = model
-                except qoe.InsufficientData:
-                    pass
+                drifted[u] = window
             self._recent[u] = []
+        if drifted:
+            for u, model in zip(drifted, qoe.fit_best_structure(list(drifted.values()))):
+                if model is not None:
+                    self.models[u] = model
 
     # -- entry point ---------------------------------------------------------------
 

@@ -303,7 +303,60 @@ class TestPathWalker:
         assert w.positions(np.arange(3.0)).tolist() == [[3.0, -2.0]] * 3
 
 
+def assert_stored_rows_are_walks(paths):
+    """Every stored row equals `_walk`, the scalar reference, bit for bit."""
+    assert paths.span > 0
+    for t in range(paths.span):
+        serving, loss, arrival, behavior = paths._walk(t)
+        assert paths.serving_bs[t].tolist() == serving
+        for col, want in ((paths.loss_db, loss), (paths.arrival, arrival),
+                          (paths.behavior, behavior)):
+            assert col[t].tobytes() == np.array(want).tobytes()
+
+
 class TestUserPaths:
+    @pytest.mark.parametrize("seed", [1, 2, 5, 11])
+    @pytest.mark.parametrize("num_bs, slot_s", [(2, 1.0), (3, 0.25)])
+    def test_every_stored_row_is_its_walk(self, seed, num_bs, slot_s):
+        _, state = make_state(seed=seed, num_users=9, sim_duration_s=150,
+                              slot_s=slot_s, **{"radio.num_bs": num_bs,
+                                                "radio.bs_x_m": "250, 750, 500",
+                                                "radio.bs_y_m": "500, 500, 900"})
+        assert_stored_rows_are_walks(state.paths)
+
+    def test_every_stored_row_is_its_walk_at_the_edges(self):
+        cfg = scenario.parse_overrides({"sim_duration_s": "200"})
+        (bx, by), (cx, cy) = (b.position for b in cfg.base_stations())
+        mid = ((bx + cx) / 2.0, (by + cy) / 2.0)
+        swipe = (6.0, 2.0, 300.0)
+
+        def user(i, waypoints, speed=2.0, params=swipe):
+            return scenario.UserProfile(i, waypoints, speed, params, 4.0, 1, (0.5, 0.5))
+
+        users = [
+            # crosses BS 0 at walking pace: within 1 m of it (the distance
+            # clamp) for a few slots
+            user(0, ((bx - 3.0, by), (bx + 3.0, by), (bx - 3.0, by))),
+            user(1, ((bx, by),)),  # a single-point loop on BS 0, at 0 m
+            user(2, (mid,)),  # equidistant from both BSs: the tie goes to BS 0
+            user(3, (mid, (mid[0], mid[1] + 100.0), mid), speed=40.0),
+            # swipe amplitude above the mean: the rate is clamped at 0;
+            # the -0.0 mean gives builtin max's -0.0 at t = 0
+            user(4, ((cx, cy + 10.0),), params=(2.0, 5.0, 60.0)),
+            user(5, ((cx + 0.5, cy),), params=(-0.0, -3.0, 45.0)),
+            # a rate above the maximum swipe rate: B is clamped at 2
+            user(6, ((cx, cy - 40.0), (cx, cy + 40.0), (cx, cy - 40.0)),
+                 params=(25.0, 20.0, 90.0)),
+        ]
+        paths = netsim.UserPaths(cfg, users)
+        assert_stored_rows_are_walks(paths)
+        assert paths.serving_bs[:, :4].tolist() == [[0] * 4] * paths.span
+        # a clamped distance of 1 m loses the reference loss, log10(1) = 0
+        assert (paths.loss_db[:, 0] == cfg.channel.ref_loss_db).sum() > 1
+        assert (paths.loss_db[:, 1] == cfg.channel.ref_loss_db).all()
+        assert paths.arrival[:, 4].min() == 0.0
+        assert paths.behavior[:, 6].max() == 2.0
+
     def test_rows_match_a_fresh_walk_on_each_side_of_the_span(self):
         cfg, state = make_state(num_users=5, sim_duration_s=20)
         paths = state.paths

@@ -11,12 +11,13 @@ from qoesim import qoe
 from qoesim.errors import InsufficientData, UnknownStructure
 
 
-def fit_on(structure, samples, **kw):
-    return qoe.fit_columns(structure, qoe.sample_columns(samples), **kw)
+def fit_on(structure, samples, max_iter=200):
+    """One structure's fit on one sample set: a one-row lock-step call."""
+    return qoe.fit_columns([structure], qoe.sample_columns([samples]), max_iter)[0]
 
 
 def log_likelihood(model, samples):
-    return qoe.columns_log_likelihood(model, qoe.sample_columns(samples))
+    return qoe.columns_log_likelihood([model], qoe.sample_columns([samples]))[0]
 
 
 def draw(mean, var, rng):
@@ -238,15 +239,16 @@ class TestShouldUpdate:
 class TestFitBestStructure:
     def test_recovers_generating_structure(self):
         rng = np.random.default_rng(20)
-        hits = 0
         trials = 30
+        sets, structs = [], []
         for t in range(trials):
             struct = 1 + t % 3
             a, b = rng.uniform(0.2, 1.0, 2)
-            samples = make_samples(struct, a, b, 120, rng,
-                                   noise_var=qoe.STRUCTURE_VARIANCE[struct])
-            model = qoe.fit_best_structure(samples)
-            hits += model.structure_index == struct
+            sets.append(make_samples(struct, a, b, 120, rng,
+                                     noise_var=qoe.STRUCTURE_VARIANCE[struct]))
+            structs.append(struct)
+        models = qoe.fit_best_structure(sets)  # one call, one lock-step fit
+        hits = sum(m.structure_index == s for m, s in zip(models, structs))
         assert hits >= int(0.85 * trials)
 
 
@@ -351,12 +353,35 @@ def _outcome(fn, *args, **kw):
         return type(exc), str(exc)
 
 
+def ref_pick(samples, max_iter):
+    """The reference structure pick: the highest likelihood among the
+    structures the reference fits, or None where it fits none."""
+    best, best_ll = None, -np.inf
+    for struct in qoe.STRUCTURES:
+        try:
+            model = ref_fit_model(struct, samples, max_iter=max_iter)
+        except InsufficientData:
+            continue
+        ll = ref_structure_log_likelihood(model, samples)
+        if ll > best_ll:
+            best, best_ll = model, ll
+    return best
+
+
+def model_bytes(model):
+    """A model with its floats as hex, so that -0.0 and 0.0 differ."""
+    if model is None:
+        return None
+    return (model.structure_index, tuple(x.hex() for x in model.impact_params),
+            model.fit_rmse.hex(), model.sample_count, model.converged)
+
+
 @st.composite
-def sample_sets(draw):
+def sample_sets(draw, min_n=2, max_n=40):
     """Sample sets around a generating model.  A negative true alpha or beta
     drives the fit onto its zero bound; constant B or C, two or three
     samples and clamped scores (r up to 12 s) are all in range."""
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(min_n, max_n))
     struct = draw(st.integers(1, 3))
     alpha = draw(st.floats(-0.45, 1.5))
     beta = draw(st.floats(-0.45, 1.5))
@@ -418,7 +443,16 @@ class TestFitMatchesReference:
                 assert ll == ref_structure_log_likelihood(got, samples)
                 if ll > best_ll:
                     best, best_ll = got, ll
-        if max_iter == 200:
-            assert _outcome(qoe.fit_best_structure, samples) == (
-                best if best is not None
-                else (InsufficientData, "no structure could be fitted"))
+        assert qoe.fit_best_structure([samples], max_iter=max_iter) == [best]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=2).flatmap(
+               lambda sizes: st.lists(st.sampled_from(sizes).flatmap(
+                   lambda n: sample_sets(n, n)), min_size=1, max_size=6)),
+           st.sampled_from([1, 2, 3, 200]))
+    def test_one_call_fits_every_set(self, sets, max_iter):
+        # sizes drawn from a pool of one or two, so that sets of one sample
+        # count share the lock-step loop
+        got = qoe.fit_best_structure(sets, max_iter=max_iter)
+        assert [model_bytes(m) for m in got] == [
+            model_bytes(ref_pick(samples, max_iter)) for samples in sets]

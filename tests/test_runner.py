@@ -9,6 +9,7 @@ from qoesim import bench, da1, da2, harness, learn, runner, scenario
 from qoesim.bench import SchemeId
 
 from test_public_names import loaded_names
+from test_qoe import model_bytes, ref_pick
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
         "catalog.segment_duration_s": "0.5"}
@@ -255,6 +256,49 @@ class TestSchemeRun:
         assert len(planned) == 1
         assert planned[0][0] is state
         assert state.slice is planned[0][1]
+
+
+class TestModelFits:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.HSLA_L2],
+                             ids=lambda s: s.value)
+    def test_each_user_gets_its_serial_reference_pick(self, scheme, seed):
+        cfg = fast_cfg()
+        sr = runner.SchemeRun(cfg, scheme, seed, collect_slots=False, train_epochs=0)
+        samples = sr.bootstrap(np.random.default_rng(seed))[1]
+        sr.fit_models(samples)
+        assert sorted(sr.models) == [p.id for p in sr.profiles]
+        for p in sr.profiles:
+            own = [ps.sample for ps in samples if ps.user == p.id]
+            want = ref_pick(own, 200) or bench.generic_model(cfg)
+            assert model_bytes(sr.models[p.id]) == model_bytes(want)
+
+    def test_a_windows_refits_are_one_call_in_user_order(self, monkeypatch):
+        cfg = fast_cfg()
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
+                              train_epochs=0)
+        samples = sr.bootstrap(np.random.default_rng(1))[1]
+        sr.fit_models(samples)
+        before = dict(sr.models)
+        drifted = {4, 1, 9}
+        assert len({id(m) for m in before.values()}) == len(before)
+        monkeypatch.setattr(runner.qoe, "should_update", lambda old, recent, tol:
+                            any(sr.models[u] is old for u in drifted))
+        calls = []
+        fit = runner.qoe.fit_best_structure
+
+        def spy(sets):
+            calls.append(sets)
+            return fit(sets)
+
+        monkeypatch.setattr(runner.qoe, "fit_best_structure", spy)
+        sr._maybe_refit(samples)
+        windows = [[ps.sample for ps in samples if ps.user == u][-cfg.agent.refit_window:]
+                   for u in (1, 4, 9)]
+        assert calls == [windows]
+        for u, window in zip((1, 4, 9), windows):
+            assert sr.models[u] == fit([window])[0]
+        assert all(sr.models[u] is before[u] for u in before if u not in drifted)
 
 
 class TestSchemeSpec:
