@@ -53,12 +53,12 @@ arithmetic, and because numpy's `log10`, `sin` and `exp` may differ from
 belongs with a user-count axis far above 24 users.  The table's fill runs
 along the slot axis instead, one user column of the whole span at a time:
 numpy does the exact arithmetic and `math`'s transcendentals are mapped
-over lists, so every stored row is bit-equal to the scalar `_walk`.  For the same
-per-call reason the kernel inlines the playback, rate and QoS-times-impact
-arithmetic and writes `min`/`max` as conditionals.  The helpers
-(`step_playback`, `qoe.qos_score`, ...) stay the one definition that other
-callers use, and a reference test built on them holds the kernel to them
-bit for bit.
+over the elements, so every stored row is bit-equal to the scalar `_walk`.
+For the same per-call reason the kernel inlines the playback, rate and
+QoS-times-impact arithmetic and writes `min`/`max` as conditionals.  The
+helpers (`step_playback`, `qoe.qos_score`, ...) stay the one definition
+that other callers use, and a reference test built on them holds the
+kernel to them bit for bit.
 """
 from __future__ import annotations
 
@@ -183,6 +183,12 @@ class PathWalker:
         return pts[i] + f[:, None] * (pts[i + 1] - pts[i])
 
 
+def _mapped(fn: Callable, *cols: np.ndarray) -> np.ndarray:
+    """A scalar function of floats applied to each element of equal-length
+    columns."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
+
+
 class UserPaths:
     """Each user's path and swipe process, turned into the context that the
     world step, the context emulator and the L1 orchestrator read.
@@ -224,23 +230,22 @@ class UserPaths:
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """User u's column of `_walk` at the times t_s, where it stands at xy:
         the same arithmetic, exact operations in numpy and `math`'s
-        transcendentals mapped over lists (numpy's differ in the last bit),
-        with `np.where` for the builtins' `max` and `min`."""
-        hypot, log10, sin, exp = math.hypot, math.log10, math.sin, math.exp
+        transcendentals mapped over the elements (numpy's differ in the last
+        bit), with `np.where` for the builtins' `max` and `min`."""
         x, y = xy[:, 0], xy[:, 1]
         best = np.zeros(len(t_s), dtype=np.int8)
         best_loss = np.full(len(t_s), math.inf)
         for j, (bx, by) in enumerate(self._bs_xy):
-            d = np.array(list(map(hypot, (x - bx).tolist(), (y - by).tolist())))
-            d = np.where(1.0 > d, 1.0, d)
-            loss = self._ref_loss_db + self._ten_n * np.array(list(map(log10, d.tolist())))
+            d = _mapped(math.hypot, x - bx, y - by)
+            loss = self._ref_loss_db + self._ten_n * _mapped(math.log10,
+                                                             np.where(1.0 > d, 1.0, d))
             nearer = loss < best_loss  # the lowest BS index keeps a tie
             best = np.where(nearer, j, best)
             best_loss = np.where(nearer, loss, best_loss)
         mean, amp, period = self._swipe[u]  # swipe_rate
-        rate = mean + amp * np.array(list(map(sin, (2.0 * math.pi * t_s / period).tolist())))
+        rate = mean + amp * _mapped(math.sin, 2.0 * math.pi * t_s / period)
         rate = np.where(0.0 > rate, 0.0, rate)
-        arrival = 1.0 - np.array(list(map(exp, (-rate / 60.0 * self.slot_s).tolist())))
+        arrival = 1.0 - _mapped(math.exp, -rate / 60.0 * self.slot_s)
         behavior = rate / self._max_swipe  # behavior_of_rate
         behavior = np.where(0.0 > behavior, 0.0, behavior)
         return best, best_loss, arrival, 1.0 + np.where(1.0 < behavior, 1.0, behavior)

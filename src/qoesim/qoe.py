@@ -15,6 +15,9 @@ hundred trial steps, each bound by numpy's per-call cost, so
 `fit_columns` runs every (set, structure) problem of one sample count in
 one lock-step loop: one row per problem, each with its own damping,
 iteration count and stop state, dropped from the arrays when it stops.
+An unconverged fit zigzags (a rejected trial, then an accepted one), so a
+pass tries each row's next two dampings at once and keeps the first that
+the serial fit would accept.
 Each row's arithmetic is the serial fit's: the stacked `np.matmul` makes
 the same BLAS call per row (`ddot` for r @ r, `syrk` for J.T @ J, `gemv`
 for J.T @ r), and the stacked `np.linalg.solve` calls `dgesv` once per 2x2
@@ -157,8 +160,8 @@ def _qos_rows(structures: list[int], r: np.ndarray, q: np.ndarray) -> np.ndarray
 
 
 def _row_dots(x: np.ndarray) -> np.ndarray:
-    """`x[k] @ x[k]` for each row k, one BLAS dot per row."""
-    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+    """`v @ v` for each row v of x (over its last axis), one BLAS dot per row."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 def fit_columns(structures: list[int], cols: SampleColumns,
@@ -168,12 +171,13 @@ def fit_columns(structures: list[int], cols: SampleColumns,
     one lock-step loop.
 
     Each row is its own problem: it keeps its own damping, iteration count
-    and stop state, takes one trial step per pass of the loop and leaves
-    the arrays when it stops, and its arithmetic is that of a fit of the
-    row alone.  Deterministic given the samples (fixed start at (0.5,
-    0.5)).  The accepted-step objective is non-increasing by construction;
-    convergence failure is reported via the model's `converged` flag rather
-    than an exception.
+    and stop state, and leaves the arrays when it stops.  A pass of the
+    loop gives each row its next trial step and, in case that is rejected,
+    the one after it; the row's arithmetic and stop order are those of a
+    fit of the row alone.  Deterministic given the samples (fixed start at
+    (0.5, 0.5)).  The accepted-step objective is non-increasing by
+    construction; convergence failure is reported via the model's
+    `converged` flag rather than an exception.
     """
     for why in _unfittable(cols):
         if why is not None:
@@ -217,14 +221,25 @@ def fit_columns(structures: list[int], cols: SampleColumns,
             done = capped | (fresh & (np.maximum(g_abs[:, 0], g_abs[:, 1]) < 1e-12))
             iters += fresh
             trials[fresh] = 0
-        step = np.linalg.solve(h + lam[:, None, None] * eye, g[:, :, None])[:, :, 0]
-        cand = np.maximum(params + step, 0.0)
-        i_c = 1.0 / (1.0 + cand[:, :1] * b1 + cand[:, 1:] * c1)
-        pred_c = np.minimum(np.maximum(s * i_c, MOS_LO), MOS_HI)
-        resid_c = qoe - pred_c
+        # two trials a pass, at damping lam and 3 lam: the second is the
+        # trial that follows a rejected first (the usual LM zigzag), and is
+        # discarded when the first is accepted
+        lam3 = lam * 3.0
+        step = np.linalg.solve(
+            h[:, None] + np.stack([lam, lam3], axis=1)[:, :, None, None] * eye,
+            g[:, None, :, None])[..., 0]
+        cand = np.maximum(params[:, None] + step, 0.0)
+        i_c = 1.0 / (1.0 + cand[..., :1] * b1[:, None] + cand[..., 1:] * c1[:, None])
+        pred_c = np.minimum(np.maximum(s[:, None] * i_c, MOS_LO), MOS_HI)
+        resid_c = qoe[:, None] - pred_c
         sse_c = _row_dots(resid_c)
         # accepted steps never increase the objective
-        fresh = (sse_c <= sse) & ~done
+        ok = (sse_c <= sse[:, None]) & ~done[:, None]
+        first = ok[:, 0]
+        fresh = first | ok[:, 1]
+        kept = (np.arange(len(first)), (~first).astype(np.intp))  # each row's trial
+        cand, i_c, pred_c, resid_c, sse_c = (
+            a[kept] for a in (cand, i_c, pred_c, resid_c, sse_c))
         moved = np.abs(cand - params)
         small = ((sse - sse_c < 1e-14 * (sse + 1e-30))
                  | (np.maximum(moved[:, 0], moved[:, 1]) < 1e-12))
@@ -233,10 +248,13 @@ def fit_columns(structures: list[int], cols: SampleColumns,
         pred = np.where(fresh[:, None], pred_c, pred)
         resid = np.where(fresh[:, None], resid_c, resid)
         sse = np.where(fresh, sse_c, sse)
-        lam = np.where(fresh, np.maximum(lam / 3.0, 1e-12), lam * 3.0)
+        lam = np.where(fresh, np.maximum(np.where(first, lam, lam3) / 3.0, 1e-12),
+                       lam3 * 3.0)
+        trials += ~first
         trials += ~fresh
         # a small step converges; so does an iteration in which no damping
-        # level improves (a projected stationary point)
+        # level improves (a projected stationary point): 30 rejected trials,
+        # an even count, so that no pass runs past them
         ended = done | (fresh & small) | (trials == 30)
         if ended.any():
             for k in np.flatnonzero(ended).tolist():

@@ -100,14 +100,13 @@ class SchemeRun:
         return state, netsim.advance_slots(state, explorer, slots, train_rng)
 
     def fit_models(self, samples: list[netsim.PeriodSample]) -> None:
+        generic = bench.generic_model(self.cfg)
         if not self.spec.fitted_models:
-            generic = bench.generic_model(self.cfg)
             self.models = {p.id: generic for p in self.profiles}
             return
         by_user: dict[int, list[qoe.FactorSample]] = {p.id: [] for p in self.profiles}
         for ps in samples:
             by_user[ps.user].append(ps.sample)
-        generic = bench.generic_model(self.cfg)
         fitted = qoe.fit_best_structure(list(by_user.values()))
         self.models = {u: generic if m is None else m for u, m in zip(by_user, fitted)}
 

@@ -420,7 +420,55 @@ def _fit_cases():
     ]
 
 
+def random_set(rng):
+    """A sample set around a random generating model, in the ranges of
+    `sample_sets`, drawn from a numpy generator."""
+    n, struct = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+    alpha, beta = rng.uniform(-0.45, 1.5, 2)
+    out = []
+    for _ in range(n):
+        r, q, b, c = 12.0 * rng.random(), rng.random(), 1.0 + rng.random(), 1.0 + rng.random()
+        mean = qoe.qos_score(struct, r, q) * qoe.impact(b, c, alpha, beta)
+        x = min(max(mean + rng.uniform(-1.5, 1.5), qoe.MOS_LO), qoe.MOS_HI)
+        out.append(qoe.FactorSample(float(x), r, q, b, c))
+    return out
+
+
+def ref_trials_per_iteration(struct, samples, monkeypatch):
+    """The trial count of each iteration of the reference fit: it builds
+    the Jacobian once per iteration and solves once per trial."""
+    counts = []
+    column_stack, solve = np.column_stack, np.linalg.solve
+
+    def new_iteration(*args):
+        counts.append(0)
+        return column_stack(*args)
+
+    def trial(*args):
+        counts[-1] += 1
+        return solve(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "column_stack", new_iteration)
+        m.setattr(np.linalg, "solve", trial)
+        ref_fit_model(struct, samples)
+    return counts
+
+
 class TestFitMatchesReference:
+    # sets found by search whose fits spend the whole budget of 30 trials
+    # in one iteration: all 30 rejected (seed 1084), or the 30th accepted
+    # (seed 14580), and one accepting its 29th (seed 4292)
+    @pytest.mark.parametrize("seed, struct, longest", [(1084, 2, 30), (14580, 3, 30),
+                                                       (4292, 3, 29)])
+    def test_long_rejection_runs(self, seed, struct, longest, monkeypatch):
+        samples = random_set(np.random.default_rng(seed))
+        assert max(ref_trials_per_iteration(struct, samples, monkeypatch)) == longest
+        assert model_bytes(fit_on(struct, samples)) == model_bytes(
+            ref_fit_model(struct, samples))
+        assert [model_bytes(m) for m in qoe.fit_best_structure([samples, samples[::-1]])] == [
+            model_bytes(ref_pick(samples, 200)), model_bytes(ref_pick(samples[::-1], 200))]
+
     @pytest.mark.parametrize("name,struct,samples,max_iter,check", _fit_cases(),
                              ids=[c[0] for c in _fit_cases()])
     def test_edge_cases(self, name, struct, samples, max_iter, check):
