@@ -491,7 +491,8 @@ class TestFitMatchesReference:
                 assert ll == ref_structure_log_likelihood(got, samples)
                 if ll > best_ll:
                     best, best_ll = got, ll
-        assert qoe.fit_best_structure([samples], max_iter=max_iter) == [best]
+        assert [model_bytes(m) for m in qoe.fit_best_structure(
+            [samples], max_iter=max_iter)] == [model_bytes(best)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=2).flatmap(
