@@ -63,8 +63,8 @@ def emulate_context(profile: UserProfile, paths: netsim.UserPaths,
                     noise: float) -> np.ndarray:
     """Predicted (B, C) trajectory over the horizon, bounded noise included.
 
-    B and C are the user's in the run's path table (filled when the run
-    builds it; rows past the span are computed per call)."""
+    B and C are the user's in the run's path table (the span's rows filled
+    when the run builds it, the rows past the span one block at a time)."""
     out = np.empty((horizon_slots, 2))
     out[:, 0] = paths.behaviors(profile.id, t0_slot, horizon_slots)
     out[:, 1] = paths.complexity[profile.id]

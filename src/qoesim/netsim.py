@@ -22,11 +22,11 @@ them: the world step's MOS mean, the context emulator's trace and the L1
 orchestrator's planning impact.
 The evaluation lane re-walks slots that the bootstrap and training lanes
 walked before, and the planners read the slots ahead of the world step, so
-the table is filled when the run builds it; rows past the span are computed
-per call.  Storage stops at the evaluation span
-(`ScenarioConfig.eval_slots`), the one range every lane walks and the
-evaluation reads in full: training can walk ten times as far at the paper
-preset, and the rows past the span are not kept.
+the table is filled when the run builds it.  Storage stops at the
+evaluation span (`ScenarioConfig.eval_slots`), the one range every lane
+walks and the evaluation reads in full: training can walk ten times as far
+at the paper preset, so past the span the table keeps one block of rows
+and refills it as the training lane walks on.
 
 The world step (`advance_slots`) is one scalar kernel on Python floats.
 Each slot it
@@ -50,10 +50,10 @@ The kernel is scalar because a slot holds 16 users and 2 base stations at
 the paper presets, where numpy's per-call overhead outweighs its
 arithmetic, and because numpy's `log10`, `sin` and `exp` may differ from
 `math` in the last bit, which would move every artifact.  An array step
-belongs with a user-count axis far above 24 users.  The table's fill runs
-along the slot axis instead, one user column of the whole span at a time:
-numpy does the exact arithmetic and `math`'s transcendentals are mapped
-over the elements, so every stored row is bit-equal to the scalar `_walk`.
+belongs with a user-count axis far above 24 users.  The table's one fill
+(`UserPaths._fill`) runs along the slot axis instead, a user column at a
+time: numpy does the exact arithmetic and `math`'s transcendentals are
+mapped over the elements, so every row is bit-equal to the scalar oracles.
 For the same per-call reason the kernel inlines the playback, rate and
 QoS-times-impact arithmetic and writes `min`/`max` as conditionals.  The
 helpers (`step_playback`, `qoe.qos_score`, ...) stay the one definition
@@ -189,6 +189,12 @@ def _mapped(fn: Callable, *cols: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
+# A training episode plans 180 slots (`runner.DYNAMICS_HORIZON_SLOTS`) ahead
+# of its world step and then steps through them, so one block of rows past
+# the span serves one episode.
+_BLOCK_SLOTS = 180
+
+
 class UserPaths:
     """Each user's path and swipe process, turned into the context that the
     world step, the context emulator and the L1 orchestrator read.
@@ -196,13 +202,12 @@ class UserPaths:
     Per slot and user it holds the serving BS, that BS's mean path loss
     (dB), the probability that a swipe arrives in the slot and the
     behavioral dynamics B of the swipe rate; per user it holds the
-    environmental complexity C (`complexity`).  Rows of the first `span`
-    slots are stored, one `(span, users)` array per column, and filled when
-    the run builds the table, one user column at a time (`_walk_user`);
-    rows past the span are computed per call and not stored.  `_walk` is
-    the scalar derivation of a whole row, through `_swipe_context` for the
-    arrival probability and B: it computes the rows past the span, and the
-    stored rows are bit-equal to it.
+    environmental complexity C (`complexity`).  `_fill` derives every row,
+    one user column at a time (`_walk_user`).  Rows of the first `span`
+    slots are stored, one `(span, users)` array per column, when the run
+    builds the table.  Past the span it holds one block of rows, and a read
+    that the block does not hold refills it from the read's first slot past
+    the span, with at least `_BLOCK_SLOTS` rows.
     """
 
     def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
@@ -216,22 +221,30 @@ class UserPaths:
         self._ref_loss_db = cfg.channel.ref_loss_db
         self._ten_n = 10.0 * cfg.channel.path_loss_exponent
         self.span = cfg.eval_slots()
-        shape = (self.span, len(profiles))
-        self.serving_bs = np.empty(shape, dtype=np.int8)
-        self.loss_db = np.empty(shape)
-        self.arrival = np.empty(shape)
-        self.behavior = np.empty(shape)
-        t_s = np.arange(self.span) * self.slot_s
+        stored = self._fill(0, self.span)
+        self.serving_bs, self.loss_db, self.arrival, self.behavior = stored
+        # the block past the span: its first slot and its columns, no rows yet
+        self._block_t0, self._block = self.span, [col[:0] for col in stored]
+
+    def _fill(self, t0: int, n: int) -> list[np.ndarray]:
+        """The serving BS, path loss, arrival probability and B columns of
+        slots [t0, t0 + n), one `(n, users)` array each."""
+        shape = (n, len(self.walkers))
+        cols = [np.empty(shape, dtype) for dtype in (np.int8, float, float, float)]
+        t_s = np.arange(t0, t0 + n) * self.slot_s
         for u, walker in enumerate(self.walkers):
-            (self.serving_bs[:, u], self.loss_db[:, u], self.arrival[:, u],
-             self.behavior[:, u]) = self._walk_user(u, walker.positions(t_s), t_s)
+            for col, user_col in zip(cols, self._walk_user(u, walker.positions(t_s), t_s)):
+                col[:, u] = user_col
+        return cols
 
     def _walk_user(self, u: int, xy: np.ndarray, t_s: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """User u's column of `_walk` at the times t_s, where it stands at xy:
-        the same arithmetic, exact operations in numpy and `math`'s
-        transcendentals mapped over the elements (numpy's differ in the last
-        bit), with `np.where` for the builtins' `max` and `min`."""
+        """User u's column at the times t_s, where it stands at xy: the
+        arithmetic of `mean_path_loss` at 1 m or more, `swipe_rate`, the
+        arrival probability 1 - exp(-rate / 60 * slot_s) and
+        `behavior_of_rate`, with `math`'s transcendentals mapped over the
+        elements (numpy's differ in the last bit) and `np.where` for the
+        builtins' `max` and `min`."""
         x, y = xy[:, 0], xy[:, 1]
         best = np.zeros(len(t_s), dtype=np.int8)
         best_loss = np.full(len(t_s), math.inf)
@@ -250,49 +263,33 @@ class UserPaths:
         behavior = np.where(0.0 > behavior, 0.0, behavior)
         return best, best_loss, arrival, 1.0 + np.where(1.0 < behavior, 1.0, behavior)
 
-    def _walk(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
-        """Slot t's row, computed: each user attaches to the BS of least mean
-        path loss (`mean_path_loss` at a distance of at least 1 m), and the
-        swipe rate gives the arrival probability and B."""
-        t_s = t * self.slot_s
-        ref, ten_n = self._ref_loss_db, self._ten_n
-        hypot, log10, inf = math.hypot, math.log10, math.inf
-        bs_xy = self._bs_xy
-        serving, losses = [], []
-        for walker in self.walkers:
-            x, y = walker.position(t_s)
-            best, best_loss = 0, inf
-            for j, (bx, by) in enumerate(bs_xy):
-                d = hypot(x - bx, y - by)
-                loss = ref + ten_n * log10(1.0 if 1.0 > d else d)
-                if loss < best_loss:
-                    best, best_loss = j, loss
-            serving.append(best)
-            losses.append(best_loss)
-        return (serving, losses, *self._swipe_context(t_s, self._swipe))
-
-    def _swipe_context(self, t_s: float, swipes) -> tuple[list[float], list[float]]:
-        """The swipe-arrival probability in the slot at t_s and B, one per
-        swipe process of `swipes`."""
-        rates = [swipe_rate(params, t_s) for params in swipes]
-        return ([1.0 - math.exp(-rate / 60.0 * self.slot_s) for rate in rates],
-                [behavior_of_rate(rate, self._max_swipe) for rate in rates])
+    def _held(self, t0: int, n: int) -> tuple[list[np.ndarray], int]:
+        """The block's columns and slot t0's index in them, refilled so that
+        they hold slots [t0, t0 + n); t0 is past the span."""
+        i = t0 - self._block_t0
+        if i < 0 or i + n > len(self._block[0]):
+            self._block_t0, i = t0, 0
+            self._block = self._fill(t0, max(n, _BLOCK_SLOTS))
+        return self._block, i
 
     def row(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:
         """Slot t's serving BSs, path losses, swipe-arrival probabilities and
         B values, one per user."""
+        cols = (self.serving_bs, self.loss_db, self.arrival, self.behavior)
         if t >= self.span:
-            return self._walk(t)
-        return (self.serving_bs[t].tolist(), self.loss_db[t].tolist(),
-                self.arrival[t].tolist(), self.behavior[t].tolist())
+            cols, t = self._held(t, 1)
+        serving, loss, arrival, behavior = cols
+        return (serving[t].tolist(), loss[t].tolist(), arrival[t].tolist(),
+                behavior[t].tolist())
 
     def behaviors(self, user: int, t0: int, n: int) -> np.ndarray:
         """The user's B over slots [t0, t0 + n)."""
-        stored = min(t0 + n, self.span)
-        swipe = self._swipe[user:user + 1]
-        past = [self._swipe_context(t * self.slot_s, swipe)[1][0]
-                for t in range(max(t0, self.span), t0 + n)]
-        return np.concatenate((self.behavior[t0:stored, user], past))
+        end, past = t0 + n, max(t0, self.span)
+        parts = [self.behavior[t0:end, user]]
+        if end > past:
+            cols, i = self._held(past, end - past)
+            parts.append(cols[3][i:i + end - past, user])
+        return np.concatenate(parts)
 
 
 class _UserRuntime:

@@ -303,26 +303,61 @@ class TestPathWalker:
         assert w.positions(np.arange(3.0)).tolist() == [[3.0, -2.0]] * 3
 
 
-def assert_stored_rows_are_walks(paths):
-    """Every stored row equals `_walk`, the scalar reference, bit for bit."""
+def ref_walk(cfg, profiles, t):
+    """Slot t's row from the scalar oracles: each user attaches to the BS of
+    least `mean_path_loss` at a distance of at least 1 m (the lowest BS
+    index on ties), and its `swipe_rate` gives the swipe-arrival probability
+    and B."""
+    t_s = t * cfg.slot_s
+    row = ([], [], [], [])
+    for p in profiles:
+        x, y = netsim.PathWalker(p.waypoints, p.speed_kmh).position(t_s)
+        losses = [netsim.mean_path_loss(max(math.hypot(x - bx, y - by), 1.0), cfg.channel)
+                  for bx, by in (b.position for b in cfg.base_stations())]
+        best = losses.index(min(losses))
+        rate = netsim.swipe_rate(p.swipe_rate_params, t_s)
+        for col, value in zip(row, (
+                best, losses[best], 1.0 - math.exp(-rate / 60.0 * cfg.slot_s),
+                netsim.behavior_of_rate(rate, cfg.users.max_swipe_rate_per_min))):
+            col.append(value)
+    return row
+
+
+def assert_row_is_walk(got, want):
+    """A row (four per-user columns) equals `ref_walk`'s, bit for bit."""
+    assert list(got[0]) == want[0]
+    for col, want_col in zip(got[1:], want[1:]):
+        assert np.asarray(col).tobytes() == np.array(want_col).tobytes()
+
+
+def assert_stored_rows_are_walks(cfg, profiles, paths):
+    """Every stored row equals `ref_walk`'s, bit for bit."""
     assert paths.span > 0
     for t in range(paths.span):
-        serving, loss, arrival, behavior = paths._walk(t)
-        assert paths.serving_bs[t].tolist() == serving
-        for col, want in ((paths.loss_db, loss), (paths.arrival, arrival),
-                          (paths.behavior, behavior)):
-            assert col[t].tobytes() == np.array(want).tobytes()
+        assert_row_is_walk((paths.serving_bs[t].tolist(), paths.loss_db[t],
+                            paths.arrival[t], paths.behavior[t]),
+                           ref_walk(cfg, profiles, t))
+
+
+def held_bytes(paths):
+    """Bytes of the arrays that the table holds, alone or in a tuple or list."""
+    held = 0
+    for value in vars(paths).values():
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(item, np.ndarray):
+                held += item.nbytes
+    return held
 
 
 class TestUserPaths:
     @pytest.mark.parametrize("seed", [1, 2, 5, 11])
     @pytest.mark.parametrize("num_bs, slot_s", [(2, 1.0), (3, 0.25)])
     def test_every_stored_row_is_its_walk(self, seed, num_bs, slot_s):
-        _, state = make_state(seed=seed, num_users=9, sim_duration_s=150,
-                              slot_s=slot_s, **{"radio.num_bs": num_bs,
-                                                "radio.bs_x_m": "250, 750, 500",
-                                                "radio.bs_y_m": "500, 500, 900"})
-        assert_stored_rows_are_walks(state.paths)
+        cfg, state = make_state(seed=seed, num_users=9, sim_duration_s=150,
+                                slot_s=slot_s, **{"radio.num_bs": num_bs,
+                                                  "radio.bs_x_m": "250, 750, 500",
+                                                  "radio.bs_y_m": "500, 500, 900"})
+        assert_stored_rows_are_walks(cfg, state.profiles, state.paths)
 
     def test_every_stored_row_is_its_walk_at_the_edges(self):
         cfg = scenario.parse_overrides({"sim_duration_s": "200"})
@@ -349,7 +384,7 @@ class TestUserPaths:
                  params=(25.0, 20.0, 90.0)),
         ]
         paths = netsim.UserPaths(cfg, users)
-        assert_stored_rows_are_walks(paths)
+        assert_stored_rows_are_walks(cfg, users, paths)
         assert paths.serving_bs[:, :4].tolist() == [[0] * 4] * paths.span
         # a clamped distance of 1 m loses the reference loss, log10(1) = 0
         assert (paths.loss_db[:, 0] == cfg.channel.ref_loss_db).sum() > 1
@@ -362,11 +397,63 @@ class TestUserPaths:
         paths = state.paths
         assert paths.span == 20
         rows = [paths.row(t) for t in (25, 3, 19, 20, 0)]
-        fresh = netsim.UserPaths(cfg, state.profiles)
-        assert rows == [fresh._walk(t) for t in (25, 3, 19, 20, 0)]
+        assert rows == [ref_walk(cfg, state.profiles, t) for t in (25, 3, 19, 20, 0)]
         for u in range(5):
             assert paths.behaviors(u, 12, 15).tolist() == [
-                fresh._walk(t)[3][u] for t in range(12, 27)]
+                ref_walk(cfg, state.profiles, t)[3][u] for t in range(12, 27)]
+
+    @pytest.mark.parametrize("num_bs, slot_s", [(2, 1.0), (3, 0.25)])
+    def test_past_span_reads_are_walks(self, num_bs, slot_s):
+        cfg, state = make_state(seed=3, num_users=5, sim_duration_s=20, slot_s=slot_s,
+                                **{"radio.num_bs": num_bs,
+                                   "radio.bs_x_m": "250, 750, 500",
+                                   "radio.bs_y_m": "500, 500, 900"})
+        paths = state.paths
+        span, block = paths.span, 180
+        walks = {}
+
+        def walk(t):
+            if t not in walks:
+                walks[t] = ref_walk(cfg, state.profiles, t)
+            return walks[t]
+
+        def check_behaviors(u, t0, n):
+            want = [walk(t)[3][u] for t in range(t0, t0 + n)]
+            assert paths.behaviors(u, t0, n).tobytes() == np.array(want).tobytes()
+
+        # rows at the span and at the first block's edges, then past it,
+        # back into an earlier block and far past the span
+        for t in (span, span + block - 1, span + block, span + 5, span - 1,
+                  span + 10 * block + 7, span + 2 * block - 1, span + 2 * block + 1):
+            assert_row_is_walk(paths.row(t), walk(t))
+        # reads that straddle the span or a block edge, and reads longer
+        # than a block
+        for u, t0, n in ((0, span - 3, 10), (1, span + 2 * block - 2, 5),
+                         (2, span + 2 * block - 2, 5), (3, span - 15, 2 * block + 60),
+                         (4, span + 3 * block + 11, 2 * block + 1), (0, 0, span + 1)):
+            check_behaviors(u, t0, n)
+        # a training episode's reads: plan 180 slots ahead, then step the
+        # episode (720 slots at 0.25 s, beyond one block)
+        episode = int(180 / slot_s)
+        for t0 in (span + 7, span + 7 + episode):
+            for u in range(5):
+                check_behaviors(u, t0, block)
+            for t in range(t0, t0 + episode, 7):
+                assert_row_is_walk(paths.row(t), walk(t))
+
+    @settings(max_examples=30, deadline=None)
+    @given(slot_s=st.sampled_from([0.25, 1.0]),
+           reads=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 900),
+                                    st.integers(0, 400)), min_size=1, max_size=8))
+    def test_reads_in_any_order_are_walks(self, slot_s, reads):
+        cfg, state = make_state(seed=3, num_users=5, sim_duration_s=20, slot_s=slot_s)
+        paths = state.paths
+        for u, t0, n in reads:  # n = 0 reads slot t0's row
+            if n:
+                want = [ref_walk(cfg, state.profiles, t)[3][u] for t in range(t0, t0 + n)]
+                assert paths.behaviors(u, t0, n).tobytes() == np.array(want).tobytes()
+            else:
+                assert_row_is_walk(paths.row(t0), ref_walk(cfg, state.profiles, t0))
 
     def test_behaviors_bit_equal_to_the_swipe_rate_on_each_side_of_the_span(self):
         cfg, state = make_state(num_users=6, sim_duration_s=20)
@@ -387,6 +474,11 @@ class TestUserPaths:
         stored = sum(col.nbytes for col in (paths.serving_bs, paths.loss_db,
                                             paths.arrival, paths.behavior))
         assert stored == 30 * 7 * 25
+        # past the span the table holds at most one block of 180 rows
+        for k in range(10):
+            paths.row(30 + 180 * k + 7)
+            paths.behaviors(k % 7, 30 + 180 * k + 100, 150)
+            assert held_bytes(paths) <= (30 + 180) * 7 * 25
 
 
 def test_one_source_for_the_paths():
@@ -406,6 +498,8 @@ def test_one_source_for_the_paths():
     functions = {node.name: node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
     assert "_attach" not in functions
+    # the fill is the one derivation of a row
+    assert "_walk" not in functions and "_swipe_context" not in functions
     assert "exp" not in loaded_names(functions["advance_slots"])
     # the table is the one per-user store of the serving BS, and what the
     # step measured is returned, not kept on the state

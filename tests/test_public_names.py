@@ -6,10 +6,12 @@ import pathlib
 
 from qoesim import scenario
 
-# reference oracles: the world step inlines them, and tests hold the
-# kernel to them
+# reference oracles: the world step and the path table's fill inline them,
+# and tests hold the kernel and the fill to them
 ORACLES = {
     "netsim.mean_path_loss",
+    "netsim.swipe_rate",
+    "netsim.behavior_of_rate",
     "netsim.achievable_rate",
     "netsim.step_playback",
     "harness.recompute_window_ratios",
