@@ -282,32 +282,6 @@ def validate_summary(summary: dict) -> None:
     jsonschema.validate(summary, load_schema())
 
 
-def recompute_window_ratios(slots_csv: str, windows_csv: str,
-                            elas: dict[int, float],
-                            period_slots: int) -> list[tuple[float, float]]:
-    """Redundant-path check: rebuild each window's ELA ratio from the raw
-    slot trace and pair it with the value in windows.csv."""
-    with open(windows_csv, newline="", encoding="utf-8") as fh:
-        windows = [(int(r["window"]), int(r["start_slot"]), int(r["end_slot"]),
-                    float(r["ela_ratio"])) for r in csv.DictReader(fh)]
-    by_window_user: dict[int, dict[int, list[float]]] = {}
-    with open(slots_csv, newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            t = int(r["t"])
-            if (t + 1) % period_slots != 0:
-                continue
-            for idx, start, end, _ in windows:
-                if start <= t < end:
-                    by_window_user.setdefault(idx, {}).setdefault(
-                        int(r["user"]), []).append(float(r["qoe_sample"]))
-                    break
-    out = []
-    for idx, start, end, stored in windows:
-        means = {u: float(np.mean(v)) for u, v in by_window_user[idx].items()}
-        out.append((ela_ratio(means, elas), stored))
-    return out
-
-
 def comparison_table(summaries: list[dict]) -> str:
     """Plain-text scheme comparison for `simctl report`."""
     lines = [f"{'scheme':10s} {'mean ELA ratio':>15s} {'median QoE':>11s} "

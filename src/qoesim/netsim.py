@@ -37,11 +37,14 @@ Each slot it
   3. calls the orchestrator, then per user in id order clips the request to
      what the slice caps have left, and steps the radio rate, the swipe
      arrival, the tier pick, the segment download, playback and the MOS mean.
-The truncated-normal MOS map runs once per evaluation period (and at the end
-of the call) over the sampled slots since the last map: the uniforms are
-drawn per slot as before, and only the records and period samples, which
-no orchestrator reads, hold the samples.  Mapping once per call would hold
-a whole window's pending rows at once (+2 MB peak on a 12-minute traced run).
+The truncated-normal MOS map runs once per call, when it returns, over
+every sampled slot of the call: the uniforms are drawn per slot, and only
+the records and period samples, which no orchestrator reads, hold the
+samples.  The map is elementwise, so one map per call gives the same bits
+as one per period at a fraction of the calls.  Holding a whole window's
+pending rows costs 0.2-0.5 MB of peak RSS against a map per period
+(full-trace paper-preset runs of `proposed` and `wo-da`, seed 1, with 9- to
+15-minute windows).
 Per-user, per-BS and per-tier constants (the table's complexity, the C
 term of the true impact factor, true alpha, structure, MOS sigma, tier
 qualities and costs) are built once by `SimState`.
@@ -53,16 +56,17 @@ arithmetic, and because numpy's `log10`, `sin` and `exp` may differ from
 belongs with a user-count axis far above 24 users.  The table's one fill
 (`UserPaths._fill`) runs along the slot axis instead, a user column at a
 time: numpy does the exact arithmetic and `math`'s transcendentals are
-mapped over the elements, so every row is bit-equal to the scalar oracles.
-For the same per-call reason the kernel inlines the playback, rate and
-QoS-times-impact arithmetic and writes `min`/`max` as conditionals.  The
-helpers (`step_playback`, `qoe.qos_score`, ...) stay the one definition
-that other callers use, and a reference test built on them holds the
-kernel to them bit for bit.
+mapped over the elements (`qoe.mapped`), so every row is bit-equal to the
+scalar oracles.  For the same per-call reason the kernel inlines the
+playback, rate and QoS-times-impact arithmetic and writes `min`/`max` as
+conditionals.  The helpers (`step_playback`, `qoe.qos_score`, ...) stay
+the one definition that other callers use, and a reference test built on
+them holds the kernel to them bit for bit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,12 +136,14 @@ def complexity_of_speed(speed_kmh: float,
 
 def pick_tier(rate_budget_bps: float, cpu_cps: float, levels_bps, costs_cps) -> int:
     """Highest tier whose bitrate fits the rate budget and whose transcode
-    cost fits the compute grant; tier 0 when none does."""
-    tier = 0
-    for i, bitrate in enumerate(levels_bps):
-        if bitrate <= rate_budget_bps and costs_cps[i] <= cpu_cps:
-            tier = i
-    return tier
+    cost fits the compute grant; tier 0 when none does.  Both ladders rise
+    with the tier (`validate_config`), so the tiers that fit are a prefix:
+    the shorter of the two ladders' fitting prefixes.  Conditionals stand in
+    for the builtins `min` and `max`, whose calls cost more than the rest."""
+    fit = bisect_right(levels_bps, rate_budget_bps)
+    cpu_fit = bisect_right(costs_cps, cpu_cps)
+    fit = cpu_fit if cpu_fit < fit else fit
+    return fit - 1 if fit else 0
 
 
 class PathWalker:
@@ -181,12 +187,6 @@ class PathWalker:
         moving = seg_len > 0
         f = np.where(moving, (s - cum[i]) / np.where(moving, seg_len, 1.0), 0.0)
         return pts[i] + f[:, None] * (pts[i + 1] - pts[i])
-
-
-def _mapped(fn: Callable, *cols: np.ndarray) -> np.ndarray:
-    """A scalar function of floats applied to each element of equal-length
-    columns."""
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, len(cols[0]))
 
 
 # A training episode plans 180 slots (`runner.DYNAMICS_HORIZON_SLOTS`) ahead
@@ -249,16 +249,16 @@ class UserPaths:
         best = np.zeros(len(t_s), dtype=np.int8)
         best_loss = np.full(len(t_s), math.inf)
         for j, (bx, by) in enumerate(self._bs_xy):
-            d = _mapped(math.hypot, x - bx, y - by)
-            loss = self._ref_loss_db + self._ten_n * _mapped(math.log10,
-                                                             np.where(1.0 > d, 1.0, d))
+            d = qoe.mapped(math.hypot, x - bx, y - by)
+            loss = self._ref_loss_db + self._ten_n * qoe.mapped(
+                math.log10, np.where(1.0 > d, 1.0, d))
             nearer = loss < best_loss  # the lowest BS index keeps a tie
             best = np.where(nearer, j, best)
             best_loss = np.where(nearer, loss, best_loss)
         mean, amp, period = self._swipe[u]  # swipe_rate
-        rate = mean + amp * _mapped(math.sin, 2.0 * math.pi * t_s / period)
+        rate = mean + amp * qoe.mapped(math.sin, 2.0 * math.pi * t_s / period)
         rate = np.where(0.0 > rate, 0.0, rate)
-        arrival = 1.0 - _mapped(math.exp, -rate / 60.0 * self.slot_s)
+        arrival = 1.0 - qoe.mapped(math.exp, -rate / 60.0 * self.slot_s)
         behavior = rate / self._max_swipe  # behavior_of_rate
         behavior = np.where(0.0 > behavior, 0.0, behavior)
         return best, best_loss, arrival, 1.0 + np.where(1.0 < behavior, 1.0, behavior)
@@ -385,8 +385,8 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
 
     Grants are clipped to the slice caps in user-id order.  `records` (when
     given) gets one row per user and slot.  Records and samples are
-    completed at each period end and when the call returns, after the MOS
-    draws of the slots since the last completion are mapped at once.
+    completed when the call returns, after the call's MOS draws are mapped
+    at once.
     """
     k = len(state.profiles)
     n_bs = len(state.base_stations)
@@ -497,25 +497,15 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                 if period_end:
                     rt.period_rebuffer = 0.0
         state.t += 1
-        if pending and (period_end or step == n_slots - 1):
-            _emit_samples(records, samples, pending, mus, sigmas, mos_unis)
+    if pending:
+        # one uniform per user per slot; inverse-CDF keeps the draw count fixed
+        draws = qoe.truncated_normal_from_uniform(mus, sigmas, mos_unis).tolist()
+        for (row, period_end), mos in zip(pending, draws):
+            rec = SlotRecord._make(row + (mos,))
+            if records is not None:
+                records.append(rec)
+            if period_end:
+                samples.append(PeriodSample(rec.t, rec.user, qoe.FactorSample(
+                    mos, rec.rebuffer_period_s, rec.quality, rec.behavior,
+                    rec.complexity)))
     return samples
-
-
-def _emit_samples(records: list[SlotRecord] | None, samples: list[PeriodSample],
-                  pending: list[tuple[tuple, bool]], mus: list[float],
-                  sigmas: list[float], unis: list[float]) -> None:
-    """Map the pending MOS uniforms to truncated-normal samples in one call,
-    append the records and period samples they complete, and empty the
-    pending lists."""
-    # one uniform per user per slot; inverse-CDF keeps the draw count fixed
-    draws = qoe.truncated_normal_from_uniform(mus, sigmas, unis).tolist()
-    for (row, period_end), mos in zip(pending, draws):
-        rec = SlotRecord._make(row + (mos,))
-        if records is not None:
-            records.append(rec)
-        if period_end:
-            samples.append(PeriodSample(rec.t, rec.user, qoe.FactorSample(
-                mos, rec.rebuffer_period_s, rec.quality, rec.behavior, rec.complexity)))
-    for pending_list in (pending, mus, sigmas, unis):
-        pending_list.clear()

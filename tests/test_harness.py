@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -18,6 +19,32 @@ def fast_cfg(**extra):
     over = dict(FAST)
     over.update({k: str(v) for k, v in extra.items()})
     return scenario.parse_overrides(over)
+
+
+def recompute_window_ratios(slots_csv: str, windows_csv: str,
+                            elas: dict[int, float],
+                            period_slots: int) -> list[tuple[float, float]]:
+    """Redundant-path check: rebuild each window's ELA ratio from the raw
+    slot trace and pair it with the value in windows.csv."""
+    with open(windows_csv, newline="", encoding="utf-8") as fh:
+        windows = [(int(r["window"]), int(r["start_slot"]), int(r["end_slot"]),
+                    float(r["ela_ratio"])) for r in csv.DictReader(fh)]
+    by_window_user: dict[int, dict[int, list[float]]] = {}
+    with open(slots_csv, newline="", encoding="utf-8") as fh:
+        for r in csv.DictReader(fh):
+            t = int(r["t"])
+            if (t + 1) % period_slots != 0:
+                continue
+            for idx, start, end, _ in windows:
+                if start <= t < end:
+                    by_window_user.setdefault(idx, {}).setdefault(
+                        int(r["user"]), []).append(float(r["qoe_sample"]))
+                    break
+    out = []
+    for idx, start, end, stored in windows:
+        means = {u: float(np.mean(v)) for u, v in by_window_user[idx].items()}
+        out.append((harness.ela_ratio(means, elas), stored))
+    return out
 
 
 class TestElaRatio:
@@ -113,7 +140,7 @@ class TestRunExperiment:
         res = sr.execute()
         harness.emit_run(str(tmp_path), SchemeId.WITHOUT_DA.value, res, sr.elas)
         period = int(cfg.playback.eval_period_s / cfg.slot_s)
-        pairs = harness.recompute_window_ratios(
+        pairs = recompute_window_ratios(
             str(tmp_path / "slots_wo-da_seed2.csv"),
             str(tmp_path / "windows_wo-da_seed2.csv"), sr.elas, period)
         assert pairs

@@ -531,14 +531,42 @@ def ref_behavior_env_trace(profile, t_s, max_swipe_rate_per_min,
     return b, c
 
 
+def loop_pick_tier(rate_budget_bps, cpu_cps, levels_bps, costs_cps):
+    """`netsim.pick_tier` as a scan: the last tier that fits both grants."""
+    tier = 0
+    for i, bitrate in enumerate(levels_bps):
+        if bitrate <= rate_budget_bps and costs_cps[i] <= cpu_cps:
+            tier = i
+    return tier
+
+
 def ref_pick_tier(state, user, cpu_cps):
     rt = state.runtime[user]
     budget = state.cfg.playback.abr_safety * rt.rate_ewma
-    tier = 0
-    for i, bitrate in enumerate(state.cfg.catalog.quality_levels_bps):
-        if bitrate <= budget and state._costs[i] <= cpu_cps:
-            tier = i
-    return tier
+    return loop_pick_tier(budget, cpu_cps, state.cfg.catalog.quality_levels_bps,
+                          state._costs)
+
+
+@st.composite
+def tier_ladders(draw):
+    """A catalog's bitrate and transcode-cost ladders, as `validate_config`
+    admits them: strictly increasing positive bitrates, c0 and c1 > 0."""
+    levels = tuple(sorted(draw(st.sets(st.floats(1.0, 1e8), min_size=2, max_size=8))))
+    cat = scenario.CatalogConfig(
+        quality_levels_bps=levels, compute_cost_c0_cps=draw(st.floats(1e-3, 1e10)),
+        compute_cost_c1_cps=draw(st.floats(1e-3, 1e10)))
+    return levels, [cat.compute_cost_cps(r) for r in levels]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ladders=tier_ladders())
+def test_pick_tier_matches_the_loop_form(data, ladders):
+    levels, costs = ladders
+    # grants on a rung, between rungs and outside the ladder
+    budget = data.draw(st.one_of(st.sampled_from(levels), st.floats(allow_nan=False)))
+    cpu = data.draw(st.one_of(st.sampled_from(costs), st.floats(allow_nan=False)))
+    assert netsim.pick_tier(budget, cpu, levels, costs) == \
+        loop_pick_tier(budget, cpu, levels, costs)
 
 
 def ref_enforce_caps(state, alloc, serving):

@@ -14,7 +14,6 @@ ORACLES = {
     "netsim.behavior_of_rate",
     "netsim.achievable_rate",
     "netsim.step_playback",
-    "harness.recompute_window_ratios",
 }
 
 

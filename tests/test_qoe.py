@@ -1,11 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from qoesim import qoe
 from qoesim.errors import InsufficientData, UnknownStructure
@@ -91,6 +95,112 @@ class TestTruncatedNormal:
         u = rng.random(100_000)
         draws = qoe.truncated_normal_from_uniform(mu, sigma, u)
         assert abs(draws.mean() - mean) < 0.01
+
+
+def assert_bits(got, want):
+    """Same shape and the same float64 bit patterns, NaN signs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    mismatch = got.view(np.int64) != want.view(np.int64)
+    assert not mismatch.any(), (got[mismatch][:5], want[mismatch][:5])
+
+
+def around(edges, ulps=4, rel=1e-3, n=201):
+    """Each edge, its neighbours a few ulps away and a fine grid across it."""
+    out = []
+    for e in edges:
+        x = e
+        for _ in range(ulps):
+            x = np.nextafter(x, -np.inf)
+        for _ in range(2 * ulps + 1):
+            out.append(x)
+            x = np.nextafter(x, np.inf)
+        out.extend(np.linspace(e * (1.0 - rel), e * (1.0 + rel), n))
+    return np.array(out)
+
+
+# the argument x = a / sqrt(2) of erf and erfc changes branch at |x| = 1/sqrt(2)
+# (ndtr), 1 and 8 (erfc), and where exp(-x * x) falls below exp(-MAXLOG)
+NDTR_EDGES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * qoe._MAXLOG)]
+NDTR_GRID = np.concatenate([
+    around(NDTR_EDGES), -around(NDTR_EDGES), np.linspace(-45.0, 45.0, 9001),
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf, np.nan, -np.nan, 1e300]])
+# y0 changes branch at exp(-2) and 1 - exp(-2) (the central range) and at
+# exp(-32) (the far tail's table)
+NDTRI_EDGES = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)]
+NDTRI_GRID = np.concatenate([
+    np.clip(around(NDTRI_EDGES), 0.0, 1.0), np.linspace(0.0, 1.0, 10001),
+    # numpy's `log` differs from the C library's on a few of these tail inputs
+    np.linspace(0.0, math.exp(-2.0), 100001),
+    1.0 - np.linspace(0.0, math.exp(-2.0), 100001),
+    np.exp(-np.linspace(0.0, 740.0, 3001)), 1.0 - np.exp(-np.linspace(0.0, 37.0, 1001)),
+    [0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, 5e-324, 1.0 + 1e-16, 2.0, -1e-300,
+     np.inf, -np.inf, np.nan, -np.nan]])
+PORTS = [(qoe._ndtr, ndtr, NDTR_GRID), (qoe._ndtri, ndtri, NDTRI_GRID)]
+PORT_IDS = ["ndtr", "ndtri"]
+
+
+class TestCephesPort:
+    """`qoe._ndtr` and `qoe._ndtri` are bit-equal to scipy.special's."""
+
+    @pytest.mark.parametrize("port, oracle, grid", PORTS, ids=PORT_IDS)
+    def test_branch_edges(self, port, oracle, grid):
+        assert_bits(port(grid), oracle(grid))
+
+    @pytest.mark.parametrize("port, oracle, grid", PORTS, ids=PORT_IDS)
+    def test_shapes(self, port, oracle, grid):
+        # 0-d (a scalar draw), 1-d (the world step's draws) and 2-d
+        # (columns_log_likelihood's rows of samples)
+        for x in grid[::97].tolist():
+            assert_bits(port(x), oracle(x))
+            assert_bits(port(np.float64(x)), oracle(np.float64(x)))
+        block = grid[:len(grid) // 6 * 6].reshape(6, -1)
+        assert_bits(port(block), oracle(block))
+        assert_bits(port(block[:, :0]), oracle(block[:, :0]))
+
+    @pytest.mark.parametrize("port, oracle, grid", PORTS, ids=PORT_IDS)
+    def test_no_branch_runs_off_its_domain(self, port, oracle, grid):
+        # each branch sees only its own inputs: no overflow, no log of 0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            port(grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                       max_size=12))
+    def test_ndtr_any_floats(self, xs):
+        assert_bits(qoe._ndtr(np.array(xs)), ndtr(np.array(xs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ys=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-12),
+                                 st.floats(allow_nan=True)), min_size=1, max_size=12))
+    def test_ndtri_any_floats(self, ys):
+        assert_bits(qoe._ndtri(np.array(ys)), ndtri(np.array(ys)))
+
+    def test_mos_draws_match_scipy(self):
+        # the MOS generator's own inputs, through the port and through scipy
+        rng = np.random.default_rng(5)
+        mu = rng.uniform(0.0, 6.0, 4000)
+        sigma = np.sqrt(rng.choice(list(qoe.STRUCTURE_VARIANCE.values()), 4000))
+        a = ndtr((qoe.MOS_LO - mu) / sigma)
+        b = ndtr((qoe.MOS_HI - mu) / sigma)
+        u = rng.random(4000)
+        y = np.clip(a + u * np.maximum(b - a, 1e-300), 1e-300, 1.0 - 1e-16)
+        want = np.clip(mu + sigma * ndtri(y), qoe.MOS_LO, qoe.MOS_HI)
+        assert_bits(qoe.truncated_normal_from_uniform(mu, sigma, u), want)
+
+
+def test_the_run_path_loads_no_scipy():
+    # scipy.special's import costs more set-up time and memory than the rest
+    # of the package's; the tests keep it as the port's oracle only
+    src = pathlib.Path(qoe.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import qoesim.cli, qoesim.harness, qoesim.runner, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestMosSample:
