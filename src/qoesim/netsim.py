@@ -42,9 +42,9 @@ every sampled slot of the call: the uniforms are drawn per slot, and only
 the records and period samples, which no orchestrator reads, hold the
 samples.  The map is elementwise, so one map per call gives the same bits
 as one per period at a fraction of the calls.  Holding a whole window's
-pending rows costs 0.2-0.5 MB of peak RSS against a map per period
+pending rows costs 0.4-0.7 MB of peak RSS against a map per period
 (full-trace paper-preset runs of `proposed` and `wo-da`, seed 1, with 9- to
-15-minute windows).
+15-minute windows, 53-55 MB in all).
 Per-user, per-BS and per-tier constants (the table's complexity, the C
 term of the true impact factor, true alpha, structure, MOS sigma, tier
 qualities and costs) are built once by `SimState`.

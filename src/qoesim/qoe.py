@@ -33,14 +33,16 @@ ported here as `_ndtr` and `_ndtri` with Cephes's branches, coefficient
 tables and Horner order, one rounding per multiply and per add, so that
 they are bit-equal to `scipy.special`'s build of the same code (1.17.1).
 The port keeps scipy off the run path: importing `scipy.special` took
-0.33 s of the package's 0.64 s import and raised peak RSS after the import
-from 38 to 59 MB (`python -X importtime`, median of ten, 2-vCPU VM).
-`math.exp` and `math.log` are mapped over the elements (`mapped`): numpy's
-vectorized `exp` and `log` differ from the C library's in the last bit on
-some inputs (numpy 2.4 on an x86-64 Xeon: 16,237 and 651 of 350,000).
+0.21 s of the package's 0.39 s import (`python -X importtime`) and raised
+peak RSS after the import from 38 to 59 MB (medians of ten, 2-vCPU Xeon
+VM, warm file cache).  `math.exp` and `math.log` are mapped over the
+elements (`mapped`): numpy's vectorized `exp` and `log` differ from the C
+library's in the last bit on some inputs (numpy 2.4 with AVX-512: `exp`
+on 15,985 of 350,000 points of [-729, -1], `log` on 83 of 350,000 of
+(0, exp(-2)]).
 `np.sqrt` is correctly rounded and stays.  A branch that no element takes
-is skipped, so a MOS draw costs about 0.2 ms for 16 users (scipy: 0.04 ms);
-`netsim.advance_slots` maps all of a call's draws at once.
+is skipped; still, mapping 16 MOS draws costs about 0.17 ms (scipy:
+0.02 ms), so `netsim.advance_slots` maps all of a call's draws at once.
 """
 from __future__ import annotations
 
