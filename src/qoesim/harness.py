@@ -10,15 +10,14 @@ checks the per-slot trace against the slice reservations independently of
 the world step's own clipping.  Runs with an aggregate trace keep no slot
 records, so they report 0 unchecked.
 
-`slots_*.csv`, the one large artifact, is written a row at a time with one
-%-format string (`_write_slots`): `csv.writer` plus `_fmt` per value cost
-three times as much for the same bytes.
+Every CSV goes through one writer (`_write_rows`) with one %-format line
+per file.  For the row types that `emit_run` hands over, which the tests
+pin, a line holds the bytes that `csv.writer` would write, at a third of
+its cost on `slots_*.csv`, the one large artifact.
 """
 from __future__ import annotations
 
 import bisect
-import csv
-import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -27,7 +26,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from . import netsim, runner, scenario
+from . import learn, netsim, runner, scenario
 from .bench import SchemeId
 from .errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples
 
@@ -42,9 +41,6 @@ class BoxStats:
     whisker_lo: float
     whisker_hi: float
     outliers: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def user_means(samples: list[netsim.PeriodSample]) -> dict[int, float]:
@@ -122,51 +118,27 @@ def capacity_violations(res: runner.RunResult) -> int:
     return over_bw + over_cpu
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
+# One line format per CSV, for the rows that `emit_run` hands over: ints
+# and bools as %d, floats (Python or numpy float64) at 10 significant
+# digits, strs (mechanism names, which need no quoting) as %s; CRLF ends
+# each line, as `csv.writer` would.
 SLOTS_HEADER = list(netsim.SLOT_COLUMNS)
-# one slot row as `_write_csv` writes it: t, user and serving_bs as ints,
-# the nine float columns at 10 significant digits, CRLF
-_SLOT_LINE = ",".join(["%d"] * 3 + ["%.10g"] * 9) + "\r\n"
-_SLOT_FAST_TYPES = {(int,) * 3 + floats
-                    for floats in itertools.product((float, np.float64), repeat=9)}
-
-
-def _write_slots(path: str, rows) -> None:
-    """`_write_csv(path, SLOTS_HEADER, rows)`, byte for byte, with one
-    %-format a row.  The format renders ints and floats (Python or numpy
-    float64) as `_fmt` does; any other row (an int in a float column, say)
-    goes through the csv writer."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SLOTS_HEADER)
-        write, fast = fh.write, _SLOT_FAST_TYPES
-        for row in rows:
-            if tuple(map(type, row)) in fast:
-                write(_SLOT_LINE % row)
-            else:
-                w.writerow([_fmt(v) for v in row])
-
-
+SLOTS_LINE = ",".join(["%d"] * 3 + ["%.10g"] * 9) + "\r\n"
 DEMANDS_HEADER = ["window", "user", "bandwidth_hz", "compute_cps", "feasible"]
+DEMANDS_LINE = "%d,%d,%.10g,%.10g,%d\r\n"
 SLICES_HEADER = ["window", "window_minutes", "group", "bs", "reserved_bw_hz",
                  "reserved_compute_cps", "mechanism"]
+SLICES_LINE = "%d,%.10g,%d,%d,%.10g,%.10g,%s\r\n"
 WINDOWS_HEADER = ["window", "start_slot", "end_slot", "window_minutes",
                   "mechanism", "ela_ratio"]
+WINDOWS_LINE = "%d,%d,%d,%.10g,%s,%.10g\r\n"
+
+
+def _write_rows(path: str, header: list[str], line: str, rows) -> None:
+    """Write a CSV: the header, then each row through the %-format `line`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def emit_run(out_dir: str, scheme: str, res: runner.RunResult,
@@ -176,26 +148,30 @@ def emit_run(out_dir: str, scheme: str, res: runner.RunResult,
     tag = f"{scheme}_seed{res.seed}"
     os.makedirs(out_dir, exist_ok=True)
     if res.slot_records is not None:
-        _write_slots(os.path.join(out_dir, f"slots_{tag}.csv"), res.slot_records)
-    _write_csv(os.path.join(out_dir, f"demands_{tag}.csv"), DEMANDS_HEADER,
-               ((w.index, u, d.bandwidth_hz, d.compute_cps, d.feasible)
-                for w in res.windows for u, d in sorted(w.demands.items())))
-    _write_csv(os.path.join(out_dir, f"slices_{tag}.csv"), SLICES_HEADER,
-               ((w.index, w.window_minutes, g, bs, bw,
-                 w.slice.reserved_cpu.get(g, 0.0), w.slice.mechanism)
-                for w in res.windows
-                for (g, bs), bw in sorted(w.slice.reserved_bw.items())))
+        _write_rows(os.path.join(out_dir, f"slots_{tag}.csv"), SLOTS_HEADER,
+                    SLOTS_LINE, res.slot_records)
+    _write_rows(os.path.join(out_dir, f"demands_{tag}.csv"), DEMANDS_HEADER,
+                DEMANDS_LINE,
+                ((w.index, u, d.bandwidth_hz, d.compute_cps, d.feasible)
+                 for w in res.windows for u, d in sorted(w.demands.items())))
+    _write_rows(os.path.join(out_dir, f"slices_{tag}.csv"), SLICES_HEADER,
+                SLICES_LINE,
+                ((w.index, w.window_minutes, g, bs, bw,
+                  w.slice.reserved_cpu.get(g, 0.0), w.slice.mechanism)
+                 for w in res.windows
+                 for (g, bs), bw in sorted(w.slice.reserved_bw.items())))
     ratios = [ela_ratio(user_means(w.samples), elas) for w in res.windows]
-    _write_csv(os.path.join(out_dir, f"windows_{tag}.csv"), WINDOWS_HEADER,
-               ((w.index, w.start_slot, w.end_slot, w.window_minutes,
-                 w.slice.mechanism, ratio) for w, ratio in zip(res.windows, ratios)))
+    _write_rows(os.path.join(out_dir, f"windows_{tag}.csv"), WINDOWS_HEADER,
+                WINDOWS_LINE,
+                ((w.index, w.start_slot, w.end_slot, w.window_minutes,
+                  w.slice.mechanism, ratio) for w, ratio in zip(res.windows, ratios)))
     qoe_samples = [ps.sample.qoe for w in res.windows for ps in w.samples]
     return {
         "seed": res.seed,
         "window_ratios": ratios,
         "mean_ela_ratio": float(np.mean(ratios)),
         "qoe_samples": len(qoe_samples),
-        "qoe_box": box_stats(qoe_samples).as_dict(),
+        "qoe_box": asdict(box_stats(qoe_samples)),
         "capacity_violations": capacity_violations(res),
     }, qoe_samples
 
@@ -207,7 +183,6 @@ def _seed_job(args) -> tuple[dict, list[float]]:
                           train_epochs=train_epochs, policy_in=policy_in)
     res = sr.execute()
     if policy_out is not None and sr.policy is not None:
-        from . import learn
         learn.save_network(sr.policy, policy_out)
     return emit_run(out_dir, scheme.value, res, sr.elas)
 
@@ -263,7 +238,7 @@ def run_experiment(cfg: scenario.ScenarioConfig, scheme: SchemeId,
         "pooled": {
             "mean_ela_ratio": float(np.mean([f["mean_ela_ratio"] for f in per_seed])),
             "ratio_cdf": [[v, f] for v, f in cdf_points(pooled_ratios)],
-            "qoe_box": box_stats(pooled_qoe).as_dict(),
+            "qoe_box": asdict(box_stats(pooled_qoe)),
         },
     }
     validate_summary(summary)

@@ -57,11 +57,26 @@ belongs with a user-count axis far above 24 users.  The table's one fill
 (`UserPaths._fill`) runs along the slot axis instead, a user column at a
 time: numpy does the exact arithmetic and `math`'s transcendentals are
 mapped over the elements (`qoe.mapped`), so every row is bit-equal to the
-scalar oracles.  For the same per-call reason the kernel inlines the
-playback, rate and QoS-times-impact arithmetic and writes `min`/`max` as
-conditionals.  The helpers (`step_playback`, `qoe.qos_score`, ...) stay
-the one definition that other callers use, and a reference test built on
-them holds the kernel to them bit for bit.
+scalar formulas below.  For the same per-call reason the kernel inlines the
+playback, rate and QoS-times-impact arithmetic (`qoe.qos_score` times
+`qoe.impact`) and writes `min`/`max` as conditionals.  No run calls a
+scalar form of the formulas below, so the package keeps none; the tests
+hold the kernel and the fill to scalar oracles of them (`tests/oracles.py`)
+bit for bit:
+  - position at time t: the point at arc length (speed * t) mod perimeter
+    along the closed waypoint loop, linear within the first leg that ends
+    at or past it;
+  - mean path loss at distance d (at least 1 m): ref_loss_db
+    + 10 * path_loss_exponent * log10(d); the serving BS is the one of
+    least loss, the lowest index on ties;
+  - swipe rate (per minute) of a user's (mean, amplitude, period_s)
+    sinusoid: max(mean + amplitude * sin(2 pi t / period_s), 0); a swipe
+    arrives in a slot with probability 1 - exp(-rate / 60 * slot_s);
+  - behavioral dynamics B = 1 + min(max(rate / max_swipe_rate_per_min, 0), 1);
+  - achievable rate: bw * log2(1 + snr) bits/s, 0 when bw = 0 or snr <= 0;
+  - playback, with D seconds of playtime downloaded in a slot of s seconds:
+    rebuffer max(s - buffer - D, 0) and buffer'
+    min(max(buffer + D - s, 0), max_buffer_s).
 """
 from __future__ import annotations
 
@@ -73,7 +88,7 @@ import numpy as np
 
 from . import qoe
 from .errors import ConfigError
-from .scenario import ChannelConfig, ScenarioConfig, UserProfile
+from .scenario import ScenarioConfig, UserProfile
 
 
 class SlotRecord(NamedTuple):
@@ -92,38 +107,6 @@ class SlotRecord(NamedTuple):
 
 
 SLOT_COLUMNS = SlotRecord._fields
-
-
-def mean_path_loss(distance_m: float, model: ChannelConfig) -> float:
-    """Deterministic log-distance component of the path loss."""
-    return model.ref_loss_db + 10.0 * model.path_loss_exponent * math.log10(distance_m)
-
-
-def achievable_rate(bw_hz: float, snr_linear: float) -> float:
-    """Shannon rate bw * log2(1 + snr) in bits/second."""
-    if bw_hz == 0.0 or snr_linear <= 0.0:
-        return 0.0
-    return bw_hz * math.log2(1.0 + snr_linear)
-
-
-def step_playback(buffer_s: float, downloaded_playtime_s: float, slot_s: float,
-                  max_buffer_s: float = 30.0) -> tuple[float, float]:
-    """Advance playback one slot; returns (buffer', rebuffer_increment)."""
-    rebuffer = max(slot_s - buffer_s - downloaded_playtime_s, 0.0)
-    new_buffer = min(max(buffer_s + downloaded_playtime_s - slot_s, 0.0), max_buffer_s)
-    return new_buffer, rebuffer
-
-
-def swipe_rate(params: tuple[float, float, float], t_s: float) -> float:
-    """Instantaneous swipe/request rate (per minute) of the sinusoid process
-    with (mean, amplitude, period_s) parameters."""
-    mean, amp, period = params
-    return max(mean + amp * math.sin(2.0 * math.pi * t_s / period), 0.0)
-
-
-def behavior_of_rate(rate_per_min: float, max_swipe_rate_per_min: float) -> float:
-    """Behavioral dynamics B of a swipe rate, clamped into [1, 2]."""
-    return 1.0 + min(max(rate_per_min / max_swipe_rate_per_min, 0.0), 1.0)
 
 
 def complexity_of_speed(speed_kmh: float,
@@ -158,24 +141,10 @@ class PathWalker:
         self.perimeter = cum[-1]
         self.speed_mps = speed_kmh / 3.6
 
-    def position(self, t_s: float) -> tuple[float, float]:
-        if self.perimeter == 0.0:
-            return self.pts[0]
-        s = (self.speed_mps * t_s) % self.perimeter
-        # linear scan is fine: loops have 4 segments
-        for i in range(len(self.cum) - 1):
-            if s <= self.cum[i + 1]:
-                seg_len = self.cum[i + 1] - self.cum[i]
-                f = (s - self.cum[i]) / seg_len if seg_len > 0 else 0.0
-                x0, y0 = self.pts[i]
-                x1, y1 = self.pts[i + 1]
-                return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
-        return self.pts[-1]
-
     def positions(self, t_s: np.ndarray) -> np.ndarray:
-        """`position` at each of the times, as an (n, 2) array.  The same
-        arithmetic on arrays, with `np.remainder` for `%` and `searchsorted`
-        for the scan, so every coordinate is bit-equal to `position`'s."""
+        """The position (module docstring) at each of the times, as an
+        (n, 2) array: `np.remainder` takes the arc length and `searchsorted`
+        finds its leg, so every coordinate is bit-equal to the scalar form's."""
         t_s = np.asarray(t_s, dtype=float)
         pts = np.array(self.pts)
         if self.perimeter == 0.0:
@@ -240,11 +209,10 @@ class UserPaths:
     def _walk_user(self, u: int, xy: np.ndarray, t_s: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """User u's column at the times t_s, where it stands at xy: the
-        arithmetic of `mean_path_loss` at 1 m or more, `swipe_rate`, the
-        arrival probability 1 - exp(-rate / 60 * slot_s) and
-        `behavior_of_rate`, with `math`'s transcendentals mapped over the
-        elements (numpy's differ in the last bit) and `np.where` for the
-        builtins' `max` and `min`."""
+        mean path loss at 1 m or more, the swipe rate, the arrival
+        probability and B of the module docstring, with `math`'s
+        transcendentals mapped over the elements (numpy's differ in the
+        last bit) and `np.where` for the builtins' `max` and `min`."""
         x, y = xy[:, 0], xy[:, 1]
         best = np.zeros(len(t_s), dtype=np.int8)
         best_loss = np.full(len(t_s), math.inf)
@@ -255,11 +223,11 @@ class UserPaths:
             nearer = loss < best_loss  # the lowest BS index keeps a tie
             best = np.where(nearer, j, best)
             best_loss = np.where(nearer, loss, best_loss)
-        mean, amp, period = self._swipe[u]  # swipe_rate
+        mean, amp, period = self._swipe[u]  # the swipe rate
         rate = mean + amp * qoe.mapped(math.sin, 2.0 * math.pi * t_s / period)
         rate = np.where(0.0 > rate, 0.0, rate)
         arrival = 1.0 - qoe.mapped(math.exp, -rate / 60.0 * self.slot_s)
-        behavior = rate / self._max_swipe  # behavior_of_rate
+        behavior = rate / self._max_swipe  # B
         behavior = np.where(0.0 > behavior, 0.0, behavior)
         return best, best_loss, arrival, 1.0 + np.where(1.0 < behavior, 1.0, behavior)
 
@@ -441,7 +409,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
             snr_db = psd[bs] - (loss[i] + sigma * shadow[i][bs]) - noise
             snr = 10.0 ** (snr_db / 10.0)
             eff = log2(1.0 + snr)
-            rate = 0.0 if bw == 0.0 or snr <= 0.0 else bw * eff  # achievable_rate
+            rate = 0.0 if bw == 0.0 or snr <= 0.0 else bw * eff  # the achievable rate
             rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * eff
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
@@ -469,7 +437,7 @@ def advance_slots(state: SimState, orchestrator: Callable, n_slots: int,
                 # re-decide at the segment boundary
                 rt.tier = pick_tier(abr * rt.rate_ewma, cpu, levels, costs)
             rt.seg_fluid = fluid
-            # step_playback
+            # playback
             x = slot - buffer - completed
             rt.period_rebuffer += 0.0 if 0.0 > x else x
             x = buffer + completed - slot

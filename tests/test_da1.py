@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qoesim import da1, learn, netsim, qoe, scenario
 from qoesim.errors import ShapeMismatch
 
+from oracles import env_trace
+
 CFG = scenario.ScenarioConfig()
 CAT = CFG.catalog
 
@@ -44,12 +46,6 @@ def emulate(p, horizon, rng, noise, t0_slot=0, cfg=CFG):
     (rising with speed)."""
     return da1.emulate_context(p, netsim.UserPaths(cfg, [p]), horizon, rng,
                                t0_slot=t0_slot, noise=noise)
-
-
-def env_trace(p, t_s):
-    rate = netsim.swipe_rate(p.swipe_rate_params, t_s)
-    return (netsim.behavior_of_rate(rate, CFG.users.max_swipe_rate_per_min),
-            netsim.complexity_of_speed(p.speed_kmh, True))
 
 
 def solve(mems, bw, cpu, warm_start=None):
@@ -88,13 +84,14 @@ class TestEmulateContext:
         p = profile(1)
         traj = emulate(p, 50, np.random.default_rng(0), noise=0.0)
         for i in range(50):
-            b, c = env_trace(p, float(i))
+            b, c = env_trace(p, float(i), CFG.users.max_swipe_rate_per_min, True)
             assert traj[i, 0] == b and traj[i, 1] == c
 
     def test_horizon_one_consistent_with_netsim(self):
         p = profile(2)
         traj = emulate(p, 1, np.random.default_rng(0), t0_slot=17, noise=0.0)
-        assert tuple(traj[0]) == env_trace(p, 17.0)
+        assert tuple(traj[0]) == env_trace(p, 17.0, CFG.users.max_swipe_rate_per_min,
+                                           True)
 
     @pytest.mark.parametrize("t0", [0, 45, 100], ids=["stored", "across", "past"])
     @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -105,10 +102,8 @@ class TestEmulateContext:
         max_swipe = cfg.users.max_swipe_rate_per_min
         for seed in range(8):
             p = profile(seed)
-            c = netsim.complexity_of_speed(p.speed_kmh, True)
-            want = np.array([(netsim.behavior_of_rate(netsim.swipe_rate(
-                p.swipe_rate_params, (t0 + i) * cfg.slot_s), max_swipe), c)
-                for i in range(30)], dtype=float).reshape(30, 2)
+            want = np.array([env_trace(p, (t0 + i) * cfg.slot_s, max_swipe, True)
+                             for i in range(30)], dtype=float).reshape(30, 2)
             rng = np.random.default_rng(seed)
             if noise > 0.0:
                 want += rng.uniform(-noise, noise, want.shape)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -190,27 +191,108 @@ class TestRunExperiment:
             harness._worker_count(4)
 
 
-# float-column values: the edges of the %.10g format, numpy scalars, and
-# ints, which `_fmt` writes in full (so |int| >= 1e10 has no exponent)
-_SLOT_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
-                | st.sampled_from([-0.0, float("nan"), 1e-300, 1e15, 5e-324])
-                | st.floats(allow_nan=True).map(np.float64)
-                | st.integers(-10**12, 10**12)
-                | st.sampled_from([10**10, -10**10, 12345678901, True]))
-_SLOT_INTS = st.integers(0, 10**6) | st.integers(0, 50).map(np.int64)
+def fmt(x) -> str:
+    """The reference formatting of one CSV value: bools as 1 or 0, floats
+    at 10 significant digits, the rest by `str`.  With `csv.writer` it
+    defines the bytes that the line formats must write."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return f"{x:.10g}"
+    return str(x)
 
 
-class TestSlotWriter:
+def write_with_csv_writer(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(v) for v in row])
+
+
+FORMATS = {"slots": (harness.SLOTS_HEADER, harness.SLOTS_LINE),
+           "demands": (harness.DEMANDS_HEADER, harness.DEMANDS_LINE),
+           "slices": (harness.SLICES_HEADER, harness.SLICES_LINE),
+           "windows": (harness.WINDOWS_HEADER, harness.WINDOWS_LINE)}
+# the types each conversion of a line format takes, and characters that
+# `csv.writer` would quote a str for
+CONVERSION_TYPES = {"d": (int, bool), "g": (float, np.float64), "s": (str,)}
+QUOTED = set(',"\r\n')
+
+
+def conversions(line: str) -> list[str]:
+    """The conversion letters of a %-format line, in order."""
+    return re.findall(r"%[^a-z%]*([a-z])", line)
+
+
+_VALUES = {
+    "d": st.integers(-10**12, 10**12) | st.booleans(),
+    "g": (st.floats(allow_nan=True, allow_infinity=True)
+          | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)),
+    "s": st.sampled_from(["greedy", "game"])
+         | st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="".join(QUOTED))),
+}
+
+
+@st.composite
+def csv_rows(draw):
+    """A file's stem and rows of the types that its line format takes."""
+    stem = draw(st.sampled_from(sorted(FORMATS)))
+    values = [_VALUES[c] for c in conversions(FORMATS[stem][1])]
+    return stem, draw(st.lists(st.tuples(*values), max_size=20))
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -0.0, 5e-324, 1e-300,
+                1.7976931348623157e308, 1e15, 12345678901.0]
+_EDGES = {"d": [0, -7, 10**12, True, False], "s": ["greedy", "game", ""],
+          "g": _EDGE_FLOATS + [-x for x in _EDGE_FLOATS]
+          + [np.float64(x) for x in _EDGE_FLOATS]}
+
+
+def edge_rows(stem: str) -> tuple[str, list[tuple]]:
+    """Rows of the file's format that take each edge value in turn."""
+    kinds = conversions(FORMATS[stem][1])
+    return stem, [tuple(_EDGES[c][i % len(_EDGES[c])] for c in kinds)
+                  for i in range(len(_EDGES["g"]))]
+
+
+class TestRowWriter:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(*[_SLOT_INTS] * 3, *[_SLOT_FLOATS] * 9)
-                    .map(lambda row: netsim.SlotRecord(*row)), max_size=20))
-    @example([netsim.SlotRecord(1, 2, 0, -0.0, float("nan"), 1e-300, 1e15,
-                                np.float64(0.1), 10**10, -12345678901, 3, 2.5)])
-    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows):
-        d = tmp_path_factory.mktemp("slots")
-        harness._write_csv(str(d / "ref.csv"), harness.SLOTS_HEADER, rows)
-        harness._write_slots(str(d / "got.csv"), rows)
+    @given(case=csv_rows())
+    @example(case=edge_rows("slots"))
+    @example(case=edge_rows("demands"))
+    @example(case=edge_rows("slices"))
+    @example(case=edge_rows("windows"))
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, case):
+        stem, rows = case
+        header, line = FORMATS[stem]
+        d = tmp_path_factory.mktemp("rows")
+        write_with_csv_writer(str(d / "ref.csv"), header, rows)
+        harness._write_rows(str(d / "got.csv"), header, line, rows)
         assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_every_row_has_its_line_formats_types(self, tmp_path, monkeypatch, scheme):
+        # the formats render only these types as `fmt` does: an int of ten
+        # or more digits in a float column, say, would take an exponent
+        handed: dict[str, list] = {}
+        real = harness._write_rows
+
+        def recording(path, header, line, rows):
+            handed[line] = list(rows)
+            real(path, header, line, handed[line])
+
+        monkeypatch.setattr(harness, "_write_rows", recording)
+        harness.run_experiment(fast_cfg(), scheme, [1], str(tmp_path), train_epochs=20)
+        assert sorted(handed) == sorted(line for _, line in FORMATS.values())
+        for line, rows in handed.items():
+            types = [CONVERSION_TYPES[c] for c in conversions(line)]
+            assert rows, line
+            for row in rows:
+                assert len(row) == len(types), (line, row)
+                assert all(type(v) in ok for v, ok in zip(row, types)), (line, row)
+                assert not any(QUOTED & set(v) for v in row if isinstance(v, str)), row
 
 
 class _RecordingLane:

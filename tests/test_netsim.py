@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qoesim import da1, netsim, qoe, runner, scenario
 
+from oracles import (achievable_rate, behavior_of_rate, env_trace, mean_path_loss,
+                     step_playback, swipe_rate, walker_position)
 from test_public_names import loaded_names
 
 
@@ -55,49 +57,41 @@ def run_under_slice(state, slc, orchestrator, rng, n_slots):
 class TestPathLoss:
     def test_reference_distance_identity(self):
         m = default_channel()
-        assert netsim.mean_path_loss(1.0, m) == 30.0
+        assert mean_path_loss(1.0, m) == 30.0
 
     def test_log_distance_formula(self):
         m = default_channel()
-        assert netsim.mean_path_loss(100.0, m) == pytest.approx(90.0)
+        assert mean_path_loss(100.0, m) == pytest.approx(90.0)
 
 
 class TestAchievableRate:
     def test_zero_snr(self):
-        assert netsim.achievable_rate(1e6, 0.0) == 0.0
+        assert achievable_rate(1e6, 0.0) == 0.0
 
     def test_unit_snr(self):
-        assert netsim.achievable_rate(1e6, 1.0) == pytest.approx(1e6)
+        assert achievable_rate(1e6, 1.0) == pytest.approx(1e6)
 
     def test_zero_bandwidth(self):
         for snr in (0.0, 1.0, 1e6):
-            assert netsim.achievable_rate(0.0, snr) == 0.0
+            assert achievable_rate(0.0, snr) == 0.0
 
 
 class TestStepPlayback:
     def test_steady_state(self):
-        assert netsim.step_playback(5.0, 1.0, 1.0) == (5.0, 0.0)
+        assert step_playback(5.0, 1.0, 1.0) == (5.0, 0.0)
 
     def test_full_stall(self):
-        assert netsim.step_playback(0.0, 0.0, 1.0) == (0.0, 1.0)
+        assert step_playback(0.0, 0.0, 1.0) == (0.0, 1.0)
 
     def test_partial_stall(self):
-        buf, rebuf = netsim.step_playback(0.4, 0.2, 1.0)
+        buf, rebuf = step_playback(0.4, 0.2, 1.0)
         assert buf == 0.0
         assert rebuf == pytest.approx(0.4)
 
     def test_buffer_cap(self):
-        buf, rebuf = netsim.step_playback(29.5, 3.0, 1.0, max_buffer_s=30.0)
+        buf, rebuf = step_playback(29.5, 3.0, 1.0, max_buffer_s=30.0)
         assert buf == 30.0
         assert rebuf == 0.0
-
-
-def env_trace(profile, t_s, max_swipe_rate_per_min, complexity_increases_with_speed):
-    """Ground-truth (B, C) at time t from the package's definitions."""
-    rate = netsim.swipe_rate(profile.swipe_rate_params, t_s)
-    return (netsim.behavior_of_rate(rate, max_swipe_rate_per_min),
-            netsim.complexity_of_speed(profile.speed_kmh,
-                                       complexity_increases_with_speed))
 
 
 class TestBehaviorEnvTrace:
@@ -273,11 +267,11 @@ class TestPathWalker:
     def test_loop_closure_and_speed(self):
         w = netsim.PathWalker(((0, 0), (100, 0), (100, 100), (0, 100), (0, 0)), 36.0)
         assert w.perimeter == 400.0
-        assert w.position(0.0) == (0.0, 0.0)
+        assert walker_position(w, 0.0) == (0.0, 0.0)
         # 36 km/h = 10 m/s: after 5 s the user sits 50 m along the first edge
-        assert w.position(5.0) == (50.0, 0.0)
+        assert walker_position(w, 5.0) == (50.0, 0.0)
         # a full lap takes 40 s
-        x, y = w.position(40.0)
+        x, y = walker_position(w, 40.0)
         assert (x, y) == pytest.approx((0.0, 0.0))
 
     # waypoints on a coarse grid, so that legs repeat a point (zero length)
@@ -292,7 +286,7 @@ class TestPathWalker:
                                              start, n):
         w = netsim.PathWalker([(x * scale, y * scale) for x, y in pts], speed)
         t_s = (start + np.arange(n)) * slot_s
-        want = np.array([w.position(t) for t in t_s.tolist()]).reshape(n, 2)
+        want = np.array([walker_position(w, t) for t in t_s.tolist()]).reshape(n, 2)
         got = w.positions(t_s)
         assert got.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
@@ -311,14 +305,14 @@ def ref_walk(cfg, profiles, t):
     t_s = t * cfg.slot_s
     row = ([], [], [], [])
     for p in profiles:
-        x, y = netsim.PathWalker(p.waypoints, p.speed_kmh).position(t_s)
-        losses = [netsim.mean_path_loss(max(math.hypot(x - bx, y - by), 1.0), cfg.channel)
+        x, y = walker_position(netsim.PathWalker(p.waypoints, p.speed_kmh), t_s)
+        losses = [mean_path_loss(max(math.hypot(x - bx, y - by), 1.0), cfg.channel)
                   for bx, by in (b.position for b in cfg.base_stations())]
         best = losses.index(min(losses))
-        rate = netsim.swipe_rate(p.swipe_rate_params, t_s)
+        rate = swipe_rate(p.swipe_rate_params, t_s)
         for col, value in zip(row, (
                 best, losses[best], 1.0 - math.exp(-rate / 60.0 * cfg.slot_s),
-                netsim.behavior_of_rate(rate, cfg.users.max_swipe_rate_per_min))):
+                behavior_of_rate(rate, cfg.users.max_swipe_rate_per_min))):
             col.append(value)
     return row
 
@@ -460,7 +454,7 @@ class TestUserPaths:
         paths = state.paths
         max_swipe = cfg.users.max_swipe_rate_per_min
         for p in state.profiles:
-            want = [netsim.behavior_of_rate(netsim.swipe_rate(
+            want = [behavior_of_rate(swipe_rate(
                 p.swipe_rate_params, t * cfg.slot_s), max_swipe) for t in range(8, 35)]
             got = paths.behaviors(p.id, 8, 27)
             assert got.tobytes() == np.array(want).tobytes()
@@ -489,11 +483,24 @@ def test_one_source_for_the_paths():
         tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
         walks = {"swipe_rate", "behavior_env_trace", "position"}
         assert sorted(loaded_names(tree) & walks) == []
-    derivations = {"complexity_of_speed", "behavior_of_rate", "swipe_rate"}
-    for path in pathlib.Path(netsim.__file__).parent.glob("*.py"):
-        if path.stem != "netsim":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            assert sorted(loaded_names(tree) & derivations) == [], path.stem
+    src = pathlib.Path(netsim.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    assert [m for m, tree in trees.items()
+            if m != "netsim" and "complexity_of_speed" in loaded_names(tree)] == []
+    # the scalar oracles live in the tests alone, and each is in use there
+    here = pathlib.Path(__file__).parent
+    oracles = {node.name for node in ast.parse(
+        (here / "oracles.py").read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(oracles & defined) == []
+    imported = {alias.name for path in here.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                for alias in node.names}
+    assert sorted(oracles - imported) == []
     tree = ast.parse(pathlib.Path(netsim.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
@@ -516,20 +523,6 @@ def test_one_source_for_the_paths():
 # The world step as it was before the scalar kernel: numpy draws indexed per
 # element, a separate grant-clipping pass and one MOS map per sampled slot.
 # The kernel must reproduce it bit for bit.
-
-def ref_swipe_rate(profile, t_s):
-    mean, amp, period = profile.swipe_rate_params
-    return max(mean + amp * math.sin(2.0 * math.pi * t_s / period), 0.0)
-
-
-def ref_behavior_env_trace(profile, t_s, max_swipe_rate_per_min,
-                           complexity_increases_with_speed):
-    b = 1.0 + min(max(ref_swipe_rate(profile, t_s) / max_swipe_rate_per_min, 0.0), 1.0)
-    v = profile.speed_kmh
-    frac = (v - 2.0) / 38.0 if complexity_increases_with_speed else (40.0 - v) / 38.0
-    c = 1.0 + min(max(frac, 0.0), 1.0)
-    return b, c
-
 
 def loop_pick_tier(rate_budget_bps, cpu_cps, levels_bps, costs_cps):
     """`netsim.pick_tier` as a scan: the last tier that fits both grants."""
@@ -616,14 +609,14 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
         shadow = rng.normal(0.0, 1.0, (k, n_bs))
         uni = rng.random((k, 2))
 
-        positions = [w.position(t_s) for w in state.paths.walkers]
+        positions = [walker_position(w, t_s) for w in state.paths.walkers]
         pl = np.empty((k, n_bs))
         serving = []  # this step's own cells, not the path table's
         for i, p in enumerate(state.profiles):
             x, y = positions[i]
             for j, bs in enumerate(state.base_stations):
                 d = max(math.hypot(x - bs.position[0], y - bs.position[1]), 1.0)
-                pl[i, j] = netsim.mean_path_loss(d, state.channel)
+                pl[i, j] = mean_path_loss(d, state.channel)
             serving.append(int(np.argmin(pl[i])))
 
         alloc = orchestrator(state, step)
@@ -638,11 +631,12 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
                       - noise)
             snr = 10.0 ** (snr_db / 10.0)
             eff = math.log2(1.0 + snr)
-            rate = netsim.achievable_rate(bw, snr)
+            rate = achievable_rate(bw, snr)
             rt.eff_ewma = 0.9 * rt.eff_ewma + 0.1 * eff
             rt.rate_ewma = 0.8 * rt.rate_ewma + 0.2 * rate
 
-            p_arrival = 1.0 - math.exp(-ref_swipe_rate(p, t_s) / 60.0 * slot)
+            rate_per_min = swipe_rate(p.swipe_rate_params, t_s)
+            p_arrival = 1.0 - math.exp(-rate_per_min / 60.0 * slot)
             if uni[i, 0] < p_arrival:
                 rt.buffer = 0.0
                 rt.seg_fluid = 0.0
@@ -659,10 +653,10 @@ def ref_advance_slots(state, orchestrator, n_slots, rng, records=None):
             if completed > 0.0:
                 rt.seg_fluid -= completed
                 rt.tier = ref_pick_tier(state, i, cpu)
-            rt.buffer, rebuf = netsim.step_playback(rt.buffer, downloaded, slot, max_buf)
+            rt.buffer, rebuf = step_playback(rt.buffer, downloaded, slot, max_buf)
             rt.period_rebuffer += rebuf
 
-            b, c = ref_behavior_env_trace(p, t_s, max_swipe, pos_c)
+            b, c = env_trace(p, t_s, max_swipe, pos_c)
             q = cat.quality_of(bitrate)
             mus[i] = (qoe.qos_score(p.structure_index, rt.period_rebuffer, q)
                       * qoe.impact(b, c, *p.true_impact_params))

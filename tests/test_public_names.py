@@ -1,38 +1,46 @@
 """Every public function, class and method of the package is used by the
-package itself.  A name that only tests load is a second path to keep in
-step with the first; it goes, or it is wired in."""
+package itself.  A name that only tests use is a second path to keep in
+step with the first; it goes, or it is wired in.
+
+What counts as a use depends on what the name is:
+  - a top-level function or class: a load of its name, bare or as an
+    attribute (`f`, `mod.f`), called or passed on;
+  - a plain method (a static method too): a call through an attribute,
+    `x.m(...)`; a bound method that is only passed on does not count;
+  - a `@property`: a load through an attribute, `x.p`.
+The scan knows no types, so a use counts for every definition of that
+name in the package.  It cannot tell apart two classes that each define a
+method `m` (a call `x.m()` on either counts for both), a method from a
+module-level function of the same name (`mod.m()`), or a property from a
+field or attribute of the same name (`x.p` on an object that stores p).
+In each such pair the one member's use hides the other's disuse.
+"""
 import ast
 import pathlib
 
 from qoesim import scenario
 
-# reference oracles: the world step and the path table's fill inline them,
-# and tests hold the kernel and the fill to them
-ORACLES = {
-    "netsim.mean_path_loss",
-    "netsim.swipe_rate",
-    "netsim.behavior_of_rate",
-    "netsim.achievable_rate",
-    "netsim.step_playback",
-}
 
-
-def public_definitions(tree: ast.Module, module: str) -> dict[str, str]:
-    """Dotted path -> name of each public top-level function and class, and
-    of each public method of a top-level class."""
+def public_definitions(tree: ast.Module, module: str) -> dict[str, tuple[str, str]]:
+    """Dotted path -> (name, kind) of each public top-level function and
+    class (kind "name") and of each public method of a top-level class
+    (kind "property" for a `@property`, else "method")."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 and not node.name.startswith("_"):
-            out[f"{module}.{node.name}"] = node.name
+            out[f"{module}.{node.name}"] = (node.name, "name")
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        out[f"{module}.{node.name}.{sub.name}"] = sub.name
+                        prop = any(isinstance(d, ast.Name) and d.id == "property"
+                                   for d in sub.decorator_list)
+                        out[f"{module}.{node.name}.{sub.name}"] = (
+                            sub.name, "property" if prop else "method")
     return out
 
 
-def loaded_names(tree: ast.Module) -> set[str]:
+def loaded_names(tree: ast.AST) -> set[str]:
     """Names read as a variable or as an attribute."""
     out = set()
     for node in ast.walk(tree):
@@ -43,20 +51,53 @@ def loaded_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def uses(tree: ast.AST) -> dict[str, set[str]]:
+    """Per kind of definition, the names that the tree uses as that kind:
+    every load for a name, attribute loads for a property and attribute
+    calls for a method."""
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    calls = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    return {"name": loaded_names(tree), "property": attributes, "method": calls}
+
+
+def unused(sources: dict[str, str]) -> list[str]:
+    """Dotted paths of the public definitions in the modules (name ->
+    source) that no module uses."""
+    defined: dict[str, tuple[str, str]] = {}
+    used: dict[str, set[str]] = {"name": set(), "property": set(), "method": set()}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined.update(public_definitions(tree, module))
+        for kind, names in uses(tree).items():
+            used[kind] |= names
+    return sorted(path for path, (name, kind) in defined.items()
+                  if name not in used[kind])
+
+
 def test_every_public_name_is_loaded_by_the_package():
     src = pathlib.Path(scenario.__file__).parent
-    defined: dict[str, str] = {}
-    loaded: set[str] = set()
-    for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(public_definitions(tree, path.stem))
-        loaded |= loaded_names(tree)
-    unused = sorted(path for path, name in defined.items()
-                    if name not in loaded and path not in ORACLES)
-    assert unused == []
-    # an oracle that the package loads again needs no allowance
-    assert sorted(p for p in ORACLES if defined.get(p) in loaded) == []
-    assert ORACLES <= set(defined)
+    assert unused({path.stem: path.read_text(encoding="utf-8")
+                   for path in sorted(src.rglob("*.py"))}) == []
+
+
+def test_a_method_counts_only_where_it_is_called():
+    source = (
+        "class Walker:\n"
+        "    def position(self, t): ...\n"
+        "    def positions(self, ts): ...\n"
+        "    @property\n"
+        "    def span(self): ...\n"
+        "    @property\n"
+        "    def idle(self): ...\n"
+        "def helper(): ...\n"
+        "def spare(): ...\n"
+        "def run(w, station):\n"
+        "    return station.position, w.positions([0.0]), w.span, helper\n"
+        "run(Walker(), None)\n")
+    # a station's `position` attribute is no call of `Walker.position`
+    assert unused({"m": source}) == ["m.Walker.idle", "m.Walker.position", "m.spare"]
 
 
 # defaulted parameters that every package call passes, kept because callers
