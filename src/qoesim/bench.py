@@ -56,16 +56,16 @@ class ExplorationOrchestrator:
         if slot % self.epoch_slots == 0:
             k = len(state.profiles)
             w_cpu = self.rng.uniform(0.05, 1.0, k) ** 2
-            cpu_tot = w_cpu.sum()
+            # grants leave as Python floats (see the netsim docstring)
+            cpu = (w_cpu / w_cpu.sum() * state.cpu_cap).tolist()
             out = {}
             # one weight draw per BS, in first-seen BS order
             by_bs = netsim.users_by_bs(state, (p.id for p in state.profiles))
             for bs, users in by_bs.items():
                 w_bw = self.rng.uniform(0.05, 1.0, len(users)) ** 2
-                bw_tot = w_bw.sum()
-                for i, u in enumerate(users):
-                    out[u] = (w_bw[i] / bw_tot * state.bw_caps.get(bs, 0.0),
-                              w_cpu[u] / cpu_tot * state.cpu_cap)
+                bw = (w_bw / w_bw.sum() * state.bw_caps.get(bs, 0.0)).tolist()
+                for u, b in zip(users, bw):
+                    out[u] = (b, cpu[u])
             self.cached = out
         return self.cached
 
@@ -140,11 +140,11 @@ class PdrlOrchestrator(da1.PolicyOrchestrator):
 
     def replan(self, state) -> None:
         k = len(state.profiles)
-        actions = self.actions(state)
-        raw_bw = actions[:k] / (da1.SHARE_LEVELS - 1)
-        raw_cpu = actions[k:] / (da1.SHARE_LEVELS - 1)
+        raw = self.actions(state) / (da1.SHARE_LEVELS - 1)
+        cpu_total = float(raw[k:].sum())
+        # the shares leave as Python floats (see the netsim docstring)
+        raw_bw, raw_cpu = raw[:k].tolist(), raw[k:].tolist()
         alloc = {}
-        cpu_total = raw_cpu.sum()
         for p in state.profiles:
             frac = raw_cpu[p.id] / cpu_total if cpu_total > 0 else 1.0 / k
             alloc[p.id] = [0.0, frac * state.cpu_cap]

@@ -137,9 +137,13 @@ def cluster_users(models: dict[int, qoe.QoEModel]) -> dict[int, list[int]]:
 
 def shares_from_actions(actions: np.ndarray,
                         present: list[int]) -> dict[int, tuple[float, float]]:
-    """Decode per-branch share indices and renormalize over present groups."""
-    raw = {g: (actions[GROUPS.index(g)] / (SHARE_LEVELS - 1),
-               actions[len(GROUPS) + GROUPS.index(g)] / (SHARE_LEVELS - 1))
+    """Decode per-branch share indices and renormalize over present groups.
+
+    The indices are decoded as Python ints, so the shares, and every budget,
+    warm start and grant the L1 orchestrator derives from them, are floats."""
+    levels = actions.tolist()
+    raw = {g: (levels[GROUPS.index(g)] / (SHARE_LEVELS - 1),
+               levels[len(GROUPS) + GROUPS.index(g)] / (SHARE_LEVELS - 1))
            for g in present}
     out = {}
     for res in (0, 1):

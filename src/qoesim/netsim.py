@@ -29,6 +29,17 @@ at the paper preset, so past the span the table keeps one block of rows
 and refills it as the training lane walks on.
 
 The world step (`advance_slots`) is one scalar kernel on Python floats.
+Its inputs are floats as well: the slice caps, and every grant that an
+orchestrator returns.  Each orchestrator converts once per replan, where it
+decodes its actions or weights: `da1.shares_from_actions` decodes the
+policy's share indices as ints, so the L1 budgets, warm starts and grants
+are floats, and `bench.ExplorationOrchestrator` and
+`bench.PdrlOrchestrator` turn their weight arrays into lists.  An
+`np.float64` is a float subclass with the same IEEE arithmetic and repr, so
+a leaked one moves no artifact; but every operation it reaches is a numpy
+scalar operation, and the `_UserRuntime` fields it reaches stay numpy
+scalars for the rest of the run.  At the paper preset (16 users, 600 slots)
+a slot took about 31 us with float grants and 43 us with `np.float64` ones.
 Each slot it
   1. draws the (k, n_bs) shadowing block and the (k, 2) uniform block and
      turns both into lists;

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -223,6 +224,65 @@ class TestTraining:
                                   bandit_hp(episodes=100),
                                   np.random.default_rng(9))[1]
         assert c1 == c2
+
+
+class NoiseEnv:
+    """Random states and rewards at the per-user BDQ's size (16 users)."""
+
+    state_dim = 128
+    num_branches = 32
+    actions_per_branch = 11
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def reset(self):
+        return self.rng.normal(size=self.state_dim)
+
+    def step(self, actions):
+        return self.reset(), float(self.rng.normal()), False
+
+
+class TestUpdateWorkspace:
+    def test_warm_update_allocates_less_than_one_advantage_array(self, monkeypatch):
+        # a cold update would hold its gradients and g_a, over 1 MB here
+        hp = bandit_hp(episodes=1, max_steps=72, hidden=(64, 64, 64), gamma=0.9,
+                       batch_size=64, target_sync=4)
+        env = NoiseEnv(np.random.default_rng(4))
+        peaks = []
+        backward = learn.backward
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loss = backward(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return loss
+
+        monkeypatch.setattr(learn, "backward", traced)
+        tracemalloc.start()
+        try:
+            net, _ = learn.train_episodes(env, hp, np.random.default_rng(4))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 9
+        one_advantage_array = env.num_branches * hp.batch_size * env.actions_per_branch * 8
+        assert max(peaks[1:]) < one_advantage_array
+        assert net.workspace is None  # the workspace lives for one training run
+
+    def test_training_matches_the_reference_update(self, monkeypatch):
+        # the training loop's shared workspace against the allocating reference
+        hp = bandit_hp(episodes=1, max_steps=40, hidden=(24, 16), gamma=0.9,
+                       batch_size=16, target_sync=5)
+        monkeypatch.setattr(NoiseEnv, "state_dim", 12)
+        monkeypatch.setattr(NoiseEnv, "num_branches", 9)
+        nets = []
+        for update in (learn.backward, ref_backward):
+            monkeypatch.setattr(learn, "backward", update)
+            nets.append(learn.train_episodes(NoiseEnv(np.random.default_rng(6)), hp,
+                                              np.random.default_rng(6))[0])
+        for p, r in zip(*(net.params() for net in nets)):
+            assert_same_bits(p, r)
 
 
 # -- the list-of-transitions replay buffer the column buffer replaced --------

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qoesim import bench, da1, da2, harness, learn, runner, scenario
+from qoesim import bench, da1, da2, harness, learn, netsim, runner, scenario
 from qoesim.bench import SchemeId
 
 from test_public_names import loaded_names
@@ -256,6 +256,45 @@ class TestSchemeRun:
         assert len(planned) == 1
         assert planned[0][0] is state
         assert state.slice is planned[0][1]
+
+    @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+    def test_the_scalar_kernels_get_python_floats(self, scheme, monkeypatch):
+        # np.float64 is a float subclass with the same arithmetic, so a leak
+        # moves no artifact; it only slows every operation it reaches
+        got = []
+        states = []
+        advance, allocate = netsim.advance_slots, da1.user_allocate
+
+        def spy_advance(state, orchestrator, n_slots, rng, records=None):
+            def spy_orchestrator(state, slot):
+                alloc = orchestrator(state, slot)
+                got.extend(("grant", x) for grant in alloc.values() for x in grant)
+                return alloc
+
+            states.append(state)
+            return advance(state, spy_orchestrator, n_slots, rng, records)
+
+        def spy_allocate(members, bw_budget_hz, cpu_budget_cps, max_iters,
+                         warm_start, tol_step):
+            got.extend([("budget", bw_budget_hz), ("budget", cpu_budget_cps)])
+            got.extend(("warm start", x) for grant in (warm_start or {}).values()
+                       for x in grant)
+            return allocate(members, bw_budget_hz, cpu_budget_cps, max_iters,
+                            warm_start, tol_step)
+
+        monkeypatch.setattr(netsim, "advance_slots", spy_advance)
+        monkeypatch.setattr(da1, "user_allocate", spy_allocate)
+        runner.SchemeRun(fast_cfg(**{"train.batch_size": 8}), scheme, 1,
+                         collect_slots=False, train_epochs=30).execute()
+        kinds = {kind for kind, _ in got}
+        assert kinds == ({"grant", "budget", "warm start"}
+                         if bench.SPECS[scheme].orchestrator is da1.Orchestrator
+                         else {"grant"})
+        assert [(kind, type(x)) for kind, x in got if type(x) is not float] == []
+        fields = [f for f in netsim._UserRuntime.__slots__ if f != "tier"]
+        assert len(states) > 1
+        assert [(f, type(getattr(rt, f))) for s in states for rt in s.runtime
+                for f in fields if type(getattr(rt, f)) is not float] == []
 
 
 class TestModelFits:
