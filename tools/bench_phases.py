@@ -4,17 +4,17 @@
         --tree HEAD=. --out BENCH_<rev>.json
 
 Each `--tree LABEL=DIR` names a checkout whose `src/` is timed.  Every
-(tree, user count, scheme, repeat) run is one `runner.SchemeRun.execute` in a
-fresh Python process on that tree's `src/`: the paper preset (the empty
-config) with `num_users` set, slot records off, serial.  The trees take
-turns run by run, in reverse order on every other repeat, so a drift of
-the host spreads over all of them.  A phase
-is the wall time of one `SchemeRun` method, timed by wrapping it: bootstrap
-(`bootstrap`), the model fit (`fit_models`), policy training
-(`train_policies`) and evaluation (`evaluate`); the total is `execute`.
-The file keeps, per tree, user count and scheme, the repeat with the median
-total, every repeat's total, and a hash of the evaluation's period samples:
-trees whose runs agree give the same hash.
+(tree, user count, scheme, repeat) run is one `runner.SchemeRun.execute`
+in a fresh Python process on that tree's `src/`: the paper preset (the
+empty config) with `num_users` set, seed 1, slot records off, serial.  The
+trees take turns run by run, in reverse order on every other repeat, so a
+drift of the host spreads over all of them.  A phase is the wall time of
+one `SchemeRun` method, timed by wrapping it: bootstrap (`bootstrap`), the
+model fit (`fit_models`), policy training (`train_policies`) and
+evaluation (`evaluate`); the total is `execute`.  The file keeps, per
+tree, user count and scheme, the repeat with the median total, every
+repeat's total, and a hash of the evaluation's period samples: trees whose
+runs agree give the same hash.
 """
 from __future__ import annotations
 
@@ -30,11 +30,14 @@ import time
 import numpy
 
 SCHEMES = ("proposed", "hsla-l2", "pdrl-l1", "wo-da")
+USERS = (16, 24)
+SEED = 1
+REPEATS = 3
 PHASES = {"bootstrap": "bootstrap_s", "fit_models": "fit_s",
           "train_policies": "train_s", "evaluate": "eval_s"}
 
 
-def time_one_run(users: int, scheme: str, seed: int) -> dict:
+def time_one_run(users: int, scheme: str) -> dict:
     """One run in this process, on the `qoesim` that `sys.path` finds."""
     from qoesim import bench, runner, scenario
 
@@ -51,7 +54,7 @@ def time_one_run(users: int, scheme: str, seed: int) -> dict:
     for name, key in (*PHASES.items(), ("execute", "total_s")):
         setattr(runner.SchemeRun, name, timed(getattr(runner.SchemeRun, name), key))
     cfg = scenario.validate_config(scenario.parse_overrides({"num_users": str(users)}))
-    result = runner.SchemeRun(cfg, bench.SchemeId(scheme), seed,
+    result = runner.SchemeRun(cfg, bench.SchemeId(scheme), SEED,
                               collect_slots=False).execute()
     samples = repr([w.samples for w in result.windows]).encode()
     return {"total_s": times["total_s"],
@@ -59,11 +62,10 @@ def time_one_run(users: int, scheme: str, seed: int) -> dict:
             "samples_sha256": hashlib.sha256(samples).hexdigest()}
 
 
-def run_in_tree(tree: str, users: int, scheme: str, seed: int) -> dict:
+def run_in_tree(tree: str, users: int, scheme: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--one",
-         f"{users},{scheme},{seed}"],
+        [sys.executable, os.path.abspath(__file__), "--one", f"{users},{scheme}"],
         env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -71,31 +73,24 @@ def run_in_tree(tree: str, users: int, scheme: str, seed: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR")
-    ap.add_argument("--users", default="16,24")
-    ap.add_argument("--schemes", default=",".join(SCHEMES))
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--out")
-    ap.add_argument("--one", help=argparse.SUPPRESS)  # users,scheme,seed
+    ap.add_argument("--one", help=argparse.SUPPRESS)  # users,scheme
     args = ap.parse_args(argv)
     if args.one:
-        users, scheme, seed = args.one.split(",")
-        print(json.dumps(time_one_run(int(users), scheme, int(seed))))
+        users, scheme = args.one.split(",")
+        print(json.dumps(time_one_run(int(users), scheme)))
         return 0
     if not args.tree or not args.out:
         ap.error("--tree and --out are required")
     trees = dict(t.split("=", 1) for t in args.tree)
-    users = [int(k) for k in args.users.split(",")]
-    schemes = args.schemes.split(",")
-    runs: dict = {label: {str(k): {s: [] for s in schemes} for k in users}
+    runs: dict = {label: {str(k): {s: [] for s in SCHEMES} for k in USERS}
                   for label in trees}
-    for rep in range(args.repeat):
+    for rep in range(REPEATS):
         order = list(trees.items())[::-1 if rep % 2 else 1]
-        for k in users:
-            for scheme in schemes:
+        for k in USERS:
+            for scheme in SCHEMES:
                 for label, tree in order:
-                    runs[label][str(k)][scheme].append(
-                        run_in_tree(tree, k, scheme, args.seed))
+                    runs[label][str(k)][scheme].append(run_in_tree(tree, k, scheme))
                     print(f"rep {rep} k={k} {scheme} {label}: "
                           f"{runs[label][str(k)][scheme][-1]['total_s']:.2f} s",
                           file=sys.stderr)
@@ -112,8 +107,8 @@ def main(argv=None) -> int:
                     **{key: round(v, 4) if isinstance(v, float) else v
                        for key, v in median.items()},
                     "totals_s": [round(r["total_s"], 4) for r in reps]}
-    doc = {"preset": "paper (empty config)", "seed": args.seed,
-           "slot_records": False, "repeats": args.repeat,
+    doc = {"preset": "paper (empty config)", "seed": SEED,
+           "slot_records": False, "repeats": REPEATS,
            "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__},
