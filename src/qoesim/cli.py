@@ -12,9 +12,9 @@ import json
 import os
 import sys
 
-from . import harness, scenario
-from .bench import SchemeId
-from .errors import ParseError, ValidationError
+from . import harness, learn, scenario
+from .bench import SPECS, SchemeId
+from .errors import ParseError, QoesimError, ValidationError
 
 SCHEMES = {s.value: s for s in SchemeId}
 
@@ -74,6 +74,16 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     schemes = parse_schemes(args.scheme, "--scheme")
     seeds = parse_ints(args.seeds, "--seeds", "seed")
+    untrained = [s.value for s in schemes if not SPECS[s].learned]
+    for flag, path in (("--policy-in", args.policy_in), ("--policy-out", args.policy_out)):
+        if path is not None and untrained:
+            raise SystemExit(f"{flag}: scheme {untrained[0]} trains no policy")
+    if args.policy_in is not None:
+        try:
+            learn.load_network(args.policy_in)
+        except (OSError, ValueError, TypeError, QoesimError) as e:
+            why = e.strerror if isinstance(e, OSError) else e
+            raise SystemExit(f"--policy-in: cannot load {args.policy_in!r}: {why}") from None
     summaries = []
     for scheme in schemes:
         summary = harness.run_experiment(

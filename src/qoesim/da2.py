@@ -107,7 +107,7 @@ def abstract_demand(members: list[Member], quantum_bw_hz: float,
 
 
 def dynamics_to_window(traces: list[np.ndarray], positions: list[np.ndarray],
-                       thresholds: tuple[float, float, float, float],
+                       thresholds: tuple[float, ...],
                        windows: tuple[float, ...]) -> float:
     """Map context volatility to a slice window length in minutes.
 

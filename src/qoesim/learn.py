@@ -453,12 +453,15 @@ def save_network(net: BdqNetwork, path: str) -> None:
 def load_network(path: str) -> BdqNetwork:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    net = BdqNetwork(doc["input_dim"], tuple(doc["hidden"]), doc["num_branches"],
-                     doc["actions_per_branch"], rng=None)
-    net.trunk_w = _decode_like("trunk_w", doc["trunk_w"], net.trunk_w)
-    net.trunk_b = _decode_like("trunk_b", doc["trunk_b"], net.trunk_b)
-    net.value_w, = _decode_like("value_w", [doc["value_w"]], [net.value_w])
-    net.value_b, = _decode_like("value_b", [doc["value_b"]], [net.value_b])
-    net.adv_w = np.array(_decode_like("adv_w", doc["adv_w"], net.adv_w))
-    net.adv_b = np.array(_decode_like("adv_b", doc["adv_b"], net.adv_b))
+    try:
+        net = BdqNetwork(doc["input_dim"], tuple(doc["hidden"]), doc["num_branches"],
+                         doc["actions_per_branch"], rng=None)
+        net.trunk_w = _decode_like("trunk_w", doc["trunk_w"], net.trunk_w)
+        net.trunk_b = _decode_like("trunk_b", doc["trunk_b"], net.trunk_b)
+        net.value_w, = _decode_like("value_w", [doc["value_w"]], [net.value_w])
+        net.value_b, = _decode_like("value_b", [doc["value_b"]], [net.value_b])
+        net.adv_w = np.array(_decode_like("adv_w", doc["adv_w"], net.adv_w))
+        net.adv_b = np.array(_decode_like("adv_b", doc["adv_b"], net.adv_b))
+    except KeyError as e:
+        raise ShapeMismatch(f"checkpoint lacks the key {e.args[0]!r}") from None
     return net

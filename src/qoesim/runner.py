@@ -94,7 +94,7 @@ class SchemeRun:
         cfg = self.cfg
         # no slice: the explorer shares out the hardware caps the state starts with
         state = netsim.SimState(cfg, self.profiles, self.paths)
-        slots = int(cfg.agent.bootstrap_minutes * 60.0 / cfg.slot_s)
+        slots = cfg.bootstrap_slots()
         explorer = bench.ExplorationOrchestrator(
             _lane(self.seed, _LANE_EXPLORE), cfg.agent.epoch_slots)
         return state, netsim.advance_slots(state, explorer, slots, train_rng)

@@ -50,27 +50,61 @@ class UserProfile:
 
 # --- config blocks -----------------------------------------------------------
 
+class _Interval:
+    """The numbers between two ends, written as in maths: "(0, inf)", "[2, 40]"."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lo, self.hi = (float(end) for end in text[1:-1].split(","))
+
+    def __contains__(self, x) -> bool:
+        return ((self.lo < x) if self.text[0] == "(" else (self.lo <= x)) and (
+            (x < self.hi) if self.text[-1] == ")" else (x <= self.hi))
+
+    def __str__(self) -> str:
+        if self.hi < math.inf:
+            return f"in {self.text}"
+        return f"{'>' if self.text[0] == '(' else '>='} {self.lo:g}"
+
+
+class _OneOf(tuple):
+    def __str__(self) -> str:
+        return "one of " + ", ".join(map(repr, self))
+
+
+def _bounded(default, bound: str | tuple):
+    """A config field whose value, or each entry of a tuple value, lies in
+    `bound`, an `_Interval`'s text or the tuple of the allowed values."""
+    return field(default=default, metadata={
+        "bound": _Interval(bound) if isinstance(bound, str) else _OneOf(bound)})
+
+
 @dataclass(frozen=True)
 class RadioConfig:
-    num_bs: int = 2
-    bs_x_m: tuple[float, ...] = (250.0, 750.0)
-    bs_y_m: tuple[float, ...] = (500.0, 500.0)
-    dl_bandwidth_hz: float = 20e6
-    tx_power_dbm: float = 12.0
+    num_bs: int = _bounded(2, "[1, 127]")  # netsim.UserPaths stores a serving BS as an int8
+    # a BS may stand outside the users' region
+    bs_x_m: tuple[float, ...] = _bounded((250.0, 750.0), "(-inf, inf)")
+    bs_y_m: tuple[float, ...] = _bounded((500.0, 500.0), "(-inf, inf)")
+    dl_bandwidth_hz: float = _bounded(20e6, "(0, inf)")
+    # 1 mW to 1 kW: small cells send about 20 dBm, macro cells about 46 dBm
+    tx_power_dbm: float = _bounded(12.0, "[0, 60]")
 
 
 @dataclass(frozen=True)
 class EdgeConfig:
-    capacity_cps: float = 10e9  # cycles per second
+    capacity_cps: float = _bounded(10e9, "(0, inf)")  # cycles per second
 
 
 @dataclass(frozen=True)
 class CatalogConfig:
-    quality_levels_bps: tuple[float, ...] = (500e3, 1e6, 1.5e6, 2e6, 2.5e6, 3e6)
-    segment_duration_s: float = 1.0
-    # transcode cost in cycles per video-second: c0 + c1 * normalized quality
-    compute_cost_c0_cps: float = 0.1e9
-    compute_cost_c1_cps: float = 0.4e9
+    # the planning utility divides by the lowest tier and the tier span
+    quality_levels_bps: tuple[float, ...] = _bounded(
+        (500e3, 1e6, 1.5e6, 2e6, 2.5e6, 3e6), "(0, inf)")
+    segment_duration_s: float = _bounded(1.0, "(0, inf)")
+    # transcode cycles per video-second, c0 + c1 * normalized quality; the
+    # planning utility divides by both
+    compute_cost_c0_cps: float = _bounded(0.1e9, "(0, inf)")
+    compute_cost_c1_cps: float = _bounded(0.4e9, "(0, inf)")
 
     @property
     def min_bitrate(self) -> float:
@@ -92,96 +126,106 @@ class CatalogConfig:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    path_loss_exponent: float = 3.0
-    ref_loss_db: float = _REF_LOSS_700MHZ_DB
-    shadowing_sigma_db: float = 4.0
-    noise_density_dbm_hz: float = -167.0  # thermal floor plus receiver noise figure
+    path_loss_exponent: float = _bounded(3.0, "[2, inf)")  # 2 is free space
+    # a loss: free space at 1 m loses 20*log10(4*pi*f/c) >= 0 dB above 24 MHz
+    ref_loss_db: float = _bounded(_REF_LOSS_700MHZ_DB, "[0, inf)")
+    shadowing_sigma_db: float = _bounded(4.0, "[0, inf)")
+    # thermal floor (kT at 290 K: -174 dBm/Hz) plus receiver noise figure
+    noise_density_dbm_hz: float = _bounded(-167.0, "[-174, inf)")
 
 
 @dataclass(frozen=True)
 class UserConfig:
-    speed_min_kmh: float = 2.0
-    speed_max_kmh: float = 40.0
-    ela_min: float = 3.0
-    ela_max: float = 5.0
-    impact_min: float = 0.2
-    impact_max: float = 1.0
-    swipe_mean_min_per_min: float = 3.0
-    swipe_mean_max_per_min: float = 9.0
-    swipe_amp_min_per_min: float = 1.0
-    swipe_amp_max_per_min: float = 3.0
-    swipe_period_min_s: float = 120.0
-    swipe_period_max_s: float = 600.0
-    max_swipe_rate_per_min: float = 30.0
+    speed_min_kmh: float = _bounded(2.0, "[2, 40]")
+    speed_max_kmh: float = _bounded(40.0, "[2, 40]")
+    ela_min: float = _bounded(3.0, "[3, 5]")
+    ela_max: float = _bounded(5.0, "[3, 5]")
+    impact_min: float = _bounded(0.2, "[0, inf)")
+    impact_max: float = _bounded(1.0, "[0, inf)")
+    swipe_mean_min_per_min: float = _bounded(3.0, "[0, inf)")
+    swipe_mean_max_per_min: float = _bounded(9.0, "[0, inf)")
+    swipe_amp_min_per_min: float = _bounded(1.0, "[0, inf)")
+    swipe_amp_max_per_min: float = _bounded(3.0, "[0, inf)")
+    # the swipe sinusoid divides by its period
+    swipe_period_min_s: float = _bounded(120.0, "(0, inf)")
+    swipe_period_max_s: float = _bounded(600.0, "(0, inf)")
+    max_swipe_rate_per_min: float = _bounded(30.0, "(0, inf)")
     # The complexity-vs-velocity sign is configurable; default maps faster
     # movement to higher complexity.
-    complexity_increases_with_speed: bool = True
+    complexity_increases_with_speed: bool = _bounded(True, (True, False))
 
 
 @dataclass(frozen=True)
 class RegionConfig:
-    width_m: float = 1000.0
-    height_m: float = 1000.0
+    # a side holds the largest patrol loop
+    width_m: float = _bounded(1000.0, f"[{_MIN_REGION_SIDE_M:g}, inf)")
+    height_m: float = _bounded(1000.0, f"[{_MIN_REGION_SIDE_M:g}, inf)")
 
 
 @dataclass(frozen=True)
 class PlaybackConfig:
-    max_buffer_s: float = 30.0
-    abr_safety: float = 0.8
-    eval_period_s: float = 10.0
+    max_buffer_s: float = _bounded(30.0, "(0, inf)")
+    # the ABR spends this share of the measured rate, never more than all of it
+    abr_safety: float = _bounded(0.8, "(0, 1]")
+    eval_period_s: float = _bounded(10.0, "(0, inf)")
 
 
 @dataclass(frozen=True)
 class AgentConfig:
-    epoch_slots: int = 10
-    demand_headroom: float = 1.3
+    epoch_slots: int = _bounded(10, "[1, inf)")
+    # the planning utility divides by both demand headrooms
+    demand_headroom: float = _bounded(1.3, "(0, inf)")
     # transcode-capacity multiple over the steady-state tier cost, covering
     # post-swipe catch-up bursts (1.0 = provision exactly real-time cost)
-    demand_cpu_headroom: float = 1.6
+    demand_cpu_headroom: float = _bounded(1.6, "(0, inf)")
     # demand targets sit this far above the ELA so the sampled window mean
     # clears the threshold despite generator noise (0 = aim exactly at ELA)
-    demand_margin_mos: float = 0.25
-    bootstrap_minutes: float = 12.0
-    refit_tolerance: float = 1.5
-    refit_window: int = 120
-    context_noise: float = 0.05
+    demand_margin_mos: float = _bounded(0.25, "[0, inf)")
+    bootstrap_minutes: float = _bounded(12.0, "(0, inf)")
+    refit_tolerance: float = _bounded(1.5, "[0, inf)")
+    refit_window: int = _bounded(120, "[1, inf)")
+    context_noise: float = _bounded(0.05, "[0, inf)")  # a standard deviation
     # fraction of the reserved pool the group policy may redistribute
     # each epoch
-    share_pool_frac: float = 0.25
+    share_pool_frac: float = _bounded(0.25, "[0, 1]")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 2000
-    lr: float = 0.003
-    gamma: float = 0.9
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    batch_size: int = 64
-    replay_capacity: int = 10_000
-    target_sync: int = 200
-    hidden_width: int = 64
+    epochs: int = _bounded(2000, "[0, inf)")
+    # a step against the gradient; epochs = 0 trains nothing
+    lr: float = _bounded(0.003, "(0, inf)")
+    # from 1 on, the TD targets can grow without bound
+    gamma: float = _bounded(0.9, "[0, 1)")
+    eps_start: float = _bounded(1.0, "[0, 1]")  # probabilities
+    eps_end: float = _bounded(0.05, "[0, 1]")
+    batch_size: int = _bounded(64, "[1, inf)")
+    replay_capacity: int = _bounded(10_000, "[1, inf)")
+    target_sync: int = _bounded(200, "[1, inf)")
+    hidden_width: int = _bounded(64, "[1, inf)")
 
 
 @dataclass(frozen=True)
 class SlicingConfig:
-    quantum_bw_hz: float = 1e6
-    quantum_cpu_cps: float = 0.5e9
-    price_mos_per_quantum: float = 0.05
+    quantum_bw_hz: float = _bounded(1e6, "(0, inf)")
+    quantum_cpu_cps: float = _bounded(0.5e9, "(0, inf)")
+    price_mos_per_quantum: float = _bounded(0.05, "[0, inf)")
     # Dynamics-score stage boundaries: quintiles of a 20-seed calibration run
     # on the default scenario; stages map to windows of 15, 12, 9, 6, 3 min.
-    dynamics_thresholds: tuple[float, float, float, float] = (0.735, 0.85, 0.88, 0.94)
-    window_minutes: tuple[float, ...] = (15.0, 12.0, 9.0, 6.0, 3.0)
-    wo_da_window_min: float = 9.0
+    # The score, a sum of standard deviations, is never negative.
+    dynamics_thresholds: tuple[float, ...] = _bounded(
+        (0.735, 0.85, 0.88, 0.94), "[0, inf)")
+    window_minutes: tuple[float, ...] = _bounded((15.0, 12.0, 9.0, 6.0, 3.0), "(0, inf)")
+    wo_da_window_min: float = _bounded(9.0, "(0, inf)")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    num_users: int = 16
-    arrival_rate_per_min: float = 6.0  # video requests per minute per user
-    sim_duration_s: float = 1800.0
-    slot_s: float = 1.0
-    preset_mode: str = "paper"  # "paper" restricts num_users to the study set
+    num_users: int = _bounded(16, "[1, inf)")
+    arrival_rate_per_min: float = _bounded(6.0, "(0, inf)")  # requests/min per user
+    sim_duration_s: float = _bounded(1800.0, "(0, inf)")
+    slot_s: float = _bounded(1.0, "(0, inf)")
+    preset_mode: str = _bounded("paper", ("paper", "free"))  # "paper": num_users in the study set
     radio: RadioConfig = field(default_factory=RadioConfig)
     edge: EdgeConfig = field(default_factory=EdgeConfig)
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
@@ -209,6 +253,10 @@ class ScenarioConfig:
     def eval_slots(self) -> int:
         """Slots of the frozen evaluation."""
         return int(self.sim_duration_s / self.slot_s)
+
+    def bootstrap_slots(self) -> int:
+        """Slots of the bootstrap that collects the QoE model samples."""
+        return int(self.agent.bootstrap_minutes * 60.0 / self.slot_s)
 
 
 def _coerce(raw: str, target_type, key: str):
@@ -287,57 +335,29 @@ def parse_scenario_text(text: str) -> dict[str, str]:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every invariant; messages name the offending field."""
-    for key, val in _leaves(cfg):
-        # every comparison below is false for nan
-        if any(isinstance(x, float) and not math.isfinite(x)
-               for x in (val if isinstance(val, tuple) else (val,))):
-            raise ValidationError(f"{key} must be finite")
-    if cfg.preset_mode not in ("paper", "free"):
-        raise ValidationError("preset_mode must be 'paper' or 'free'")
+    """Check every field against its declared bound, then the rules that
+    tie fields together; messages name the offending field."""
+    for key, val, bound in _leaves(cfg):
+        for x in val if isinstance(val, tuple) else (val,):
+            # every bound test is false for nan
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValidationError(f"{key} must be finite")
+            if x not in bound:
+                raise ValidationError(f"{key} must be {bound}, got {x!r}")
     if cfg.preset_mode == "paper" and cfg.num_users not in PAPER_USER_COUNTS:
         raise ValidationError(
             f"num_users: {cfg.num_users} not in {PAPER_USER_COUNTS} (use preset_mode=free)")
-    if cfg.num_users <= 0:
-        raise ValidationError("num_users must be positive")
-    if cfg.arrival_rate_per_min <= 0:
-        raise ValidationError("arrival_rate_per_min must be > 0")
-    if cfg.slot_s <= 0:
-        raise ValidationError("slot_s must be > 0")
-    if cfg.sim_duration_s <= 0:
-        raise ValidationError("sim_duration_s must be > 0")
     r = cfg.radio
-    if r.num_bs < 1 or len(r.bs_x_m) < r.num_bs or len(r.bs_y_m) < r.num_bs:
+    if len(r.bs_x_m) < r.num_bs or len(r.bs_y_m) < r.num_bs:
         raise ValidationError("radio.num_bs exceeds provided coordinates")
-    if r.num_bs > 127:  # netsim.UserPaths stores a serving BS as an int8
-        raise ValidationError("radio.num_bs must be <= 127")
-    if r.dl_bandwidth_hz <= 0:
-        raise ValidationError("radio.dl_bandwidth_hz must be > 0")
     u = cfg.users
-    if not (2.0 <= u.speed_min_kmh <= u.speed_max_kmh <= 40.0):
-        raise ValidationError("users.speed_min_kmh <= users.speed_max_kmh must lie in "
-                              f"[2, 40], got [{u.speed_min_kmh}, {u.speed_max_kmh}]")
-    if not (3.0 <= u.ela_min <= u.ela_max <= 5.0):
-        raise ValidationError("users.ela_min <= users.ela_max must lie in [3, 5]")
-    if not 0.0 <= u.impact_min <= u.impact_max:
-        raise ValidationError("users.impact_min <= users.impact_max must be >= 0")
-    if u.max_swipe_rate_per_min <= 0:
-        raise ValidationError("users.max_swipe_rate_per_min must be > 0")
-    if u.swipe_period_min_s <= 0:  # the swipe sinusoid divides by its period
-        raise ValidationError("users.swipe_period_min_s must be > 0")
-    for lo, hi in (("swipe_mean_min_per_min", "swipe_mean_max_per_min"),
+    for lo, hi in (("speed_min_kmh", "speed_max_kmh"), ("ela_min", "ela_max"),
+                   ("impact_min", "impact_max"),
+                   ("swipe_mean_min_per_min", "swipe_mean_max_per_min"),
                    ("swipe_amp_min_per_min", "swipe_amp_max_per_min"),
                    ("swipe_period_min_s", "swipe_period_max_s")):
         if getattr(u, lo) > getattr(u, hi):
             raise ValidationError(f"users.{lo} must not exceed users.{hi}")
-    for side in ("width_m", "height_m"):
-        if getattr(cfg.region, side) < _MIN_REGION_SIDE_M:
-            raise ValidationError(f"region.{side} must be >= {_MIN_REGION_SIDE_M:g} "
-                                  "to hold the largest patrol loop")
-    if cfg.channel.path_loss_exponent < 2.0:
-        raise ValidationError("channel.path_loss_exponent must be >= 2")
-    if cfg.channel.shadowing_sigma_db < 0:
-        raise ValidationError("channel.shadowing_sigma_db must be >= 0")
     if cfg.playback.eval_period_s < cfg.slot_s:
         raise ValidationError("playback.eval_period_s must span at least one slot")
     # the evaluation advances whole periods: a partial one would run past the end
@@ -350,51 +370,19 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if samples < 4:
         raise ValidationError(f"sim_duration_s and num_users give {samples} evaluation "
                               "samples (one per user and period), need >= 4")
-    if cfg.playback.max_buffer_s <= 0:
-        raise ValidationError("playback.max_buffer_s must be > 0")
-    if cfg.edge.capacity_cps <= 0:
-        raise ValidationError("edge.capacity_cps must be > 0")
-    if cfg.agent.epoch_slots < 1:
-        raise ValidationError("agent.epoch_slots must be >= 1")
-    if cfg.agent.refit_window < 1:
-        raise ValidationError("agent.refit_window must be >= 1")
-    if not 0.0 <= cfg.agent.share_pool_frac <= 1.0:
-        raise ValidationError("agent.share_pool_frac must lie in [0, 1]")
-    # the planning utility divides by the tier span, the lowest tier, both
-    # compute-cost coefficients and both demand headrooms
-    cat = cfg.catalog
-    lv = cat.quality_levels_bps
+    # a user's QoE model is fitted from two period samples or more
+    # (qoe._unfittable); with fewer, every model falls back to the generic one
+    if cfg.bootstrap_slots() < 2 * period:
+        raise ValidationError(f"agent.bootstrap_minutes must span at least two "
+                              f"evaluation periods ({period} slots each)")
+    lv = cfg.catalog.quality_levels_bps
     if len(lv) < 2:
         raise ValidationError("catalog.quality_levels_bps needs at least two tiers")
     if any(b >= a for a, b in zip(lv[1:], lv)):
         raise ValidationError("catalog.quality_levels_bps must be strictly increasing")
-    if lv[0] <= 0:
-        raise ValidationError("catalog.quality_levels_bps must be > 0")
-    if cat.segment_duration_s <= 0:
-        raise ValidationError("catalog.segment_duration_s must be > 0")
-    if cat.compute_cost_c0_cps <= 0:
-        raise ValidationError("catalog.compute_cost_c0_cps must be > 0")
-    if cat.compute_cost_c1_cps <= 0:
-        raise ValidationError("catalog.compute_cost_c1_cps must be > 0")
-    if cfg.agent.demand_headroom <= 0:
-        raise ValidationError("agent.demand_headroom must be > 0")
-    if cfg.agent.demand_cpu_headroom <= 0:
-        raise ValidationError("agent.demand_cpu_headroom must be > 0")
-    if cfg.train.batch_size <= 0:
-        raise ValidationError("train.batch_size must be > 0")
     if cfg.train.replay_capacity < cfg.train.batch_size:
         # a buffer that never holds a batch never trains
         raise ValidationError("train.replay_capacity must be >= train.batch_size")
-    if cfg.train.target_sync <= 0:
-        raise ValidationError("train.target_sync must be > 0")
-    if cfg.train.hidden_width <= 0:
-        raise ValidationError("train.hidden_width must be > 0")
-    if cfg.train.epochs < 0:
-        raise ValidationError("train.epochs must be >= 0")
-    if cfg.slicing.quantum_bw_hz <= 0:
-        raise ValidationError("slicing.quantum_bw_hz must be > 0")
-    if cfg.slicing.quantum_cpu_cps <= 0:
-        raise ValidationError("slicing.quantum_cpu_cps must be > 0")
     th = cfg.slicing.dynamics_thresholds
     if any(b < a for a, b in zip(th, th[1:])):
         raise ValidationError("slicing.dynamics_thresholds must be nondecreasing")
@@ -402,10 +390,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if len(cfg.slicing.window_minutes) != len(th) + 1:
         raise ValidationError(f"slicing.window_minutes needs {len(th) + 1} "
                               "entries, one per dynamics stage")
-    if any(w <= 0 for w in cfg.slicing.window_minutes):
-        raise ValidationError("slicing.window_minutes entries must be > 0")
-    if cfg.slicing.wo_da_window_min <= 0:
-        raise ValidationError("slicing.wo_da_window_min must be > 0")
     return cfg
 
 
@@ -419,19 +403,20 @@ def load_scenario(path: str, overrides: dict[str, str] | None = None) -> Scenari
 
 
 def _leaves(cfg: ScenarioConfig):
-    """(dotted path, value) of every config field, in declaration order."""
+    """(dotted path, value, declared bound) of every config field, in
+    declaration order."""
     for f in fields(ScenarioConfig):
         val = getattr(cfg, f.name)
         if dataclasses.is_dataclass(val):
             for sub in fields(val):
-                yield f"{f.name}.{sub.name}", getattr(val, sub.name)
+                yield f"{f.name}.{sub.name}", getattr(val, sub.name), sub.metadata.get("bound")
         else:
-            yield f.name, val
+            yield f.name, val, f.metadata.get("bound")
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Emit the full config in the file syntax (stable key order)."""
-    return "".join(f"{key} = {_fmt(val)}\n" for key, val in _leaves(cfg))
+    return "".join(f"{key} = {_fmt(val)}\n" for key, val, _ in _leaves(cfg))
 
 
 def _fmt(v) -> str:

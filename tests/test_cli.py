@@ -1,8 +1,10 @@
+import json
 import re
 
+import numpy as np
 import pytest
 
-from qoesim import cli
+from qoesim import cli, learn
 
 
 class TestSetOverrides:
@@ -91,3 +93,54 @@ class TestConfigErrors:
         with pytest.raises(SystemExit, match="invalid config: line 1: expected 'key = value'"):
             cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+class TestPolicyFlags:
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli.harness, "run_experiment", fail)
+
+    def checkpoint(self, tmp_path, drop=None):
+        net = learn.BdqNetwork(4, (5,), 2, 3, rng=np.random.default_rng(0))
+        path = tmp_path / "policy.json"
+        learn.save_network(net, str(path))
+        if drop is not None:
+            doc = json.loads(path.read_text())
+            del doc[drop]
+            path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_missing_checkpoint_exits_naming_the_flag(self, tmp_path):
+        path = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit, match=re.escape(f"--policy-in: cannot load {path!r}: No such file")):
+            cli.main(["run", "--policy-in", path, "--out", str(tmp_path / "out")])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text,named", [("not json", "--policy-in"),
+                                            ("[1, 2]", "--policy-in"),
+                                            (None, "'hidden'")])
+    def test_malformed_checkpoint_exits_naming_the_flag(self, tmp_path, text, named):
+        path = self.checkpoint(tmp_path, drop="hidden")
+        if text is not None:
+            (tmp_path / "policy.json").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--policy-in", path, "--out", str(tmp_path / "out")])
+        msg = str(exc.value)
+        assert msg.startswith(f"--policy-in: cannot load {path!r}: ")
+        assert named in msg and "\n" not in msg
+        assert not (tmp_path / "out").exists()
+
+    def test_a_valid_checkpoint_reaches_the_run(self, tmp_path):
+        with pytest.raises(AssertionError, match="a run started"):
+            cli.main(["run", "--policy-in", self.checkpoint(tmp_path),
+                      "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("flag", ["--policy-in", "--policy-out"])
+    def test_a_scheme_that_trains_no_policy_exits_naming_the_flag(self, tmp_path, flag):
+        path = self.checkpoint(tmp_path)
+        with pytest.raises(SystemExit, match=re.escape(f"{flag}: scheme wo-da trains no policy")):
+            cli.main(["run", "--scheme", "proposed,wo-da", "--seeds", "1", flag, path,
+                      "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()

@@ -547,6 +547,9 @@ class TestStackedHeadsMatchReference:
             assert np.array_equal(p, r)
 
 
+MISSING = object()  # a manifest key the checkpoint lacks
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -577,6 +580,7 @@ class TestCheckpoint:
         ("actions_per_branch", None, 5),
         ("adv_w", 1, [4, 6]),
         ("trunk_b", 0, [9]),
+        ("hidden", None, MISSING),
     ])
     def test_tampered_checkpoint_names_the_field(self, tmp_path, field, index, tamper):
         rng = np.random.default_rng(14)
@@ -584,7 +588,10 @@ class TestCheckpoint:
         path = tmp_path / "policy.json"
         learn.save_network(net, str(path))
         doc = json.loads(path.read_text())
-        if index is None:
+        if tamper is MISSING:
+            del doc[field]
+            named = repr(field)
+        elif index is None:
             doc[field] = tamper  # the manifest no longer matches the arrays
             named = "trunk_w" if field in ("input_dim", "hidden") else "adv_w"
         else:

@@ -30,6 +30,17 @@ FLOAT_LEAVES = [key for key, t in leaf_fields(scenario.ScenarioConfig)
                 if t is float or float in getattr(t, "__args__", ())]
 
 
+def with_leaf(cfg, key, value):
+    """`cfg` with one leaf set to `value`; a tuple leaf gets it in its
+    first entry."""
+    block, _, name = key.rpartition(".")
+    owner = getattr(cfg, block) if block else cfg
+    old = getattr(owner, name)
+    owner = dataclasses.replace(owner, **{
+        name: (value, *old[1:]) if isinstance(old, tuple) else value})
+    return dataclasses.replace(cfg, **{block: owner}) if block else owner
+
+
 def load_text(tmp_path, text, overrides=None):
     p = tmp_path / "scn.cfg"
     p.write_text(text)
@@ -125,6 +136,19 @@ class TestLoadScenario:
         ("users.ela_max", "6"),
         ("users.impact_min", "-1"),
         ("users.impact_max", "0.1"),
+        # each of these ran to the end before the fields declared their bounds
+        ("agent.bootstrap_minutes", "-1"),
+        ("agent.bootstrap_minutes", "0"),
+        ("agent.context_noise", "-0.5"),
+        ("playback.abr_safety", "0"),
+        ("playback.abr_safety", "-1"),
+        ("radio.tx_power_dbm", "-300"),
+        ("train.gamma", "1.5"),
+        ("train.eps_start", "3"),
+        ("train.lr", "-0.1"),
+        ("agent.refit_tolerance", "-1"),
+        ("slicing.price_mos_per_quantum", "-1"),
+        ("agent.demand_margin_mos", "-10"),
     ])
     def test_rejects_field(self, key, value):
         cfg = scenario.parse_overrides({key: value})
@@ -152,17 +176,18 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("key", FLOAT_LEAVES)
     def test_rejects_nan_naming_the_field(self, key):
-        # a tuple field gets nan in its first entry
-        cfg = scenario.ScenarioConfig()
-        block, _, name = key.rpartition(".")
-        owner = getattr(cfg, block) if block else cfg
-        old = getattr(owner, name)
-        owner = dataclasses.replace(owner, **{
-            name: (math.nan, *old[1:]) if isinstance(old, tuple) else math.nan})
-        if block:
-            owner = dataclasses.replace(cfg, **{block: owner})
         with pytest.raises(ValidationError, match=re.escape(key)):
-            scenario.validate_config(owner)
+            scenario.validate_config(with_leaf(scenario.ScenarioConfig(), key, math.nan))
+
+    def test_rejects_a_bootstrap_shorter_than_two_periods(self):
+        # a user's QoE model is fitted from two period samples or more
+        # (qoe._unfittable); 15 s is one 15-s period, 30 s two
+        cfg = scenario.parse_overrides({"agent.bootstrap_minutes": "0.25",
+                                        "playback.eval_period_s": "15"})
+        with pytest.raises(ValidationError, match=re.escape("agent.bootstrap_minutes")):
+            scenario.validate_config(cfg)
+        scenario.validate_config(dataclasses.replace(
+            cfg, agent=dataclasses.replace(cfg.agent, bootstrap_minutes=0.5)))
 
     def test_roundtrip(self, tmp_path):
         cfg = scenario.validate_config(scenario.ScenarioConfig())
@@ -182,6 +207,49 @@ class TestLoadScenario:
         assert scenario.config_hash(c1) == scenario.config_hash(c2)
         c3 = scenario.parse_overrides({"agent.refit_window": "9"})
         assert scenario.config_hash(c3) != scenario.config_hash(c1)
+
+
+def values_past(bound, t):
+    """The values of type `t` (int or float) just outside each finite end
+    of an interval bound: an open end itself, else the next value out."""
+    out = []
+    for end, outward, is_open in ((bound.lo, -math.inf, bound.text[0] == "("),
+                                  (bound.hi, math.inf, bound.text[-1] == ")")):
+        if math.isfinite(end):
+            if is_open:
+                out.append(t(end))
+            elif t is int:
+                out.append(int(end) + (1 if outward > 0 else -1))
+            else:
+                out.append(math.nextafter(end, outward))
+    return out
+
+
+LEAF_TYPES = dict(leaf_fields(scenario.ScenarioConfig))
+
+
+class TestDeclaredBounds:
+    def test_every_leaf_declares_a_bound(self):
+        leaves = list(scenario._leaves(scenario.ScenarioConfig()))
+        assert len(leaves) == len(LEAF_TYPES)
+        assert [key for key, _, bound in leaves if bound is None] == []
+
+    @pytest.mark.parametrize("key", sorted(LEAF_TYPES))
+    def test_a_value_just_past_each_end_names_the_field(self, key):
+        cfg = scenario.ScenarioConfig()
+        bound = {k: b for k, _, b in scenario._leaves(cfg)}[key]
+        t = LEAF_TYPES[key]
+        t = t.__args__[0] if typing.get_origin(t) is tuple else t
+        if isinstance(bound, tuple):  # the allowed values
+            assert all(x in bound for x in (True, False) if t is bool)
+            past = [None]
+        else:
+            past = values_past(bound, t)
+        for x in past:
+            assert x not in bound
+            with pytest.raises(ValidationError, match=re.escape(key)) as exc:
+                scenario.validate_config(with_leaf(cfg, key, x))
+            assert str(bound) in str(exc.value)
 
 
 class TestConfigFieldsRead:

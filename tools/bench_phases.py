@@ -14,11 +14,15 @@ model fit (`fit_models`), policy training (`train_policies`) and
 evaluation (`evaluate`); the total is `execute`.  The file keeps, per
 tree, user count and scheme, the repeat with the median total, every
 repeat's total, and a hash of the evaluation's period samples: trees whose
-runs agree give the same hash.
+runs agree give the same hash.  The host block names the machine, the
+library versions, and the BLAS build and kernel numpy's OpenBLAS runs on:
+a trained run's bits depend on the kernel, which OpenBLAS picks from the
+CPU when it loads.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -28,6 +32,7 @@ import sys
 import time
 
 import numpy
+from numpy._core import _multiarray_umath
 
 SCHEMES = ("proposed", "hsla-l2", "pdrl-l1", "wo-da")
 USERS = (16, 24)
@@ -60,6 +65,26 @@ def time_one_run(users: int, scheme: str) -> dict:
     return {"total_s": times["total_s"],
             **{key: times.get(key, 0.0) for key in PHASES.values()},
             "samples_sha256": hashlib.sha256(samples).hexdigest()}
+
+
+def host() -> dict:
+    """The machine and libraries the times were taken on.  `blas_build` and
+    `blas_kernel` come from OpenBLAS's own report, found through numpy's
+    extension module (so in whatever library numpy links); "unavailable"
+    where no such symbol exists."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    out = {"cpus": os.cpu_count(), "machine": platform.machine(),
+           "python": platform.python_version(), "numpy": numpy.__version__}
+    for key, what in (("blas_build", "config"), ("blas_kernel", "corename")):
+        # numpy's wheels bundle OpenBLAS with its symbols renamed
+        names = (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}")
+        fn = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if fn is None:
+            out[key] = "unavailable"
+        else:
+            fn.restype = ctypes.c_char_p
+            out[key] = fn().decode().strip()
+    return out
 
 
 def run_in_tree(tree: str, users: int, scheme: str) -> dict:
@@ -109,9 +134,7 @@ def main(argv=None) -> int:
                     "totals_s": [round(r["total_s"], 4) for r in reps]}
     doc = {"preset": "paper (empty config)", "seed": SEED,
            "slot_records": False, "repeats": REPEATS,
-           "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                    "python": platform.python_version(),
-                    "numpy": numpy.__version__},
+           "host": host(),
            "trees": report}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
