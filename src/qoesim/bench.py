@@ -130,10 +130,9 @@ class PdrlOrchestrator(da1.PolicyOrchestrator):
 
     hidden_layers = 3  # the five-layer variant
 
-    def __init__(self, models: dict[int, qoe.QoEModel], policy,
-                 cfg: ScenarioConfig):
-        super().__init__(models, policy, cfg, PDRL_USER_FEATURES * len(models),
-                         2 * len(models))
+    @staticmethod
+    def layout(cfg: ScenarioConfig) -> tuple[int, int]:
+        return PDRL_USER_FEATURES * cfg.num_users, 2 * cfg.num_users
 
     def state_vector(self, state) -> np.ndarray:
         return pdrl_state_vector(state, self.models, self.cached)

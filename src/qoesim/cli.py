@@ -12,17 +12,19 @@ import json
 import os
 import sys
 
+import jsonschema
+
 from . import harness, learn, scenario
 from .bench import SPECS, SchemeId
-from .errors import ParseError, QoesimError, ValidationError
+from .errors import ParseError, QoesimError, ShapeMismatch, ValidationError
 
 SCHEMES = {s.value: s for s in SchemeId}
 
 
 def parse_ints(text: str, flag: str, noun: str) -> list[int]:
     """Accepts '1..10' ranges and '1,2,5' lists; exits naming the flag on a
-    non-integer and on a text that names no value, such as the reversed
-    range '3..1'."""
+    non-integer, on a text that names no value, such as the reversed range
+    '3..1', and on a repeated value."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -34,6 +36,9 @@ def parse_ints(text: str, flag: str, noun: str) -> list[int]:
     if not values:
         raise SystemExit(f"{flag} names no {noun}, got {text!r} "
                          "(a range runs low..high)")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise SystemExit(f"{flag} repeats the {noun} {repeated[0]}, got {text!r}")
     return values
 
 
@@ -78,12 +83,22 @@ def cmd_run(args) -> int:
     for flag, path in (("--policy-in", args.policy_in), ("--policy-out", args.policy_out)):
         if path is not None and untrained:
             raise SystemExit(f"{flag}: scheme {untrained[0]} trains no policy")
+    if args.policy_out is not None and (len(schemes), len(seeds)) != (1, 1):
+        raise SystemExit(f"--policy-out saves one policy, so it takes one scheme and "
+                         f"one seed; got --scheme {args.scheme!r} --seeds {args.seeds!r}")
     if args.policy_in is not None:
         try:
-            learn.load_network(args.policy_in)
+            policy = learn.load_network(args.policy_in)
         except (OSError, ValueError, TypeError, QoesimError) as e:
             why = e.strerror if isinstance(e, OSError) else e
             raise SystemExit(f"--policy-in: cannot load {args.policy_in!r}: {why}") from None
+        # every scheme is checked before the first run starts
+        for scheme in schemes:
+            try:
+                SPECS[scheme].orchestrator.check_policy(policy, cfg)
+            except ShapeMismatch as e:
+                raise SystemExit(f"--policy-in: {args.policy_in!r} does not fit "
+                                 f"scheme {scheme.value}: {e}") from None
     summaries = []
     for scheme in schemes:
         summary = harness.run_experiment(
@@ -122,8 +137,16 @@ def cmd_report(args) -> int:
     summaries = []
     for p in paths:
         with open(p, encoding="utf-8") as fh:
-            summary = json.load(fh)
-        harness.validate_summary(summary)
+            try:
+                summary = json.load(fh)
+            except ValueError as e:  # not JSON, or not UTF-8
+                raise SystemExit(f"report: {p!r} is not JSON: {e}") from None
+        try:
+            harness.validate_summary(summary)
+        except jsonschema.ValidationError as e:
+            where = "/".join(map(str, e.absolute_path)) or "the top level"
+            raise SystemExit(f"report: {p!r} breaks the summary schema at "
+                             f"{where}: {e.message}") from None
         summaries.append(summary)
     print(harness.comparison_table(summaries))
     # plot-ready CSV: one row per scheme per CDF point

@@ -411,30 +411,37 @@ class PolicyOrchestrator:
     A replan's actions are the forced ones when `force` has set them (the
     training environment injects exploratory actions this way), else the
     policy's greedy actions, else all zero.  The orchestrator owns the
-    policy's shape (`input_dim`, `num_branches` of SHARE_LEVELS actions and
-    the trunk depth `hidden_layers`) and refuses a policy of another shape.
-    A subclass sets `hidden_layers` and gives `state_vector(state)` and
-    `replan(state)`, which decodes the actions into `cached`.
+    policy's shape: the static `layout(cfg)` gives its (`input_dim`,
+    `num_branches`) under a config, each branch of SHARE_LEVELS actions, and
+    `hidden_layers` its trunk depth; `check_policy` refuses a policy of
+    another shape.  A subclass sets `hidden_layers` and gives `layout`,
+    `state_vector(state)` and `replan(state)`, which decodes the actions
+    into `cached`.
     """
 
     hidden_layers: int
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
-                 cfg: ScenarioConfig, input_dim: int, num_branches: int):
+                 cfg: ScenarioConfig):
         if policy is not None:
-            got = (policy.input_dim, policy.num_branches, policy.actions_per_branch)
-            want = (input_dim, num_branches, SHARE_LEVELS)
-            if got != want:
-                raise ShapeMismatch(f"policy (inputs, branches, actions) {got} does "
-                                    f"not match the orchestrator's {want}")
+            self.check_policy(policy, cfg)
         self.models = models
         self.policy = policy
         self.cfg = cfg
-        self.input_dim = input_dim
-        self.num_branches = num_branches
+        self.input_dim, self.num_branches = self.layout(cfg)
         self.epoch_slots = cfg.agent.epoch_slots
         self.forced: np.ndarray | None = None
         self.cached: dict[int, tuple[float, float]] = {}
+
+    @classmethod
+    def check_policy(cls, policy, cfg: ScenarioConfig) -> None:
+        """Raise ShapeMismatch unless `policy` has this orchestrator's shape
+        under `cfg`."""
+        got = (policy.input_dim, policy.num_branches, policy.actions_per_branch)
+        want = (*cls.layout(cfg), SHARE_LEVELS)
+        if got != want:
+            raise ShapeMismatch(f"policy (inputs, branches, actions) {got} does "
+                                f"not match the orchestrator's {want}")
 
     def force(self, actions) -> None:
         """Replan from these branch actions instead of the policy's."""
@@ -464,9 +471,12 @@ class Orchestrator(PolicyOrchestrator):
 
     def __init__(self, models: dict[int, qoe.QoEModel], policy,
                  cfg: ScenarioConfig):
-        super().__init__(models, policy, cfg, len(GROUPS) * GROUP_STATE_FEATURES,
-                         2 * len(GROUPS))
+        super().__init__(models, policy, cfg)
         self._warm: dict[tuple[int, int], dict] = {}
+
+    @staticmethod
+    def layout(cfg: ScenarioConfig) -> tuple[int, int]:
+        return len(GROUPS) * GROUP_STATE_FEATURES, 2 * len(GROUPS)
 
     def state_vector(self, state) -> np.ndarray:
         """Fixed-width policy input, one block per group in GROUPS: mean

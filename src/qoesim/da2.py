@@ -4,11 +4,15 @@ slice windows, greedy slicing and game-based slice adjustment, and
 game only where demand exceeds capacity, with every (group, BS) pair listed.
 
 Slicing operates on resource quanta (default 1 MHz bandwidth, 0.5 GCycles/s
-compute).  Each (group, base station) cell carries a nonincreasing
-marginal-QoE curve sampled from the group's fitted models; the greedy
-allocator and the best-response game both consume those curves, which makes
-the greedy solution exact for concave curves and the game a potential game
-under a uniform price.
+compute) held in accounts that draw on pools: each BS's bandwidth is one
+pool, the edge compute another.  Each (group, BS) cell has two sides, a
+bandwidth account on its BS's pool and a compute account on the compute
+pool, each with a nonincreasing marginal-QoE curve sampled from the group's
+fitted models.  Greedy slicing grants quanta to the cells' accounts; in the
+game a group holds one bandwidth account per cell and one compute account
+valued by its cells' merged curves.  Every step is one loop over accounts,
+whatever the resource, which makes the greedy solution exact for concave
+curves and the game a potential game under a uniform price.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ from .scenario import SlicingConfig
 
 POSITION_SCALE_M = 10.0  # meters of per-slot displacement treated as one unit
 BR_MAX_ROUNDS = 100  # best-response rounds before the game is flagged unconverged
+BW, CPU = 0, 1  # a cell's two sides; greedy ties favor bandwidth
+COMPUTE = "compute"  # the compute pool's key; a BS's bandwidth pool is keyed by its id
 
 
 @dataclass
@@ -34,6 +40,12 @@ class CellDemand:
     # marginal QoE gain per granted quantum, nonincreasing
     curve_bw: np.ndarray = field(default_factory=lambda: np.zeros(0))
     curve_cpu: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def account(self, side: int) -> tuple[float, np.ndarray]:
+        """(total demand, marginal curve) of the cell's account on `side`."""
+        if side == BW:
+            return self.total_bw_hz, self.curve_bw
+        return self.total_cpu_cps, self.curve_cpu
 
 
 @dataclass
@@ -45,14 +57,17 @@ class DemandDistribution:
     def groups(self) -> list[int]:
         return sorted({g for g, _ in self.cells})
 
+    def quantum(self, side: int) -> float:
+        return self.quantum_bw_hz if side == BW else self.quantum_cpu_cps
+
     def is_scarce(self, bw_caps: dict[int, float], cpu_cap: float) -> bool:
-        """True when the demand exceeds the compute pool or some BS's bandwidth."""
-        per_bs: dict[int, float] = {}
+        """True when the summed demand on some pool exceeds its capacity."""
+        demand: dict[int | str, float] = {}
         for (_, bs), cell in self.cells.items():
-            per_bs[bs] = per_bs.get(bs, 0.0) + cell.total_bw_hz
-        if sum(cell.total_cpu_cps for cell in self.cells.values()) > cpu_cap:
-            return True
-        return any(v > bw_caps.get(bs, 0.0) for bs, v in per_bs.items())
+            for side, pool in ((BW, bs), (CPU, COMPUTE)):
+                demand[pool] = demand.get(pool, 0.0) + cell.account(side)[0]
+        caps = {**bw_caps, COMPUTE: cpu_cap}
+        return any(v > caps.get(pool, 0.0) for pool, v in demand.items())
 
 
 @dataclass
@@ -62,22 +77,17 @@ class SliceConfig:
     mechanism: str  # "greedy" or "game"
 
 
-def _cell_value(gains: list, frac: float, resource: int) -> float:
-    if resource == 0:
-        return sum(g(frac, 1.0) for g in gains)
-    return sum(g(1.0, frac) for g in gains)
-
-
 def _marginal_curve(total: float, quantum: float, gains: list,
-                    resource: int) -> np.ndarray:
-    """Cell QoE gain per quantum as one resource scales from zero to the full
-    demand (the other held at its demand); first differences, clipped at
-    zero and forced nonincreasing."""
+                    side: int) -> np.ndarray:
+    """Cell QoE gain per quantum as the account on `side` scales from zero to
+    its full demand (the other side held at its demand); first differences,
+    clipped at zero and forced nonincreasing."""
     if total <= 0.0 or not gains:
         return np.zeros(0)
     n_q = max(int(math.ceil(total / quantum - 1e-9)), 1)
-    fracs = np.minimum(np.arange(0, n_q + 1) * quantum / total, 1.0)
-    values = np.array([_cell_value(gains, float(f), resource) for f in fracs])
+    fracs = np.minimum(np.arange(0, n_q + 1) * quantum / total, 1.0).tolist()
+    points = [(f, 1.0) for f in fracs] if side == BW else [(1.0, f) for f in fracs]
+    values = np.array([sum(g(*p) for g in gains) for p in points])
     marginals = np.maximum(np.diff(values), 0.0)
     return np.minimum.accumulate(marginals)
 
@@ -91,19 +101,18 @@ def abstract_demand(members: list[Member], quantum_bw_hz: float,
                     quantum_cpu_cps: float) -> DemandDistribution:
     """Aggregate per-user demands into per-(group, BS) totals with
     marginal-gain curves."""
-    cells: dict[tuple[int, int], CellDemand] = {}
+    dist = DemandDistribution({}, quantum_bw_hz, quantum_cpu_cps)
     gains_by_cell: dict[tuple[int, int], list] = {}
     for d, key, gain in members:
-        cell = cells.setdefault(key, CellDemand())
+        cell = dist.cells.setdefault(key, CellDemand())
         cell.total_bw_hz += d.bandwidth_hz
         cell.total_cpu_cps += d.compute_cps
         gains_by_cell.setdefault(key, []).append(gain)
-    for key, cell in cells.items():
-        cell.curve_bw = _marginal_curve(cell.total_bw_hz, quantum_bw_hz,
-                                        gains_by_cell[key], 0)
-        cell.curve_cpu = _marginal_curve(cell.total_cpu_cps, quantum_cpu_cps,
-                                         gains_by_cell[key], 1)
-    return DemandDistribution(cells, quantum_bw_hz, quantum_cpu_cps)
+    for key, cell in dist.cells.items():
+        cell.curve_bw, cell.curve_cpu = (
+            _marginal_curve(cell.account(side)[0], dist.quantum(side),
+                            gains_by_cell[key], side) for side in (BW, CPU))
+    return dist
 
 
 def dynamics_to_window(traces: list[np.ndarray], positions: list[np.ndarray],
@@ -131,45 +140,36 @@ def dynamics_to_window(traces: list[np.ndarray], positions: list[np.ndarray],
 
 def greedy_slice(dist: DemandDistribution, bw_capacity_hz: dict[int, float],
                  cpu_capacity_cps: float) -> SliceConfig:
-    """Grant one quantum at a time to the cell/resource with the highest
-    marginal QoE until capacity or demand runs out; ties favor the lowest
+    """Grant one quantum at a time to the cell account with the highest
+    marginal QoE until its pool or its demand runs out; ties favor the lowest
     group index.  Exact for concave (nonincreasing) marginal curves."""
-    reserved_bw = {key: 0.0 for key in dist.cells}
-    cpu_used = {key: 0.0 for key in dist.cells}
-    bw_left = dict(bw_capacity_hz)
-    cpu_left = cpu_capacity_cps
+    left = {**bw_capacity_hz, COMPUTE: cpu_capacity_cps}
+    # (group, BS, side) -> the cell account's demand, curve, quantum and pool
+    accounts: dict[tuple[int, int, int], tuple] = {}
+    reserved: dict[tuple[int, int, int], float] = {}
     heap = []
     for key in sorted(dist.cells):
-        cell = dist.cells[key]
-        if len(cell.curve_bw):
-            heapq.heappush(heap, (-cell.curve_bw[0], key[0], key[1], 0, 0))
-        if len(cell.curve_cpu):
-            heapq.heappush(heap, (-cell.curve_cpu[0], key[0], key[1], 1, 0))
+        for side, pool in ((BW, key[1]), (CPU, COMPUTE)):
+            total, curve = dist.cells[key].account(side)
+            accounts[(*key, side)] = (total, curve, dist.quantum(side), pool)
+            reserved[(*key, side)] = 0.0
+            if len(curve):
+                heapq.heappush(heap, (-curve[0], *key, side, 0))
     while heap:
-        neg_gain, group, bs, res, idx = heapq.heappop(heap)
-        key = (group, bs)
-        cell = dist.cells[key]
-        if res == 0:
-            grant = min(dist.quantum_bw_hz, bw_left.get(bs, 0.0),
-                        cell.total_bw_hz - reserved_bw[key])
-            if grant > 1e-9:
-                reserved_bw[key] += grant
-                bw_left[bs] -= grant
-            if (idx + 1 < len(cell.curve_bw) and bw_left.get(bs, 0.0) > 1e-9
-                    and cell.total_bw_hz - reserved_bw[key] > 1e-9):
-                heapq.heappush(heap, (-cell.curve_bw[idx + 1], group, bs, 0, idx + 1))
-        else:
-            grant = min(dist.quantum_cpu_cps, cpu_left,
-                        cell.total_cpu_cps - cpu_used[key])
-            if grant > 1e-9:
-                cpu_used[key] += grant
-                cpu_left -= grant
-            if (idx + 1 < len(cell.curve_cpu) and cpu_left > 1e-9
-                    and cell.total_cpu_cps - cpu_used[key] > 1e-9):
-                heapq.heappush(heap, (-cell.curve_cpu[idx + 1], group, bs, 1, idx + 1))
+        _, group, bs, side, idx = heapq.heappop(heap)
+        acct = (group, bs, side)
+        total, curve, quantum, pool = accounts[acct]
+        grant = min(quantum, left.get(pool, 0.0), total - reserved[acct])
+        if grant > 1e-9:
+            reserved[acct] += grant
+            left[pool] -= grant
+        if (idx + 1 < len(curve) and left.get(pool, 0.0) > 1e-9
+                and total - reserved[acct] > 1e-9):
+            heapq.heappush(heap, (-curve[idx + 1], group, bs, side, idx + 1))
+    reserved_bw = {key: reserved[(*key, BW)] for key in dist.cells}
     reserved_cpu: dict[int, float] = {g: 0.0 for g in dist.groups()}
-    for (g, _), used in cpu_used.items():
-        reserved_cpu[g] += used
+    for g, bs in dist.cells:
+        reserved_cpu[g] += reserved[(g, bs, CPU)]
     return SliceConfig(reserved_bw, reserved_cpu, mechanism="greedy")
 
 
@@ -183,7 +183,7 @@ class BrReport:
 def _take_while_profitable(curve: np.ndarray, available: float, quantum: float,
                            price: float) -> int:
     """Quanta to reserve from a nonincreasing marginal curve at a uniform
-    price: the unilateral best response within one resource pool."""
+    price: the unilateral best response within one pool."""
     cap_quanta = max(int(math.floor(available / quantum + 1e-9)), 0)
     take = 0
     for m in curve[:cap_quanta]:
@@ -200,32 +200,35 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
                          ) -> tuple[SliceConfig, BrReport]:
     """Round-robin best-response dynamics over discretized slice choices.
 
-    Group utility: summed marginal gains of its reserved quanta minus price
-    per quantum.  With a uniform price the summed utility is an exact
-    potential, checked nondecreasing across accepted moves (PotentialDecrease
+    A group's accounts are one per cell on its BS's bandwidth pool, then one
+    on the compute pool valued by its cells' merged (sorted) curves.  Group
+    utility: summed marginal gains of its reserved quanta minus price per
+    quantum.  With a uniform price the summed utility is an exact potential,
+    checked nondecreasing across accepted moves (PotentialDecrease
     otherwise).  Stops at a full quiet round (Nash certificate) or flags
     non-convergence.
     """
-    q_bw, q_cpu = dist.quantum_bw_hz, dist.quantum_cpu_cps
+    caps = {**bw_capacity_hz, COMPUTE: cpu_capacity_cps}
     groups = dist.groups()
-    bs_ids = sorted({bs for _, bs in dist.cells})
-    bw_q = {key: int(math.floor(initial.reserved_bw.get(key, 0.0) / q_bw + 1e-9))
-            for key in dist.cells}
-    cpu_q = {g: int(math.floor(initial.reserved_cpu.get(g, 0.0) / q_cpu + 1e-9))
+    turns = {g: [key for key in sorted(dist.cells) if key[0] == g] + [(g, COMPUTE)]
              for g in groups}
-    # each group values compute by its merged (sorted) per-cell curves
-    merged_cpu = {g: np.sort(np.concatenate(
-        [dist.cells[(g, bs)].curve_cpu for bs in bs_ids if (g, bs) in dist.cells]
-        or [np.zeros(0)]))[::-1] for g in groups}
+    # account (group, pool) -> (marginal curve, quantum); a bandwidth account
+    # is keyed by its cell; bandwidth accounts in cell order, then compute
+    accounts = {key: (cell.curve_bw, dist.quantum_bw_hz)
+                for key, cell in dist.cells.items()}
+    for g in groups:
+        accounts[(g, COMPUTE)] = (np.sort(np.concatenate(
+            [dist.cells[key].curve_cpu for key in turns[g][:-1]]))[::-1],
+            dist.quantum_cpu_cps)
+    start = {**initial.reserved_bw,
+             **{(g, COMPUTE): q for g, q in initial.reserved_cpu.items()}}
+    held = {acct: int(math.floor(start.get(acct, 0.0) / quantum + 1e-9))
+            for acct, (_, quantum) in accounts.items()}
 
     def potential() -> float:
         val = 0.0
-        for key, cell in dist.cells.items():
-            q = bw_q[key]
-            val += float(cell.curve_bw[:q].sum()) - price * q
-        for g in groups:
-            q = cpu_q[g]
-            val += float(merged_cpu[g][:q].sum()) - price * q
+        for acct, q in held.items():
+            val += float(accounts[acct][0][:q].sum()) - price * q
         return val
 
     trace = [potential()]
@@ -235,25 +238,16 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
         round_changed = False
         for g in groups:
             moved = False
-            for bs in bs_ids:
-                key = (g, bs)
-                if key not in dist.cells:
-                    continue
-                others = sum(q for (g2, b2), q in bw_q.items()
-                             if b2 == bs and g2 != g) * q_bw
-                avail = bw_capacity_hz.get(bs, 0.0) - others
-                take = _take_while_profitable(dist.cells[key].curve_bw, avail,
-                                              q_bw, price)
-                if take != bw_q[key]:
-                    bw_q[key] = take
+            for acct in turns[g]:
+                curve, quantum = accounts[acct]
+                pool = acct[1]
+                others = sum(q for (g2, p2), q in held.items()
+                             if p2 == pool and g2 != g) * quantum
+                take = _take_while_profitable(curve, caps.get(pool, 0.0) - others,
+                                              quantum, price)
+                if take != held[acct]:
+                    held[acct] = take
                     moved = True
-            others_cpu = sum(q for g2, q in cpu_q.items() if g2 != g) * q_cpu
-            take = _take_while_profitable(merged_cpu[g],
-                                          cpu_capacity_cps - others_cpu,
-                                          q_cpu, price)
-            if take != cpu_q[g]:
-                cpu_q[g] = take
-                moved = True
             if moved:
                 round_changed = True
                 new_pot = potential()
@@ -267,8 +261,8 @@ def best_response_adjust(initial: SliceConfig, dist: DemandDistribution,
         if not round_changed:
             converged = True
             break
-    reserved_bw = {key: q * q_bw for key, q in bw_q.items()}
-    reserved_cpu = {g: q * q_cpu for g, q in cpu_q.items()}
+    reserved_bw = {key: held[key] * dist.quantum_bw_hz for key in dist.cells}
+    reserved_cpu = {g: held[(g, COMPUTE)] * dist.quantum_cpu_cps for g in groups}
     cfg = SliceConfig(reserved_bw, reserved_cpu, mechanism="game")
     return cfg, BrReport(converged, rounds, trace)
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qoesim import cli, learn
+from qoesim import bench, cli, da1, learn, scenario
 
 
 class TestSetOverrides:
@@ -48,6 +48,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("k,msg", [
         ("16,x", "--k expects integers as a..b or a,b,c, got '16,x'"),
         ("", "--k names no user count, got ''"),
+        ("16,18,16,18", "--k repeats the user count 16, got '16,18,16,18'"),
     ])
     def test_bad_user_counts_exit_naming_the_flag(self, k, msg, tmp_path):
         with pytest.raises(SystemExit, match=re.escape(msg)):
@@ -102,8 +103,12 @@ class TestPolicyFlags:
             raise AssertionError("a run started")
         monkeypatch.setattr(cli.harness, "run_experiment", fail)
 
-    def checkpoint(self, tmp_path, drop=None):
-        net = learn.BdqNetwork(4, (5,), 2, 3, rng=np.random.default_rng(0))
+    def checkpoint(self, tmp_path, drop=None, shape=(4, 2, 3)):
+        """A saved (inputs, branches, actions) policy; the default shape fits
+        no scheme."""
+        inputs, branches, actions = shape
+        net = learn.BdqNetwork(inputs, (5,), branches, actions,
+                               rng=np.random.default_rng(0))
         path = tmp_path / "policy.json"
         learn.save_network(net, str(path))
         if drop is not None:
@@ -132,10 +137,38 @@ class TestPolicyFlags:
         assert named in msg and "\n" not in msg
         assert not (tmp_path / "out").exists()
 
+    PROPOSED_SHAPE = (*da1.Orchestrator.layout(scenario.ScenarioConfig()), da1.SHARE_LEVELS)
+
     def test_a_valid_checkpoint_reaches_the_run(self, tmp_path):
         with pytest.raises(AssertionError, match="a run started"):
-            cli.main(["run", "--policy-in", self.checkpoint(tmp_path),
+            cli.main(["run", "--policy-in", self.checkpoint(tmp_path, shape=self.PROPOSED_SHAPE),
                       "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("schemes,shape,unfit,want", [
+        ("proposed", (4, 2, 3), "proposed", PROPOSED_SHAPE),
+        # fits proposed, listed first, but not pdrl-l1 at 16 users
+        ("proposed,pdrl-l1", PROPOSED_SHAPE, "pdrl-l1",
+         (bench.PDRL_USER_FEATURES * 16, 32, da1.SHARE_LEVELS)),
+    ])
+    def test_a_checkpoint_of_another_shape_exits_before_the_first_run(
+            self, tmp_path, schemes, shape, unfit, want):
+        path = self.checkpoint(tmp_path, shape=shape)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--scheme", schemes, "--policy-in", path,
+                      "--out", str(tmp_path / "out")])
+        msg = str(exc.value)
+        assert msg.startswith(f"--policy-in: {path!r} does not fit scheme {unfit}: ")
+        assert f"{shape}" in msg and f"{want}" in msg
+        assert "\n" not in msg and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("schemes,seeds", [("proposed", "1,2"),
+                                               ("proposed,pdrl-l1", "1")])
+    def test_policy_out_takes_one_scheme_and_one_seed(self, tmp_path, schemes, seeds):
+        with pytest.raises(SystemExit, match="--policy-out saves one policy"):
+            cli.main(["run", "--scheme", schemes, "--seeds", seeds,
+                      "--policy-out", str(tmp_path / "p.json"),
+                      "--out", str(tmp_path / "out")])
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--policy-in", "--policy-out"])
     def test_a_scheme_that_trains_no_policy_exits_naming_the_flag(self, tmp_path, flag):
@@ -144,3 +177,19 @@ class TestPolicyFlags:
             cli.main(["run", "--scheme", "proposed,wo-da", "--seeds", "1", flag, path,
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+
+class TestReport:
+    @pytest.mark.parametrize("text,why", [
+        ("{not json", "is not JSON: Expecting property name"),
+        ('{"scheme": "proposed"}', "breaks the summary schema at the top level: "),
+    ], ids=["not-json", "schema"])
+    def test_a_bad_summary_exits_naming_the_file(self, tmp_path, text, why):
+        path = tmp_path / "summary_proposed.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", str(tmp_path)])
+        msg = str(exc.value)
+        assert msg.startswith(f"report: {str(path)!r} {why}")
+        assert "\n" not in msg
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
