@@ -62,7 +62,11 @@ def _load_cfg(args, **extra: str) -> scenario.ScenarioConfig:
         if "=" not in item:
             raise SystemExit(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        overrides[key.strip()] = val.strip()
+        key = key.strip()
+        if key in overrides:
+            raise SystemExit(f"--set sets {key} twice, got {overrides[key]!r} "
+                             f"and {val.strip()!r}")
+        overrides[key] = val.strip()
     overrides.update(extra)
     try:
         if args.scenario:
@@ -86,6 +90,7 @@ def cmd_run(args) -> int:
     if args.policy_out is not None and (len(schemes), len(seeds)) != (1, 1):
         raise SystemExit(f"--policy-out saves one policy, so it takes one scheme and "
                          f"one seed; got --scheme {args.scheme!r} --seeds {args.seeds!r}")
+    policy = None
     if args.policy_in is not None:
         try:
             policy = learn.load_network(args.policy_in)
@@ -103,7 +108,7 @@ def cmd_run(args) -> int:
     for scheme in schemes:
         summary = harness.run_experiment(
             cfg, scheme, seeds, args.out, trace_level=args.trace_level,
-            policy_in=args.policy_in, policy_out=args.policy_out)
+            policy=policy, policy_out=args.policy_out)
         summaries.append(summary)
         print(f"{scheme.value}: mean ELA ratio "
               f"{summary['pooled']['mean_ela_ratio']:.4f}, "

@@ -411,12 +411,12 @@ class PolicyOrchestrator:
     A replan's actions are the forced ones when `force` has set them (the
     training environment injects exploratory actions this way), else the
     policy's greedy actions, else all zero.  The orchestrator owns the
-    policy's shape: the static `layout(cfg)` gives its (`input_dim`,
-    `num_branches`) under a config, each branch of SHARE_LEVELS actions, and
-    `hidden_layers` its trunk depth; `check_policy` refuses a policy of
-    another shape.  A subclass sets `hidden_layers` and gives `layout`,
-    `state_vector(state)` and `replan(state)`, which decodes the actions
-    into `cached`.
+    policy's shape: the static `layout(cfg)` gives its (inputs, branches)
+    under a config, each of SHARE_LEVELS actions, and `hidden_layers` its
+    depth in layers of `train.hidden_width`; `new_policy` builds a policy of
+    that shape and `check_policy` refuses one of another.  A subclass sets
+    `hidden_layers` and gives `layout`, `state_vector(state)` and
+    `replan(state)`, which decodes the actions into `cached`.
     """
 
     hidden_layers: int
@@ -428,10 +428,17 @@ class PolicyOrchestrator:
         self.models = models
         self.policy = policy
         self.cfg = cfg
-        self.input_dim, self.num_branches = self.layout(cfg)
+        _, self.num_branches = self.layout(cfg)
         self.epoch_slots = cfg.agent.epoch_slots
         self.forced: np.ndarray | None = None
         self.cached: dict[int, tuple[float, float]] = {}
+
+    @classmethod
+    def new_policy(cls, cfg: ScenarioConfig, rng: np.random.Generator) -> learn.BdqNetwork:
+        """A policy of this orchestrator's shape under `cfg`, drawn from `rng`."""
+        inputs, branches = cls.layout(cfg)
+        return learn.BdqNetwork(inputs, (cfg.train.hidden_width,) * cls.hidden_layers,
+                                branches, SHARE_LEVELS, rng)
 
     @classmethod
     def check_policy(cls, policy, cfg: ScenarioConfig) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 import jsonschema
@@ -177,10 +177,9 @@ def emit_run(out_dir: str, scheme: str, res: runner.RunResult,
 
 
 def _seed_job(args) -> tuple[dict, list[float]]:
-    cfg, scheme, seed, out_dir, trace_level, train_epochs, policy_in, policy_out = args
+    cfg, scheme, seed, out_dir, trace_level, policy, policy_out = args
     sr = runner.SchemeRun(cfg, scheme, seed,
-                          collect_slots=(trace_level == "full"),
-                          train_epochs=train_epochs, policy_in=policy_in)
+                          collect_slots=(trace_level == "full"), policy=policy)
     res = sr.execute()
     if policy_out is not None and sr.policy is not None:
         learn.save_network(sr.policy, policy_out)
@@ -199,22 +198,27 @@ def _worker_count(n_jobs: int) -> int:
 def run_experiment(cfg: scenario.ScenarioConfig, scheme: SchemeId,
                    seeds: list[int], out_dir: str, trace_level: str = "full",
                    train_epochs: int | None = None,
-                   policy_in: str | None = None,
+                   policy: learn.BdqNetwork | None = None,
                    policy_out: str | None = None) -> dict:
     """Run one scheme over a seed list and emit artifacts + summary.json.
 
     Seeds fan out to a process pool (capped by SIMCTL_THREADS); results
-    merge deterministically in seed order.  `policy_out` names one file, so
-    it takes a single seed.
+    merge deterministically in seed order.  `train_epochs` replaces
+    `cfg.train.epochs`, checked as the config is, so the config hash names
+    the budget that ran; a `policy` is evaluated, not trained.  `policy_out`
+    names one file, so it takes a single seed.
     """
     if not seeds:
         raise ConfigError("run_experiment needs at least one seed")
     if policy_out is not None and len(seeds) != 1:
         raise ConfigError(f"policy_out saves one seed's policy; got {len(seeds)} "
                           f"seeds {list(seeds)}")
+    if train_epochs is not None:
+        train = replace(cfg.train, epochs=train_epochs)
+        cfg = scenario.validate_config(replace(cfg, train=train))
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(cfg, scheme, seed, out_dir, trace_level, train_epochs,
-             policy_in, policy_out) for seed in seeds]
+    jobs = [(cfg, scheme, seed, out_dir, trace_level, policy, policy_out)
+            for seed in seeds]
     workers = _worker_count(len(jobs))
     if workers == 1:
         outcomes = [_seed_job(j) for j in jobs]

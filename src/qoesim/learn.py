@@ -21,14 +21,12 @@ in-place add per branch.  The branch terms are computed `_DH_CHUNK`
 branches at a time into one reused block, so the update holds no
 (D, n, H) array of them.
 
-A BDQ update (`backward`) writes into one `_Workspace` sized to the batch,
-its float arrays views of one allocation (`_carve`).
-`train_episodes` builds it and attaches it to the online and the target
-net for the length of the call, and drops it before it returns.  The two
-nets share it: `td_targets` finishes before the online forward starts, and
-the online pass reads only the targets of what the target wrote.  A net
-with none attached (a call outside training) gets a fresh workspace per
-call, with the same arithmetic.  Every elementwise op writes through `out=`,
+A BDQ update (`backward`) writes into the `Workspace` it is given, sized
+to the batch, its float arrays views of one allocation (`_carve`).
+`train_episodes` makes one per training run and passes it to every update
+of the online net against the target.  The two nets share it: `td_targets`
+finishes before the online forward starts, and the online pass reads only
+the targets of what the target wrote.  Every elementwise op writes through `out=`,
 the advantage heads' gradient `g_a` reuses the advantages' buffer, and the
 SGD step scales each gradient in place.  Without the workspace an update
 allocated about 1.2 MB of temporaries, which glibc handed back to the OS
@@ -103,8 +101,6 @@ class BdqNetwork:
         self.adv_w = np.array([self._init_w(top, actions_per_branch, rng)
                                for _ in range(num_branches)])
         self.adv_b = np.zeros((num_branches, actions_per_branch))
-        # the update's arrays, attached by train_episodes for its length
-        self.workspace: _Workspace | None = None
 
     @staticmethod
     def _init_w(d_in, d_out, rng):
@@ -190,7 +186,7 @@ def _carve(groups: list[list[tuple[int, ...]]]) -> list[list[np.ndarray]]:
     return [[next(views) for _ in group] for group in groups]
 
 
-class _Workspace:
+class Workspace:
     """Every array one BDQ update writes, for one network shape and batch
     size n; the online and the target net share it (module docstring)."""
 
@@ -221,26 +217,22 @@ class _Workspace:
         self.pick = np.empty((d_count, n), dtype=self.row0.dtype)
 
 
-def _workspace(net: BdqNetwork, n: int) -> _Workspace:
-    """The workspace `train_episodes` attached to the net, else a new one."""
-    return net.workspace or _Workspace(net, n)
-
-
-def _heads(net: BdqNetwork, ws: _Workspace, states: np.ndarray):
+def _heads(net: BdqNetwork, ws: Workspace, states: np.ndarray):
     """Trunk, value and advantages of the batch into the workspace; returns
     the top activations."""
+    if len(states) != len(ws.v):
+        raise ShapeMismatch(f"batch of {len(states)} rows, workspace of {len(ws.v)}")
     h = _trunk_forward(net, states, ws.acts)[-1]
     _value(net, h, ws.v)
     _advantages(net, h, ws.adv).mean(axis=2, out=ws.mean)
     return h
 
 
-def td_targets(target_net: BdqNetwork, batch: Batch, gamma: float) -> np.ndarray:
+def td_targets(target_net: BdqNetwork, batch: Batch, gamma: float,
+               ws: Workspace) -> np.ndarray:
     """r + gamma * mean_d max_a Q_d(s', a) for non-terminal transitions."""
-    n = len(batch.rewards)
-    if not n:
+    if not len(batch.rewards):
         raise ShapeMismatch("empty batch")
-    ws = _workspace(target_net, n)
     _heads(target_net, ws, batch.next_states)
     # max_a Q_d = fl(fl(v + max_a A_d) - mean_a A_d), as rounding is monotone
     a, amax = ws.adv, ws.picked
@@ -256,7 +248,8 @@ def td_targets(target_net: BdqNetwork, batch: Batch, gamma: float) -> np.ndarray
     return np.add(batch.rewards, t, out=t)
 
 
-def loss_and_gradients(net: BdqNetwork, batch: Batch, targets: np.ndarray):
+def loss_and_gradients(net: BdqNetwork, batch: Batch, targets: np.ndarray,
+                       ws: Workspace):
     """Mean (over batch and branches) squared TD error and its gradients.
 
     Targets are treated as constants, as in standard TD learning.
@@ -271,7 +264,6 @@ def loss_and_gradients(net: BdqNetwork, batch: Batch, targets: np.ndarray):
             or actions.max() >= net.actions_per_branch):
         raise ShapeMismatch("action indices incompatible with network branches")
 
-    ws = _workspace(net, n)
     grads = ws.grads
     h = _heads(net, ws, states)
     d_count = net.num_branches
@@ -321,10 +313,10 @@ def loss_and_gradients(net: BdqNetwork, batch: Batch, targets: np.ndarray):
 
 
 def backward(net: BdqNetwork, batch: Batch, target_net: BdqNetwork,
-             gamma: float, lr: float) -> float:
+             gamma: float, lr: float, ws: Workspace) -> float:
     """One SGD step on the branch-averaged squared TD error; returns the loss."""
-    targets = td_targets(target_net, batch, gamma)
-    loss, grads = loss_and_gradients(net, batch, targets)
+    targets = td_targets(target_net, batch, gamma, ws)
+    loss, grads = loss_and_gradients(net, batch, targets, ws)
     for p, g in zip(net.params(), [*grads["trunk_w"], *grads["trunk_b"],
                                    grads["value_w"], grads["value_b"],
                                    grads["adv_w"], grads["adv_b"]]):
@@ -358,7 +350,6 @@ class ReplayBuffer:
 class Hyperparams:
     episodes: int
     max_steps: int
-    hidden: tuple[int, ...]
     lr: float
     gamma: float
     eps_start: float
@@ -369,19 +360,16 @@ class Hyperparams:
     target_sync: int
 
 
-def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
-    """Epsilon-greedy BDQ training loop; returns (net, per-episode mean reward).
-
-    The env exposes: state_dim, num_branches, actions_per_branch,
-    reset() -> state, step(actions) -> (next_state, reward, done).
-    """
-    net = BdqNetwork(env.state_dim, hp.hidden, env.num_branches,
-                     env.actions_per_branch, rng=rng)
+def train_episodes(env, net: BdqNetwork, hp: Hyperparams,
+                   rng: np.random.Generator) -> list[float]:
+    """Epsilon-greedy BDQ training of `net`, in place; returns the per-episode
+    mean reward.  The env exposes reset() -> state and step(actions) ->
+    (next_state, reward, done), its states and actions of the net's shape."""
     target = net.copy()
-    net.workspace = target.workspace = _Workspace(net, hp.batch_size)
+    ws = Workspace(net, hp.batch_size)
     # rows past the pushes would never be written, yet raise the peak RSS
     buffer = ReplayBuffer(min(hp.replay_capacity, hp.episodes * hp.max_steps),
-                          env.state_dim, env.num_branches)
+                          net.input_dim, net.num_branches)
     rewards_per_episode = []
     step_count = 0
     for _ in range(hp.episodes):
@@ -390,9 +378,9 @@ def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
         for _ in range(hp.max_steps):
             frac = min(step_count / hp.eps_decay_steps, 1.0)
             eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
-            explore = rng.random(env.num_branches) < eps
-            random_actions = rng.integers(0, env.actions_per_branch,
-                                          env.num_branches)
+            explore = rng.random(net.num_branches) < eps
+            random_actions = rng.integers(0, net.actions_per_branch,
+                                          net.num_branches)
             actions = np.where(explore, random_actions, greedy_actions(net, state))
             next_state, reward, done = env.step(actions)
             buffer.push(state, actions, reward, next_state, done)
@@ -401,14 +389,13 @@ def train_episodes(env, hp: Hyperparams, rng: np.random.Generator):
             step_count += 1
             if buffer.size >= hp.batch_size:
                 batch = buffer.sample(hp.batch_size, rng)
-                backward(net, batch, target, hp.gamma, hp.lr)
+                backward(net, batch, target, hp.gamma, hp.lr, ws)
                 if step_count % hp.target_sync == 0:
                     target.sync_from(net)
             if done:
                 break
         rewards_per_episode.append(float(np.mean(ep_rewards)))
-    net.workspace = None
-    return net, rewards_per_episode
+    return rewards_per_episode
 
 
 # --- checkpoint format: JSON manifest with base64 little-endian float64 ------

@@ -66,23 +66,22 @@ def _lane(seed: int, key: int) -> np.random.Generator:
 
 class SchemeRun:
     """Owns all mutable pieces of one run of a `bench.SchemeSpec` (or of a
-    `bench.SPECS` key), and reads only the spec's choices."""
+    `bench.SPECS` key), and reads only the spec's choices.  A learned scheme
+    given a `policy` evaluates it; else it trains one for `cfg.train.epochs`."""
 
     def __init__(self, cfg: scenario.ScenarioConfig, scheme, seed: int,
-                 collect_slots: bool = True, train_epochs: int | None = None,
-                 policy_in: str | None = None):
+                 collect_slots: bool = True,
+                 policy: learn.BdqNetwork | None = None):
         self.cfg = cfg
         self.spec = bench.SPECS.get(scheme, scheme)
         self.seed = seed
         self.collect_slots = collect_slots
-        self.train_epochs = cfg.train.epochs if train_epochs is None else train_epochs
-        self.policy_in = policy_in
         self.profiles = scenario.sample_users(cfg, _lane(seed, _LANE_USERS))
         self.paths = netsim.UserPaths(cfg, self.profiles)
         self.elas = {p.id: p.ela for p in self.profiles}
         self.models: dict[int, qoe.QoEModel] = {}
         # the group policy, or the per-user one for PDRL-L1
-        self.policy: learn.BdqNetwork | None = None
+        self.policy = policy
         self.reward_curve: list[float] = []
         self._recent: dict[int, list[qoe.FactorSample]] = {}
 
@@ -162,30 +161,24 @@ class SchemeRun:
 
     def train_policies(self, state: netsim.SimState,
                        train_rng: np.random.Generator) -> None:
-        if not self.spec.learned:
-            return
-        if self.policy_in is not None:
-            self.policy = learn.load_network(self.policy_in)
-            return
-        if self.train_epochs <= 0:
-            return
         cfg = self.cfg
+        if not self.spec.learned or self.policy is not None or cfg.train.epochs <= 0:
+            return
         episode_epochs = max(int(TRAIN_EPISODE_MINUTES * 60.0 / cfg.slot_s
                                  / cfg.agent.epoch_slots), 1)
-        episodes = max(int(round(self.train_epochs / episode_epochs)), 1)
+        episodes = max(int(round(cfg.train.epochs / episode_epochs)), 1)
         env = _TrainEnv(self, state, train_rng, _lane(self.seed, _LANE_EMU_TRAIN),
                         episode_epochs)
         hp = learn.Hyperparams(
-            episodes=episodes, max_steps=episode_epochs,
-            hidden=(cfg.train.hidden_width,) * env.orch.hidden_layers,
-            lr=cfg.train.lr, gamma=cfg.train.gamma,
-            eps_start=cfg.train.eps_start, eps_end=cfg.train.eps_end,
+            episodes=episodes, max_steps=episode_epochs, lr=cfg.train.lr,
+            gamma=cfg.train.gamma, eps_start=cfg.train.eps_start, eps_end=cfg.train.eps_end,
             eps_decay_steps=max(int(0.8 * episodes * episode_epochs), 1),
             batch_size=cfg.train.batch_size,
             replay_capacity=cfg.train.replay_capacity,
             target_sync=cfg.train.target_sync)
-        self.policy, self.reward_curve = learn.train_episodes(
-            env, hp, _lane(self.seed, _LANE_POLICY))
+        policy_rng = _lane(self.seed, _LANE_POLICY)
+        self.policy = self.spec.orchestrator.new_policy(cfg, policy_rng)
+        self.reward_curve = learn.train_episodes(env, self.policy, hp, policy_rng)
 
     # -- phase 3: frozen evaluation -----------------------------------------------
 
@@ -249,10 +242,7 @@ class SchemeRun:
 class _TrainEnv:
     """Training environment: one episode = one short slicing window.  A step
     forces the actions on the scheme's orchestrator for one epoch and scores
-    the epoch with `da1.epoch_reward`.  The policy's shape (state width,
-    branches, actions per branch) is the orchestrator's."""
-
-    actions_per_branch = da1.SHARE_LEVELS
+    the epoch with `da1.epoch_reward`."""
 
     def __init__(self, run: SchemeRun, state: netsim.SimState,
                  traffic_rng, emu_rng, episode_epochs: int):
@@ -262,8 +252,6 @@ class _TrainEnv:
         self.emu_rng = emu_rng
         self.episode_epochs = episode_epochs
         self.orch = run.make_orchestrator()  # no policy yet: actions are forced
-        self.state_dim = self.orch.input_dim
-        self.num_branches = self.orch.num_branches
         self.epoch_i = 0
 
     def reset(self):

@@ -192,8 +192,10 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    # 0 trains nothing; else whole episodes of runner.TRAIN_EPISODE_MINUTES (18
+    # epochs by default), at least one: 25 -> 18, 250 -> 252, 2000 -> 1998, 1 -> 18
     epochs: int = _bounded(2000, "[0, inf)")
-    # a step against the gradient; epochs = 0 trains nothing
+    # a step against the gradient
     lr: float = _bounded(0.003, "(0, inf)")
     # from 1 on, the TD targets can grow without bound
     gamma: float = _bounded(0.9, "[0, 1)")
@@ -318,8 +320,10 @@ def parse_overrides(pairs: dict[str, str]) -> ScenarioConfig:
 
 
 def parse_scenario_text(text: str) -> dict[str, str]:
-    """Parse the key-value syntax into a raw {dotted path: string} map."""
+    """Parse the key-value syntax into a raw {dotted path: string} map; a
+    key may be set once."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -330,6 +334,9 @@ def parse_scenario_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParseError(f"line {lineno}: empty key")
+        if key in line_of:
+            raise ParseError(f"line {lineno}: {key} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -228,10 +228,11 @@ class TestPdrlOrchestrator:
             return out
 
         monkeypatch.setattr(da1, "epoch_reward", spy)
-        cfg = scenario.parse_overrides({"agent.bootstrap_minutes": "2"})
+        cfg = scenario.parse_overrides({"agent.bootstrap_minutes": "2",
+                                        "train.epochs": "18"})  # one episode
         for scheme in (SchemeId.PROPOSED, SchemeId.PDRL_L1):
             rewards.clear()
-            sr = runner.SchemeRun(cfg, scheme, 1, train_epochs=18)  # one episode
+            sr = runner.SchemeRun(cfg, scheme, 1)
             rng = np.random.default_rng(0)
             state, samples = sr.bootstrap(rng)
             sr.fit_models(samples)
@@ -243,6 +244,15 @@ class TestPdrlOrchestrator:
 class TestLearnedOrchestrators:
     def _orchestrator(self, scheme, policy, cfg, models):
         return bench.SPECS[scheme].orchestrator(models, policy, cfg)
+
+    @pytest.mark.parametrize("users", [16, 24])
+    @pytest.mark.parametrize("orch", [da1.Orchestrator, bench.PdrlOrchestrator],
+                             ids=lambda o: o.__name__)
+    def test_a_new_policy_fits_its_orchestrator(self, orch, users):
+        cfg = scenario.parse_overrides({"num_users": str(users)})
+        policy = orch.new_policy(cfg, np.random.default_rng(0))
+        orch.check_policy(policy, cfg)
+        assert policy.hidden == (cfg.train.hidden_width,) * orch.hidden_layers
 
     @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
                              ids=lambda s: s.value)

@@ -9,9 +9,18 @@ from qoesim import bench, cli, da1, learn, scenario
 
 class TestSetOverrides:
     @pytest.mark.parametrize("cmd", ["run", "sweep"])
-    def test_malformed_set_names_the_item(self, cmd, tmp_path):
-        with pytest.raises(SystemExit, match="--set expects key=value, got 'foo'"):
-            cli.main([cmd, "--set", "foo", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("items,msg", [
+        (["foo"], "--set expects key=value, got 'foo'"),
+        # a key set twice is refused, not read last-wins
+        (["num_users=16", " num_users = 24"], "--set sets num_users twice, got '16' and '24'"),
+    ], ids=["no-equals", "repeated-key"])
+    def test_malformed_set_names_the_item(self, cmd, items, msg, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli.harness, "run_experiment", fail)
+        sets = [arg for item in items for arg in ("--set", item)]
+        with pytest.raises(SystemExit, match=re.escape(msg)):
+            cli.main([cmd, *sets, "--out", str(tmp_path)])
         assert not list(tmp_path.iterdir())
 
     def test_sweep_user_count_wins_over_set(self, tmp_path, monkeypatch):
@@ -88,10 +97,15 @@ class TestConfigErrors:
             cli.main([cmd, "--scenario", path, "--out", str(tmp_path / "out")])
         assert not list(tmp_path.iterdir())
 
-    def test_malformed_scenario_line_exits_naming_the_line(self, tmp_path):
+    @pytest.mark.parametrize("text,msg", [
+        ("agent.refit_window 7\n", "invalid config: line 1: expected 'key = value'"),
+        ("num_users = 16\nnum_users = 24\n",
+         "invalid config: line 2: num_users is already set on line 1"),
+    ], ids=["no-equals", "repeated-key"])
+    def test_malformed_scenario_line_exits_naming_the_line(self, tmp_path, text, msg):
         path = tmp_path / "bad.cfg"
-        path.write_text("agent.refit_window 7\n")
-        with pytest.raises(SystemExit, match="invalid config: line 1: expected 'key = value'"):
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=re.escape(msg)):
             cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
@@ -177,6 +191,27 @@ class TestPolicyFlags:
             cli.main(["run", "--scheme", "proposed,wo-da", "--seeds", "1", flag, path,
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+
+def test_a_policy_file_is_loaded_once_for_every_seed(tmp_path, monkeypatch):
+    # cli loads and checks the checkpoint; each seed's run evaluates that net
+    inputs, branches = da1.Orchestrator.layout(scenario.ScenarioConfig())
+    path = str(tmp_path / "p.json")
+    learn.save_network(learn.BdqNetwork(inputs, (8,), branches, da1.SHARE_LEVELS,
+                                        rng=np.random.default_rng(0)), path)
+    loads = []
+    load = learn.load_network
+
+    def counted(p):
+        loads.append(p)
+        return load(p)
+
+    monkeypatch.setattr(learn, "load_network", counted)
+    monkeypatch.setenv("SIMCTL_THREADS", "1")
+    assert cli.main(["run", "--scheme", "proposed", "--seeds", "1,2", "--policy-in", path,
+                     "--set", "sim_duration_s=360", "--set", "agent.bootstrap_minutes=4",
+                     "--trace-level", "aggregate", "--out", str(tmp_path / "out")]) == 0
+    assert loads == [path]
 
 
 class TestReport:

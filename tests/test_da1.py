@@ -255,10 +255,6 @@ class TestGroupAllocate:
     def test_trained_policy_prefers_dominant_group(self):
         # synthetic two-group game: group 2's shares are twice as valuable
         class ShareEnv:
-            state_dim = 18
-            num_branches = 6
-            actions_per_branch = da1.SHARE_LEVELS
-
             def __init__(self):
                 orch, state = group_orch([1, 2])
                 self.vec = orch.state_vector(state)
@@ -272,11 +268,12 @@ class TestGroupAllocate:
                 return self.vec, reward, True
 
         rng = np.random.default_rng(8)
-        hp = learn.Hyperparams(episodes=800, max_steps=1, hidden=(32,), lr=0.02,
+        hp = learn.Hyperparams(episodes=800, max_steps=1, lr=0.02,
                                gamma=0.0, eps_start=1.0, eps_end=0.05,
                                eps_decay_steps=600, batch_size=32,
                                replay_capacity=10_000, target_sync=50)
-        net, _ = learn.train_episodes(ShareEnv(), hp, rng)
+        net = learn.BdqNetwork(18, (32,), 6, da1.SHARE_LEVELS, rng=rng)
+        learn.train_episodes(ShareEnv(), net, hp, rng)
         shares = group_shares([1, 2], net)
         assert shares[2][0] > shares[1][0]
         assert shares[2][1] > shares[1][1]

@@ -47,7 +47,7 @@ def tier_counts(res: runner.RunResult, catalog) -> list[list[int]]:
 @pytest.mark.parametrize("seed,scheme", list(GOLDEN),
                          ids=lambda v: v.value if isinstance(v, SchemeId) else str(v))
 def test_window_ela_ratios(seed, scheme):
-    sr = runner.SchemeRun(fast_cfg(), scheme, seed, train_epochs=TRAIN_EPOCHS)
+    sr = runner.SchemeRun(fast_cfg(**{"train.epochs": TRAIN_EPOCHS}), scheme, seed)
     res = sr.execute()
     ratios = [harness.ela_ratio(harness.user_means(w.samples), sr.elas)
               for w in res.windows]

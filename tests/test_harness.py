@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qoesim import harness, netsim, runner, scenario
 from qoesim.bench import SchemeId
-from qoesim.errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples
+from qoesim.errors import ConfigError, EmptyInput, EmptyWindow, TooFewSamples, ValidationError
 
 FAST = {"sim_duration_s": "360", "agent.bootstrap_minutes": "4",
         "catalog.segment_duration_s": "0.5"}
@@ -154,6 +154,24 @@ class TestRunExperiment:
             harness.run_experiment(fast_cfg(), SchemeId.PROPOSED, [1, 2],
                                    str(tmp_path), policy_out=str(tmp_path / "p.json"))
         assert not (tmp_path / "p.json").exists()
+
+    def test_config_hash_names_the_epoch_budget(self, tmp_path):
+        # the summary hashes the config that ran, its training budget included
+        hashes = []
+        for epochs in (0, 20):
+            summary = harness.run_experiment(fast_cfg(), SchemeId.PROPOSED, [1],
+                                             str(tmp_path / str(epochs)),
+                                             trace_level="aggregate", train_epochs=epochs)
+            ran = fast_cfg(**{"train.epochs": epochs})
+            assert summary["config_hash"] == scenario.config_hash(ran)
+            hashes.append(summary["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_a_negative_epoch_budget_is_refused(self, tmp_path):
+        with pytest.raises(ValidationError, match="train.epochs must be >= 0"):
+            harness.run_experiment(fast_cfg(), SchemeId.PROPOSED, [1], str(tmp_path / "o"),
+                                   train_epochs=-1)
+        assert not list(tmp_path.iterdir())
 
     def test_aggregate_trace_level_skips_slots(self, tmp_path):
         cfg = fast_cfg()
@@ -336,16 +354,15 @@ class TestLaneIsolation:
     def test_training_budget_does_not_change_eval_traffic(self, monkeypatch):
         # the evaluation lane draws pure traffic randomness: the same draws
         # whether the policy trained for 0 or 60 epochs
-        cfg = fast_cfg()
         draws = [eval_lane_draws(monkeypatch, runner.SchemeRun(
-            cfg, SchemeId.PROPOSED, 3, collect_slots=False, train_epochs=epochs))
+            fast_cfg(**{"train.epochs": epochs}), SchemeId.PROPOSED, 3, collect_slots=False))
             for epochs in (0, 60)]
         assert draws[0] and draws[0] == draws[1]
 
     def test_schemes_share_identical_traffic_streams(self, monkeypatch):
-        cfg = fast_cfg()
+        cfg = fast_cfg(**{"train.epochs": 0})
         draws = {scheme: eval_lane_draws(monkeypatch, runner.SchemeRun(
-            cfg, scheme, 4, collect_slots=False, train_epochs=0))
+            cfg, scheme, 4, collect_slots=False))
             for scheme in (SchemeId.PROPOSED, SchemeId.WITHOUT_DA, SchemeId.HSLA_L2)}
         assert draws[SchemeId.PROPOSED]
         assert draws[SchemeId.PROPOSED] == draws[SchemeId.WITHOUT_DA]

@@ -83,7 +83,8 @@ class TestBackward:
         rng = np.random.default_rng(2)
         net = rand_net(rng)
         before = [p.copy() for p in net.params()]
-        learn.backward(net, rand_batch(rng, net), net.copy(), 0.9, lr=0.0)
+        learn.backward(net, rand_batch(rng, net), net.copy(), 0.9, lr=0.0,
+                       ws=learn.Workspace(net, 5))
         for b, a in zip(before, net.params()):
             assert np.array_equal(b, a)
 
@@ -94,7 +95,8 @@ class TestBackward:
                             np.array([0.7]), rng.normal(size=(1, 3)), np.ones(1))
         q = learn.forward(net, batch.states[0])
         expected = np.mean([(q[0, 1] - 0.7) ** 2, (q[1, 2] - 0.7) ** 2])
-        loss = learn.backward(net, batch, net.copy(), 0.0, lr=0.0)
+        loss = learn.backward(net, batch, net.copy(), 0.0, lr=0.0,
+                              ws=learn.Workspace(net, 1))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_check_central_differences(self):
@@ -104,8 +106,9 @@ class TestBackward:
             rng = np.random.default_rng(seed)
             net = rand_net(rng)
             batch = rand_batch(rng, net, n=4)
-            targets = learn.td_targets(net.copy(), batch, 0.9)
-            _, grads = learn.loss_and_gradients(net, batch, targets)
+            ws = learn.Workspace(net, 4)
+            targets = learn.td_targets(net.copy(), batch, 0.9, ws)
+            _, grads = learn.loss_and_gradients(net, batch, targets, ws)
             flat_grads = np.concatenate([
                 *(g.ravel() for g in grads["trunk_w"]),
                 *(g.ravel() for g in grads["trunk_b"]),
@@ -120,9 +123,9 @@ class TestBackward:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    up = learn.loss_and_gradients(net, batch, targets)[0]
+                    up = learn.loss_and_gradients(net, batch, targets, ws)[0]
                     flat[i] = orig - eps
-                    dn = learn.loss_and_gradients(net, batch, targets)[0]
+                    dn = learn.loss_and_gradients(net, batch, targets, ws)[0]
                     flat[i] = orig
                     fd.append((up - dn) / (2 * eps))
             fd = np.array(fd)
@@ -135,7 +138,8 @@ class TestBackward:
         net = rand_net(rng)
         target = net.copy()
         batch = rand_batch(rng, net, n=8)
-        losses = [learn.backward(net, batch, target, 0.9, lr=1e-3)
+        ws = learn.Workspace(net, 8)
+        losses = [learn.backward(net, batch, target, 0.9, lr=1e-3, ws=ws)
                   for _ in range(50)]
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-9
@@ -144,10 +148,11 @@ class TestBackward:
         net = tiny_net()
         empty = learn.Batch(np.empty((0, 2)), np.empty((0, 2), dtype=int),
                             np.empty(0), np.empty((0, 2)), np.empty(0))
+        ws = learn.Workspace(net, 0)
         with pytest.raises(ShapeMismatch, match="empty batch"):
-            learn.backward(net, empty, net.copy(), 0.9, 0.1)
+            learn.backward(net, empty, net.copy(), 0.9, 0.1, ws)
         with pytest.raises(ShapeMismatch, match="empty batch"):
-            learn.loss_and_gradients(net, empty, np.empty(0))
+            learn.loss_and_gradients(net, empty, np.empty(0), ws)
 
     def test_state_width_rejected(self):
         rng = np.random.default_rng(7)
@@ -155,7 +160,14 @@ class TestBackward:
         batch = rand_batch(rng, net, n=3)
         wide = batch._replace(states=rng.normal(size=(3, net.input_dim + 1)))
         with pytest.raises(ShapeMismatch, match="state dim"):
-            learn.loss_and_gradients(net, wide, np.zeros(3))
+            learn.loss_and_gradients(net, wide, np.zeros(3), learn.Workspace(net, 3))
+
+    def test_workspace_of_another_batch_size_rejected(self):
+        rng = np.random.default_rng(8)
+        net = rand_net(rng)
+        batch = rand_batch(rng, net, n=5)
+        with pytest.raises(ShapeMismatch, match="batch of 5 rows, workspace of 4"):
+            learn.backward(net, batch, net.copy(), 0.9, 0.1, learn.Workspace(net, 4))
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_action_rejected(self, bad):
@@ -165,7 +177,7 @@ class TestBackward:
         batch = rand_batch(rng, net, n=3)
         batch.actions[1, 0] = bad
         with pytest.raises(ShapeMismatch):
-            learn.loss_and_gradients(net, batch, np.zeros(3))
+            learn.loss_and_gradients(net, batch, np.zeros(3), learn.Workspace(net, 3))
 
 
 class BanditEnv:
@@ -191,17 +203,25 @@ class BanditEnv:
 
 
 def bandit_hp(**over):
-    base = dict(episodes=500, max_steps=1, hidden=(16,), lr=0.01, gamma=0.0,
+    base = dict(episodes=500, max_steps=1, lr=0.01, gamma=0.0,
                 eps_start=1.0, eps_end=0.02, eps_decay_steps=350,
                 batch_size=32, replay_capacity=2000, target_sync=50)
     base.update(over)
     return learn.Hyperparams(**base)
 
 
+def train(env, hp, rng, hidden=(16,), loop=learn.train_episodes):
+    """A net of the env's shape drawn from `rng`, then trained by `loop`
+    with `rng`; returns the net and its reward curve."""
+    net = learn.BdqNetwork(env.state_dim, hidden, env.num_branches,
+                           env.actions_per_branch, rng=rng)
+    return net, loop(env, net, hp, rng)
+
+
 class TestTraining:
     def test_bandit_reaches_optimal_policy(self):
         rng = np.random.default_rng(42)
-        net, _ = learn.train_episodes(BanditEnv(rng), bandit_hp(), rng)
+        net, _ = train(BanditEnv(rng), bandit_hp(), rng)
         hits = 0
         for ctx in (0, 1):
             for _ in range(50):
@@ -211,18 +231,15 @@ class TestTraining:
 
     def test_pure_exploration_flat_curve(self):
         rng = np.random.default_rng(43)
-        _, curve = learn.train_episodes(BanditEnv(rng),
-                                        bandit_hp(eps_end=1.0), rng)
+        _, curve = train(BanditEnv(rng), bandit_hp(eps_end=1.0), rng)
         first, second = np.mean(curve[:250]), np.mean(curve[250:])
         assert abs(first - second) < 0.1
 
     def test_deterministic_given_seed(self):
-        c1 = learn.train_episodes(BanditEnv(np.random.default_rng(9)),
-                                  bandit_hp(episodes=100),
-                                  np.random.default_rng(9))[1]
-        c2 = learn.train_episodes(BanditEnv(np.random.default_rng(9)),
-                                  bandit_hp(episodes=100),
-                                  np.random.default_rng(9))[1]
+        c1 = train(BanditEnv(np.random.default_rng(9)), bandit_hp(episodes=100),
+                   np.random.default_rng(9))[1]
+        c2 = train(BanditEnv(np.random.default_rng(9)), bandit_hp(episodes=100),
+                   np.random.default_rng(9))[1]
         assert c1 == c2
 
 
@@ -246,8 +263,8 @@ class NoiseEnv:
 class TestUpdateWorkspace:
     def test_warm_update_allocates_less_than_one_advantage_array(self, monkeypatch):
         # a cold update would hold its gradients and g_a, over 1 MB here
-        hp = bandit_hp(episodes=1, max_steps=72, hidden=(64, 64, 64), gamma=0.9,
-                       batch_size=64, target_sync=4)
+        hp = bandit_hp(episodes=1, max_steps=72, gamma=0.9, batch_size=64,
+                       target_sync=4)
         env = NoiseEnv(np.random.default_rng(4))
         peaks = []
         backward = learn.backward
@@ -262,25 +279,24 @@ class TestUpdateWorkspace:
         monkeypatch.setattr(learn, "backward", traced)
         tracemalloc.start()
         try:
-            net, _ = learn.train_episodes(env, hp, np.random.default_rng(4))
+            train(env, hp, np.random.default_rng(4), hidden=(64, 64, 64))
         finally:
             tracemalloc.stop()
         assert len(peaks) == 9
         one_advantage_array = env.num_branches * hp.batch_size * env.actions_per_branch * 8
         assert max(peaks[1:]) < one_advantage_array
-        assert net.workspace is None  # the workspace lives for one training run
 
     def test_training_matches_the_reference_update(self, monkeypatch):
         # the training loop's shared workspace against the allocating reference
-        hp = bandit_hp(episodes=1, max_steps=40, hidden=(24, 16), gamma=0.9,
-                       batch_size=16, target_sync=5)
+        hp = bandit_hp(episodes=1, max_steps=40, gamma=0.9, batch_size=16,
+                       target_sync=5)
         monkeypatch.setattr(NoiseEnv, "state_dim", 12)
         monkeypatch.setattr(NoiseEnv, "num_branches", 9)
         nets = []
         for update in (learn.backward, ref_backward):
             monkeypatch.setattr(learn, "backward", update)
-            nets.append(learn.train_episodes(NoiseEnv(np.random.default_rng(6)), hp,
-                                              np.random.default_rng(6))[0])
+            nets.append(train(NoiseEnv(np.random.default_rng(6)), hp,
+                              np.random.default_rng(6), hidden=(24, 16))[0])
         for p, r in zip(*(net.params() for net in nets)):
             assert_same_bits(p, r)
 
@@ -324,11 +340,10 @@ class ListReplayBuffer:
                            np.array([0.0 if tr.terminal else 1.0 for tr in picked]))
 
 
-def list_buffer_train_episodes(env, hp, rng):
+def list_buffer_train_episodes(env, net, hp, rng):
     """`learn.train_episodes` on a `ListReplayBuffer` of `hp.replay_capacity`."""
-    net = learn.BdqNetwork(env.state_dim, hp.hidden, env.num_branches,
-                           env.actions_per_branch, rng=rng)
     target = net.copy()
+    ws = learn.Workspace(net, hp.batch_size)
     buffer = ListReplayBuffer(hp.replay_capacity)
     curve = []
     step_count = 0
@@ -338,9 +353,9 @@ def list_buffer_train_episodes(env, hp, rng):
         for _ in range(hp.max_steps):
             frac = min(step_count / hp.eps_decay_steps, 1.0)
             eps = hp.eps_start + (hp.eps_end - hp.eps_start) * frac
-            explore = rng.random(env.num_branches) < eps
-            random_actions = rng.integers(0, env.actions_per_branch,
-                                          env.num_branches)
+            explore = rng.random(net.num_branches) < eps
+            random_actions = rng.integers(0, net.actions_per_branch,
+                                          net.num_branches)
             actions = np.where(explore, random_actions,
                                learn.greedy_actions(net, state))
             next_state, reward, done = env.step(actions)
@@ -350,13 +365,13 @@ def list_buffer_train_episodes(env, hp, rng):
             step_count += 1
             if len(buffer.items) >= hp.batch_size:
                 learn.backward(net, buffer.sample(hp.batch_size, rng), target,
-                               hp.gamma, hp.lr)
+                               hp.gamma, hp.lr, ws)
                 if step_count % hp.target_sync == 0:
                     target.sync_from(net)
             if done:
                 break
         curve.append(float(np.mean(ep_rewards)))
-    return net, curve
+    return curve
 
 
 class StickyBanditEnv(BanditEnv):
@@ -417,8 +432,9 @@ class TestReplayMatchesListBuffer:
                        eps_decay_steps=200, replay_capacity=capacity,
                        target_sync=10)
         (net, curve), (ref_net, ref_curve) = [
-            train(env_cls(np.random.default_rng(5)), hp, np.random.default_rng(5))
-            for train in (learn.train_episodes, list_buffer_train_episodes)]
+            train(env_cls(np.random.default_rng(5)), hp, np.random.default_rng(5),
+                  loop=loop)
+            for loop in (learn.train_episodes, list_buffer_train_episodes)]
         assert curve == ref_curve
         for p, r in zip(net.params(), ref_net.params()):
             assert_same_bits(p, r)
@@ -482,7 +498,9 @@ def ref_loss_and_gradients(net, batch, targets):
     return loss, grads
 
 
-def ref_backward(net, batch, target_net, gamma, lr):
+def ref_backward(net, batch, target_net, gamma, lr, ws=None):
+    """`learn.backward` with per-branch arithmetic; it allocates its own
+    arrays, so it ignores the workspace."""
     loss, grads = ref_loss_and_gradients(net, batch,
                                          ref_td_targets(target_net, batch, gamma))
     for w, g in zip(net.trunk_w, grads["trunk_w"]):
@@ -522,9 +540,10 @@ class TestStackedHeadsMatchReference:
             assert np.array_equal(learn.greedy_actions(net, s),
                                   ref_forward_batch(net, s).argmax(axis=2)[0])
 
-        targets = learn.td_targets(net, batch, 0.9)
+        ws = learn.Workspace(net, n)
+        targets = learn.td_targets(net, batch, 0.9, ws)
         assert np.array_equal(targets, ref_td_targets(net, batch, 0.9))
-        loss, grads = learn.loss_and_gradients(net, batch, targets)
+        loss, grads = learn.loss_and_gradients(net, batch, targets, ws)
         ref_loss, ref_grads = ref_loss_and_gradients(net, batch, targets)
         assert loss == ref_loss
         got, want = _flat(grads), _flat(ref_grads)
@@ -537,7 +556,7 @@ class TestStackedHeadsMatchReference:
         targets_nets = [net.copy(), net.copy()]
         for step in range(6):
             sample = rand_batch(rng, net, n=n)
-            losses = [fn(nt, sample, tg, 0.9, 0.01) for fn, nt, tg in
+            losses = [fn(nt, sample, tg, 0.9, 0.01, ws) for fn, nt, tg in
                       zip((learn.backward, ref_backward), nets, targets_nets)]
             assert losses[0] == losses[1]
             if step == 2:

@@ -23,20 +23,21 @@ def fast_cfg(**extra):
 
 @pytest.fixture(scope="module")
 def proposed_run():
-    return runner.SchemeRun(fast_cfg(), SchemeId.PROPOSED, 3, train_epochs=20).execute()
+    return runner.SchemeRun(fast_cfg(**{"train.epochs": 20}), SchemeId.PROPOSED, 3).execute()
 
 
 @pytest.fixture(scope="module")
 def four_window_run():
-    cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
-    return runner.SchemeRun(cfg, SchemeId.PROPOSED, 3, train_epochs=0).execute()
+    cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3",
+                                          "train.epochs": 0})
+    return runner.SchemeRun(cfg, SchemeId.PROPOSED, 3).execute()
 
 
 class TestSchemeRun:
     def test_deterministic_results(self):
-        cfg = fast_cfg()
-        r1 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
-        r2 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, train_epochs=30).execute()
+        cfg = fast_cfg(**{"train.epochs": 30})
+        r1 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1).execute()
+        r2 = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1).execute()
         assert r1.slot_records == r2.slot_records
         assert [w.demands for w in r1.windows] == [w.demands for w in r2.windows]
         assert [w.slice for w in r1.windows] == [w.slice for w in r2.windows]
@@ -54,9 +55,8 @@ class TestSchemeRun:
             return backward(*args)
 
         monkeypatch.setattr(learn, "backward", counted)
-        cfg = fast_cfg(**{"train.batch_size": 8})
-        runs = [runner.SchemeRun(cfg, scheme, 1, collect_slots=False,
-                                 train_epochs=30) for _ in range(2)]
+        cfg = fast_cfg(**{"train.batch_size": 8, "train.epochs": 30})
+        runs = [runner.SchemeRun(cfg, scheme, 1, collect_slots=False) for _ in range(2)]
         curves = [sr.execute().reward_curve for sr in runs]
         assert len(calls) > 0
         assert curves[0] == curves[1]
@@ -64,9 +64,9 @@ class TestSchemeRun:
             assert p.tobytes() == q.tobytes()
 
     def test_no_capacity_violations_any_scheme(self):
-        cfg = fast_cfg()
+        cfg = fast_cfg(**{"train.epochs": 20})
         for scheme in SchemeId:
-            res = runner.SchemeRun(cfg, scheme, 2, train_epochs=20).execute()
+            res = runner.SchemeRun(cfg, scheme, 2).execute()
             assert res.slot_records
             assert harness.capacity_violations(res) == 0
 
@@ -117,9 +117,8 @@ class TestSchemeRun:
         assert all(w.slice.mechanism == "greedy" for w in res.windows)
 
     def test_windows_tile_the_evaluation(self):
-        cfg = fast_cfg()
-        res = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                               train_epochs=0).execute()
+        cfg = fast_cfg(**{"train.epochs": 0})
+        res = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False).execute()
         total = int(cfg.sim_duration_s / cfg.slot_s)
         assert res.windows[0].start_slot == 0
         for a, b in zip(res.windows, res.windows[1:]):
@@ -130,8 +129,8 @@ class TestSchemeRun:
     def test_one_context_trace_per_window(self, scheme, monkeypatch):
         # the window length and the slices are planned on the same trace
         cfg = fast_cfg(sim_duration_s=720,
-                       **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
-        sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False, train_epochs=0)
+                       **{"slicing.window_minutes": "3, 3, 3, 3, 3", "train.epochs": 0})
+        sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False)
         sr.fit_models(sr.bootstrap(np.random.default_rng(1))[1])
         calls = []
         emulate = da1.emulate_context
@@ -147,9 +146,8 @@ class TestSchemeRun:
 
     def test_each_window_is_planned_in_the_cells_of_its_first_slot(self, monkeypatch):
         cfg = fast_cfg(sim_duration_s=720,
-                       **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
-        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                              train_epochs=0)
+                       **{"slicing.window_minutes": "3, 3, 3, 3, 3", "train.epochs": 0})
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False)
         sr.fit_models(sr.bootstrap(np.random.default_rng(1))[1])
         starts, cells = [], []
         plan, slice_window = sr.plan_window, da2.slice_window
@@ -171,9 +169,8 @@ class TestSchemeRun:
         assert cells == [sr.paths.row(t)[0] for t in starts]
 
     def test_demand_rows_cover_all_users(self):
-        cfg = fast_cfg()
-        res = runner.SchemeRun(cfg, SchemeId.HSLA_L2, 1, collect_slots=False,
-                               train_epochs=20).execute()
+        cfg = fast_cfg(**{"train.epochs": 20})
+        res = runner.SchemeRun(cfg, SchemeId.HSLA_L2, 1, collect_slots=False).execute()
         for w in res.windows:
             assert set(w.demands) == set(range(cfg.num_users))
             assert all(d.user == u for u, d in w.demands.items())
@@ -190,19 +187,19 @@ class TestSchemeRun:
         s2 = harness.run_experiment(cfg, SchemeId.PROPOSED, [1],
                                     str(tmp_path / "o2"),
                                     trace_level="aggregate",
-                                    policy_in=str(path))
+                                    policy=learn.load_network(str(path)))
         assert s2["per_seed"][0]["qoe_samples"] > 0
 
     def test_policy_in_loads_without_training(self, tmp_path):
         # a policy file is used even when training is off
-        cfg = fast_cfg()
+        cfg = fast_cfg(**{"train.epochs": 0})
         k = cfg.num_users
         net = learn.BdqNetwork(bench.PDRL_USER_FEATURES * k, (8, 8, 8), 2 * k,
                                da1.SHARE_LEVELS, rng=np.random.default_rng(0))
         path = str(tmp_path / "policy.json")
         learn.save_network(net, path)
         sr = runner.SchemeRun(cfg, SchemeId.PDRL_L1, 3, collect_slots=False,
-                              train_epochs=0, policy_in=path)
+                              policy=learn.load_network(path))
         assert sr.execute().windows
         assert sr.policy is not None
         for p, q in zip(sr.policy.params(), net.params()):
@@ -211,9 +208,8 @@ class TestSchemeRun:
     def test_slice_curves_build_each_users_constants_once(self, monkeypatch):
         # a user's planning curve reads the constants its slice gain built,
         # and the demand rule and the constants read one window-mean impact
-        cfg = fast_cfg()
-        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                              train_epochs=0)
+        cfg = fast_cfg(**{"train.epochs": 0})
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False)
         state, samples = sr.bootstrap(np.random.default_rng(1))
         sr.fit_models(samples)
         consts, impacts = [], []
@@ -234,9 +230,8 @@ class TestSchemeRun:
         assert impacts == [sr.models[u] for u in range(cfg.num_users)]
 
     def test_training_episodes_are_planned_by_plan_window(self, monkeypatch):
-        cfg = fast_cfg()
-        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                              train_epochs=0)
+        cfg = fast_cfg(**{"train.epochs": 0})
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False)
         state, samples = sr.bootstrap(np.random.default_rng(1))
         sr.fit_models(samples)
         env = runner._TrainEnv(sr, state, np.random.default_rng(2),
@@ -284,8 +279,8 @@ class TestSchemeRun:
 
         monkeypatch.setattr(netsim, "advance_slots", spy_advance)
         monkeypatch.setattr(da1, "user_allocate", spy_allocate)
-        runner.SchemeRun(fast_cfg(**{"train.batch_size": 8}), scheme, 1,
-                         collect_slots=False, train_epochs=30).execute()
+        runner.SchemeRun(fast_cfg(**{"train.batch_size": 8, "train.epochs": 30}), scheme, 1,
+                         collect_slots=False).execute()
         kinds = {kind for kind, _ in got}
         assert kinds == ({"grant", "budget", "warm start"}
                          if bench.SPECS[scheme].orchestrator is da1.Orchestrator
@@ -302,8 +297,8 @@ class TestModelFits:
     @pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.HSLA_L2],
                              ids=lambda s: s.value)
     def test_each_user_gets_its_serial_reference_pick(self, scheme, seed):
-        cfg = fast_cfg()
-        sr = runner.SchemeRun(cfg, scheme, seed, collect_slots=False, train_epochs=0)
+        cfg = fast_cfg(**{"train.epochs": 0})
+        sr = runner.SchemeRun(cfg, scheme, seed, collect_slots=False)
         samples = sr.bootstrap(np.random.default_rng(seed))[1]
         sr.fit_models(samples)
         assert sorted(sr.models) == [p.id for p in sr.profiles]
@@ -313,9 +308,8 @@ class TestModelFits:
             assert model_bytes(sr.models[p.id]) == model_bytes(want)
 
     def test_a_windows_refits_are_one_call_in_user_order(self, monkeypatch):
-        cfg = fast_cfg()
-        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False,
-                              train_epochs=0)
+        cfg = fast_cfg(**{"train.epochs": 0})
+        sr = runner.SchemeRun(cfg, SchemeId.PROPOSED, 1, collect_slots=False)
         samples = sr.bootstrap(np.random.default_rng(1))[1]
         sr.fit_models(samples)
         before = dict(sr.models)
@@ -345,10 +339,10 @@ class TestSchemeSpec:
     only the spec, so no part of the package is patched."""
 
     def ablation_run(self, **choices):
-        cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3"})
+        cfg = fast_cfg(sim_duration_s=720, **{"slicing.window_minutes": "3, 3, 3, 3, 3",
+                                              "train.epochs": 0})
         spec = dataclasses.replace(bench.PROPOSED, **choices)
-        return cfg, runner.SchemeRun(cfg, spec, 3, collect_slots=False,
-                                     train_epochs=0).execute()
+        return cfg, runner.SchemeRun(cfg, spec, 3, collect_slots=False).execute()
 
     def test_greedy_only(self, four_window_run):
         _, res = self.ablation_run(game=False)
@@ -380,9 +374,8 @@ class TestSchemeSpec:
 def test_trained_policy_has_the_orchestrators_shape(scheme, depth):
     # the orchestrator owns its policy's shape: training builds the policy
     # the evaluation then reads
-    cfg = fast_cfg(**{"agent.bootstrap_minutes": 2})
-    sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False,
-                          train_epochs=18)  # one episode
+    cfg = fast_cfg(**{"agent.bootstrap_minutes": 2, "train.epochs": 18})  # one episode
+    sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False)
     rng = np.random.default_rng(0)
     state, samples = sr.bootstrap(rng)
     sr.fit_models(samples)
@@ -390,7 +383,7 @@ def test_trained_policy_has_the_orchestrators_shape(scheme, depth):
     assert sr.policy.hidden == (cfg.train.hidden_width,) * depth
     orch = sr.make_orchestrator()
     assert orch.policy is sr.policy
+    inputs, branches = orch.layout(cfg)
     assert (sr.policy.input_dim, sr.policy.num_branches,
-            sr.policy.actions_per_branch) == (orch.input_dim, orch.num_branches,
-                                              da1.SHARE_LEVELS)
-    assert orch.state_vector(state).size == orch.input_dim
+            sr.policy.actions_per_branch) == (inputs, branches, da1.SHARE_LEVELS)
+    assert orch.state_vector(state).size == inputs

@@ -67,9 +67,15 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="unknown"):
             load_text(tmp_path, "users.speed_limit = 10\n")
 
-    def test_malformed_line(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_text(tmp_path, "agent.refit_window 7\n")
+    @pytest.mark.parametrize("text,msg", [
+        ("agent.refit_window 7\n", "line 1: expected 'key = value'"),
+        # a key set twice is refused, not read last-wins
+        ("num_users = 16\n# again\nnum_users=24\n",
+         "line 3: num_users is already set on line 1"),
+    ], ids=["no-equals", "repeated-key"])
+    def test_malformed_line(self, tmp_path, text, msg):
+        with pytest.raises(ParseError, match=re.escape(msg)):
+            load_text(tmp_path, text)
 
     def test_overrides_win(self, tmp_path):
         cfg = load_text(tmp_path, "num_users = 16\n", {"num_users": "20"})
