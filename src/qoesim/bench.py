@@ -44,16 +44,15 @@ class RoundRobinOrchestrator:
 
 
 class ExplorationOrchestrator:
-    """Bootstrap allocator: random per-epoch weights shake quality and
-    rebuffer levels across users so the model fits see informative data."""
+    """Bootstrap allocator: random weights, redrawn each epoch (QoE period),
+    shake quality and rebuffer across users so the model fits see rich data."""
 
-    def __init__(self, rng: np.random.Generator, epoch_slots: int):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.epoch_slots = epoch_slots
         self.cached: dict[int, tuple[float, float]] = {}
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        if slot % self.epoch_slots == 0:
+        if slot % state.period_slots == 0:
             k = len(state.profiles)
             w_cpu = self.rng.uniform(0.05, 1.0, k) ** 2
             # grants leave as Python floats (see the netsim docstring)

@@ -156,11 +156,9 @@ def cmd_report(args) -> int:
     print(harness.comparison_table(summaries))
     # plot-ready CSV: one row per scheme per CDF point
     out_csv = os.path.join(args.dir, "report_cdf.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("scheme,ratio,cdf\n")
-        for s in summaries:
-            for v, f in s["pooled"]["ratio_cdf"]:
-                fh.write(f"{s['scheme']},{v:.10g},{f:.10g}\n")
+    harness._write_rows(out_csv, harness.REPORT_CDF_HEADER, harness.REPORT_CDF_LINE,
+                        ((s["scheme"], v, f) for s in summaries
+                         for v, f in s["pooled"]["ratio_cdf"]))
     print(f"wrote {out_csv}")
     return 0
 

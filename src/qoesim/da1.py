@@ -407,7 +407,7 @@ class PolicyOrchestrator:
     """Per-epoch allocation from the branch actions of a BDQ policy.
 
     Serves as the per-slot allocation callback for the simulator: replans
-    every `epoch_slots` slots and returns the cached allocation in between.
+    each epoch, one QoE period, and returns the cached allocation in between.
     A replan's actions are the forced ones when `force` has set them (the
     training environment injects exploratory actions this way), else the
     policy's greedy actions, else all zero.  The orchestrator owns the
@@ -429,7 +429,6 @@ class PolicyOrchestrator:
         self.policy = policy
         self.cfg = cfg
         _, self.num_branches = self.layout(cfg)
-        self.epoch_slots = cfg.agent.epoch_slots
         self.forced: np.ndarray | None = None
         self.cached: dict[int, tuple[float, float]] = {}
 
@@ -462,7 +461,7 @@ class PolicyOrchestrator:
         return learn.greedy_actions(self.policy, self.state_vector(state))
 
     def __call__(self, state, slot: int) -> dict[int, tuple[float, float]]:
-        if slot % self.epoch_slots == 0:
+        if slot % state.period_slots == 0:
             self.replan(state)
         return self.cached
 
@@ -552,17 +551,15 @@ class Orchestrator(PolicyOrchestrator):
 
 def epoch_reward(period_samples, models: dict[int, qoe.QoEModel],
                  elas: dict[int, float]) -> float:
-    """Learning feedback for one epoch: mean over groups of the group QoE
-    minus twice the mean ELA shortfall."""
+    """Learning feedback for one epoch, from its one period sample per user:
+    mean over groups of the group QoE minus twice the mean ELA shortfall."""
     by_user = {ps.user: ps.sample.qoe for ps in period_samples}
     rewards = []
     for members in cluster_users(models).values():
-        vals = [by_user[u] for u in members if u in by_user]
-        if not vals:
-            continue
-        short = [max(elas[u] - by_user[u], 0.0) for u in members if u in by_user]
+        vals = [by_user[u] for u in members]
+        short = [max(elas[u] - by_user[u], 0.0) for u in members]
         rewards.append(float(np.mean(vals)) - SHORTFALL_WEIGHT * float(np.mean(short)))
-    return float(np.mean(rewards)) if rewards else 0.0
+    return float(np.mean(rewards))
 
 
 def planning_qoe(c: UtilityConsts, bw_hz: float, cpu_cps: float) -> float:

@@ -18,6 +18,7 @@ its cost on `slots_*.csv`, the one large artifact.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -132,6 +133,8 @@ SLICES_LINE = "%d,%.10g,%d,%d,%.10g,%.10g,%s\r\n"
 WINDOWS_HEADER = ["window", "start_slot", "end_slot", "window_minutes",
                   "mechanism", "ela_ratio"]
 WINDOWS_LINE = "%d,%d,%d,%.10g,%s,%.10g\r\n"
+REPORT_CDF_HEADER = ["scheme", "ratio", "cdf"]  # `simctl report`'s report_cdf.csv
+REPORT_CDF_LINE = "%s,%.10g,%.10g\r\n"
 
 
 def _write_rows(path: str, header: list[str], line: str, rows) -> None:
@@ -257,8 +260,20 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _summary_validator():
+    """The summary schema's validator; the schema is checked once per process."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_summary(summary: dict) -> None:
-    jsonschema.validate(summary, load_schema())
+    """Raise what `jsonschema.validate` would, without re-checking the schema."""
+    error = jsonschema.exceptions.best_match(_summary_validator().iter_errors(summary))
+    if error is not None:
+        raise error
 
 
 def comparison_table(summaries: list[dict]) -> str:

@@ -169,10 +169,10 @@ class PathWalker:
         return pts[i] + f[:, None] * (pts[i + 1] - pts[i])
 
 
-# A training episode plans 180 slots (`runner.DYNAMICS_HORIZON_SLOTS`) ahead
-# of its world step and then steps through them, so one block of rows past
-# the span serves one episode.
-_BLOCK_SLOTS = 180
+# The planning horizon: a window is planned at most this many slots ahead of
+# the world step.  A training episode plans this far and then steps through
+# it, so one block of rows past the span serves one episode.
+DYNAMICS_HORIZON_SLOTS = 180
 
 
 class UserPaths:
@@ -187,7 +187,7 @@ class UserPaths:
     slots are stored, one `(span, users)` array per column, when the run
     builds the table.  Past the span it holds one block of rows, and a read
     that the block does not hold refills it from the read's first slot past
-    the span, with at least `_BLOCK_SLOTS` rows.
+    the span, with at least `DYNAMICS_HORIZON_SLOTS` rows.
     """
 
     def __init__(self, cfg: ScenarioConfig, profiles: list[UserProfile]):
@@ -248,7 +248,7 @@ class UserPaths:
         i = t0 - self._block_t0
         if i < 0 or i + n > len(self._block[0]):
             self._block_t0, i = t0, 0
-            self._block = self._fill(t0, max(n, _BLOCK_SLOTS))
+            self._block = self._fill(t0, max(n, DYNAMICS_HORIZON_SLOTS))
         return self._block, i
 
     def row(self, t: int) -> tuple[list[int], list[float], list[float], list[float]]:

@@ -34,7 +34,6 @@ _LANE_EMU_EVAL = 71
 _LANE_EMU_TRAIN = 83
 _LANE_EXPLORE = 97
 
-DYNAMICS_HORIZON_SLOTS = 180
 TRAIN_EPISODE_MINUTES = 3.0
 
 
@@ -94,8 +93,7 @@ class SchemeRun:
         # no slice: the explorer shares out the hardware caps the state starts with
         state = netsim.SimState(cfg, self.profiles, self.paths)
         slots = cfg.bootstrap_slots()
-        explorer = bench.ExplorationOrchestrator(
-            _lane(self.seed, _LANE_EXPLORE), cfg.agent.epoch_slots)
+        explorer = bench.ExplorationOrchestrator(_lane(self.seed, _LANE_EXPLORE))
         return state, netsim.advance_slots(state, explorer, slots, train_rng)
 
     def fit_models(self, samples: list[netsim.PeriodSample]) -> None:
@@ -165,7 +163,7 @@ class SchemeRun:
         if not self.spec.learned or self.policy is not None or cfg.train.epochs <= 0:
             return
         episode_epochs = max(int(TRAIN_EPISODE_MINUTES * 60.0 / cfg.slot_s
-                                 / cfg.agent.epoch_slots), 1)
+                                 / cfg.period_slots()), 1)
         episodes = max(int(round(cfg.train.epochs / episode_epochs)), 1)
         env = _TrainEnv(self, state, train_rng, _lane(self.seed, _LANE_EMU_TRAIN),
                         episode_epochs)
@@ -193,8 +191,8 @@ class SchemeRun:
         windows: list[WindowLog] = []
         records: list[netsim.SlotRecord] | None = [] if self.collect_slots else None
         while state.t < total_slots:
-            traces, slc, demands = self.plan_window(
-                state, min(DYNAMICS_HORIZON_SLOTS, total_slots - state.t), emu_rng)
+            horizon = min(netsim.DYNAMICS_HORIZON_SLOTS, total_slots - state.t)
+            traces, slc, demands = self.plan_window(state, horizon, emu_rng)
             w_min = self.dynamics_window(state, traces)
             w_slots = min(int(w_min * 60.0 / cfg.slot_s), total_slots - state.t)
             w_slots = max((w_slots // period) * period, period)
@@ -241,8 +239,8 @@ class SchemeRun:
 
 class _TrainEnv:
     """Training environment: one episode = one short slicing window.  A step
-    forces the actions on the scheme's orchestrator for one epoch and scores
-    the epoch with `da1.epoch_reward`."""
+    forces the actions on the scheme's orchestrator for one epoch (one QoE
+    period) and scores it with `da1.epoch_reward`."""
 
     def __init__(self, run: SchemeRun, state: netsim.SimState,
                  traffic_rng, emu_rng, episode_epochs: int):
@@ -257,15 +255,15 @@ class _TrainEnv:
     def reset(self):
         run = self.run
         horizon = min(int(TRAIN_EPISODE_MINUTES * 60.0 / run.cfg.slot_s),
-                      DYNAMICS_HORIZON_SLOTS)
+                      netsim.DYNAMICS_HORIZON_SLOTS)
         run.plan_window(self.state, horizon, self.emu_rng)
         self.epoch_i = 0
         return self.orch.state_vector(self.state)
 
     def step(self, actions):
         self.orch.force(actions)
-        samples = netsim.advance_slots(self.state, self.orch,
-                                       self.run.cfg.agent.epoch_slots, self.traffic_rng)
+        samples = netsim.advance_slots(self.state, self.orch, self.state.period_slots,
+                                       self.traffic_rng)
         reward = da1.epoch_reward(samples, self.run.models, self.run.elas)
         self.epoch_i += 1
         done = self.epoch_i >= self.episode_epochs

@@ -172,7 +172,6 @@ class PlaybackConfig:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    epoch_slots: int = _bounded(10, "[1, inf)")
     # the planning utility divides by both demand headrooms
     demand_headroom: float = _bounded(1.3, "(0, inf)")
     # transcode-capacity multiple over the steady-state tier cost, covering
@@ -192,8 +191,9 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # 0 trains nothing; else whole episodes of runner.TRAIN_EPISODE_MINUTES (18
-    # epochs by default), at least one: 25 -> 18, 250 -> 252, 2000 -> 1998, 1 -> 18
+    # an epoch is one QoE period (playback.eval_period_s); 0 trains nothing;
+    # else whole episodes of runner.TRAIN_EPISODE_MINUTES (18 epochs at the
+    # 10-s period), at least one: 25 -> 18, 250 -> 252, 2000 -> 1998, 1 -> 18
     epochs: int = _bounded(2000, "[0, inf)")
     # a step against the gradient
     lr: float = _bounded(0.003, "(0, inf)")
@@ -249,7 +249,7 @@ class ScenarioConfig:
         return {b.id: b.dl_bandwidth_hz for b in self.base_stations()}
 
     def period_slots(self) -> int:
-        """Slots per QoE evaluation period (at least one)."""
+        """Slots per QoE evaluation period, the control epoch (at least one)."""
         return max(int(round(self.playback.eval_period_s / self.slot_s)), 1)
 
     def eval_slots(self) -> int:
@@ -365,10 +365,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
                    ("swipe_period_min_s", "swipe_period_max_s")):
         if getattr(u, lo) > getattr(u, hi):
             raise ValidationError(f"users.{lo} must not exceed users.{hi}")
-    if cfg.playback.eval_period_s < cfg.slot_s:
-        raise ValidationError("playback.eval_period_s must span at least one slot")
-    # the evaluation advances whole periods: a partial one would run past the end
+    # the period is the control epoch, and the demand and utility arithmetic
+    # reads it in seconds: it must be the whole slots that the world step counts
     total_slots, period = cfg.eval_slots(), cfg.period_slots()
+    if not math.isclose(period * cfg.slot_s, cfg.playback.eval_period_s, rel_tol=1e-9):
+        raise ValidationError(f"playback.eval_period_s must be a whole number of slots "
+                              f"(slot_s = {cfg.slot_s!r} s), one or more")
+    # the evaluation advances whole periods: a partial one would run past the end
     if total_slots < period or total_slots % period:
         raise ValidationError(f"sim_duration_s must span a positive whole number of "
                               f"evaluation periods ({period} slots each)")

@@ -77,14 +77,18 @@ class TestArgumentErrors:
 class TestConfigErrors:
     @pytest.mark.parametrize("argv,msg", [
         (["run", "--set", "num_users=17"], "invalid config: num_users: 17 not in"),
-        (["run", "--set", "agent.epoch_slots=ten"],
-         "invalid config: agent.epoch_slots: expected integer, got 'ten'"),
+        (["run", "--set", "agent.refit_window=ten"],
+         "invalid config: agent.refit_window: expected integer, got 'ten'"),
         (["run", "--set", "agent.epoch_slot=10"],
          "invalid config: unknown config key: agent.epoch_slot"),
+        # the control epoch is the QoE period: no second knob sets it
+        (["run", "--set", "agent.epoch_slots=10"],
+         "invalid config: unknown config key: agent.epoch_slots"),
         (["sweep", "--k", "16,17"], "invalid config: num_users: 17 not in"),
         (["sweep", "--set", "edge.capacity_cps=0"],
          "invalid config: edge.capacity_cps must be > 0"),
-    ], ids=["out-of-preset", "not-an-integer", "unknown-key", "sweep-k", "sweep-set"])
+    ], ids=["out-of-preset", "not-an-integer", "unknown-key", "epoch-slots", "sweep-k",
+            "sweep-set"])
     def test_invalid_config_exits_naming_the_field(self, argv, msg, tmp_path):
         with pytest.raises(SystemExit, match=re.escape(msg)):
             cli.main(argv + ["--out", str(tmp_path / "out")])
@@ -101,7 +105,9 @@ class TestConfigErrors:
         ("agent.refit_window 7\n", "invalid config: line 1: expected 'key = value'"),
         ("num_users = 16\nnum_users = 24\n",
          "invalid config: line 2: num_users is already set on line 1"),
-    ], ids=["no-equals", "repeated-key"])
+        ("num_users = 16\nagent.epoch_slots = 10\n",
+         "invalid config: unknown config key: agent.epoch_slots"),
+    ], ids=["no-equals", "repeated-key", "epoch-slots"])
     def test_malformed_scenario_line_exits_naming_the_line(self, tmp_path, text, msg):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -228,3 +234,33 @@ class TestReport:
         assert msg.startswith(f"report: {str(path)!r} {why}")
         assert "\n" not in msg
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_report_cdf_is_written_through_the_one_csv_writer(self, tmp_path, monkeypatch):
+        # CRLF line ends and %.10g numbers, as every other CSV of a run
+        box = {"median": 3.0, "q1": 2.5, "q3": 3.5, "whisker_lo": 1.0,
+               "whisker_hi": 5.0, "outliers": 0}
+        for scheme, cdf in (("proposed", [[0.125, 0.5], [1 / 3, 1.0]]),
+                            ("wo-da", [[0.0, 1.0]])):
+            summary = {"scheme": scheme, "num_users": 16, "seeds": [1],
+                       "config_hash": "0123456789abcdef",
+                       "per_seed": [{"seed": 1, "window_ratios": [0.25],
+                                     "mean_ela_ratio": 0.25, "qoe_samples": 4,
+                                     "qoe_box": box, "capacity_violations": 0}],
+                       "pooled": {"mean_ela_ratio": 0.25, "ratio_cdf": cdf,
+                                  "qoe_box": box}}
+            (tmp_path / f"summary_{scheme}.json").write_text(json.dumps(summary))
+        written = []
+        real = cli.harness._write_rows
+
+        def recording(path, header, line, rows):
+            written.append(path)
+            real(path, header, line, rows)
+
+        monkeypatch.setattr(cli.harness, "_write_rows", recording)
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert written == [str(tmp_path / "report_cdf.csv")]
+        assert (tmp_path / "report_cdf.csv").read_bytes() == (
+            b"scheme,ratio,cdf\r\n"
+            b"proposed,0.125,0.5\r\n"
+            b"proposed,0.3333333333,1\r\n"
+            b"wo-da,0,1\r\n")

@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +121,50 @@ class TestBoxStats:
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
             harness.box_stats([1, 2, 3])
+
+
+class TestValidateSummary:
+    @pytest.fixture(scope="class")
+    def summary(self, tmp_path_factory):
+        return harness.run_experiment(fast_cfg(), SchemeId.WITHOUT_DA, [1],
+                                      str(tmp_path_factory.mktemp("run")),
+                                      trace_level="aggregate")
+
+    def test_the_schema_is_checked_once(self, summary, monkeypatch):
+        checked = []
+        cls = jsonschema.validators.validator_for(harness.load_schema())
+        real = cls.check_schema
+
+        def counted(schema, *args, **kwargs):
+            checked.append(schema)
+            return real(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", counted)
+        harness._summary_validator.cache_clear()
+        harness.validate_summary(summary)
+        harness.validate_summary(summary)
+        assert checked == [harness.load_schema()]
+
+    @pytest.mark.parametrize("path,value", [
+        (("scheme",), "bogus"),
+        (("config_hash",), "not-a-hash"),
+        (("per_seed", 0), {"seed": 1}),
+        (("per_seed", 0, "window_ratios"), []),
+        (("pooled", "qoe_box", "median"), 6.0),
+    ])
+    def test_a_broken_summary_raises_what_jsonschema_raises(self, summary, path, value):
+        broken = json.loads(json.dumps(summary))
+        *outer, last = path
+        node = broken
+        for key in outer:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(broken, harness.load_schema())
+        with pytest.raises(jsonschema.ValidationError) as got:
+            harness.validate_summary(broken)
+        assert (got.value.message, list(got.value.absolute_path)) == (
+            want.value.message, list(want.value.absolute_path))
 
 
 class TestRunExperiment:

@@ -387,3 +387,28 @@ def test_trained_policy_has_the_orchestrators_shape(scheme, depth):
     assert (sr.policy.input_dim, sr.policy.num_branches,
             sr.policy.actions_per_branch) == (inputs, branches, da1.SHARE_LEVELS)
     assert orch.state_vector(state).size == inputs
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.PROPOSED, SchemeId.PDRL_L1],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("over", [{"playback.eval_period_s": 20}, {"slot_s": 0.5}],
+                         ids=["20-s-period", "half-s-slots"])
+def test_every_training_epoch_is_scored_from_one_sample_per_user(over, scheme,
+                                                                 monkeypatch):
+    # the epoch is the QoE period, so each step's world advance ends one
+    # period and no epoch reward comes from an empty sample set
+    cfg = fast_cfg(**over, **{"train.epochs": 36})
+    scored = []
+    real = da1.epoch_reward
+
+    def spy(samples, models, elas):
+        scored.append(sorted(ps.user for ps in samples))
+        return real(samples, models, elas)
+
+    monkeypatch.setattr(da1, "epoch_reward", spy)
+    sr = runner.SchemeRun(cfg, scheme, 1, collect_slots=False)
+    rng = np.random.default_rng(0)
+    state, samples = sr.bootstrap(rng)
+    sr.fit_models(samples)
+    sr.train_policies(state, rng)
+    assert scored == [list(range(cfg.num_users))] * 36

@@ -195,6 +195,18 @@ class TestLoadScenario:
         scenario.validate_config(dataclasses.replace(
             cfg, agent=dataclasses.replace(cfg.agent, bootstrap_minutes=0.5)))
 
+    @pytest.mark.parametrize("over,ok", [
+        # 10 s rounds to 33 slots of 0.3 s, a 9.9-s period
+        ({"slot_s": "0.3", "sim_duration_s": "990"}, {"playback.eval_period_s": "9.9"}),
+        ({"playback.eval_period_s": "10.5"}, {"playback.eval_period_s": "10"}),
+        ({"playback.eval_period_s": "0.5"}, {"slot_s": "0.5"}),
+    ], ids=["rounded", "half-slot", "under-a-slot"])
+    def test_rejects_a_period_of_part_slots(self, over, ok):
+        # the period is the control epoch, counted in whole slots
+        with pytest.raises(ValidationError, match=re.escape("playback.eval_period_s")):
+            scenario.validate_config(scenario.parse_overrides(over))
+        scenario.validate_config(scenario.parse_overrides({**over, **ok}))
+
     def test_roundtrip(self, tmp_path):
         cfg = scenario.validate_config(scenario.ScenarioConfig())
         text = scenario.serialize_config(cfg)
