@@ -1,9 +1,12 @@
 """Level-one digital agents: per-user emulation, demand prediction, and the
 two-layer tailored orchestration (group-level policy + user-level solver).
 
-The user-level allocator maximizes a smooth concave planning utility built
+The user-level allocator climbs a smooth concave planning utility built
 from the tier arithmetic of the real quality/stall dynamics; realized QoE
-still comes from the simulator.  Planning bandwidth/compute curves:
+still comes from the simulator.  Each replan runs five projected-ascent
+steps from the last period's grants, which approach the optimum of the
+period's utility rather than reach it; `converged` means the ascent stopped
+before that cap.  Planning bandwidth/compute curves:
 
     q_bw(bw)   = cap((eff * bw / headroom - r_lo) / (r_hi - r_lo))
     q_cpu(cpu) = cap((cpu / cpu_headroom - c0) / c1)
@@ -46,7 +49,6 @@ SHARE_LEVELS = 11  # {0.0, 0.1, ..., 1.0}
 SHORTFALL_WEIGHT = 2.0
 _HINGE_TAU = 0.1
 _CORNER_TAU = 0.02  # corner rounding of the tier-exact planning curves
-KKT_TOL = 1e-3  # a solve has converged when its KKT residual is below this
 MIN_STALL_BUDGET_S = 0.25  # floor of the per-period startup-stall budget
 
 
@@ -312,10 +314,8 @@ def _max_gap(a: list[float], b: list[float]) -> float:
 
 @dataclass
 class SolverReport:
-    converged: bool
+    converged: bool  # the ascent stopped on its own test before max_iters
     iterations: int
-    kkt_residual: float
-    objective: float
 
 
 def user_allocate(members: list[UtilityConsts], bw_budget_hz: float,
@@ -323,23 +323,21 @@ def user_allocate(members: list[UtilityConsts], bw_budget_hz: float,
                   warm_start: dict[int, tuple[float, float]] | None,
                   tol_step: float
                   ) -> tuple[dict[int, tuple[float, float]], SolverReport]:
-    """Concave utility maximization over the group budget.
-
-    Projected-gradient ascent on the product of capped simplices with a
-    backtracking quadratic line search; returns per-user (bw, cpu) plus a
-    convergence report with the projected-gradient KKT residual.
-    """
+    """Per-user (bw, cpu) grants of the group budget: at most `max_iters`
+    steps of projected-gradient ascent on the summed planning utility, with
+    a backtracking line search, from `warm_start` (the last period's grants)
+    when given.  `converged` says the ascent stopped on its own test (no
+    accepted trial, or a step below `tol_step`) before the cap, or that the
+    cell was trivial."""
     n = len(members)
     if n == 0:
-        return {}, SolverReport(True, 0, 0.0, 0.0)
+        return {}, SolverReport(True, 0)
     if bw_budget_hz <= 0.0 and cpu_budget_cps <= 0.0:
-        return ({m.user: (0.0, 0.0) for m in members},
-                SolverReport(True, 0, 0.0, 0.0))
+        return {m.user: (0.0, 0.0) for m in members}, SolverReport(True, 0)
     if n == 1:
         # utilities are strictly increasing: a lone member takes the budget
-        v, _, _ = utility_value_grad(members[0], bw_budget_hz, cpu_budget_cps)
         return ({members[0].user: (bw_budget_hz, cpu_budget_cps)},
-                SolverReport(True, 0, 0.0, v))
+                SolverReport(True, 0))
 
     def _norm_warm(idx: int, budget: float) -> list[float]:
         if budget <= 0.0:
@@ -372,6 +370,7 @@ def user_allocate(members: list[UtilityConsts], bw_budget_hz: float,
     step = 0.5
     it = 0
     moved = math.inf
+    converged = False
     for it in range(1, max_iters + 1):
         accepted = False
         # the step normalization is fixed until a trial is accepted
@@ -389,18 +388,12 @@ def user_allocate(members: list[UtilityConsts], bw_budget_hz: float,
                 break
             step *= 0.4
         if not accepted or moved < tol_step:
+            converged = True
             break
 
-    eta = 1e-3
-    rb = _max_gap(xb, project_capped_simplex(
-        [x + eta * g for x, g in zip(xb, gb)])) / eta
-    rc = _max_gap(xc, project_capped_simplex(
-        [x + eta * g for x, g in zip(xc, gc)])) / eta
-    residual = max(rb, rc) / (1.0 + max(max(map(abs, gb)), max(map(abs, gc))))
-    converged = residual < KKT_TOL
     alloc = {m.user: (fb * bw_budget_hz, fc * cpu_budget_cps)
              for m, fb, fc in zip(members, xb, xc)}
-    return alloc, SolverReport(converged, it, residual, value)
+    return alloc, SolverReport(converged, it)
 
 
 class PolicyOrchestrator:

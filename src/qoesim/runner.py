@@ -55,8 +55,6 @@ class RunResult:
     seed: int
     windows: list[WindowLog]
     slot_records: list[netsim.SlotRecord] | None  # None: not collected
-    models: dict[int, qoe.QoEModel]
-    reward_curve: list[float]
 
 
 def _lane(seed: int, key: int) -> np.random.Generator:
@@ -64,15 +62,20 @@ def _lane(seed: int, key: int) -> np.random.Generator:
 
 
 class SchemeRun:
-    """Owns all mutable pieces of one run of a `bench.SchemeSpec` (or of a
-    `bench.SPECS` key), and reads only the spec's choices.  A learned scheme
-    given a `policy` evaluates it; else it trains one for `cfg.train.epochs`."""
+    """Owns all mutable pieces of one run of a scheme, a `bench.SchemeId`
+    (its `bench.SPECS` entry) or a `bench.SchemeSpec` as given (an
+    ablation), and reads only the spec's choices.  A learned scheme given
+    a `policy` evaluates it; else it trains one for `cfg.train.epochs`."""
 
     def __init__(self, cfg: scenario.ScenarioConfig, scheme, seed: int,
                  collect_slots: bool = True,
                  policy: learn.BdqNetwork | None = None):
+        self.spec = scheme if isinstance(scheme, bench.SchemeSpec) else next(
+            (spec for key, spec in bench.SPECS.items() if key is scheme), None)
+        if self.spec is None:
+            raise TypeError(f"scheme must be a bench.SchemeSpec or one of "
+                            f"{', '.join(map(str, bench.SPECS))}, got {scheme!r}")
         self.cfg = cfg
-        self.spec = bench.SPECS.get(scheme, scheme)
         self.seed = seed
         self.collect_slots = collect_slots
         self.profiles = scenario.sample_users(cfg, _lane(seed, _LANE_USERS))
@@ -201,8 +204,7 @@ class SchemeRun:
             windows.append(WindowLog(len(windows), start, state.t, w_min, slc,
                                      demands, samples))
             self._maybe_refit(samples)
-        return RunResult(self.seed, windows, records,
-                         dict(self.models), self.reward_curve)
+        return RunResult(self.seed, windows, records)
 
     def _maybe_refit(self, samples: list[netsim.PeriodSample]) -> None:
         if not self.spec.fitted_models:

@@ -381,10 +381,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError(f"sim_duration_s and num_users give {samples} evaluation "
                               "samples (one per user and period), need >= 4")
     # a user's QoE model is fitted from two period samples or more
-    # (qoe._unfittable); with fewer, every model falls back to the generic one
-    if cfg.bootstrap_slots() < 2 * period:
-        raise ValidationError(f"agent.bootstrap_minutes must span at least two "
-                              f"evaluation periods ({period} slots each)")
+    # (qoe._unfittable); whole periods keep each training step's one sample
+    # (training starts where the bootstrap ends) to that step's own actions
+    boot = cfg.bootstrap_slots()
+    if boot < 2 * period or boot % period:
+        raise ValidationError(f"agent.bootstrap_minutes must span a whole number of "
+                              f"evaluation periods ({period} slots each), two or more")
     lv = cfg.catalog.quality_levels_bps
     if len(lv) < 2:
         raise ValidationError("catalog.quality_levels_bps needs at least two tiers")

@@ -5,11 +5,13 @@ arithmetic, and the path table's fill (`netsim.UserPaths._fill`) runs the
 path loss, the walk and the swipe process along the slot axis in array
 passes.  No run calls a scalar form, so these live with the tests, which
 hold the kernel and the fill to them bit for bit.  The `netsim` module
-docstring states the same formulas.
+docstring states the same formulas.  The user-level solver's optimality
+residual lives here too: no run computes it, and the tests hold the
+solver's grants to it.
 """
 import math
 
-from qoesim import netsim
+from qoesim import da1, netsim
 from qoesim.scenario import ChannelConfig
 
 
@@ -68,3 +70,22 @@ def env_trace(profile, t_s, max_swipe_rate_per_min, complexity_increases_with_sp
     return (behavior_of_rate(rate, max_swipe_rate_per_min),
             netsim.complexity_of_speed(profile.speed_kmh,
                                        complexity_increases_with_speed))
+
+
+def kkt_residual(members, alloc, bw_budget_hz: float, cpu_budget_cps: float) -> float:
+    """Projected-gradient KKT residual of the grants `alloc` (user -> (bw,
+    cpu)) of `da1.user_allocate` over the two budgets: the largest move of
+    a 1e-3 projected step along the planning utility's gradient, per unit
+    step, over 1 + the largest gradient entry.  The grants are taken as
+    budget fractions and the gradient per fraction; a zero budget has a zero
+    gradient.  The residual is 0 where no feasible move gains utility."""
+    eta = 1e-3
+    grads = [da1.utility_value_grad(c, *alloc[c.user])[1:] for c in members]
+    moves, top = [], 0.0
+    for idx, budget in enumerate((bw_budget_hz, cpu_budget_cps)):
+        x = [alloc[c.user][idx] / budget if budget > 0.0 else 0.0 for c in members]
+        g = [d[idx] * budget for d in grads]
+        stepped = da1.project_capped_simplex([xi + eta * gi for xi, gi in zip(x, g)])
+        moves.append(max(abs(a - b) for a, b in zip(x, stepped)) / eta)
+        top = max(top, max(map(abs, g)))
+    return max(moves) / (1.0 + top)

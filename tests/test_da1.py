@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qoesim import da1, learn, netsim, qoe, scenario
 from qoesim.errors import ShapeMismatch
 
-from oracles import env_trace
+from oracles import env_trace, kkt_residual
 
 CFG = scenario.ScenarioConfig()
 CAT = CFG.catalog
@@ -52,6 +52,18 @@ def solve(mems, bw, cpu, warm_start=None):
     """`da1.user_allocate` run to a tight solve."""
     return da1.user_allocate(mems, bw, cpu, max_iters=500,
                              warm_start=warm_start, tol_step=1e-12)
+
+
+def planning_utility(mems, alloc):
+    """The summed planning utility of the members at their grants."""
+    return sum(da1.utility_value_grad(c, *alloc[c.user])[0] for c in mems)
+
+
+def random_members(rng, n, eff=(0.3, 6.0)):
+    """`n` planned users of random structure, ELA, impact and efficiency."""
+    return [member(user=i, struct=int(rng.integers(1, 4)), ela=rng.uniform(3, 5),
+                   ibar=rng.uniform(0.4, 1.0), eff=rng.uniform(*eff))
+            for i in range(n)]
 
 
 def group_orch(groups, policy=None, rng=None):
@@ -294,26 +306,21 @@ class TestUserAllocate:
     def test_budgets_and_nonnegativity(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            n = int(rng.integers(1, 6))
-            mems = [member(user=i, struct=int(rng.integers(1, 4)),
-                           ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
-                           eff=rng.uniform(0.3, 6.0)) for i in range(n)]
+            mems = random_members(rng, int(rng.integers(1, 6)))
             bw, cpu = rng.uniform(1e5, 2e7), rng.uniform(1e8, 5e9)
             alloc, rep = solve(mems, bw, cpu)
             assert sum(a[0] for a in alloc.values()) <= bw * (1 + 1e-9)
             assert sum(a[1] for a in alloc.values()) <= cpu * (1 + 1e-9)
             assert all(a[0] >= 0 and a[1] >= 0 for a in alloc.values())
             if rep.converged:
-                assert rep.kkt_residual < 1e-3
+                assert kkt_residual(mems, alloc, bw, cpu) < 1e-3
 
     def test_grid_search_oracle_two_users(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            mems = [member(user=i, struct=int(rng.integers(1, 4)),
-                           ela=rng.uniform(3, 5), ibar=rng.uniform(0.4, 1.0),
-                           eff=rng.uniform(0.5, 4.0)) for i in range(2)]
+            mems = random_members(rng, 2, eff=(0.5, 4.0))
             bw, cpu = rng.uniform(5e5, 1e7), rng.uniform(2e8, 2e9)
-            alloc, rep = solve(mems, bw, cpu)
+            alloc, _ = solve(mems, bw, cpu)
             c0, c1 = mems
             best = -np.inf
             fracs = np.linspace(0, 1, 101)
@@ -323,7 +330,7 @@ class TestUserAllocate:
                            + da1.utility_value_grad(c1, (1 - fb) * bw,
                                                     (1 - fc) * cpu)[0])
                     best = max(best, val)
-            assert rep.objective >= best - 1e-3 * abs(best)
+            assert planning_utility(mems, alloc) >= best - 1e-3 * abs(best)
 
     def test_zero_budget(self):
         alloc, rep = solve([member()], 0.0, 0.0)
@@ -333,9 +340,30 @@ class TestUserAllocate:
     def test_warm_start_converges_fast(self):
         mems = [member(user=i, ela=3 + i * 0.5) for i in range(3)]
         alloc, cold = solve(mems, 5e6, 1e9)
-        _, warm = solve(mems, 5e6, 1e9, warm_start=alloc)
+        warm_alloc, warm = solve(mems, 5e6, 1e9, warm_start=alloc)
         assert warm.iterations <= max(cold.iterations // 2, 10)
-        assert warm.objective >= cold.objective - 1e-9
+        assert planning_utility(mems, warm_alloc) >= planning_utility(mems, alloc) - 1e-9
+
+    def test_the_shipped_solve_never_beats_the_tight_one(self):
+        # the replan's five warm-started steps approach the tight solve from
+        # below; a tight solve that stopped before its cap is at the optimum
+        rng = np.random.default_rng(11)
+        converged = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            mems = random_members(rng, n)
+            bw, cpu = rng.uniform(1e5, 2e7), rng.uniform(1e8, 5e9)
+            fb, fc = rng.dirichlet(np.ones(n)).tolist(), rng.dirichlet(np.ones(n)).tolist()
+            warm = {i: (fb[i] * bw, fc[i] * cpu) for i in range(n)}
+            shipped, _ = da1.user_allocate(mems, bw, cpu, max_iters=5,
+                                           warm_start=warm, tol_step=2e-4)
+            tight, rep = solve(mems, bw, cpu, warm_start=warm)
+            best = planning_utility(mems, tight)
+            assert planning_utility(mems, shipped) <= best + 1e-12 * (1.0 + abs(best))
+            if rep.converged:
+                converged += 1
+                assert kkt_residual(mems, tight, bw, cpu) < 1e-3
+        assert converged > 0
 
 
 # --- numpy reference of the planning utility and the projection ---------------

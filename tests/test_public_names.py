@@ -195,3 +195,58 @@ def test_no_default_the_package_always_overrides():
                   if path not in ALWAYS_PASSED_ALLOWED) == []
     # an allowance the package no longer needs goes
     assert ALWAYS_PASSED_ALLOWED.keys() <= {path for path, _ in always}
+
+
+# record fields that no reader loads by name, each read whole
+FIELDS_UNREAD_ALLOWED = {
+    "harness.BoxStats": "written whole into the summary by `asdict`",
+    "netsim.SlotRecord": "its rows go whole to slots_*.csv",
+    "qoe.QoEModel.sample_count": "the fit's sample count, which the run "
+                                 "summary is to report",
+}
+
+
+def record_fields(tree: ast.Module, module: str) -> dict[str, str]:
+    """Dotted path -> name of each annotated field of a top-level dataclass
+    or NamedTuple."""
+    out = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                 for d in node.decorator_list}
+        marks |= {getattr(b, "id", None) for b in node.bases}
+        if not marks & {"dataclass", "NamedTuple"}:
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                out[f"{module}.{node.name}.{sub.target.id}"] = sub.target.id
+    return out
+
+
+def test_every_record_field_has_a_reader():
+    """A field that the package fills and nobody reads is computed to be
+    thrown away.  A read is an attribute load of the field's name (`x.f`)
+    anywhere in the package, the benchmark or the tools.  The scan knows no
+    types, as the public-names scan above does not: a load of `x.f` counts
+    for every field named f and for any attribute of that name, so one
+    reader of a name hides the disuse of every other field of that name.
+    A record read whole (by `asdict`, by unpacking, by `repr`) loads none
+    of its fields by name; it is allowed by name below."""
+    src = pathlib.Path(scenario.__file__).parent
+    fields: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        fields.update(record_fields(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    for root in (src, src.parents[1] / "qoebench", src.parents[1] / "tools"):
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    # the allowance key of an unread field: its own path, else its record's
+    keys = {path: path if path in FIELDS_UNREAD_ALLOWED else path.rpartition(".")[0]
+            for path, name in fields.items() if name not in read}
+    assert sorted(path for path, key in keys.items()
+                  if key not in FIELDS_UNREAD_ALLOWED) == []
+    # an allowance the package no longer needs goes
+    assert FIELDS_UNREAD_ALLOWED.keys() <= set(keys.values())

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -57,7 +58,9 @@ class TestSchemeRun:
         monkeypatch.setattr(learn, "backward", counted)
         cfg = fast_cfg(**{"train.batch_size": 8, "train.epochs": 30})
         runs = [runner.SchemeRun(cfg, scheme, 1, collect_slots=False) for _ in range(2)]
-        curves = [sr.execute().reward_curve for sr in runs]
+        for sr in runs:
+            sr.execute()
+        curves = [sr.reward_curve for sr in runs]
         assert len(calls) > 0
         assert curves[0] == curves[1]
         for p, q in zip(runs[0].policy.params(), runs[1].policy.params()):
@@ -343,6 +346,15 @@ class TestSchemeSpec:
                                               "train.epochs": 0})
         spec = dataclasses.replace(bench.PROPOSED, **choices)
         return cfg, runner.SchemeRun(cfg, spec, 3, collect_slots=False).execute()
+
+    @pytest.mark.parametrize("scheme", ["proposed", None], ids=["name", "none"])
+    def test_a_run_takes_a_scheme_id_or_a_spec(self, scheme, monkeypatch):
+        # anything else is refused before a population is drawn
+        drawn = []
+        monkeypatch.setattr(scenario, "sample_users", lambda *a: drawn.append(a))
+        with pytest.raises(TypeError, match=re.escape(str(SchemeId.PROPOSED))):
+            runner.SchemeRun(fast_cfg(), scheme, 1)
+        assert drawn == []
 
     def test_greedy_only(self, four_window_run):
         _, res = self.ablation_run(game=False)

@@ -195,9 +195,21 @@ class TestLoadScenario:
         scenario.validate_config(dataclasses.replace(
             cfg, agent=dataclasses.replace(cfg.agent, bootstrap_minutes=0.5)))
 
+    def test_rejects_a_bootstrap_of_part_periods(self):
+        # training starts where the bootstrap ends: 2.25 min is 13.5 periods
+        # of 10 s, so each training step's sample would cover five slots of
+        # the step before
+        cfg = scenario.parse_overrides({"agent.bootstrap_minutes": "2.25",
+                                        "playback.eval_period_s": "10"})
+        with pytest.raises(ValidationError, match=re.escape("agent.bootstrap_minutes")):
+            scenario.validate_config(cfg)
+        scenario.validate_config(dataclasses.replace(
+            cfg, agent=dataclasses.replace(cfg.agent, bootstrap_minutes=4.0)))
+
     @pytest.mark.parametrize("over,ok", [
-        # 10 s rounds to 33 slots of 0.3 s, a 9.9-s period
-        ({"slot_s": "0.3", "sim_duration_s": "990"}, {"playback.eval_period_s": "9.9"}),
+        # 10 s rounds to 33 slots of 0.3 s, a 9.9-s period; 13.2 min is 80 of them
+        ({"slot_s": "0.3", "sim_duration_s": "990"},
+         {"playback.eval_period_s": "9.9", "agent.bootstrap_minutes": "13.2"}),
         ({"playback.eval_period_s": "10.5"}, {"playback.eval_period_s": "10"}),
         ({"playback.eval_period_s": "0.5"}, {"slot_s": "0.5"}),
     ], ids=["rounded", "half-slot", "under-a-slot"])
